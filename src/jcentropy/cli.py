@@ -151,6 +151,13 @@ def _parse_pair(text: str) -> tuple[int, int]:
         raise UsageError(f"expected grid as 'NRxNTHETA', got {text!r}") from None
 
 
+def _time_samples(value, flag: str) -> int:
+    """Validated time-sample count: an exchange needs t=0 and one later time."""
+    if int(value) < 2:
+        raise UsageError(f"{flag} needs at least two time samples, got {value}")
+    return int(value)
+
+
 def _model_params(cfg: dict) -> ModelParams:
     return ModelParams.from_detuning(cfg["delta"], cfg["lam"], cfg["omega"])
 
@@ -187,12 +194,12 @@ def _resolve_source(cfg: dict) -> tuple[object, dict]:
         beta = cfg.get("beta")
         if beta is None:
             raise UsageError("--gibbs needs --beta")
-        dist = photon_weights_gibbs(beta, omega, tail_tol=tail_tol)
+        dist = photon_weights_gibbs(beta, omega, tail_tol=tail_tol, hard_cap=hard_cap)
         derived = {"source": "gibbs", "beta": beta}
     else:
         # the ensemble file fixes its own omega (part of the stored state)
         model, _spec = load_betas(cfg["betas_file"])
-        dist = photon_weights_multilevel(model, tail_tol=tail_tol)
+        dist = photon_weights_multilevel(model, tail_tol=tail_tol, hard_cap=hard_cap)
         derived = {
             "source": "multilevel",
             "betas_file": cfg["betas_file"],
@@ -296,6 +303,7 @@ def cmd_timeseries(args: argparse.Namespace) -> int:
         "out": None, "format": "csv",
     }
     cfg = _effective_config(args, defaults)
+    n_times = _time_samples(cfg["grid"], "--grid")
     dist, derived = _resolve_source(cfg)
     kind = _resolve_entropy(cfg, derived)
     form = _resolve_form(cfg)
@@ -304,7 +312,7 @@ def cmd_timeseries(args: argparse.Namespace) -> int:
     if horizon is None:
         horizon = 50.0 / abs(cfg["lam"]) if cfg["lam"] else 50.0
         cfg["horizon"] = horizon
-    times = np.linspace(0.0, horizon, int(cfg["grid"]))
+    times = np.linspace(0.0, horizon, n_times)
     trace = entropy_trace(params, AtomInit(epsilon=cfg["epsilon"]), dist, kind, form, times)
     rows = list(zip(
         (float(t) for t in trace.times),
@@ -332,6 +340,7 @@ def cmd_bloch_sweep(args: argparse.Namespace) -> int:
         "out": None, "format": "csv",
     }
     cfg = _effective_config(args, defaults)
+    n_times = _time_samples(cfg["t_samples"], "--t-samples")
     dist, derived = _resolve_source(cfg)
     kind = _resolve_entropy(cfg, derived)
     form = _resolve_form(cfg)
@@ -343,7 +352,7 @@ def cmd_bloch_sweep(args: argparse.Namespace) -> int:
     if horizon is None:
         horizon = 50.0 / abs(cfg["lam"]) if cfg["lam"] else 50.0
         cfg["horizon"] = horizon
-    times = np.linspace(0.0, horizon, int(cfg["t_samples"]))
+    times = np.linspace(0.0, horizon, n_times)
     r_values = np.linspace(0.0, 1.0, n_r)
     theta_values = np.linspace(0.0, math.pi, n_theta)
     grid = bloch_sweep(params, dist, kind, form, r_values, theta_values, times)

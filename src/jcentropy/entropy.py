@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +49,12 @@ __all__ = [
     "time_average",
     "bloch_sweep",
 ]
+
+
+# time samples x photon levels evaluated per chunk of a trace: small enough
+# that each chunk's arrays (128 KB) stay cache-resident, large enough that the
+# per-call overhead vanishes at a few levels
+CHUNK_ELEMENTS = 2**14
 
 
 class GridCoarseWarning(UserWarning):
@@ -107,28 +112,36 @@ class BlochPoint:
         return min(max((1.0 + self.r * math.cos(self.theta)) / 2.0, 0.0), 1.0)
 
 
+def _row_entropies(p: np.ndarray, kind: EntropyKind) -> np.ndarray:
+    """Entropies of the probability lists along the last axis of ``p``.
+
+    Every row must pass the checks :func:`entropy_of` documents; entries
+    that are not positive score 0 (the ``0 ln 0 = 0`` convention).
+    """
+    if p.shape[-1] == 0:
+        raise ValueError("empty probability list")
+    if np.any(p < -1e-12):
+        raise ValueError(f"negative probability {float(np.min(p))}")
+    totals = np.sum(p, axis=-1)
+    if np.any(totals > 1.0 + 1e-10):
+        raise ValueError(f"probabilities sum to {float(np.max(totals))}, exceeding 1")
+    # a unit entry scores exactly 0 under both functionals
+    p = np.where(p > 0.0, p, 1.0)
+    if kind.is_von_neumann:
+        return -np.sum(p * np.log(p), axis=-1)
+    q = kind.q
+    # -p ln_q p = (p^(2-q) - p)/(q - 1), termwise non-negative for p <= 1
+    return np.sum(np.power(p, 2.0 - q) - p, axis=-1) / (q - 1.0)
+
+
 def entropy_of(p, kind: EntropyKind = VON_NEUMANN) -> float:
     """Entropy of a (possibly sub-normalized) probability list.
 
     Sub-normalized input is accepted so truncated weight lists can be
-    scored directly; every term is non-negative either way.
+    scored directly; every term is non-negative either way.  Entries
+    below -1e-12 or a sum above 1 + 1e-10 raise :class:`ValueError`.
     """
-    p = np.asarray(p, dtype=float).ravel()
-    if p.size == 0:
-        raise ValueError("empty probability list")
-    if np.any(p < -1e-12):
-        raise ValueError(f"negative probability {float(np.min(p))}")
-    total = float(np.sum(p))
-    if total > 1.0 + 1e-10:
-        raise ValueError(f"probabilities sum to {total}, exceeding 1")
-    p = p[p > 0.0]
-    if p.size == 0:
-        return 0.0
-    if kind.is_von_neumann:
-        return float(-np.sum(p * np.log(p)))
-    q = kind.q
-    # -p ln_q p = (p^(2-q) - p)/(q - 1), termwise non-negative for p <= 1
-    return float(np.sum(np.power(p, 2.0 - q) - p) / (q - 1.0))
+    return float(_row_entropies(np.asarray(p, dtype=float).ravel(), kind))
 
 
 def atom_entropy(state: EvolvedState, kind: EntropyKind = VON_NEUMANN) -> float:
@@ -150,9 +163,13 @@ def field_entropy(
     """
     w = reduced_field(state)
     if form is FieldEntropyForm.COARSE:
-        rest = float(np.sum(w[1:])) + state.tail_mass
-        return entropy_of([w[0], rest], kind)
+        w = _coarse_grained(w, state.tail_mass)
     return entropy_of(w, kind)
+
+
+def _coarse_grained(w: np.ndarray, tail_mass: float) -> np.ndarray:
+    """(vacuum, all n >= 1 including the tail) weights along the last axis."""
+    return np.stack((w[..., 0], np.sum(w[..., 1:], axis=-1) + tail_mass), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -168,25 +185,6 @@ class EntropyTrace:
     metadata: dict = field(default_factory=dict, compare=False)
 
 
-def _trace_entropies(evolver: BlockEvolver, kind: EntropyKind, form: FieldEntropyForm, t: float):
-    a, _, c = evolver.coefficients(t)
-    p_e, p_g = _atom_probs(
-        float(np.sum(a)),
-        float(np.sum(c)),
-        evolver.uncoupled_weight,
-        evolver.excited_top,
-        evolver.dist.tail_mass,
-        evolver.atom.epsilon,
-    )
-    s_atom = entropy_of([p_e, p_g], kind)
-    w = _field_weights(a, c, evolver.uncoupled_weight, evolver.excited_top)
-    if form is FieldEntropyForm.COARSE:
-        s_field = entropy_of([w[0], float(np.sum(w[1:])) + evolver.dist.tail_mass], kind)
-    else:
-        s_field = entropy_of(w, kind)
-    return s_atom, s_field
-
-
 def entropy_trace(
     params: ModelParams,
     atom: AtomInit,
@@ -199,7 +197,8 @@ def entropy_trace(
     """Partial entropy exchange of atom and field on a time grid.
 
     The grid must start at t=0 (the exchange is defined relative to the
-    initial state, so the first samples are exactly zero).
+    initial state, so the first samples are exactly zero).  Times are
+    evaluated in chunks of about ``CHUNK_ELEMENTS`` samples x levels.
     """
     if times is None:
         t_max = 50.0 / abs(params.lam) if params.lam != 0.0 else 50.0
@@ -211,10 +210,19 @@ def entropy_trace(
         raise ValueError("time grid must be strictly increasing")
 
     evolver = BlockEvolver(params, atom, dist, with_coherence=False)
+    uncoupled, excited_top = evolver.uncoupled_weight, evolver.excited_top
     s_atom = np.empty(times.size)
     s_field = np.empty(times.size)
-    for i, t in enumerate(times):
-        s_atom[i], s_field[i] = _trace_entropies(evolver, kind, form, t)
+    rows = max(1, CHUNK_ELEMENTS // dist.weights.size)
+    for start in range(0, times.size, rows):
+        chunk = slice(start, start + rows)
+        a, _, c = evolver.coefficients(times[chunk])
+        p_e, p_g = _atom_probs(a, c, uncoupled, excited_top, dist.tail_mass, atom.epsilon)
+        s_atom[chunk] = _row_entropies(np.stack((p_e, p_g), axis=-1), kind)
+        w = _field_weights(a, c, uncoupled, excited_top)
+        if form is FieldEntropyForm.COARSE:
+            w = _coarse_grained(w, dist.tail_mass)
+        s_field[chunk] = _row_entropies(w, kind)
     ds_atom = s_atom - s_atom[0]
     ds_field = s_field - s_field[0]
     ds_total = ds_atom + ds_field
@@ -299,34 +307,25 @@ def bloch_sweep(
     theta_values,
     times: np.ndarray,
     horizon: float | None = None,
-    max_workers: int | None = None,
 ) -> np.ndarray:
     """Time-averaged exchanges over a (r, theta) grid of atom preparations.
 
     Returns an array of shape ``(len(r_values), len(theta_values), 2)``
-    holding (avg atom exchange, avg field exchange); entries are ordered
-    by the declared grid and are identical whether or not the points are
-    evaluated concurrently.
+    holding (avg atom exchange, avg field exchange), ordered by the
+    declared grid.  The dynamics depends on a preparation only through
+    its excited-state weight epsilon, so each distinct epsilon is traced
+    once and its averages fill every point that shares it (the whole
+    r=0 row, for instance).
     """
     r_values = np.asarray(r_values, dtype=float)
     theta_values = np.asarray(theta_values, dtype=float)
     out = np.empty((r_values.size, theta_values.size, 2))
-
-    def evaluate(idx: tuple[int, int]) -> tuple[tuple[int, int], tuple[float, float]]:
-        i, j = idx
-        point = BlochPoint(r=float(r_values[i]), theta=float(theta_values[j]))
-        trace = entropy_trace(
-            params, AtomInit(epsilon=point.epsilon), dist, kind, form, times
-        )
-        return idx, time_average(trace, horizon, warn=False)
-
-    indices = [(i, j) for i in range(r_values.size) for j in range(theta_values.size)]
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(evaluate, indices))
-    else:
-        results = [evaluate(idx) for idx in indices]
-    for (i, j), (avg_a, avg_b) in results:
-        out[i, j, 0] = avg_a
-        out[i, j, 1] = avg_b
+    averages: dict[float, tuple[float, float]] = {}
+    for i, r in enumerate(r_values):
+        for j, theta in enumerate(theta_values):
+            eps = BlochPoint(r=float(r), theta=float(theta)).epsilon
+            if eps not in averages:
+                trace = entropy_trace(params, AtomInit(epsilon=eps), dist, kind, form, times)
+                averages[eps] = time_average(trace, horizon, warn=False)
+            out[i, j] = averages[eps]
     return out

@@ -200,17 +200,28 @@ class BlockEvolver:
             self._b_cos = bx * (wp + wm)
             self._b_sin = bx * (wp - wm)
 
-    def coefficients(self, t: float):
-        """(A_n(t), B_n(t) or None, C_n(t)) over the evolved manifolds."""
+    def coefficients(self, t):
+        """(A_n(t), B_n(t) or None, C_n(t)) over the evolved manifolds.
+
+        A scalar ``t`` gives arrays over the manifolds; a 1-D array of
+        times gives ``(times, manifolds)`` arrays, one row per time,
+        bitwise equal to the scalar evaluation at each time.
+        """
         if self._frozen:
-            b = np.zeros_like(self._a_frozen, dtype=complex) if self.with_coherence else None
-            return self._a_frozen.copy(), b, self._c_frozen.copy()
-        cos = np.cos(self.delta_n * t)
-        a = self._a0 + self._a1 * cos
-        c = self._c0 + self._c1 * cos
+            shape = np.shape(t) + self._a_frozen.shape
+            b = np.zeros(shape, dtype=complex) if self.with_coherence else None
+            a = np.broadcast_to(self._a_frozen, shape).copy()
+            return a, b, np.broadcast_to(self._c_frozen, shape).copy()
+        cos = np.cos(np.multiply.outer(t, self.delta_n))
+        # added in place: NumPy reuses no temporary for a broadcast sum, and a
+        # fresh 1e5-level array costs as much as the arithmetic
+        a = self._a1 * cos
+        a += self._a0
+        c = self._c1 * cos
+        c += self._c0
         b = None
         if self.with_coherence:
-            sin = np.sin(self.delta_n * t)
+            sin = np.sin(np.multiply.outer(t, self.delta_n))
             b = self._b0 + self._b_cos * cos + 1j * self._b_sin * sin
         return a, b, c
 
@@ -235,17 +246,19 @@ def coefficients_at(
     return BlockEvolver(params, atom, dist).state(t)
 
 
-def _atom_probs(a_sum, c_sum, uncoupled, excited_top, tail_mass, epsilon):
-    p_e = a_sum + excited_top + epsilon * tail_mass
-    p_g = uncoupled + c_sum + (1.0 - epsilon) * tail_mass
+def _atom_probs(a, c, uncoupled, excited_top, tail_mass, epsilon):
+    """Excited/ground atom populations from the last-axis coefficient rows."""
+    p_e = np.sum(a, axis=-1) + excited_top + epsilon * tail_mass
+    p_g = uncoupled + np.sum(c, axis=-1) + (1.0 - epsilon) * tail_mass
     return p_e, p_g
 
 
 def _field_weights(a, c, uncoupled, excited_top):
-    w = np.empty(a.size + 1)
-    w[0] = uncoupled + a[0]
-    w[1:-1] = a[1:] + c[:-1]
-    w[-1] = c[-1] + excited_top
+    """Photon-number weights over levels 0..n_max along the last axis."""
+    w = np.empty(a.shape[:-1] + (a.shape[-1] + 1,))
+    w[..., 0] = uncoupled + a[..., 0]
+    np.add(a[..., 1:], c[..., :-1], out=w[..., 1:-1])
+    w[..., -1] = c[..., -1] + excited_top
     return w
 
 
@@ -255,14 +268,15 @@ def reduced_atom(state: EvolvedState) -> tuple[float, float]:
     The frozen tail is split epsilon : (1 - epsilon) between the two
     sectors, so the pair sums to one exactly.
     """
-    return _atom_probs(
-        float(np.sum(state.coeff_a)),
-        float(np.sum(state.coeff_c)),
+    p_e, p_g = _atom_probs(
+        state.coeff_a,
+        state.coeff_c,
         state.uncoupled_weight,
         state.excited_top,
         state.tail_mass,
         state.epsilon,
     )
+    return float(p_e), float(p_g)
 
 
 def reduced_field(state: EvolvedState) -> np.ndarray:

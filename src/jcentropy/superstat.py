@@ -231,9 +231,13 @@ def photon_weights_gamma(
 
 
 def photon_weights_gibbs(
-    beta: float, omega: float = 1.0, tail_tol: float = 1e-8
+    beta: float, omega: float = 1.0, tail_tol: float = 1e-8, hard_cap: int = HARD_CAP
 ) -> PhotonDistribution:
-    """Geometric (Gibbs) photon-number weights ``(1 - x) x^n`` with x = exp(-beta omega)."""
+    """Geometric (Gibbs) photon-number weights ``(1 - x) x^n`` with x = exp(-beta omega).
+
+    Truncates at the smallest level whose exact tail mass ``x^(n_max+1)``
+    is <= tail_tol, subject to the hard cap.
+    """
     if not beta > 0 or not omega > 0:
         raise ValueError("beta and omega must be positive")
     if not 0.0 < tail_tol < 1.0:
@@ -243,24 +247,28 @@ def photon_weights_gibbs(
     n_max = max(MIN_LEVELS - 1, math.ceil(math.log(tail_tol) / math.log(x)) - 1)
     while n_max > MIN_LEVELS - 1 and x ** n_max <= tail_tol:
         n_max -= 1
+    tail_limited = n_max > hard_cap
+    n_max = min(n_max, hard_cap)
     n = np.arange(n_max + 1, dtype=np.float64)
     weights = (1.0 - x) * x**n
     return PhotonDistribution(
         weights=weights,
         tail_mass=x ** (n_max + 1),
         source=DistKind.GIBBS,
+        tail_limited=tail_limited,
         meta={"beta": beta, "omega": omega, "tail_tol": tail_tol},
     )
 
 
 def photon_weights_multilevel(
-    s: MultiLevelSuperstat, tail_tol: float = 1e-8
+    s: MultiLevelSuperstat, tail_tol: float = 1e-8, hard_cap: int = HARD_CAP
 ) -> PhotonDistribution:
     """Photon-number weights of the N-temperature mixture state.
 
     ``p_n = (1/Z_N) sum_k exp(-n beta_k omega)`` with the normalizing
     super-partition function ``Z_N = sum_k 1/(1 - exp(-beta_k omega))``;
-    the exponential tail is closed in exact geometric form.
+    the exponential tail is closed in exact geometric form.  Truncation
+    follows tail_tol, subject to the hard cap.
     """
     if not 0.0 < tail_tol < 1.0:
         raise ValueError(f"tail_tol must be in (0, 1), got {tail_tol}")
@@ -274,12 +282,15 @@ def photon_weights_multilevel(
     n_max = max(MIN_LEVELS - 1, math.ceil(math.log(tail_tol) / math.log(x_max)) - 1)
     while n_max > MIN_LEVELS - 1 and tail(n_max - 1) <= tail_tol:
         n_max -= 1
+    tail_limited = n_max > hard_cap
+    n_max = min(n_max, hard_cap)
     n = np.arange(n_max + 1, dtype=np.float64)
     weights = np.sum(x[None, :] ** n[:, None], axis=1) / z_n
     return PhotonDistribution(
         weights=weights,
         tail_mass=tail(n_max),
         source=DistKind.MULTILEVEL,
+        tail_limited=tail_limited,
         meta={"betas": list(s.betas), "omega": s.omega, "tail_tol": tail_tol},
     )
 

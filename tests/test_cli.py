@@ -65,6 +65,25 @@ class TestWeights:
         meta = json.loads((tmp_path / "w.csv.meta.json").read_text())
         assert meta["derived"]["beta_star"] == pytest.approx(3.3356918657181176, rel=1e-6)
 
+    @pytest.mark.parametrize("source", ["gibbs", "betas-file"])
+    def test_n_cap_binds_for_every_source(self, tmp_path, source):
+        # both hot states need over 1e5 levels for the default tail tolerance
+        if source == "gibbs":
+            model = ["--gibbs", "--beta", "1e-4"]
+        else:
+            betas = tmp_path / "hot.betas"
+            assert main(["ensemble-gen", "--count", "5", "--mean", "1e-4", "--sd", "1e-5",
+                         "--seed", "1", "--out", str(betas)]) == 0
+            model = ["--betas-file", str(betas)]
+        out = tmp_path / "w.csv"
+        assert main(["weights", *model, "--n-cap", "1000", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 1001
+        derived = json.loads((tmp_path / "w.csv.meta.json").read_text())["derived"]
+        assert derived["n_max"] == 1000 and derived["tail_limited"] is True
+        total = math.fsum(float(p) for _, p in rows) + derived["tail_mass"]
+        assert abs(total - 1.0) <= 1e-12
+
     def test_model_selection_usage_errors(self, tmp_path):
         out = str(tmp_path / "w.csv")
         assert main(["weights", "--out", out]) == 2  # nothing selected
@@ -113,6 +132,11 @@ class TestTimeseries:
         assert payload["meta"]["command"] == "timeseries"
         assert len(payload["rows"]) == 16
 
+    def test_single_time_sample_is_usage_error(self, tmp_path):
+        assert main(["timeseries", "--gibbs", "--beta", "2.0", "--grid", "1",
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert not (tmp_path / "x.csv").exists()
+
     def test_multilevel_from_file(self, tmp_path):
         out = tmp_path / "ts.csv"
         betas = os.path.join(DATA_DIR, "normal_n100.betas")
@@ -147,6 +171,11 @@ class TestBlochSweep:
     def test_bad_grid_is_usage_error(self, tmp_path):
         assert main(["bloch-sweep", "--gibbs", "--beta", "2.0", "--grid", "axb",
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_single_time_sample_is_usage_error(self, tmp_path):
+        assert main(["bloch-sweep", "--gibbs", "--beta", "2.0", "--t-samples", "1",
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestEnsembleGen:

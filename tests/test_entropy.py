@@ -1,14 +1,17 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from jcentropy.entropy import (
+    CHUNK_ELEMENTS,
     VON_NEUMANN,
     BlochPoint,
     EntropyKind,
     FieldEntropyForm,
     GridCoarseWarning,
+    _row_entropies,
     atom_entropy,
     bloch_sweep,
     entropy_of,
@@ -75,6 +78,36 @@ class TestEntropyOf:
             p /= p.sum()
             near = entropy_of(p, EntropyKind(q=1.0 + 1e-6))
             assert abs(near - entropy_of(p)) < 1e-4
+
+    @pytest.mark.parametrize("kind", [VON_NEUMANN, tsallis(1.6)], ids=["vn", "tsallis1.6"])
+    def test_row_helper_scores_zeros_and_tiny_negatives_as_zero(self, kind):
+        rows = np.array([
+            [0.5, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [0.3, -1e-12, 0.7, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [0.1, 0.2, 0.0, 0.3, -5e-13, 0.15, 0.0, 0.05, 0.2],
+            [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [0.05, 0.1, 0.15, 0.2, 0.1, 0.1, 0.1, 0.1, 0.1],
+        ])
+        got = _row_entropies(rows, kind)
+        assert got.shape == (rows.shape[0],)
+        for row, value in zip(rows, got):
+            p = row[row > 0.0]
+            if kind.is_von_neumann:
+                direct = -float(np.sum(p * np.log(p)))
+            else:
+                direct = float(np.sum(p ** (2.0 - kind.q) - p)) / (kind.q - 1.0)
+            assert value == pytest.approx(direct, rel=1e-14, abs=1e-15)
+            assert value == pytest.approx(entropy_of(row, kind), rel=1e-14, abs=1e-15)
+
+    @pytest.mark.parametrize("kind", [VON_NEUMANN, tsallis(1.6)], ids=["vn", "tsallis1.6"])
+    @pytest.mark.parametrize("bad", [[0.5, -2e-12, 0.5], [0.9, 0.3, 0.0], [0.7, 0.3 + 2e-10, 0.0]])
+    def test_row_helper_rejects_what_entropy_of_rejects(self, kind, bad):
+        with pytest.raises(ValueError):
+            entropy_of(bad, kind)
+        rows = np.array([[0.2, 0.3, 0.5], bad, [1.0, 0.0, 0.0]])
+        with pytest.raises(ValueError):
+            _row_entropies(rows, kind)
 
     def test_kind_validation(self):
         with pytest.raises(ValueError):
@@ -185,23 +218,31 @@ class TestEntropyTrace:
             entropy_trace(RESONANT, AtomInit(0.2), dist, times=np.array([0.0, 2.0, 1.0]))
 
     def test_trace_matches_state_level_entropies(self):
-        # the batched trace path and the public per-state path must agree
-        dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-10)
+        # the batched trace path and the public per-state path must agree; the
+        # ~4k-level gamma state spans several chunks of the 29-sample grid
+        gibbs = photon_weights_gibbs(math.log(11.0), tail_tol=1e-10)
+        gamma = photon_weights_gamma(
+            GammaSuperstat(q=1.4, beta_star=3.3356918657181176), tail_tol=1e-6
+        )
         atom = AtomInit(0.35)
         times = np.linspace(0.0, 7.0, 29)
-        for kind in (VON_NEUMANN, tsallis(1.5)):
-            for form in (FieldEntropyForm.FULL, FieldEntropyForm.COARSE):
-                trace = entropy_trace(RESONANT, atom, dist, kind, form, times)
-                s0_atom = atom_entropy(coefficients_at(RESONANT, atom, dist, 0.0), kind)
-                s0_field = field_entropy(coefficients_at(RESONANT, atom, dist, 0.0), kind, form)
-                for i in (3, 11, 28):
-                    state = coefficients_at(RESONANT, atom, dist, times[i])
-                    assert trace.ds_atom[i] == pytest.approx(
-                        atom_entropy(state, kind) - s0_atom, abs=1e-12
-                    )
-                    assert trace.ds_field[i] == pytest.approx(
-                        field_entropy(state, kind, form) - s0_field, abs=1e-12
-                    )
+        assert 1 < CHUNK_ELEMENTS // gamma.weights.size < times.size
+        for dist, kind, form in itertools.product(
+            (gibbs, gamma),
+            (VON_NEUMANN, tsallis(1.5)),
+            (FieldEntropyForm.FULL, FieldEntropyForm.COARSE),
+        ):
+            trace = entropy_trace(RESONANT, atom, dist, kind, form, times)
+            s0_atom = atom_entropy(coefficients_at(RESONANT, atom, dist, 0.0), kind)
+            s0_field = field_entropy(coefficients_at(RESONANT, atom, dist, 0.0), kind, form)
+            for i in (3, 11, 28):
+                state = coefficients_at(RESONANT, atom, dist, times[i])
+                assert trace.ds_atom[i] == pytest.approx(
+                    atom_entropy(state, kind) - s0_atom, abs=1e-12
+                )
+                assert trace.ds_field[i] == pytest.approx(
+                    field_entropy(state, kind, form) - s0_field, abs=1e-12
+                )
 
 
 class TestTimeAverage:
@@ -270,11 +311,18 @@ class TestBloch:
         # r=0 rows are theta-independent (epsilon = 1/2 everywhere)
         assert np.allclose(grid[0, 0], grid[0, 2], atol=1e-12)
 
-    def test_parallel_matches_sequential_bitwise(self):
+    def test_sweep_matches_per_point_traces(self):
+        # the r=0 row shares epsilon = 1/2, so the sweep reuses one trace there
         dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-8)
         times = np.linspace(0, 8, 161)
-        args = (RESONANT, dist, VON_NEUMANN, FieldEntropyForm.FULL,
-                [0.0, 0.5, 1.0], [0.0, 1.2, math.pi], times)
-        seq = bloch_sweep(*args)
-        par = bloch_sweep(*args, max_workers=4)
-        assert np.array_equal(seq, par)
+        r_values, theta_values = [0.0, 0.5, 1.0], [0.0, 1.2, math.pi]
+        kind = tsallis(1.6)
+        grid = bloch_sweep(RESONANT, dist, kind, FieldEntropyForm.COARSE,
+                           r_values, theta_values, times, horizon=6.0)
+        expected = np.empty_like(grid)
+        for i, r in enumerate(r_values):
+            for j, theta in enumerate(theta_values):
+                atom = AtomInit(BlochPoint(r, theta).epsilon)
+                trace = entropy_trace(RESONANT, atom, dist, kind, FieldEntropyForm.COARSE, times)
+                expected[i, j] = time_average(trace, 6.0, warn=False)
+        assert np.array_equal(grid, expected)
