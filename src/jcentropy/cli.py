@@ -16,14 +16,18 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-import tempfile
 
 import numpy as np
 
 from . import __version__
-from .ensemble import BetaEnsembleSpec, load_betas, sample_betas, save_betas
+from .ensemble import (
+    BetaEnsembleSpec,
+    _write_atomic,
+    load_betas,
+    sample_betas,
+    save_betas,
+)
 from .entropy import (
     VON_NEUMANN,
     EntropyKind,
@@ -59,19 +63,6 @@ class UsageError(Exception):
 
 
 # ---------------------------------------------------------------- helpers
-
-
-def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".jcentropy-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _fmt(value) -> str:
@@ -166,7 +157,11 @@ def _resolve_source(cfg: dict) -> tuple[object, dict]:
     """Build the photon distribution and the derived-parameter record."""
     omega = cfg["omega"]
     tail_tol = cfg["tail_tol"]
-    hard_cap = cfg.get("n_cap") or HARD_CAP
+    hard_cap = cfg.get("n_cap")
+    if hard_cap is None:
+        hard_cap = HARD_CAP
+    elif hard_cap < 1:
+        raise UsageError(f"--n-cap must be at least 1, got {hard_cap}")
     chosen = [name for name, active in (
         ("gamma", cfg.get("q") is not None),
         ("gibbs", bool(cfg.get("gibbs"))),

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import tempfile
 from dataclasses import asdict, dataclass
 
 from .superstat import MultiLevelSuperstat
@@ -137,6 +139,24 @@ def sample_betas(spec: BetaEnsembleSpec) -> MultiLevelSuperstat:
     return MultiLevelSuperstat(betas=tuple(betas), omega=spec.omega)
 
 
+def _write_atomic(path, text: str) -> None:
+    """Write ``text`` to ``path`` whole or not at all.
+
+    The text goes to a temporary file in the same directory, which then
+    replaces ``path``; on failure the temporary file is removed.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".jcentropy-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_betas(
     path, model: MultiLevelSuperstat, spec: BetaEnsembleSpec | None = None
 ) -> None:
@@ -148,8 +168,7 @@ def save_betas(
     }
     lines = ["# " + json.dumps(header, sort_keys=True)]
     lines.extend(repr(b) for b in model.betas)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_betas(path) -> tuple[MultiLevelSuperstat, BetaEnsembleSpec | None]:

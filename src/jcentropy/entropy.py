@@ -120,18 +120,21 @@ def _row_entropies(p: np.ndarray, kind: EntropyKind) -> np.ndarray:
     """
     if p.shape[-1] == 0:
         raise ValueError("empty probability list")
-    if np.any(p < -1e-12):
-        raise ValueError(f"negative probability {float(np.min(p))}")
+    lowest = float(np.min(p))
+    if lowest < -1e-12:
+        raise ValueError(f"negative probability {lowest}")
     totals = np.sum(p, axis=-1)
     if np.any(totals > 1.0 + 1e-10):
         raise ValueError(f"probabilities sum to {float(np.max(totals))}, exceeding 1")
-    # a unit entry scores exactly 0 under both functionals
-    p = np.where(p > 0.0, p, 1.0)
     if kind.is_von_neumann:
+        # a unit entry scores exactly 0
+        p = np.where(p > 0.0, p, 1.0)
         return -np.sum(p * np.log(p), axis=-1)
     q = kind.q
-    # -p ln_q p = (p^(2-q) - p)/(q - 1), termwise non-negative for p <= 1
-    return np.sum(np.power(p, 2.0 - q) - p, axis=-1) / (q - 1.0)
+    # -p ln_q p = (p^(2-q) - p)/(q - 1), and 0^(2-q) = 0 for q < 2
+    pos = np.maximum(p, 0.0)
+    linear = np.sum(pos, axis=-1)
+    return (np.sum(np.power(pos, 2.0 - q, out=pos), axis=-1) - linear) / (q - 1.0)
 
 
 def entropy_of(p, kind: EntropyKind = VON_NEUMANN) -> float:
@@ -198,7 +201,8 @@ def entropy_trace(
 
     The grid must start at t=0 (the exchange is defined relative to the
     initial state, so the first samples are exactly zero).  Times are
-    evaluated in chunks of about ``CHUNK_ELEMENTS`` samples x levels.
+    evaluated in chunks of about ``CHUNK_ELEMENTS`` samples x levels,
+    whose cosines come from :meth:`BlockEvolver.cos_chunks`.
     """
     if times is None:
         t_max = 50.0 / abs(params.lam) if params.lam != 0.0 else 50.0
@@ -210,16 +214,31 @@ def entropy_trace(
         raise ValueError("time grid must be strictly increasing")
 
     evolver = BlockEvolver(params, atom, dist, with_coherence=False)
+    a1, c1 = evolver.a1, evolver.c1
     uncoupled, excited_top = evolver.uncoupled_weight, evolver.excited_top
+    # A = a0 + a1 cos and C = c0 + c1 cos, so the atom populations and the
+    # field weights are their t-independent parts plus terms linear in cos
+    pe0, pg0 = _atom_probs(
+        evolver.a0, evolver.c0, uncoupled, excited_top, dist.tail_mass, atom.epsilon
+    )
+    w0 = _field_weights(evolver.a0, evolver.c0, uncoupled, excited_top)
     s_atom = np.empty(times.size)
     s_field = np.empty(times.size)
-    rows = max(1, CHUNK_ELEMENTS // dist.weights.size)
-    for start in range(0, times.size, rows):
-        chunk = slice(start, start + rows)
-        a, _, c = evolver.coefficients(times[chunk])
-        p_e, p_g = _atom_probs(a, c, uncoupled, excited_top, dist.tail_mass, atom.epsilon)
+    rows = min(times.size, max(1, CHUNK_ELEMENTS // dist.weights.size))
+    w_rows = np.empty((rows, w0.size))
+    scaled_rows = np.empty((rows, a1.size))
+    for chunk, cos in evolver.cos_chunks(times, rows):
+        w = w_rows[: cos.shape[0]]
+        scaled = scaled_rows[: cos.shape[0]]
+        # row sums, not a BLAS product: threaded BLAS would spin a second core
+        np.multiply(cos, a1, out=scaled)
+        p_e = np.sum(scaled, axis=-1) + pe0
+        np.add(w0[:-1], scaled, out=w[:, :-1])
+        w[:, -1] = w0[-1]
+        np.multiply(cos, c1, out=scaled)
+        p_g = np.sum(scaled, axis=-1) + pg0
+        w[:, 1:] += scaled
         s_atom[chunk] = _row_entropies(np.stack((p_e, p_g), axis=-1), kind)
-        w = _field_weights(a, c, uncoupled, excited_top)
         if form is FieldEntropyForm.COARSE:
             w = _coarse_grained(w, dist.tail_mass)
         s_field[chunk] = _row_entropies(w, kind)

@@ -28,6 +28,9 @@ import numpy as np
 
 from .superstat import PhotonDistribution
 
+# chunks between exact reseeds of the cosine recurrence over chunks
+RESEED_CHUNKS = 128
+
 __all__ = [
     "ModelParams",
     "AtomInit",
@@ -154,8 +157,10 @@ class EvolvedState:
 class BlockEvolver:
     """Precomputed closed-form manifold evolution for one configuration.
 
-    The per-manifold constants are assembled once; evaluating a time
-    costs one cosine per manifold.  ``with_coherence=False`` skips the
+    The populations are affine in one cosine per manifold,
+    ``A_n(t) = a0 + a1 cos(delta_n t)`` and ``C_n(t) = c0 + c1 cos(delta_n t)``;
+    the constants are assembled once.  At zero coupling the manifolds
+    do not rotate (``a1 = c1 = 0``).  ``with_coherence=False`` skips the
     complex coherence coefficients (entropies never consume them).
     """
 
@@ -178,10 +183,12 @@ class BlockEvolver:
         self.uncoupled_weight = float((1.0 - eps) * p[0])
         self.excited_top = float(eps * p[-1])
         self.block_weight = eps * pn + (1.0 - eps) * pn1  # conserved per manifold
-        self._frozen = params.lam == 0.0
-        if self._frozen:
-            self._a_frozen = eps * pn
-            self._c_frozen = (1.0 - eps) * pn1
+        if params.lam == 0.0:
+            zeros = np.zeros(dist.n_max)
+            self.delta_n = zeros
+            self.a0, self.a1 = eps * pn, zeros
+            self.c0, self.c1 = (1.0 - eps) * pn1, zeros
+            self._b0 = self._b_cos = self._b_sin = zeros
             return
         delta_n, wp, wm = _manifold_arrays(params, dist.n_max)
         self.delta_n = delta_n
@@ -191,10 +198,10 @@ class BlockEvolver:
         bp = (eps * pn + (1.0 - eps) * wp**2 * pn1) / d1**2
         bm = (eps * pn + (1.0 - eps) * wm**2 * pn1) / d2**2
         bx = (eps * pn + (1.0 - eps) * wp * wm * pn1) / cross_den
-        self._a0 = bp + bm
-        self._a1 = 2.0 * bx
-        self._c0 = wp**2 * bp + wm**2 * bm
-        self._c1 = 2.0 * wp * wm * bx
+        self.a0 = bp + bm
+        self.a1 = 2.0 * bx
+        self.c0 = wp**2 * bp + wm**2 * bm
+        self.c1 = 2.0 * wp * wm * bx
         if with_coherence:
             self._b0 = wp * bp + wm * bm
             self._b_cos = bx * (wp + wm)
@@ -207,23 +214,62 @@ class BlockEvolver:
         times gives ``(times, manifolds)`` arrays, one row per time,
         bitwise equal to the scalar evaluation at each time.
         """
-        if self._frozen:
-            shape = np.shape(t) + self._a_frozen.shape
-            b = np.zeros(shape, dtype=complex) if self.with_coherence else None
-            a = np.broadcast_to(self._a_frozen, shape).copy()
-            return a, b, np.broadcast_to(self._c_frozen, shape).copy()
         cos = np.cos(np.multiply.outer(t, self.delta_n))
         # added in place: NumPy reuses no temporary for a broadcast sum, and a
         # fresh 1e5-level array costs as much as the arithmetic
-        a = self._a1 * cos
-        a += self._a0
-        c = self._c1 * cos
-        c += self._c0
+        a = self.a1 * cos
+        a += self.a0
+        c = self.c1 * cos
+        c += self.c0
         b = None
         if self.with_coherence:
             sin = np.sin(np.multiply.outer(t, self.delta_n))
             b = self._b0 + self._b_cos * cos + 1j * self._b_sin * sin
         return a, b, c
+
+    def cos_chunks(self, times: np.ndarray, rows: int):
+        """Yield ``(chunk, cos(outer(times[chunk], delta_n)))`` over a time grid.
+
+        ``times`` is a strictly increasing grid of at least two samples,
+        walked in chunks of ``rows`` samples (the last may be short).  When
+        ``times`` equals ``np.linspace(0, times[-1], times.size)`` and
+        spans more than two chunks, a full chunk follows from the two before it by the three-term
+        recurrence ``cos_{k+1} = 2 cos(R h delta_n) cos_k - cos_{k-1}``
+        (R rows, step h; Numerical Recipes 5.4).  Every
+        ``RESEED_CHUNKS`` chunks the recurrence restarts from the exact
+        cosine of one chunk and that chunk rotated by ``R h delta_n``.
+        A rounding error amplifies by at most j at the j-th recurrence
+        step, also where ``R h delta_n`` is a multiple of pi, so the
+        drift stays within about ``RESEED_CHUNKS**2`` ulps.  Any other
+        grid takes the exact cosine for every chunk.  A yielded block is
+        overwritten two chunks later.
+        """
+        uniform = times.size > 2 * rows and np.array_equal(
+            times, np.linspace(0.0, times[-1], times.size)
+        )
+        if uniform:
+            step = rows * (times[-1] / (times.size - 1)) * self.delta_n
+            twice_cos_step, sin_step = 2.0 * np.cos(step), np.sin(step)
+        older, old, new, seed = (np.empty((rows, self.delta_n.size)) for _ in range(4))
+        for k, start in enumerate(range(0, times.size, rows)):
+            t = times[start : start + rows]
+            block = new[: t.size]
+            position = k % RESEED_CHUNKS if uniform and t.size == rows else 0
+            if position == 0:
+                np.cos(np.multiply.outer(t, self.delta_n, out=seed[: t.size]), out=block)
+            elif position == 1:
+                # a second exact cosine would disagree with the rotation by up
+                # to phase * eps (1e-11 at phase 1e5), which the recurrence then
+                # amplifies up to RESEED_CHUNKS-fold; the rotation agrees to an ulp
+                np.multiply(twice_cos_step, old, out=block)
+                block *= 0.5
+                seed_sin = np.sin(seed, out=seed)
+                block -= np.multiply(sin_step, seed_sin, out=seed_sin)
+            else:
+                np.multiply(twice_cos_step, old, out=block)
+                block -= older
+            yield slice(start, start + t.size), block
+            older, old, new = old, new, older
 
     def state(self, t: float) -> EvolvedState:
         a, b, c = self.coefficients(t)

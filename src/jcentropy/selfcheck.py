@@ -178,10 +178,51 @@ def _trace_zeroes() -> list[CheckResult]:
     ]
 
 
+def _trace_oracle() -> list[CheckResult]:
+    """The chunked trace kernel the CLI runs, row by row against the oracle."""
+    params = ModelParams.from_detuning(0.3, 2.0)
+    q = 1.4
+    beta_star = calibrate_beta_star(q, _BETA_OMEGA)
+    dist = photon_weights_gamma(GammaSuperstat(q=q, beta_star=beta_star), tail_tol=1e-6)
+    atom = AtomInit(epsilon=0.35)
+    # about 4k levels give 3 samples per chunk: 134 chunks, past one reseed of
+    # the chunk recurrence, with the rows of its largest drift (chunk 127) checked
+    times = np.linspace(0.0, 40.0, 400)
+    results = []
+    for kind in (ent.VON_NEUMANN, ent.tsallis(q)):
+        label = f"trace-oracle[gamma-q1.4,{kind.label()}]"
+        try:
+            trace = ent.entropy_trace(params, atom, dist, kind, times=times)
+        except ValueError as exc:
+            # a faulty kernel can emit rows that are no probability lists at all
+            results.append(_check(label, math.inf, 1e-8, detail=str(exc)))
+            continue
+
+        def oracle_entropies(t):
+            ora = oracle_evolve(params, atom, dist, t, n_cut=dist.n_max, warn_tol=1.0)
+            return (
+                ent.entropy_of([ora.atom_excited, ora.atom_ground], kind),
+                ent.entropy_of(ora.field_weights, kind),
+            )
+
+        s0_atom, s0_field = oracle_entropies(0.0)
+        dev = 0.0
+        for i in (5, 150, 381, 383, 386, 399):
+            s_atom, s_field = oracle_entropies(times[i])
+            dev = max(
+                dev,
+                abs(trace.ds_atom[i] - (s_atom - s0_atom)),
+                abs(trace.ds_field[i] - (s_field - s0_field)),
+            )
+        results.append(_check(label, dev, 1e-8, detail=f"n_max={dist.n_max}"))
+    return results
+
+
 def run_selfcheck(perturb: float = 0.0) -> list[CheckResult]:
     """Run every internal check; ``perturb`` injects an error to prove sensitivity."""
     results = [_zeta_identities(), _manifold_identity()]
     results.extend(_oracle_equivalence(perturb))
     results.extend(_structural_fuzz())
     results.extend(_trace_zeroes())
+    results.extend(_trace_oracle())
     return results

@@ -84,6 +84,14 @@ class TestWeights:
         total = math.fsum(float(p) for _, p in rows) + derived["tail_mass"]
         assert abs(total - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    @pytest.mark.parametrize("model", [["--gibbs", "--beta", "1e-4"],
+                                       ["--q", "1.6", "--beta", "2.0"]], ids=["gibbs", "gamma"])
+    def test_n_cap_below_one_is_usage_error(self, tmp_path, model, cap):
+        out = tmp_path / "w.csv"
+        assert main(["weights", *model, "--n-cap", cap, "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_model_selection_usage_errors(self, tmp_path):
         out = str(tmp_path / "w.csv")
         assert main(["weights", "--out", out]) == 2  # nothing selected

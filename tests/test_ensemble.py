@@ -89,6 +89,36 @@ class TestPersistence:
         assert loaded.omega == model.omega
         assert loaded_spec == spec
 
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        spec = BetaEnsembleSpec(shape="normal", count=200, seed=3)
+        path = tmp_path / "betas.txt"
+        save_betas(path, sample_betas(BetaEnsembleSpec(shape="normal", count=4, seed=1)))
+        before = path.read_bytes()
+        real_fdopen = os.fdopen
+
+        class HalfWriter:
+            """File wrapper that writes half its text, then fails like a full disk."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                self.fh.flush()
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "fdopen", lambda *a, **kw: HalfWriter(real_fdopen(*a, **kw)))
+        with pytest.raises(OSError):
+            save_betas(path, sample_betas(spec), spec)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["betas.txt"]
+
     def test_negative_value_names_the_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text('# {"omega": 1.0, "count": 2, "spec": null}\n1.5\n-2.0\n')

@@ -244,6 +244,37 @@ class TestEntropyTrace:
                     field_entropy(state, kind, form) - s0_field, abs=1e-12
                 )
 
+    @pytest.mark.parametrize("grid", ["linspace", "squares", "resonant"])
+    def test_chunk_recurrence_matches_state_level_entropies(self, grid):
+        # ~4k levels give R = 3 samples per chunk, and 300 chunks cross two
+        # reseeds of the cosine recurrence; t = s^2 is no linspace grid, so every
+        # chunk takes the exact cosine; the resonant step has R h delta_0 = 2 pi
+        gamma = photon_weights_gamma(
+            GammaSuperstat(q=1.4, beta_star=3.3356918657181176), tail_tol=1e-6
+        )
+        rows = CHUNK_ELEMENTS // gamma.weights.size
+        n = 300 * rows
+        times = {
+            "linspace": np.linspace(0.0, 60.0, n),
+            "squares": np.linspace(0.0, math.sqrt(60.0), n) ** 2,
+            "resonant": np.linspace(0.0, (n - 1) * math.pi / rows, n),  # delta_0 = 2
+        }[grid]
+        atom = AtomInit(0.35)
+        # drift peaks late in a reseed window, more so in one seeded at large t
+        picks = [7, *range(120 * rows, 130 * rows), *range(240 * rows, 256 * rows), n - 1]
+        for kind in (VON_NEUMANN, tsallis(1.5)):
+            trace = entropy_trace(RESONANT, atom, gamma, kind, FieldEntropyForm.FULL, times)
+            s0_atom = atom_entropy(coefficients_at(RESONANT, atom, gamma, 0.0), kind)
+            s0_field = field_entropy(coefficients_at(RESONANT, atom, gamma, 0.0), kind)
+            for i in picks:
+                state = coefficients_at(RESONANT, atom, gamma, times[i])
+                assert trace.ds_atom[i] == pytest.approx(
+                    atom_entropy(state, kind) - s0_atom, abs=1e-12
+                )
+                assert trace.ds_field[i] == pytest.approx(
+                    field_entropy(state, kind) - s0_field, abs=1e-12
+                )
+
 
 class TestTimeAverage:
     def _trace_with(self, values, times):
