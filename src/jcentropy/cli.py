@@ -30,6 +30,7 @@ from .ensemble import (
 )
 from .entropy import (
     VON_NEUMANN,
+    BlochPoint,
     EntropyKind,
     FieldEntropyForm,
     bloch_sweep,
@@ -65,23 +66,64 @@ class UsageError(Exception):
 # ---------------------------------------------------------------- helpers
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):  # includes numpy float64 (a float subclass)
-        return repr(float(value))
-    return str(value)
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _emit(cfg: dict, columns: list[str], rows: list[tuple], meta: dict) -> None:
+def _cells(column, json_cells: bool) -> list:
+    """The text of every cell of one table column.
+
+    A column holds one kind of value.  Strings are written as they are in
+    CSV and JSON-escaped (``ensure_ascii``) in JSON; integers through
+    ``str``; floats through ``float.__repr__`` (``tolist`` yields Python
+    floats, so no ``np.float64`` spells itself ``np.float64(...)``), with
+    the non-finite ones written ``NaN``, ``Infinity`` and ``-Infinity`` in
+    JSON, as :mod:`json` writes them.
+    """
+    if len(column) and isinstance(column[0], str):
+        return list(map(json.dumps, column)) if json_cells else list(column)
+    values = np.asarray(column)
+    if values.dtype.kind in "iu":
+        return list(map(str, values.tolist()))
+    if values.dtype.kind != "f":
+        raise TypeError(f"unsupported table column of dtype {values.dtype}")
+    cells = list(map(repr, values.tolist()))
+    if json_cells and not np.isfinite(values).all():
+        cells = [_JSON_NONFINITE.get(c, c) for c in cells]
+    return cells
+
+
+def _csv_text(table: dict) -> str:
+    """Header line, then one comma-joined line per row."""
+    cells = [_cells(col, json_cells=False) for col in table.values()]
+    return "\n".join([",".join(table), *map(",".join, zip(*cells))]) + "\n"
+
+
+def _json_text(table: dict, meta: dict) -> str:
+    """``json.dumps({"columns", "meta", "rows"}, indent=2, sort_keys=True)``, by column.
+
+    ``json`` renders everything but the rows; ``"rows"`` sorts last, so
+    its empty list closes the text and gives way to the rows laid out as
+    ``indent=2`` lays them out: a row opens four spaces in, a cell sits
+    six spaces in.
+    """
+    head = json.dumps({"columns": list(table), "meta": meta, "rows": []},
+                      indent=2, sort_keys=True)
+    cells = [_cells(col, json_cells=True) for col in table.values()]
+    body = "\n    ],\n    [\n      ".join(map(",\n      ".join, zip(*cells)))
+    if not body:
+        return head + "\n"
+    return head[: -len("[]\n}")] + "[\n    [\n      " + body + "\n    ]\n  ]\n}\n"
+
+
+def _emit(cfg: dict, table: dict, meta: dict) -> None:
+    """Write ``table`` (column name -> column of values) to ``--out``."""
     out = cfg.get("out")
     if not out:
         raise UsageError("--out is required")
     if cfg.get("format", "csv") == "json":
-        payload = {"columns": columns, "rows": [list(r) for r in rows], "meta": meta}
-        _write_atomic(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_atomic(out, _json_text(table, meta))
     else:
-        lines = [",".join(columns)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        _write_atomic(out, "\n".join(lines) + "\n")
+        _write_atomic(out, _csv_text(table))
         _write_atomic(out + ".meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
@@ -259,7 +301,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     if np.any(t_star_grid <= 0.0):
         raise UsageError("T* grid must be strictly positive")
 
-    rows = []
+    temps = []
     for tok in q_tokens:
         for t_star in t_star_grid:
             beta_star = 1.0 / (t_star * omega)
@@ -267,9 +309,13 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
                 beta = physical_beta(beta_star, omega, q=GIBBS)
             else:
                 beta = physical_beta(GammaSuperstat(q=float(tok), beta_star=beta_star, omega=omega))
-            rows.append((tok, float(t_star), 1.0 / (beta * omega)))
-    meta = _meta(cfg, "calibrate", {"n_rows": len(rows)})
-    _emit(cfg, ["q", "T_star", "T"], rows, meta)
+            temps.append(1.0 / (beta * omega))
+    table = {
+        "q": [tok for tok in q_tokens for _ in t_star_grid],
+        "T_star": np.tile(t_star_grid, len(q_tokens)),
+        "T": temps,
+    }
+    _emit(cfg, table, _meta(cfg, "calibrate", {"n_rows": len(temps)}))
     return EXIT_OK
 
 
@@ -283,8 +329,8 @@ def cmd_weights(args: argparse.Namespace) -> int:
     defaults = {**_MODEL_DEFAULTS, "out": None, "format": "csv"}
     cfg = _effective_config(args, defaults)
     dist, derived = _resolve_source(cfg)
-    rows = [(n, float(p)) for n, p in enumerate(dist.weights)]
-    _emit(cfg, ["n", "p"], rows, _meta(cfg, "weights", derived))
+    table = {"n": np.arange(dist.weights.size), "p": dist.weights}
+    _emit(cfg, table, _meta(cfg, "weights", derived))
     return EXIT_OK
 
 
@@ -309,19 +355,15 @@ def cmd_timeseries(args: argparse.Namespace) -> int:
         cfg["horizon"] = horizon
     times = np.linspace(0.0, horizon, n_times)
     trace = entropy_trace(params, AtomInit(epsilon=cfg["epsilon"]), dist, kind, form, times)
-    rows = list(zip(
-        (float(t) for t in trace.times),
-        (float(v) for v in trace.ds_atom),
-        (float(v) for v in trace.ds_field),
-        (float(v) for v in trace.ds_total),
-    ))
     derived.update(
         entropy=kind.label(),
         field_entropy_form=form.value,
         avg_dSa=trace.avg_ds_atom,
         avg_dSb=trace.avg_ds_field,
     )
-    _emit(cfg, ["t", "dS_a", "dS_b", "dS_total"], rows, _meta(cfg, "timeseries", derived))
+    table = {"t": trace.times, "dS_a": trace.ds_atom, "dS_b": trace.ds_field,
+             "dS_total": trace.ds_total}
+    _emit(cfg, table, _meta(cfg, "timeseries", derived))
     return EXIT_OK
 
 
@@ -351,16 +393,19 @@ def cmd_bloch_sweep(args: argparse.Namespace) -> int:
     r_values = np.linspace(0.0, 1.0, n_r)
     theta_values = np.linspace(0.0, math.pi, n_theta)
     grid = bloch_sweep(params, dist, kind, form, r_values, theta_values, times)
-    rows = []
-    for i, r in enumerate(r_values):
-        for j, theta in enumerate(theta_values):
-            eps = (1.0 + r * math.cos(theta)) / 2.0
-            rows.append((float(r), float(theta), float(min(max(eps, 0.0), 1.0)),
-                         float(grid[i, j, 0]), float(grid[i, j, 1])))
+    r_col = np.repeat(r_values, n_theta)
+    theta_col = np.tile(theta_values, n_r)
     derived.update(entropy=kind.label(), field_entropy_form=form.value,
                    n_r=n_r, n_theta=n_theta)
-    _emit(cfg, ["r", "theta", "epsilon", "avg_dSa", "avg_dSb"], rows,
-          _meta(cfg, "bloch-sweep", derived))
+    table = {
+        "r": r_col,
+        "theta": theta_col,
+        "epsilon": [BlochPoint(r=float(r), theta=float(th)).epsilon
+                    for r, th in zip(r_col, theta_col)],
+        "avg_dSa": grid[:, :, 0].ravel(),
+        "avg_dSb": grid[:, :, 1].ravel(),
+    }
+    _emit(cfg, table, _meta(cfg, "bloch-sweep", derived))
     return EXIT_OK
 
 

@@ -143,13 +143,18 @@ def _write_atomic(path, text: str) -> None:
     """Write ``text`` to ``path`` whole or not at all.
 
     The text goes to a temporary file in the same directory, which then
-    replaces ``path``; on failure the temporary file is removed.
+    replaces ``path``; on failure the temporary file is removed.  The file
+    gets the mode ``open`` would give it (``0o666`` less the umask), not
+    the ``0o600`` of ``mkstemp``.
     """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".jcentropy-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        umask = os.umask(0)  # the umask can only be read by setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .jcm import (
     AtomInit,
@@ -277,6 +276,8 @@ def entropy_trace(
 
 
 def _window_average(times: np.ndarray, values: np.ndarray) -> float:
+    from scipy.integrate import simpson  # imported here to keep scipy off the CLI start-up
+
     return float(simpson(values, x=times) / (times[-1] - times[0]))
 
 
@@ -345,6 +346,9 @@ def bloch_sweep(
             eps = BlochPoint(r=float(r), theta=float(theta)).epsilon
             if eps not in averages:
                 trace = entropy_trace(params, AtomInit(epsilon=eps), dist, kind, form, times)
-                averages[eps] = time_average(trace, horizon, warn=False)
+                if horizon is None:  # the trace already averaged over its whole grid
+                    averages[eps] = (trace.avg_ds_atom, trace.avg_ds_field)
+                else:
+                    averages[eps] = time_average(trace, horizon, warn=False)
             out[i, j] = averages[eps]
     return out

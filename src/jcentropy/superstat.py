@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .specfun import (
     DEFAULT_ACCURACY,
@@ -410,6 +409,8 @@ def calibrate_beta_star(
         if fa == 0.0:
             return math.exp(ga) / omega
         if fa * fb < 0.0:
+            from scipy.optimize import brentq  # imported here to keep scipy off the CLI start-up
+
             root = brentq(residual, ga, gb, xtol=1e-14, rtol=8.9e-16)
             return math.exp(root) / omega
     if values[-1] == 0.0:

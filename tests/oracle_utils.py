@@ -1,10 +1,14 @@
-"""Independent brute-force evaluators used to freeze and check fixtures.
+"""Independent reference implementations used to freeze and check fixtures.
 
-Everything here sticks to plain truncated summation with integral
+The evaluators stick to plain truncated summation with integral
 bracketing of the dropped tail (the estimate is the bracket midpoint,
 the reported halfwidth bounds the error), so these values share no code
-path with the Euler-Maclaurin evaluation they are checking.
+path with the Euler-Maclaurin evaluation they are checking.  The table
+writers format one row at a time, as the CLI once did, so they share no
+code path with its column-wise emitter.
 """
+
+import json
 
 import numpy as np
 
@@ -46,3 +50,22 @@ def gamma_brute_sums(q: float, beta_star: float, omega: float, n_terms: int = 10
     energy = omega * wq / norm**q
     nbar = wq / zq
     return trace_q, energy, nbar
+
+
+def rowwise_csv(columns: list, rows: list) -> str:
+    """CSV table text, one cell at a time: ``repr(float(v))`` for floats, else ``str``."""
+
+    def fmt(value) -> str:
+        if isinstance(value, float):  # includes numpy float64 (a float subclass)
+            return repr(float(value))
+        return str(value)
+
+    lines = [",".join(columns)]
+    lines.extend(",".join(fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def rowwise_json(columns: list, rows: list, meta: dict) -> str:
+    """JSON table text from :func:`json.dumps` over the rows as lists."""
+    payload = {"columns": columns, "rows": [list(r) for r in rows], "meta": meta}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

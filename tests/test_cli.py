@@ -1,11 +1,18 @@
 import json
 import math
 import os
+import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jcentropy.cli import main
+import jcentropy
+from jcentropy.cli import _csv_text, _json_text, main
+from oracle_utils import rowwise_csv, rowwise_json
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -218,3 +225,112 @@ class TestSelfcheck:
         assert main(["selfcheck", "--inject-perturbation", "1e-6"]) == 4
         report = capsys.readouterr().out
         assert "[FAIL]" in report
+
+
+# ------------------------------------------------------------ table emission
+
+# non-finite values, signed zero, the smallest subnormal, and both sides of the
+# points where repr switches to exponent notation (1e16 and 1e-4)
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+               1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05, 0.1, 1.0]
+floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+
+
+@st.composite
+def tables(draw):
+    """(column names, columns as the CLI passes them, rows as Python values)."""
+    n_rows = draw(st.integers(0, 12))
+    names = draw(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=4,
+                          unique=True))
+    columns, values = [], []
+    for _ in names:
+        kind = draw(st.sampled_from(["int", "float", "float64", "mixed", "str"]))
+        if kind == "int":
+            col = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n_rows,
+                                max_size=n_rows))
+            as_array = draw(st.booleans())
+            columns.append(np.array(col, dtype=np.int64) if as_array else col)
+        elif kind == "str":
+            col = draw(st.lists(st.one_of(st.sampled_from(['"', "\\", 'a"b\\c', "\u00e9\u03b2",
+                                                           "\U0001f600", ""]),
+                                          st.text(max_size=5)),
+                                min_size=n_rows, max_size=n_rows))
+            columns.append(col)
+        else:
+            col = draw(st.lists(floats, min_size=n_rows, max_size=n_rows))
+            if kind == "float64":
+                col = np.array(col)
+            elif kind == "mixed":  # np.float64 and float in one list
+                flags = draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows))
+                col = [np.float64(v) if f else v for v, f in zip(col, flags)]
+            columns.append(col)
+        values.append(list(col))
+    return names, columns, list(zip(*values)) if n_rows else []
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables())
+def test_columnwise_emitter_matches_rowwise_text(table):
+    names, columns, rows = table
+    meta = {"command": "test", "config": {"x": 0.1, "y": None}, "derived": {"n": len(rows)}}
+    by_name = dict(zip(names, columns))
+    assert _csv_text(by_name) == rowwise_csv(names, rows)
+    assert _json_text(by_name, meta) == rowwise_json(names, rows, meta)
+
+
+def _parse_like(csv_row, json_row):
+    """The CSV cells converted to the types of the matching JSON cells."""
+    return [type(j)(c) for c, j in zip(csv_row, json_row)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["calibrate", "--q", "gibbs,1.4", "--grid", "0.5:5:4"],
+    ["weights", "--q", "1.6", "--beta", "2.0", "--n-cap", "200"],
+    ["weights", "--gibbs", "--beta", repr(math.log(11.0))],
+    ["weights", "--betas-file", os.path.join(DATA_DIR, "normal_n100.betas")],
+    ["timeseries", "--gibbs", "--beta", "1.0", "--epsilon", "0.3", "--T", "3", "--grid", "16"],
+    ["bloch-sweep", "--gibbs", "--beta", "2.0", "--grid", "2x3", "--T", "3",
+     "--t-samples", "21"],
+], ids=["calibrate", "weights-gamma", "weights-gibbs", "weights-betas-file", "timeseries",
+        "bloch-sweep"])
+def test_csv_and_json_tables_agree_and_rerun_byte_identical(tmp_path, argv):
+    for run in ("a", "b"):
+        assert main(argv + ["--out", str(tmp_path / f"{run}.csv")]) == 0
+        assert main(argv + ["--format", "json", "--out", str(tmp_path / f"{run}.json")]) == 0
+    for name in ("csv", "csv.meta.json", "json"):
+        assert (tmp_path / f"a.{name}").read_bytes() == (tmp_path / f"b.{name}").read_bytes()
+
+    header, csv_rows = read_csv(tmp_path / "a.csv")
+    payload = json.loads((tmp_path / "a.json").read_text())
+    assert payload["columns"] == header
+    assert len(payload["rows"]) == len(csv_rows) > 0
+    for csv_row, json_row in zip(csv_rows, payload["rows"]):
+        assert _parse_like(csv_row, json_row) == json_row
+    sidecar = json.loads((tmp_path / "a.csv.meta.json").read_text())
+    sidecar["config"]["format"] = "json"
+    assert payload["meta"] == sidecar
+
+
+def test_cli_start_up_leaves_scipy_solvers_unimported():
+    snippet = ("import sys, jcentropy.cli; jcentropy.cli.build_parser(); "
+               "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') "
+               "if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(jcentropy.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", snippet], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)])
+def test_outputs_honour_umask(tmp_path, umask, mode):
+    betas, out = tmp_path / "e.betas", tmp_path / "w.csv"
+    previous = os.umask(umask)
+    try:
+        assert main(["ensemble-gen", "--count", "5", "--seed", "1", "--out", str(betas)]) == 0
+        assert main(["weights", "--betas-file", str(betas), "--out", str(out)]) == 0
+    finally:
+        os.umask(previous)
+    for path in (out, tmp_path / "w.csv.meta.json", betas):
+        assert stat.S_IMODE(os.stat(path).st_mode) == mode, path
