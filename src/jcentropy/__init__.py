@@ -5,9 +5,7 @@ __version__ = "0.1.0"
 from .specfun import (
     GIBBS,
     AccuracyError,
-    SeriesAccuracy,
     hurwitz_zeta,
-    lerch_phi_unit,
     q_exp,
     q_log,
 )
@@ -35,7 +33,6 @@ from .jcm import (
     EvolvedState,
     ModelParams,
     coefficients_at,
-    manifold,
     oracle_evolve,
     reduced_atom,
     reduced_field,

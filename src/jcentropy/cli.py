@@ -339,7 +339,7 @@ def cmd_timeseries(args: argparse.Namespace) -> int:
         **_MODEL_DEFAULTS,
         "delta": 0.0, "lam": 2.0, "epsilon": 0.0,
         "entropy": None, "entropy_q": None, "field_entropy": "full",
-        "grid": 2000, "horizon": None, "seed": None,
+        "grid": 2000, "horizon": None,
         "n_cap": 10**5,  # keeps heavy-tail runs tractable; tail mass stays tracked
         "out": None, "format": "csv",
     }
@@ -476,7 +476,6 @@ def _add_dynamics(sub: argparse.ArgumentParser) -> None:
                      help="field entropy over the full spectrum or (vacuum, rest)")
     sub.add_argument("--T", type=float, dest="horizon",
                      help="time horizon (default 50/lambda)")
-    sub.add_argument("--seed", type=int, help="seed recorded with the run")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -34,22 +34,15 @@ RESEED_CHUNKS = 128
 __all__ = [
     "ModelParams",
     "AtomInit",
-    "ManifoldQuantities",
     "EvolvedState",
     "OracleEvolution",
-    "DegenerateCouplingError",
     "CutoffWarning",
-    "manifold",
     "BlockEvolver",
     "coefficients_at",
     "reduced_atom",
     "reduced_field",
     "oracle_evolve",
 ]
-
-
-class DegenerateCouplingError(ValueError):
-    """Dressed-state mixing ratios are undefined at zero coupling."""
 
 
 class CutoffWarning(UserWarning):
@@ -89,16 +82,6 @@ class AtomInit:
             raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
 
 
-@dataclass(frozen=True)
-class ManifoldQuantities:
-    """Per-manifold dressed-state quantities."""
-
-    n: int
-    delta_n: float
-    omega_plus: float
-    omega_minus: float
-
-
 def _manifold_arrays(params: ModelParams, count: int):
     """delta_n, Omega_+, Omega_- for manifolds n = 0..count-1 (vectorized)."""
     n = np.arange(count, dtype=np.float64)
@@ -107,24 +90,6 @@ def _manifold_arrays(params: ModelParams, count: int):
     omega_plus = (params.delta + delta_n) / root
     omega_minus = (params.delta - delta_n) / root
     return delta_n, omega_plus, omega_minus
-
-
-def manifold(params: ModelParams, n: int) -> ManifoldQuantities:
-    """Generalized Rabi frequency and mixing ratios of excitation manifold n."""
-    if n < 0:
-        raise ValueError(f"manifold index must be >= 0, got {n}")
-    if params.lam == 0.0:
-        raise DegenerateCouplingError(
-            "mixing ratios are undefined at lam=0; evolution handles this case "
-            "by freezing the populations"
-        )
-    delta_n, omega_plus, omega_minus = _manifold_arrays(params, n + 1)
-    return ManifoldQuantities(
-        n=n,
-        delta_n=float(delta_n[n]),
-        omega_plus=float(omega_plus[n]),
-        omega_minus=float(omega_minus[n]),
-    )
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,13 @@ checks do.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import entropy as ent
 from .jcm import AtomInit, BlockEvolver, ModelParams, _manifold_arrays, oracle_evolve, reduced_atom
-from .specfun import hurwitz_zeta, lerch_phi_unit
+from .specfun import hurwitz_zeta
 from .superstat import (
     GammaSuperstat,
     calibrate_beta_star,
@@ -46,11 +46,9 @@ def _zeta_identities() -> CheckResult:
     devs = [
         abs(hurwitz_zeta(2.0, 1.0) - math.pi**2 / 6.0),
         abs(hurwitz_zeta(2.0, 0.5) - math.pi**2 / 2.0),
-        abs(lerch_phi_unit(3.0, 2.0) - (hurwitz_zeta(3.0, 1.0) - 1.0)),
     ]
     for s, x in ((1.5, 0.7), (2.5, 3.3), (4.0, 0.2)):
         devs.append(abs(hurwitz_zeta(s, x + 1.0) - (hurwitz_zeta(s, x) - x**-s)))
-        devs.append(abs(lerch_phi_unit(s, x) - hurwitz_zeta(s, x)))
     return _check("zeta-identities", max(devs), 1e-10)
 
 
@@ -92,7 +90,7 @@ def _oracle_equivalence(perturb: float) -> list[CheckResult]:
                 if perturb:
                     a = state.coeff_a.copy()
                     a[0] += perturb
-                    state = EvolvedStatePatch(state, a)
+                    state = replace(state, coeff_a=a)
                 # same truncation on both sides, so the tail cannot bias the comparison
                 ora = oracle_evolve(params, atom, dist, t, n_cut=dist.n_max, warn_tol=1.0)
                 dev = max(dev, float(np.max(np.abs(state.coeff_a - ora.coeff_a))))
@@ -122,21 +120,6 @@ def _oracle_equivalence(perturb: float) -> list[CheckResult]:
                 )
             )
     return results
-
-
-class EvolvedStatePatch:
-    """Copy of an evolved state with one perturbed coefficient (test hook)."""
-
-    def __init__(self, state, coeff_a):
-        self.time = state.time
-        self.coeff_a = coeff_a
-        self.coeff_b = state.coeff_b
-        self.coeff_c = state.coeff_c
-        self.uncoupled_weight = state.uncoupled_weight
-        self.excited_top = state.excited_top
-        self.tail_mass = state.tail_mass
-        self.epsilon = state.epsilon
-        self.n_max = state.n_max
 
 
 def _structural_fuzz(cases: int = 100) -> list[CheckResult]:

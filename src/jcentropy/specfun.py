@@ -11,22 +11,23 @@ for exponents close to 1.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "GIBBS",
     "Gibbs",
-    "SeriesAccuracy",
-    "TailMethod",
+    "ABS_TOL",
+    "MAX_TERMS",
     "AccuracyError",
     "q_exp",
     "q_log",
     "hurwitz_zeta",
     "hurwitz_zeta_scaled",
-    "lerch_phi_unit",
 ]
+
+ABS_TOL = 1e-10  # absolute accuracy of every Hurwitz sum
+MAX_TERMS = 10**7  # explicit terms a sum may take before it raises AccuracyError
 
 
 class Gibbs(enum.Enum):
@@ -38,32 +39,8 @@ class Gibbs(enum.Enum):
 GIBBS = Gibbs.GIBBS
 
 
-class TailMethod(enum.Enum):
-    EULER_MACLAURIN = "euler_maclaurin"
-    CLOSED_FORM_ZETA = "closed_form_zeta"
-    PLAIN_TRUNCATION = "plain_truncation"
-
-
 class AccuracyError(ArithmeticError):
     """Raised when a series cannot reach the requested tolerance."""
-
-
-@dataclass(frozen=True)
-class SeriesAccuracy:
-    """Accuracy budget for adaptive series evaluation."""
-
-    abs_tol: float = 1e-10
-    max_terms: int = 10**7
-    tail_method: TailMethod = TailMethod.EULER_MACLAURIN
-
-    def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
-        if self.max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
-
-
-DEFAULT_ACCURACY = SeriesAccuracy()
 
 
 def _check_q(q) -> float:
@@ -111,20 +88,19 @@ _B6_OVER_6F = 1.0 / 30240.0  # B_6/6!
 _B8_OVER_8F = -1.0 / 1209600.0  # B_8/8! (first omitted term -> error bound)
 
 
-def hurwitz_zeta_scaled(s: float, x: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> float:
+def hurwitz_zeta_scaled(s: float, x: float) -> float:
     """Scaled Hurwitz sum ``sum_{n>=0} (1 + n/x)^(-s)`` = x^s * zeta_H(s, x).
 
     The scaled form stays representable when s is huge (the deformed
     pipelines push s ~ 1/(q-1) towards 1e9 in the near-Gibbs limit,
-    where the unscaled zeta over/underflows).
+    where the unscaled zeta over/underflows).  The head doubles until the
+    Euler-Maclaurin error bound is within ``ABS_TOL``; past ``MAX_TERMS``
+    head terms it raises :class:`AccuracyError`.
     """
     if not s > 1.0:
         raise ValueError(f"series converges only for s > 1, got s={s}")
     if not x > 0.0:
         raise ValueError(f"requires x > 0, got x={x}")
-    if acc.tail_method is TailMethod.CLOSED_FORM_ZETA:
-        raise ValueError("closed_form_zeta closes tails of derived sums, not of zeta itself")
-
     head = 0.0
     start = 0
     m = 32
@@ -134,51 +110,36 @@ def hurwitz_zeta_scaled(s: float, x: float, acc: SeriesAccuracy = DEFAULT_ACCURA
             head += float(np.sum(np.exp(-s * np.log1p(n / x))))
         a = m + x
         scale = np.exp(-s * np.log1p(m / x))  # = x^s * a^(-s)
-        if acc.tail_method is TailMethod.PLAIN_TRUNCATION:
-            # Dropped tail is bounded by the integral from m-1.
-            bound = np.exp(-s * np.log1p((m - 1) / x)) * (a - 1.0) / (s - 1.0)
-            if bound <= acc.abs_tol:
-                return float(head)
-        else:
-            c1 = s
-            c3 = s * (s + 1.0) * (s + 2.0)
-            c5 = c3 * (s + 3.0) * (s + 4.0)
-            c7 = c5 * (s + 5.0) * (s + 6.0)
-            tail = scale * (
-                a / (s - 1.0)
-                + 0.5
-                + _B2_OVER_2F * c1 / a
-                + _B4_OVER_4F * c3 / a**3
-                + _B6_OVER_6F * c5 / a**5
-            )
-            err = scale * abs(_B8_OVER_8F) * c7 / a**7
-            if err <= acc.abs_tol:
-                return float(head + tail)
+        c1 = s
+        c3 = s * (s + 1.0) * (s + 2.0)
+        c5 = c3 * (s + 3.0) * (s + 4.0)
+        c7 = c5 * (s + 5.0) * (s + 6.0)
+        tail = scale * (
+            a / (s - 1.0)
+            + 0.5
+            + _B2_OVER_2F * c1 / a
+            + _B4_OVER_4F * c3 / a**3
+            + _B6_OVER_6F * c5 / a**5
+        )
+        err = scale * abs(_B8_OVER_8F) * c7 / a**7
+        if err <= ABS_TOL:
+            return float(head + tail)
         start = m
         m *= 2
-        if m > acc.max_terms:
+        if m > MAX_TERMS:
             raise AccuracyError(
-                f"hurwitz sum (s={s}, x={x}) did not reach abs_tol={acc.abs_tol} "
-                f"within {acc.max_terms} terms"
+                f"hurwitz sum (s={s}, x={x}) did not reach abs_tol={ABS_TOL} "
+                f"within {MAX_TERMS} terms"
             )
 
 
-def hurwitz_zeta(s: float, x: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> float:
+def hurwitz_zeta(s: float, x: float) -> float:
     """Hurwitz zeta ``zeta_H(s, x) = sum_{n>=0} (n + x)^(-s)`` for s > 1, x > 0.
 
     Overflows to inf for x small enough that x^(-s) leaves the double
     range; the scaled form stays finite there.
     """
-    scaled = hurwitz_zeta_scaled(s, x, acc)
+    scaled = hurwitz_zeta_scaled(s, x)
     with np.errstate(over="ignore"):
         return float(np.exp(-float(s) * np.log(float(x))) * scaled)
 
-
-def lerch_phi_unit(s: float, r: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> float:
-    """Hurwitz-Lerch transcendent Phi(z, s, r) at z = 1.
-
-    At unit argument the series ``sum_n z^n/(n+r)^s`` is exactly the
-    Hurwitz zeta; kept as a named operation so closed forms written in
-    terms of Phi read off directly.
-    """
-    return hurwitz_zeta(s, r, acc)

@@ -26,12 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import (
-    DEFAULT_ACCURACY,
-    GIBBS,
-    SeriesAccuracy,
-    hurwitz_zeta_scaled,
-)
+from .specfun import GIBBS, hurwitz_zeta_scaled
 
 __all__ = [
     "DistKind",
@@ -40,7 +35,6 @@ __all__ = [
     "PhotonDistribution",
     "UndefinedTemperatureError",
     "BracketError",
-    "TailLimitedWarning",
     "photon_weights_gamma",
     "photon_weights_multilevel",
     "photon_weights_gibbs",
@@ -63,10 +57,6 @@ class UndefinedTemperatureError(ValueError):
 
 class BracketError(ValueError):
     """No sign change found while bracketing a root."""
-
-
-class TailLimitedWarning(UserWarning):
-    pass
 
 
 class DistKind(enum.Enum):
@@ -173,21 +163,50 @@ class PhotonDistribution:
         )
 
 
-def _gamma_log_tail(s: float, r: float, n_last: int, acc: SeriesAccuracy) -> float:
+def _truncation(tail_within_tol, tail_tol: float, hard_cap: int) -> tuple[int, bool]:
+    """The one truncation rule of every photon source: ``(n_max, tail_limited)``.
+
+    ``tail_within_tol(n)`` tells whether the exact tail mass beyond level n
+    is at most ``tail_tol``; it must be monotone in n.  The result is the
+    smallest n_max in ``[MIN_LEVELS - 1, hard_cap]`` where it holds, found
+    by bisection, or ``(hard_cap, True)`` when it fails even at the cap.
+    """
+    if not 0.0 < tail_tol < 1.0:
+        raise ValueError(f"tail_tol must be in (0, 1), got {tail_tol}")
+    lo, hi = MIN_LEVELS - 1, hard_cap
+    if not tail_within_tol(hi):
+        return hard_cap, True
+    if tail_within_tol(lo):
+        return lo, False
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if tail_within_tol(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi, False
+
+
+def _check_resolvable(x_max: float, beta_omega: float) -> None:
+    """Refuse a geometric ratio ``exp(-beta omega)`` that rounds to 1: no tail would ever drop."""
+    if x_max == 1.0:
+        raise ValueError(
+            f"beta*omega = {beta_omega!r} is too small to resolve: exp(-beta*omega) rounds to 1"
+        )
+
+
+def _gamma_log_tail(s: float, r: float, n_last: int) -> float:
     """log of zeta_H(s, n_last+1+r) / zeta_H(s, r), the mass beyond level n_last."""
     shift = n_last + 1.0
     return float(
         -s * np.log1p(shift / r)
-        + np.log(hurwitz_zeta_scaled(s, shift + r, acc))
-        - np.log(hurwitz_zeta_scaled(s, r, acc))
+        + np.log(hurwitz_zeta_scaled(s, shift + r))
+        - np.log(hurwitz_zeta_scaled(s, r))
     )
 
 
 def photon_weights_gamma(
-    s: GammaSuperstat,
-    tail_tol: float = 1e-8,
-    hard_cap: int = HARD_CAP,
-    acc: SeriesAccuracy = DEFAULT_ACCURACY,
+    s: GammaSuperstat, tail_tol: float = 1e-8, hard_cap: int = HARD_CAP
 ) -> PhotonDistribution:
     """Photon-number weights of the gamma-fluctuation thermal state.
 
@@ -196,30 +215,14 @@ def photon_weights_gamma(
     is the smallest one whose exact closed-form tail mass (a ratio of
     Hurwitz zetas) is <= tail_tol, subject to the hard cap.
     """
-    if not 0.0 < tail_tol < 1.0:
-        raise ValueError(f"tail_tol must be in (0, 1), got {tail_tol}")
     sx, r = s.s_index, s.r_offset
-    log_tol = math.log(tail_tol)
-
-    lo, hi = MIN_LEVELS - 1, hard_cap
-    tail_limited = _gamma_log_tail(sx, r, hi, acc) > log_tol
-    if tail_limited:
-        n_max = hard_cap
-    elif _gamma_log_tail(sx, r, lo, acc) <= log_tol:
-        n_max = lo
-    else:
-        while hi - lo > 1:  # smallest n with tail(n) <= tol
-            mid = (lo + hi) // 2
-            if _gamma_log_tail(sx, r, mid, acc) <= log_tol:
-                hi = mid
-            else:
-                lo = mid
-        n_max = hi
-
-    norm = hurwitz_zeta_scaled(sx, r, acc)
+    n_max, tail_limited = _truncation(
+        lambda n: _gamma_log_tail(sx, r, n) <= math.log(tail_tol), tail_tol, hard_cap
+    )
+    norm = hurwitz_zeta_scaled(sx, r)
     n = np.arange(n_max + 1, dtype=np.float64)
     weights = np.exp(-sx * np.log1p(n / r)) / norm
-    tail = math.exp(_gamma_log_tail(sx, r, n_max, acc))
+    tail = math.exp(_gamma_log_tail(sx, r, n_max))
     return PhotonDistribution(
         weights=weights,
         tail_mass=tail,
@@ -239,15 +242,9 @@ def photon_weights_gibbs(
     """
     if not beta > 0 or not omega > 0:
         raise ValueError("beta and omega must be positive")
-    if not 0.0 < tail_tol < 1.0:
-        raise ValueError(f"tail_tol must be in (0, 1), got {tail_tol}")
     x = math.exp(-beta * omega)
-    # smallest n_max with x^(n_max+1) <= tol, floored at MIN_LEVELS - 1
-    n_max = max(MIN_LEVELS - 1, math.ceil(math.log(tail_tol) / math.log(x)) - 1)
-    while n_max > MIN_LEVELS - 1 and x ** n_max <= tail_tol:
-        n_max -= 1
-    tail_limited = n_max > hard_cap
-    n_max = min(n_max, hard_cap)
+    _check_resolvable(x, beta * omega)
+    n_max, tail_limited = _truncation(lambda n: x ** (n + 1) <= tail_tol, tail_tol, hard_cap)
     n = np.arange(n_max + 1, dtype=np.float64)
     weights = (1.0 - x) * x**n
     return PhotonDistribution(
@@ -267,24 +264,24 @@ def photon_weights_multilevel(
     ``p_n = (1/Z_N) sum_k exp(-n beta_k omega)`` with the normalizing
     super-partition function ``Z_N = sum_k 1/(1 - exp(-beta_k omega))``;
     the exponential tail is closed in exact geometric form.  Truncation
-    follows tail_tol, subject to the hard cap.
+    follows tail_tol, subject to the hard cap.  The weights are summed in
+    blocks of about ``2**16`` powers, so memory stays at the weight table.
     """
-    if not 0.0 < tail_tol < 1.0:
-        raise ValueError(f"tail_tol must be in (0, 1), got {tail_tol}")
     x = np.exp(-np.asarray(s.betas) * s.omega)
+    _check_resolvable(float(np.max(x)), min(s.betas) * s.omega)
     z_n = float(np.sum(1.0 / (1.0 - x)))
 
     def tail(n_last: int) -> float:
         return float(np.sum(x ** (n_last + 1) / (1.0 - x))) / z_n
 
-    x_max = float(np.max(x))
-    n_max = max(MIN_LEVELS - 1, math.ceil(math.log(tail_tol) / math.log(x_max)) - 1)
-    while n_max > MIN_LEVELS - 1 and tail(n_max - 1) <= tail_tol:
-        n_max -= 1
-    tail_limited = n_max > hard_cap
-    n_max = min(n_max, hard_cap)
+    n_max, tail_limited = _truncation(lambda n: tail(n) <= tail_tol, tail_tol, hard_cap)
     n = np.arange(n_max + 1, dtype=np.float64)
-    weights = np.sum(x[None, :] ** n[:, None], axis=1) / z_n
+    weights = np.empty(n_max + 1)
+    rows = max(1, 2**16 // x.size)
+    for lo in range(0, n_max + 1, rows):
+        # each row is reduced on its own, so the blocks sum exactly as one matrix would
+        weights[lo : lo + rows] = np.sum(x[None, :] ** n[lo : lo + rows, None], axis=1)
+    weights /= z_n
     return PhotonDistribution(
         weights=weights,
         tail_mass=tail(n_max),
@@ -294,14 +291,14 @@ def photon_weights_multilevel(
     )
 
 
-def q_partition(s: GammaSuperstat, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> float:
+def q_partition(s: GammaSuperstat) -> float:
     """Deformed partition function ``Tr exp_q(-beta_star H)``.
 
     In scaled-zeta form this is exactly ``sum_n (1 + n/r)^(-s)`` with
     s = 1/(q-1), r = 1/((q-1) beta_star omega); the q -> 1 limit is the
     geometric series :func:`gibbs_partition`.
     """
-    return hurwitz_zeta_scaled(s.s_index, s.r_offset, acc)
+    return hurwitz_zeta_scaled(s.s_index, s.r_offset)
 
 
 def gibbs_partition(beta: float, omega: float = 1.0) -> float:
@@ -309,17 +306,17 @@ def gibbs_partition(beta: float, omega: float = 1.0) -> float:
     return 1.0 / -math.expm1(-beta * omega)
 
 
-def q_trace(s: GammaSuperstat, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> float:
+def q_trace(s: GammaSuperstat) -> float:
     """Trace of the q-th power of the normalized quasi-temperature state.
 
     Equals ``zeta_H(q/(q-1), r) / zeta_H(1/(q-1), r)^q``; the scaled
     zetas make the prefactors cancel identically.  Tends to 1 as q -> 1.
     """
     sx, r = s.s_index, s.r_offset
-    return hurwitz_zeta_scaled(s.q * sx, r, acc) / hurwitz_zeta_scaled(sx, r, acc) ** s.q
+    return hurwitz_zeta_scaled(s.q * sx, r) / hurwitz_zeta_scaled(sx, r) ** s.q
 
 
-def mean_photon_q(s: GammaSuperstat, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> float:
+def mean_photon_q(s: GammaSuperstat) -> float:
     """q-weighted mean photon number of the quasi-temperature state.
 
     Closed form ``[Phi(1, 1/(q-1), r) - r Phi(1, q/(q-1), r)] /
@@ -328,8 +325,8 @@ def mean_photon_q(s: GammaSuperstat, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> 
     the near-Gibbs regime.
     """
     sx, r = s.s_index, s.r_offset
-    g1 = hurwitz_zeta_scaled(sx, r, acc)
-    gq = hurwitz_zeta_scaled(s.q * sx, r, acc)
+    g1 = hurwitz_zeta_scaled(sx, r)
+    gq = hurwitz_zeta_scaled(s.q * sx, r)
     return r * (g1 / gq - 1.0)
 
 
@@ -340,17 +337,16 @@ def mean_photon_bose(beta: float, omega: float = 1.0) -> float:
     return 1.0 / math.expm1(beta * omega)
 
 
-def q_internal_energy(s: GammaSuperstat, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> float:
+def q_internal_energy(s: GammaSuperstat) -> float:
     """Constrained internal energy ``omega * sum_n n p_n^q`` of the quasi state.
 
     Identical to ``-d/d(beta_star) ln_q Z`` (checked against a finite
     difference in the test suite).
     """
-    return s.omega * mean_photon_q(s, acc) * q_trace(s, acc)
+    return s.omega * mean_photon_q(s) * q_trace(s)
 
 
-def physical_beta(s: GammaSuperstat | float, omega: float = 1.0, *, q=None,
-                  acc: SeriesAccuracy = DEFAULT_ACCURACY) -> float:
+def physical_beta(s: GammaSuperstat | float, omega: float = 1.0, *, q=None) -> float:
     """Physical inverse temperature from the quasi-temperature parameter.
 
     Implements ``beta = beta_star Tr[rho^q] / (1 - (1-q) beta_star U /
@@ -367,8 +363,8 @@ def physical_beta(s: GammaSuperstat | float, omega: float = 1.0, *, q=None,
         return beta_star
     if not isinstance(s, GammaSuperstat):
         s = GammaSuperstat(q=q, beta_star=float(s), omega=omega)
-    trace_q = q_trace(s, acc)
-    energy = q_internal_energy(s, acc)
+    trace_q = q_trace(s)
+    energy = q_internal_energy(s)
     denom = 1.0 - (1.0 - s.q) * s.beta_star * energy / trace_q
     if denom <= 0.0:
         raise UndefinedTemperatureError(
@@ -380,12 +376,7 @@ def physical_beta(s: GammaSuperstat | float, omega: float = 1.0, *, q=None,
 _SCAN_DECADES = (-3.0, 3.0)  # beta_star * omega scan range, log10
 
 
-def calibrate_beta_star(
-    q,
-    beta_target: float,
-    omega: float = 1.0,
-    acc: SeriesAccuracy = DEFAULT_ACCURACY,
-) -> float:
+def calibrate_beta_star(q, beta_target: float, omega: float = 1.0) -> float:
     """Invert :func:`physical_beta`: the beta_star that realizes a physical beta.
 
     Bracketing scan over log(beta_star) across [1e-3, 1e3]/omega followed
@@ -400,7 +391,7 @@ def calibrate_beta_star(
 
     def residual(log_bsw: float) -> float:
         bs = math.exp(log_bsw) / omega
-        return physical_beta(GammaSuperstat(q=q, beta_star=bs, omega=omega), acc=acc) - beta_target
+        return physical_beta(GammaSuperstat(q=q, beta_star=bs, omega=omega)) - beta_target
 
     lo_exp, hi_exp = _SCAN_DECADES
     grid = np.linspace(lo_exp, hi_exp, 61) * math.log(10.0)

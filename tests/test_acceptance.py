@@ -238,11 +238,6 @@ def test_criterion_8_special_function_regression():
         abs(jc.hurwitz_zeta(1.7, 2.3 + 1.0) - (jc.hurwitz_zeta(1.7, 2.3) - 2.3**-1.7)),
     )
     assert dev <= 1e-10
-    dev_phi = max(
-        abs(jc.lerch_phi_unit(s, r) - jc.hurwitz_zeta(s, r))
-        for s, r in ((1.3, 0.4), (2.0, 1.0), (3.5, 7.7))
-    )
-    assert dev_phi <= 1e-10
 
     worst = 0.0
     for q in (1.2, 1.5, 1.9):
@@ -251,5 +246,5 @@ def test_criterion_8_special_function_regression():
             _, _, brute = gamma_brute_sums(q, bsw, 1.0, n_terms=4 * 10**6)
             worst = max(worst, abs(closed - brute) / abs(brute))
             assert closed == pytest.approx(brute, rel=1e-8)
-    report(f"[PASS] criterion 8 (special functions): identities {dev:.1e}/{dev_phi:.1e} "
+    report(f"[PASS] criterion 8 (special functions): identities {dev:.1e} "
            f"(tol 1e-10), q-mean closed-vs-brute max rel dev {worst:.1e} (tol 1e-8)")

@@ -99,6 +99,21 @@ class TestWeights:
         assert main(["weights", *model, "--n-cap", cap, "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["gibbs", "betas-file"])
+    def test_unresolvable_beta_is_domain_error(self, tmp_path, capsys, source):
+        # exp(-1e-17) rounds to 1: no tail tolerance could ever be met
+        if source == "gibbs":
+            model = ["--gibbs", "--beta", "1e-17"]
+        else:
+            betas = tmp_path / "tiny.betas"
+            betas.write_text('# {"count": 2, "omega": 1.0, "spec": null}\n2.0\n1e-17\n')
+            model = ["--betas-file", str(betas)]
+        out = tmp_path / "w.csv"
+        assert main(["weights", *model, "--out", str(out)]) == 3
+        assert not out.exists() and not (tmp_path / "w.csv.meta.json").exists()
+        err = capsys.readouterr().err
+        assert "too small to resolve" in err and "Traceback" not in err
+
     def test_model_selection_usage_errors(self, tmp_path):
         out = str(tmp_path / "w.csv")
         assert main(["weights", "--out", out]) == 2  # nothing selected
@@ -137,6 +152,29 @@ class TestTimeseries:
         assert main(["timeseries", "--config", str(tmp_path / "a.csv.meta.json"),
                      "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_sidecar_with_recorded_seed_reruns_to_same_bytes(self, tmp_path):
+        # sidecars of earlier versions record "seed": null; --config ignores keys
+        # the command does not take
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["timeseries", "--q", "1.3", "--beta", "2.0", "--epsilon", "0.25",
+                     "--tail-tol", "1e-4", "--T", "4", "--grid", "40",
+                     "--out", str(out1)]) == 0
+        sidecar = json.loads((tmp_path / "a.csv.meta.json").read_text())
+        assert "seed" not in sidecar["config"]
+        sidecar["config"]["seed"] = None
+        old = tmp_path / "old.meta.json"
+        old.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+        assert main(["timeseries", "--config", str(old), "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("command", ["timeseries", "bloch-sweep"])
+    def test_seed_is_not_an_option(self, tmp_path, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--gibbs", "--beta", "2.0", "--seed", "1",
+                  "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "x.csv").exists()
 
     def test_json_format_embeds_metadata(self, tmp_path):
         out = tmp_path / "ts.json"

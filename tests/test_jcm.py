@@ -9,10 +9,9 @@ from jcentropy.jcm import (
     AtomInit,
     BlockEvolver,
     CutoffWarning,
-    DegenerateCouplingError,
     ModelParams,
+    _manifold_arrays,
     coefficients_at,
-    manifold,
     oracle_evolve,
     reduced_atom,
     reduced_field,
@@ -40,26 +39,18 @@ def thermal_dist():
 
 class TestManifold:
     def test_resonant_ground_manifold(self):
-        m = manifold(RESONANT, 0)
-        assert m.delta_n == pytest.approx(2.0, abs=1e-15)
-        assert m.omega_plus == pytest.approx(1.0, abs=1e-15)
-        assert m.omega_minus == pytest.approx(-1.0, abs=1e-15)
+        delta_n, omega_plus, omega_minus = _manifold_arrays(RESONANT, 1)
+        assert delta_n[0] == pytest.approx(2.0, abs=1e-15)
+        assert omega_plus[0] == pytest.approx(1.0, abs=1e-15)
+        assert omega_minus[0] == pytest.approx(-1.0, abs=1e-15)
 
     def test_detuned_manifold(self):
-        m = manifold(ModelParams.from_detuning(3.0, 2.0), 0)
-        assert m.delta_n == pytest.approx(math.sqrt(13.0), rel=1e-15)
-        assert m.omega_plus * m.omega_minus == pytest.approx(-1.0, abs=1e-12)
+        delta_n, omega_plus, omega_minus = _manifold_arrays(ModelParams.from_detuning(3.0, 2.0), 1)
+        assert delta_n[0] == pytest.approx(math.sqrt(13.0), rel=1e-15)
+        assert omega_plus[0] * omega_minus[0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_resonant_scaling(self):
-        assert manifold(RESONANT, 3).delta_n == pytest.approx(4.0, rel=1e-15)
-
-    def test_zero_coupling_raises(self):
-        with pytest.raises(DegenerateCouplingError):
-            manifold(ModelParams.from_detuning(1.0, 0.0), 0)
-
-    def test_negative_index_raises(self):
-        with pytest.raises(ValueError):
-            manifold(RESONANT, -1)
+        assert _manifold_arrays(RESONANT, 4)[0][3] == pytest.approx(4.0, rel=1e-15)
 
 
 class TestInitialConditions:

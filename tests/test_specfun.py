@@ -5,14 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from jcentropy import specfun
 from jcentropy.specfun import (
     GIBBS,
     AccuracyError,
-    SeriesAccuracy,
-    TailMethod,
     hurwitz_zeta,
     hurwitz_zeta_scaled,
-    lerch_phi_unit,
     q_exp,
     q_log,
 )
@@ -88,14 +86,12 @@ class TestHurwitzZeta:
         with pytest.raises(ValueError):
             hurwitz_zeta(2.0, 0.0)
 
-    def test_plain_truncation_matches_when_feasible(self):
-        acc = SeriesAccuracy(abs_tol=1e-8, max_terms=10**7, tail_method=TailMethod.PLAIN_TRUNCATION)
-        assert hurwitz_zeta(3.0, 1.0, acc) == pytest.approx(ZETA3, abs=1e-8)
-
-    def test_plain_truncation_accuracy_error(self):
-        acc = SeriesAccuracy(abs_tol=1e-10, max_terms=10**4, tail_method=TailMethod.PLAIN_TRUNCATION)
-        with pytest.raises(AccuracyError):
-            hurwitz_zeta(1.2, 1.0, acc)
+    def test_term_bound_raises_accuracy_error(self, monkeypatch):
+        # an unreachable tolerance runs the head into the MAX_TERMS bound
+        monkeypatch.setattr(specfun, "ABS_TOL", 0.0)
+        monkeypatch.setattr(specfun, "MAX_TERMS", 10**4)
+        with pytest.raises(AccuracyError, match="within 10000 terms"):
+            hurwitz_zeta(1.2, 1.0)
 
     def test_scaled_form_in_near_gibbs_regime(self):
         # s = 1/(q-1) ~ 1e6: scaled sum tends to the geometric series limit
@@ -106,18 +102,20 @@ class TestHurwitzZeta:
 
 
 class TestLerchPhiUnit:
+    """The Hurwitz-Lerch transcendent at unit argument, Phi(1, s, r), is zeta_H(s, r)."""
+
     def test_reduces_to_zeta2(self):
-        assert lerch_phi_unit(2.0, 1.0) == pytest.approx(math.pi**2 / 6.0, abs=1e-10)
+        assert hurwitz_zeta(2.0, 1.0) == pytest.approx(math.pi**2 / 6.0, abs=1e-10)
 
     def test_shift_recurrence(self):
-        assert lerch_phi_unit(3.0, 2.0) == pytest.approx(ZETA3 - 1.0, abs=1e-10)
+        assert hurwitz_zeta(3.0, 2.0) == pytest.approx(ZETA3 - 1.0, abs=1e-10)
 
     def test_frozen_fixture(self):
-        assert lerch_phi_unit(1.25, 0.8) == pytest.approx(PHI_125_08, abs=2e-10)
+        assert hurwitz_zeta(1.25, 0.8) == pytest.approx(PHI_125_08, abs=2e-10)
 
     def test_against_live_brute_force(self):
         value, halfwidth = zeta_brute(1.25, 0.8, n_terms=10**7)
-        assert abs(lerch_phi_unit(1.25, 0.8) - value) <= halfwidth + 2e-10
+        assert abs(hurwitz_zeta(1.25, 0.8) - value) <= halfwidth + 2e-10
 
 
 @settings(max_examples=60, deadline=None)
@@ -143,15 +141,6 @@ def test_zeta_shift_recurrence(s, x):
 )
 def test_zeta_strictly_decreasing_in_x(s, x, dx):
     assert hurwitz_zeta(s, x + dx) < hurwitz_zeta(s, x)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    s=st.floats(min_value=1.05, max_value=5.0),
-    r=st.floats(min_value=0.05, max_value=15.0),
-)
-def test_lerch_unit_equals_hurwitz(s, r):
-    assert lerch_phi_unit(s, r) == pytest.approx(hurwitz_zeta(s, r), abs=1e-10)
 
 
 @settings(max_examples=80, deadline=None)

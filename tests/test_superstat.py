@@ -5,6 +5,7 @@ import pytest
 
 from jcentropy.specfun import GIBBS
 from jcentropy.superstat import (
+    MIN_LEVELS,
     BracketError,
     DistKind,
     GammaSuperstat,
@@ -21,6 +22,7 @@ from jcentropy.superstat import (
     q_internal_energy,
     q_partition,
     q_trace,
+    _gamma_log_tail,
 )
 from oracle_utils import gamma_brute_sums
 
@@ -103,6 +105,93 @@ class TestMultiLevelWeights:
             MultiLevelSuperstat(betas=(), omega=1.0)
         with pytest.raises(ValueError):
             MultiLevelSuperstat(betas=(1.0, -2.0), omega=1.0)
+
+
+def _gibbs_case(beta):
+    def build(tol, cap):
+        return photon_weights_gibbs(beta, tail_tol=tol, hard_cap=cap)
+
+    def tail_exceeds(n, tol):
+        return math.exp(-beta) ** (n + 1) > tol
+
+    return pytest.param(build, tail_exceeds, id=f"gibbs-{beta:.3g}")
+
+
+def _multilevel_case(betas, label):
+    model = MultiLevelSuperstat(betas=betas, omega=1.0)
+    x = np.exp(-np.asarray(betas))
+    z_n = float(np.sum(1.0 / (1.0 - x)))
+
+    def build(tol, cap):
+        return photon_weights_multilevel(model, tail_tol=tol, hard_cap=cap)
+
+    def tail_exceeds(n, tol):
+        return float(np.sum(x ** (n + 1) / (1.0 - x))) / z_n > tol
+
+    return pytest.param(build, tail_exceeds, id=f"multilevel-{label}")
+
+
+def _gamma_case(q, beta_star):
+    model = GammaSuperstat(q=q, beta_star=beta_star, omega=1.0)
+
+    def build(tol, cap):
+        return photon_weights_gamma(model, tail_tol=tol, hard_cap=cap)
+
+    def tail_exceeds(n, tol):
+        return _gamma_log_tail(model.s_index, model.r_offset, n) > math.log(tol)
+
+    return pytest.param(build, tail_exceeds, id=f"gamma-q{q}-bs{beta_star:.3g}")
+
+
+TRUNCATION_CASES = [
+    *(_gibbs_case(beta) for beta in (1e-3, 0.1, math.log(11.0), 5.0, 40.0)),
+    _multilevel_case((0.5, 1.0, 3.0), "spread"),
+    _multilevel_case((1e-3, 2.0, 2.0), "one-hot"),
+    _multilevel_case((math.log(11.0),) * 4, "degenerate"),
+    _multilevel_case(tuple(np.random.default_rng(3).uniform(0.01, 4.0, 30)), "random30"),
+    _gamma_case(1.2, 1.0),
+    _gamma_case(1.6, 3.0),
+    _gamma_case(1.9, 1.0),
+]
+
+
+@pytest.mark.parametrize("hard_cap", [3, 1000, 10**5])  # 1e5: the dynamics commands' cap
+@pytest.mark.parametrize("build,tail_exceeds", TRUNCATION_CASES)
+def test_truncation_contract(build, tail_exceeds, hard_cap):
+    for tol in (1e-2, 1e-6, 1e-10):
+        dist = build(tol, hard_cap)
+        assert MIN_LEVELS - 1 <= dist.n_max <= hard_cap
+        if not dist.tail_limited:
+            assert dist.tail_mass <= tol
+        if dist.n_max > MIN_LEVELS - 1:
+            assert tail_exceeds(dist.n_max - 1, tol)  # minimal
+        assert dist.tail_limited == tail_exceeds(hard_cap, tol)
+        if dist.tail_limited:
+            assert dist.n_max == hard_cap
+        assert abs(math.fsum(dist.weights) + dist.tail_mass - 1.0) <= 1e-12
+
+
+# n_max must pass one block of 2**16 // count rows: a hot first beta does it
+# for few betas, the 0.05 floor of the draws (n_max ~ 400) for a thousand
+@pytest.mark.parametrize("count,first", [(1, 2e-4), (7, 1e-3), (1000, 0.05), (1001, 0.05)])
+def test_multilevel_blocked_weights_equal_dense_sum(count, first):
+    betas = np.random.default_rng(count).uniform(0.05, 3.0, count)
+    betas[0] = first
+    dist = photon_weights_multilevel(MultiLevelSuperstat(betas=tuple(betas)), tail_tol=1e-8)
+    assert dist.n_max + 1 > 2**16 // count
+    x = np.exp(-betas)
+    n = np.arange(dist.n_max + 1, dtype=np.float64)
+    dense = np.sum(x[None, :] ** n[:, None], axis=1) / float(np.sum(1.0 / (1.0 - x)))
+    assert dist.weights.tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: photon_weights_gibbs(1e-17),
+    lambda: photon_weights_multilevel(MultiLevelSuperstat(betas=(2.0, 1e-17))),
+], ids=["gibbs", "multilevel"])
+def test_unresolvable_geometric_ratio_is_refused(build):
+    with pytest.raises(ValueError, match=r"beta\*omega = 1e-17 is too small to resolve"):
+        build()
 
 
 class TestPhotonDistribution:
