@@ -15,7 +15,6 @@ from .superstat import (
     GammaSuperstat,
     MultiLevelSuperstat,
     PhotonDistribution,
-    UndefinedTemperatureError,
     calibrate_beta_star,
     mean_photon_bose,
     mean_photon_q,

@@ -39,7 +39,7 @@ from .entropy import (
 )
 from .jcm import AtomInit, ModelParams
 from .selfcheck import run_selfcheck
-from .specfun import GIBBS, AccuracyError
+from .specfun import AccuracyError
 from .superstat import (
     HARD_CAP,
     GammaSuperstat,
@@ -129,7 +129,10 @@ def _emit(cfg: dict, table: dict, meta: dict) -> None:
 
 def _load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # malformed JSON, or text that is not UTF-8
+            raise UsageError(f"{path}: not a JSON config: {exc}") from None
     if not isinstance(data, dict):
         raise UsageError(f"{path}: config must be a JSON object")
     if isinstance(data.get("config"), dict):  # accept recorded sidecars directly
@@ -137,11 +140,37 @@ def _load_config(path: str) -> dict:
     return data
 
 
+# JSON types a --config value may take, by the type of its flag
+_CONFIG_TYPES = {None: str, int: int, float: (int, float)}
+
+
+def _check_config_value(key: str, value, action: argparse.Action) -> None:
+    """Refuse a ``--config`` value that its flag could not have produced.
+
+    ``null`` leaves the key unset.  A value is taken as it is, never
+    converted, so a recorded sidecar reruns to the same bytes.
+    """
+    if value is None:
+        return
+    if action.nargs == 0:  # a switch such as --gibbs
+        fits = isinstance(value, bool)
+    else:  # bool subclasses int, but JSON true and false are no numbers
+        fits = isinstance(value, _CONFIG_TYPES[action.type]) and not isinstance(value, bool)
+    if fits and action.choices is not None:
+        fits = value in action.choices
+    if not fits:
+        raise UsageError(
+            f"config key {key!r}: {value!r} is not a valid {action.option_strings[0]} value"
+        )
+
+
 def _effective_config(args: argparse.Namespace, defaults: dict) -> dict:
     cfg = dict(defaults)
     if getattr(args, "config", None):
-        loaded = _load_config(args.config)
-        cfg.update({k: v for k, v in loaded.items() if k in defaults})
+        for key, value in _load_config(args.config).items():
+            if key in defaults:
+                _check_config_value(key, value, args.flags[key])
+                cfg[key] = value
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
@@ -164,15 +193,15 @@ def _parse_range(text: str) -> np.ndarray:
         lo, hi, count = float(lo), float(hi), int(count)
         if count < 1 or hi < lo:
             raise ValueError
-    except (ValueError, AttributeError):
+    except ValueError:
         raise UsageError(f"expected grid as 'min:max:count', got {text!r}") from None
     return np.linspace(lo, hi, count)
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
     for sep in ("x", ","):
-        if sep in str(text):
-            a, b = str(text).split(sep, 1)
+        if sep in text:
+            a, b = text.split(sep, 1)
             try:
                 return int(a), int(b)
             except ValueError:
@@ -180,15 +209,15 @@ def _parse_pair(text: str) -> tuple[int, int]:
     try:
         n = int(text)
         return n, n
-    except (ValueError, TypeError):
+    except ValueError:
         raise UsageError(f"expected grid as 'NRxNTHETA', got {text!r}") from None
 
 
-def _time_samples(value, flag: str) -> int:
+def _time_samples(value: int, flag: str) -> int:
     """Validated time-sample count: an exchange needs t=0 and one later time."""
-    if int(value) < 2:
+    if value < 2:
         raise UsageError(f"{flag} needs at least two time samples, got {value}")
-    return int(value)
+    return value
 
 
 def _model_params(cfg: dict) -> ModelParams:
@@ -272,6 +301,23 @@ def _resolve_form(cfg: dict) -> FieldEntropyForm:
     return FieldEntropyForm(cfg.get("field_entropy", "full"))
 
 
+def _resolve_dynamics(cfg: dict, n_times: int):
+    """Distribution, derived record, entropy, field form, model and time grid of a run.
+
+    An unset horizon becomes 50/|lambda| (50 at zero coupling) and is
+    recorded in ``cfg``.
+    """
+    dist, derived = _resolve_source(cfg)
+    kind = _resolve_entropy(cfg, derived)
+    form = _resolve_form(cfg)
+    derived.update(entropy=kind.label(), field_entropy_form=form.value)
+    params = _model_params(cfg)
+    if cfg["horizon"] is None:
+        cfg["horizon"] = 50.0 / abs(cfg["lam"]) if cfg["lam"] else 50.0
+    times = np.linspace(0.0, cfg["horizon"], n_times)
+    return dist, derived, kind, form, params, times
+
+
 # ------------------------------------------------------------- commands
 
 
@@ -284,7 +330,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     if cfg["q"] is None:
         raise UsageError("--q is required (comma list, e.g. 'gibbs,1.2,1.6')")
     q_tokens = []
-    for tok in str(cfg["q"]).split(","):
+    for tok in cfg["q"].split(","):
         tok = tok.strip().lower()
         if not tok:
             continue
@@ -306,7 +352,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         for t_star in t_star_grid:
             beta_star = 1.0 / (t_star * omega)
             if tok == "gibbs":
-                beta = physical_beta(beta_star, omega, q=GIBBS)
+                beta = beta_star
             else:
                 beta = physical_beta(GammaSuperstat(q=float(tok), beta_star=beta_star, omega=omega))
             temps.append(1.0 / (beta * omega))
@@ -325,6 +371,15 @@ _MODEL_DEFAULTS = {
 }
 
 
+_DYNAMICS_DEFAULTS = {
+    **_MODEL_DEFAULTS,
+    "delta": 0.0, "lam": 2.0,
+    "entropy": None, "entropy_q": None, "field_entropy": "full", "horizon": None,
+    "n_cap": 10**5,  # keeps heavy-tail runs tractable; tail mass stays tracked
+    "out": None, "format": "csv",
+}
+
+
 def cmd_weights(args: argparse.Namespace) -> int:
     defaults = {**_MODEL_DEFAULTS, "out": None, "format": "csv"}
     cfg = _effective_config(args, defaults)
@@ -335,32 +390,12 @@ def cmd_weights(args: argparse.Namespace) -> int:
 
 
 def cmd_timeseries(args: argparse.Namespace) -> int:
-    defaults = {
-        **_MODEL_DEFAULTS,
-        "delta": 0.0, "lam": 2.0, "epsilon": 0.0,
-        "entropy": None, "entropy_q": None, "field_entropy": "full",
-        "grid": 2000, "horizon": None,
-        "n_cap": 10**5,  # keeps heavy-tail runs tractable; tail mass stays tracked
-        "out": None, "format": "csv",
-    }
+    defaults = {**_DYNAMICS_DEFAULTS, "epsilon": 0.0, "grid": 2000}
     cfg = _effective_config(args, defaults)
     n_times = _time_samples(cfg["grid"], "--grid")
-    dist, derived = _resolve_source(cfg)
-    kind = _resolve_entropy(cfg, derived)
-    form = _resolve_form(cfg)
-    params = _model_params(cfg)
-    horizon = cfg["horizon"]
-    if horizon is None:
-        horizon = 50.0 / abs(cfg["lam"]) if cfg["lam"] else 50.0
-        cfg["horizon"] = horizon
-    times = np.linspace(0.0, horizon, n_times)
+    dist, derived, kind, form, params, times = _resolve_dynamics(cfg, n_times)
     trace = entropy_trace(params, AtomInit(epsilon=cfg["epsilon"]), dist, kind, form, times)
-    derived.update(
-        entropy=kind.label(),
-        field_entropy_form=form.value,
-        avg_dSa=trace.avg_ds_atom,
-        avg_dSb=trace.avg_ds_field,
-    )
+    derived.update(avg_dSa=trace.avg_ds_atom, avg_dSb=trace.avg_ds_field)
     table = {"t": trace.times, "dS_a": trace.ds_atom, "dS_b": trace.ds_field,
              "dS_total": trace.ds_total}
     _emit(cfg, table, _meta(cfg, "timeseries", derived))
@@ -368,35 +403,19 @@ def cmd_timeseries(args: argparse.Namespace) -> int:
 
 
 def cmd_bloch_sweep(args: argparse.Namespace) -> int:
-    defaults = {
-        **_MODEL_DEFAULTS,
-        "delta": 0.0, "lam": 2.0,
-        "entropy": None, "entropy_q": None, "field_entropy": "full",
-        "grid": "5x7", "t_samples": 1000, "horizon": None,
-        "n_cap": 10**5,
-        "out": None, "format": "csv",
-    }
+    defaults = {**_DYNAMICS_DEFAULTS, "grid": "5x7", "t_samples": 1000}
     cfg = _effective_config(args, defaults)
     n_times = _time_samples(cfg["t_samples"], "--t-samples")
-    dist, derived = _resolve_source(cfg)
-    kind = _resolve_entropy(cfg, derived)
-    form = _resolve_form(cfg)
-    params = _model_params(cfg)
     n_r, n_theta = _parse_pair(cfg["grid"])
     if n_r < 1 or n_theta < 1:
         raise UsageError("bloch grid must have at least one point per axis")
-    horizon = cfg["horizon"]
-    if horizon is None:
-        horizon = 50.0 / abs(cfg["lam"]) if cfg["lam"] else 50.0
-        cfg["horizon"] = horizon
-    times = np.linspace(0.0, horizon, n_times)
+    dist, derived, kind, form, params, times = _resolve_dynamics(cfg, n_times)
     r_values = np.linspace(0.0, 1.0, n_r)
     theta_values = np.linspace(0.0, math.pi, n_theta)
     grid = bloch_sweep(params, dist, kind, form, r_values, theta_values, times)
     r_col = np.repeat(r_values, n_theta)
     theta_col = np.tile(theta_values, n_r)
-    derived.update(entropy=kind.label(), field_entropy_form=form.value,
-                   n_r=n_r, n_theta=n_theta)
+    derived.update(n_r=n_r, n_theta=n_theta)
     table = {
         "r": r_col,
         "theta": theta_col,
@@ -419,7 +438,7 @@ def cmd_ensemble_gen(args: argparse.Namespace) -> int:
     if not cfg["out"]:
         raise UsageError("--out is required")
     spec = BetaEnsembleSpec(
-        shape=cfg["shape"], count=int(cfg["count"]), seed=int(cfg["seed"]),
+        shape=cfg["shape"], count=cfg["count"], seed=cfg["seed"],
         omega=cfg["omega"], mean=cfg["mean"], sd=cfg["sd"],
         scale=cfg["scale"], shape_param=cfg["shape_param"],
     )
@@ -534,6 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help=argparse.SUPPRESS)
     chk.set_defaults(func=cmd_selfcheck)
 
+    for sub in subs.choices.values():
+        sub.set_defaults(flags={action.dest: action for action in sub._actions})
     return parser
 
 

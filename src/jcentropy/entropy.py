@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -184,7 +184,6 @@ class EntropyTrace:
     ds_total: np.ndarray
     avg_ds_atom: float
     avg_ds_field: float
-    metadata: dict = field(default_factory=dict, compare=False)
 
 
 def entropy_trace(
@@ -194,7 +193,6 @@ def entropy_trace(
     kind: EntropyKind = VON_NEUMANN,
     form: FieldEntropyForm = FieldEntropyForm.FULL,
     times: np.ndarray | None = None,
-    extra_metadata: dict | None = None,
 ) -> EntropyTrace:
     """Partial entropy exchange of atom and field on a time grid.
 
@@ -212,7 +210,7 @@ def entropy_trace(
     if np.any(np.diff(times) <= 0.0):
         raise ValueError("time grid must be strictly increasing")
 
-    evolver = BlockEvolver(params, atom, dist, with_coherence=False)
+    evolver = BlockEvolver(params, atom, dist)
     a1, c1 = evolver.a1, evolver.c1
     uncoupled, excited_top = evolver.uncoupled_weight, evolver.excited_top
     # A = a0 + a1 cos and C = c0 + c1 cos, so the atom populations and the
@@ -245,25 +243,6 @@ def entropy_trace(
     ds_field = s_field - s_field[0]
     ds_total = ds_atom + ds_field
 
-    metadata = {
-        "omega0": params.omega0,
-        "omega": params.omega,
-        "lambda": params.lam,
-        "delta": params.delta,
-        "epsilon": atom.epsilon,
-        "entropy": kind.label(),
-        "field_entropy_form": form.value,
-        "dist_source": dist.source.value,
-        "dist_meta": dict(dist.meta),
-        "n_max": dist.n_max,
-        "tail_mass": dist.tail_mass,
-        "tail_limited": dist.tail_limited,
-        "n_times": int(times.size),
-        "t_max": float(times[-1]),
-    }
-    if extra_metadata:
-        metadata.update(extra_metadata)
-
     return EntropyTrace(
         times=times,
         ds_atom=ds_atom,
@@ -271,7 +250,6 @@ def entropy_trace(
         ds_total=ds_total,
         avg_ds_atom=_window_average(times, ds_atom),
         avg_ds_field=_window_average(times, ds_field),
-        metadata=metadata,
     )
 
 
@@ -281,17 +259,12 @@ def _window_average(times: np.ndarray, values: np.ndarray) -> float:
     return float(simpson(values, x=times) / (times[-1] - times[0]))
 
 
-def time_average(
-    trace: EntropyTrace,
-    horizon: float | None = None,
-    rich_tol: float = 1e-6,
-    warn: bool = True,
-) -> tuple[float, float]:
+def time_average(trace: EntropyTrace, horizon: float | None = None) -> tuple[float, float]:
     """Time-averaged (atom, field) entropy exchange over [0, horizon].
 
     Composite Simpson on the stored grid; the average over the half-density
     grid is compared against the full one and a :class:`GridCoarseWarning`
-    is emitted when they disagree by more than ``rich_tol``.
+    is emitted when they disagree by more than 1e-6.
     """
     times = trace.times
     if horizon is None:
@@ -305,12 +278,12 @@ def time_average(
     averages = []
     for values in (trace.ds_atom[sel], trace.ds_field[sel]):
         full = _window_average(t, values)
-        if warn and t.size >= 5:
+        if t.size >= 5:
             half = _window_average(t[::2], values[::2])
-            if abs(full - half) > rich_tol:
+            if abs(full - half) > 1e-6:
                 warnings.warn(
                     f"time grid may be too coarse: half/full Simpson averages differ "
-                    f"by {abs(full - half):.3e} (> {rich_tol:g})",
+                    f"by {abs(full - half):.3e} (> 1e-06)",
                     GridCoarseWarning,
                     stacklevel=2,
                 )
@@ -326,13 +299,12 @@ def bloch_sweep(
     r_values,
     theta_values,
     times: np.ndarray,
-    horizon: float | None = None,
 ) -> np.ndarray:
     """Time-averaged exchanges over a (r, theta) grid of atom preparations.
 
     Returns an array of shape ``(len(r_values), len(theta_values), 2)``
-    holding (avg atom exchange, avg field exchange), ordered by the
-    declared grid.  The dynamics depends on a preparation only through
+    holding (avg atom exchange, avg field exchange) over the whole of
+    ``times``, ordered by the declared grid.  The dynamics depends on a preparation only through
     its excited-state weight epsilon, so each distinct epsilon is traced
     once and its averages fill every point that shares it (the whole
     r=0 row, for instance).
@@ -346,9 +318,6 @@ def bloch_sweep(
             eps = BlochPoint(r=float(r), theta=float(theta)).epsilon
             if eps not in averages:
                 trace = entropy_trace(params, AtomInit(epsilon=eps), dist, kind, form, times)
-                if horizon is None:  # the trace already averaged over its whole grid
-                    averages[eps] = (trace.avg_ds_atom, trace.avg_ds_field)
-                else:
-                    averages[eps] = time_average(trace, horizon, warn=False)
+                averages[eps] = (trace.avg_ds_atom, trace.avg_ds_field)
             out[i, j] = averages[eps]
     return out

@@ -106,7 +106,7 @@ class EvolvedState:
 
     time: float
     coeff_a: np.ndarray
-    coeff_b: np.ndarray | None
+    coeff_b: np.ndarray
     coeff_c: np.ndarray
     uncoupled_weight: float
     excited_top: float
@@ -125,35 +125,29 @@ class BlockEvolver:
     The populations are affine in one cosine per manifold,
     ``A_n(t) = a0 + a1 cos(delta_n t)`` and ``C_n(t) = c0 + c1 cos(delta_n t)``;
     the constants are assembled once.  At zero coupling the manifolds
-    do not rotate (``a1 = c1 = 0``).  ``with_coherence=False`` skips the
-    complex coherence coefficients (entropies never consume them).
+    do not rotate (``a1 = c1 = 0``).  Of the coherence
+    ``B_n(t) = b0 + (a1/2)[(w+ + w-) cos(delta_n t) + i (w+ - w-) sin(delta_n t)]``
+    only ``b0`` is stored, so an evolver holds eight per-level arrays; the
+    entropy traces never read the coherence.
     """
 
-    def __init__(
-        self,
-        params: ModelParams,
-        atom: AtomInit,
-        dist: PhotonDistribution,
-        with_coherence: bool = True,
-    ):
+    def __init__(self, params: ModelParams, atom: AtomInit, dist: PhotonDistribution):
         if dist.n_max < 1:
             raise ValueError("need at least photon levels {0, 1} to evolve a manifold")
         self.params = params
         self.atom = atom
         self.dist = dist
-        self.with_coherence = with_coherence
         eps = atom.epsilon
         p = dist.weights
         pn, pn1 = p[:-1], p[1:]
         self.uncoupled_weight = float((1.0 - eps) * p[0])
         self.excited_top = float(eps * p[-1])
-        self.block_weight = eps * pn + (1.0 - eps) * pn1  # conserved per manifold
         if params.lam == 0.0:
             zeros = np.zeros(dist.n_max)
-            self.delta_n = zeros
+            self.delta_n = self.omega_plus = self.omega_minus = zeros
             self.a0, self.a1 = eps * pn, zeros
             self.c0, self.c1 = (1.0 - eps) * pn1, zeros
-            self._b0 = self._b_cos = self._b_sin = zeros
+            self._b0 = zeros
             return
         delta_n, wp, wm = _manifold_arrays(params, dist.n_max)
         self.delta_n = delta_n
@@ -167,29 +161,24 @@ class BlockEvolver:
         self.a1 = 2.0 * bx
         self.c0 = wp**2 * bp + wm**2 * bm
         self.c1 = 2.0 * wp * wm * bx
-        if with_coherence:
-            self._b0 = wp * bp + wm * bm
-            self._b_cos = bx * (wp + wm)
-            self._b_sin = bx * (wp - wm)
+        self._b0 = wp * bp + wm * bm
 
-    def coefficients(self, t):
-        """(A_n(t), B_n(t) or None, C_n(t)) over the evolved manifolds.
+    @property
+    def block_weight(self) -> np.ndarray:
+        """Total weight of each manifold, ``A_n(t) + C_n(t)`` at every t."""
+        eps, p = self.atom.epsilon, self.dist.weights
+        return eps * p[:-1] + (1.0 - eps) * p[1:]
 
-        A scalar ``t`` gives arrays over the manifolds; a 1-D array of
-        times gives ``(times, manifolds)`` arrays, one row per time,
-        bitwise equal to the scalar evaluation at each time.
-        """
-        cos = np.cos(np.multiply.outer(t, self.delta_n))
-        # added in place: NumPy reuses no temporary for a broadcast sum, and a
-        # fresh 1e5-level array costs as much as the arithmetic
-        a = self.a1 * cos
-        a += self.a0
-        c = self.c1 * cos
-        c += self.c0
-        b = None
-        if self.with_coherence:
-            sin = np.sin(np.multiply.outer(t, self.delta_n))
-            b = self._b0 + self._b_cos * cos + 1j * self._b_sin * sin
+    def coefficients(self, t: float):
+        """(A_n(t), B_n(t), C_n(t)) over the evolved manifolds at time ``t``."""
+        phase = t * self.delta_n
+        cos = np.cos(phase)
+        a = self.a0 + self.a1 * cos
+        c = self.c0 + self.c1 * cos
+        # a1/2 is exactly the constructor's bx, so these equal bx (w+ +- w-) bit for bit
+        b_cos = 0.5 * self.a1 * (self.omega_plus + self.omega_minus)
+        b_sin = 0.5 * self.a1 * (self.omega_plus - self.omega_minus)
+        b = self._b0 + b_cos * cos + 1j * b_sin * np.sin(phase)
         return a, b, c
 
     def cos_chunks(self, times: np.ndarray, rows: int):

@@ -22,18 +22,17 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import GIBBS, hurwitz_zeta_scaled
+from .specfun import hurwitz_zeta_scaled
 
 __all__ = [
     "DistKind",
     "GammaSuperstat",
     "MultiLevelSuperstat",
     "PhotonDistribution",
-    "UndefinedTemperatureError",
     "BracketError",
     "photon_weights_gamma",
     "photon_weights_multilevel",
@@ -49,10 +48,6 @@ __all__ = [
 
 HARD_CAP = 10**7  # largest photon index materialized in a weight table
 MIN_LEVELS = 2  # keep at least {|0>, |1>} so the vacuum Rabi manifold exists
-
-
-class UndefinedTemperatureError(ValueError):
-    """The physical-temperature map has no solution for these parameters."""
 
 
 class BracketError(ValueError):
@@ -119,22 +114,24 @@ class PhotonDistribution:
     ``tail_mass`` is the exact probability of all higher levels, so the
     pair always sums to one.  ``tail_limited`` marks distributions whose
     truncation was forced by the hard cap rather than by the requested
-    tail tolerance.
+    tail tolerance.  A float64 table is kept, not copied; only a table
+    with entries in [-1e-12, 0) is copied, with those entries set to 0.
     """
 
     weights: np.ndarray
     tail_mass: float
     source: DistKind
     tail_limited: bool = False
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a non-empty 1-D array")
-        if np.any(w < -1e-12):
+        lowest = w.min()
+        if lowest < -1e-12:
             raise ValueError("negative photon weight")
-        w = np.where(w < 0.0, 0.0, w)
+        if lowest < 0.0:
+            w = np.where(w < 0.0, 0.0, w)
         object.__setattr__(self, "weights", w)
         if self.tail_mass < -1e-12:
             raise ValueError(f"negative tail mass {self.tail_mass}")
@@ -159,7 +156,6 @@ class PhotonDistribution:
             tail_mass=self.tail_mass + dropped,
             source=self.source,
             tail_limited=self.tail_limited,
-            meta=dict(self.meta),
         )
 
 
@@ -228,7 +224,6 @@ def photon_weights_gamma(
         tail_mass=tail,
         source=DistKind.GAMMA,
         tail_limited=tail_limited,
-        meta={"q": s.q, "beta_star": s.beta_star, "omega": s.omega, "tail_tol": tail_tol},
     )
 
 
@@ -252,7 +247,6 @@ def photon_weights_gibbs(
         tail_mass=x ** (n_max + 1),
         source=DistKind.GIBBS,
         tail_limited=tail_limited,
-        meta={"beta": beta, "omega": omega, "tail_tol": tail_tol},
     )
 
 
@@ -287,7 +281,6 @@ def photon_weights_multilevel(
         tail_mass=tail(n_max),
         source=DistKind.MULTILEVEL,
         tail_limited=tail_limited,
-        meta={"betas": list(s.betas), "omega": s.omega, "tail_tol": tail_tol},
     )
 
 
@@ -296,14 +289,9 @@ def q_partition(s: GammaSuperstat) -> float:
 
     In scaled-zeta form this is exactly ``sum_n (1 + n/r)^(-s)`` with
     s = 1/(q-1), r = 1/((q-1) beta_star omega); the q -> 1 limit is the
-    geometric series :func:`gibbs_partition`.
+    geometric series ``1/(1 - exp(-beta_star omega))``.
     """
     return hurwitz_zeta_scaled(s.s_index, s.r_offset)
-
-
-def gibbs_partition(beta: float, omega: float = 1.0) -> float:
-    """Geometric-series partition function 1/(1 - exp(-beta omega))."""
-    return 1.0 / -math.expm1(-beta * omega)
 
 
 def q_trace(s: GammaSuperstat) -> float:
@@ -346,38 +334,25 @@ def q_internal_energy(s: GammaSuperstat) -> float:
     return s.omega * mean_photon_q(s) * q_trace(s)
 
 
-def physical_beta(s: GammaSuperstat | float, omega: float = 1.0, *, q=None) -> float:
-    """Physical inverse temperature from the quasi-temperature parameter.
+def physical_beta(s: GammaSuperstat) -> float:
+    """Physical inverse temperature of a gamma-fluctuation state.
 
     Implements ``beta = beta_star Tr[rho^q] / (1 - (1-q) beta_star U /
-    Tr[rho^q])``.  For 1 < q < 2 the denominator is automatically
-    positive; a non-positive denominator (possible for q < 1 extensions)
-    raises :class:`UndefinedTemperatureError`.  Accepts either a
-    :class:`GammaSuperstat` or ``(beta_star, omega, q=GIBBS)`` for the
-    undeformed limit, where beta == beta_star.
+    Tr[rho^q])``.  The internal energy U is non-negative and
+    :class:`GammaSuperstat` holds 1 < q < 2, so the denominator is at
+    least 1.  As q -> 1, beta tends to beta_star.
     """
-    if q is GIBBS:
-        beta_star = float(s)
-        if not beta_star > 0:
-            raise ValueError("beta_star must be positive")
-        return beta_star
-    if not isinstance(s, GammaSuperstat):
-        s = GammaSuperstat(q=q, beta_star=float(s), omega=omega)
     trace_q = q_trace(s)
     energy = q_internal_energy(s)
     denom = 1.0 - (1.0 - s.q) * s.beta_star * energy / trace_q
-    if denom <= 0.0:
-        raise UndefinedTemperatureError(
-            f"physical temperature undefined at q={s.q}, beta_star={s.beta_star}"
-        )
     return s.beta_star * trace_q / denom
 
 
 _SCAN_DECADES = (-3.0, 3.0)  # beta_star * omega scan range, log10
 
 
-def calibrate_beta_star(q, beta_target: float, omega: float = 1.0) -> float:
-    """Invert :func:`physical_beta`: the beta_star that realizes a physical beta.
+def calibrate_beta_star(q: float, beta_target: float, omega: float = 1.0) -> float:
+    """Invert :func:`physical_beta`: the gamma-model beta_star that realizes a physical beta.
 
     Bracketing scan over log(beta_star) across [1e-3, 1e3]/omega followed
     by a derivative-free hybrid root solve; the round trip
@@ -386,8 +361,6 @@ def calibrate_beta_star(q, beta_target: float, omega: float = 1.0) -> float:
     """
     if not beta_target > 0:
         raise ValueError(f"beta_target must be positive, got {beta_target}")
-    if q is GIBBS:
-        return beta_target
 
     def residual(log_bsw: float) -> float:
         bs = math.exp(log_bsw) / omega

@@ -200,6 +200,41 @@ class TestTimeseries:
         assert meta["derived"]["n_betas"] == 100
 
 
+@pytest.mark.parametrize("command, text, named", [
+    ("weights", '{"gibbs": true, "beta": 2.4, "n_cap": "5"}', "'n_cap'"),
+    ("weights", '{"gibbs": true, "beta": "2.4"}', "'beta'"),
+    ("weights", '{"gibbs": true, "beta": true}', "'beta'"),
+    ("weights", '{"gibbs": true, "beta": 2.4, "format": "JSON"}', "'format'"),
+    ("timeseries", '{"q": "1.4", "beta": 2.4, "entropy": "renyi"}', "'entropy'"),
+    ("timeseries", '{"gibbs": true, "beta": 2.4, "field_entropy": "COARSE"}', "'field_entropy'"),
+    ("timeseries", '{"gibbs": true, "beta": 2.4, "grid": "abc"}', "'grid'"),
+    ("timeseries", '{"gibbs": true, "beta": 2.4, "grid": 40.0}', "'grid'"),
+    ("bloch-sweep", '{"gibbs": "yes", "beta": 2.4}', "'gibbs'"),
+    ("ensemble-gen", '{"shape": "gamma"}', "'shape'"),
+    ("weights", '{"gibbs": true, "beta": 2.4,', "cfg.json"),
+], ids=["int-as-string", "float-as-string", "bool-as-float", "format-choice", "entropy-choice",
+        "form-choice", "grid-as-string", "grid-as-float", "switch-as-string", "shape-choice",
+        "malformed-json"])
+def test_config_value_outside_its_flag_is_usage_error(tmp_path, capsys, command, text, named):
+    config = tmp_path / "cfg.json"
+    config.write_text(text)
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert os.listdir(tmp_path) == ["cfg.json"]  # no output, no temporary file
+
+
+def test_config_takes_integers_for_float_flags_and_false_switches(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text('{"gibbs": true, "beta": 2, "lam": 1, "horizon": 3, "grid": 16}')
+    assert main(["timeseries", "--config", str(config), "--out", str(tmp_path / "a.csv")]) == 0
+    assert main(["timeseries", "--gibbs", "--beta", "2", "--lambda", "1", "--T", "3",
+                 "--grid", "16", "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    config.write_text('{"gibbs": false, "q": "1.5", "beta": 2.0, "n_cap": 100}')
+    assert main(["weights", "--config", str(config), "--out", str(tmp_path / "w.csv")]) == 0
+
+
 class TestBlochSweep:
     def test_single_point_is_ground_state(self, tmp_path):
         out = tmp_path / "bloch.csv"

@@ -1,9 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from jcentropy.specfun import GIBBS
 from jcentropy.superstat import (
     MIN_LEVELS,
     BracketError,
@@ -12,7 +12,6 @@ from jcentropy.superstat import (
     MultiLevelSuperstat,
     PhotonDistribution,
     calibrate_beta_star,
-    gibbs_partition,
     mean_photon_bose,
     mean_photon_q,
     photon_weights_gamma,
@@ -203,6 +202,23 @@ class TestPhotonDistribution:
         with pytest.raises(ValueError):
             PhotonDistribution(np.array([0.5, 0.4]), 0.2, DistKind.GIBBS)
 
+    def test_clean_table_is_not_copied(self):
+        weights = np.full(10**6, 1e-6)
+        tracemalloc.start()
+        try:
+            dist = PhotonDistribution(weights, 0.0, DistKind.GIBBS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < weights.nbytes // 2
+        assert dist.weights.tobytes() == weights.tobytes()
+
+    def test_tiny_negative_weights_become_zero(self):
+        weights = np.array([0.5, -1e-13, 0.5, -0.0])
+        dist = PhotonDistribution(weights, 1e-13, DistKind.GIBBS)
+        assert dist.weights.tolist() == [0.5, 0.0, 0.5, -0.0]
+        assert math.copysign(1.0, dist.weights[1]) == 1.0
+
     def test_truncated_moves_mass_to_tail(self):
         dist = photon_weights_gibbs(1.0, tail_tol=1e-10)
         short = dist.truncated(2)
@@ -215,9 +231,6 @@ class TestPartitionAndTrace:
     def test_partition_inverse_square_case(self):
         gs = GammaSuperstat(q=1.5, beta_star=2.0, omega=1.0)
         assert q_partition(gs) == pytest.approx(math.pi**2 / 6.0, abs=1e-10)
-
-    def test_gibbs_partition_geometric(self):
-        assert gibbs_partition(2.0) == pytest.approx(1.0 / (1.0 - math.exp(-2.0)), rel=1e-15)
 
     def test_weight_partition_consistency(self):
         # p_0 * Z = 1 in the (q-1) beta* omega scaled form
@@ -273,9 +286,6 @@ class TestInternalEnergy:
 
 
 class TestPhysicalBeta:
-    def test_gibbs_flag_identity(self):
-        assert physical_beta(1.7, 1.0, q=GIBBS) == 1.7
-
     def test_frozen_fixture_and_brute_force(self):
         gs = GammaSuperstat(q=1.4, beta_star=1.0, omega=1.0)
         trace_brute, energy_brute, _ = gamma_brute_sums(1.4, 1.0, 1.0, n_terms=10**6)
@@ -297,9 +307,6 @@ class TestPhysicalBeta:
 
 
 class TestCalibration:
-    def test_gibbs_flag(self):
-        assert calibrate_beta_star(GIBBS, 0.42) == 0.42
-
     def test_round_trip_at_reference_point(self):
         beta = math.log(11.0)
         beta_star = calibrate_beta_star(1.2, beta)
