@@ -394,7 +394,7 @@ def cmd_timeseries(args: argparse.Namespace) -> int:
     cfg = _effective_config(args, defaults)
     n_times = _time_samples(cfg["grid"], "--grid")
     dist, derived, kind, form, params, times = _resolve_dynamics(cfg, n_times)
-    trace = entropy_trace(params, AtomInit(epsilon=cfg["epsilon"]), dist, kind, form, times)
+    trace = entropy_trace(params, AtomInit(epsilon=cfg["epsilon"]), dist, kind, form, times=times)
     derived.update(avg_dSa=trace.avg_ds_atom, avg_dSb=trace.avg_ds_field)
     table = {"t": trace.times, "dS_a": trace.ds_atom, "dS_b": trace.ds_field,
              "dS_total": trace.ds_total}

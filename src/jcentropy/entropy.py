@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .jcm import (
+    RESEED_CHUNKS,
     AtomInit,
     BlockEvolver,
     EvolvedState,
@@ -111,27 +113,36 @@ class BlochPoint:
         return min(max((1.0 + self.r * math.cos(self.theta)) / 2.0, 0.0), 1.0)
 
 
-def _row_entropies(p: np.ndarray, kind: EntropyKind) -> np.ndarray:
+def _row_entropies(
+    p: np.ndarray, kind: EntropyKind, scratch: np.ndarray | None = None
+) -> np.ndarray:
     """Entropies of the probability lists along the last axis of ``p``.
 
     Every row must pass the checks :func:`entropy_of` documents; entries
-    that are not positive score 0 (the ``0 ln 0 = 0`` convention).
+    that are not positive score 0 (the ``0 ln 0 = 0`` convention).  Given
+    a flat ``scratch`` buffer of at least ``p.size`` entries, the
+    contiguous ``p`` is overwritten and nothing of its size is allocated;
+    without one, ``p`` is left unchanged.
     """
     if p.shape[-1] == 0:
         raise ValueError("empty probability list")
+    # written so that NaN fails both checks
     lowest = float(np.min(p))
-    if lowest < -1e-12:
-        raise ValueError(f"negative probability {lowest}")
+    if not lowest >= -1e-12:
+        raise ValueError(f"negative or NaN probability {lowest}")
     totals = np.sum(p, axis=-1)
-    if np.any(totals > 1.0 + 1e-10):
+    if not np.all(totals <= 1.0 + 1e-10):
         raise ValueError(f"probabilities sum to {float(np.max(totals))}, exceeding 1")
+    if scratch is None:
+        p, scratch = p.copy(), np.empty(p.size)
     if kind.is_von_neumann:
         # a unit entry scores exactly 0
-        p = np.where(p > 0.0, p, 1.0)
-        return -np.sum(p * np.log(p), axis=-1)
+        np.copyto(p, 1.0, where=p <= 0.0)
+        logs = np.log(p, out=scratch[: p.size].reshape(p.shape))
+        return -np.sum(np.multiply(p, logs, out=logs), axis=-1)
     q = kind.q
     # -p ln_q p = (p^(2-q) - p)/(q - 1), and 0^(2-q) = 0 for q < 2
-    pos = np.maximum(p, 0.0)
+    pos = np.maximum(p, 0.0, out=p)
     linear = np.sum(pos, axis=-1)
     return (np.sum(np.power(pos, 2.0 - q, out=pos), axis=-1) - linear) / (q - 1.0)
 
@@ -141,7 +152,8 @@ def entropy_of(p, kind: EntropyKind = VON_NEUMANN) -> float:
 
     Sub-normalized input is accepted so truncated weight lists can be
     scored directly; every term is non-negative either way.  Entries
-    below -1e-12 or a sum above 1 + 1e-10 raise :class:`ValueError`.
+    below -1e-12, a NaN entry or a sum above 1 + 1e-10 raise
+    :class:`ValueError`.
     """
     return float(_row_entropies(np.asarray(p, dtype=float).ravel(), kind))
 
@@ -186,24 +198,34 @@ class EntropyTrace:
     avg_ds_field: float
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def entropy_trace(
     params: ModelParams,
     atom: AtomInit,
     dist: PhotonDistribution,
     kind: EntropyKind = VON_NEUMANN,
     form: FieldEntropyForm = FieldEntropyForm.FULL,
-    times: np.ndarray | None = None,
+    *,
+    times: np.ndarray,
 ) -> EntropyTrace:
     """Partial entropy exchange of atom and field on a time grid.
 
     The grid must start at t=0 (the exchange is defined relative to the
     initial state, so the first samples are exactly zero).  Times are
     evaluated in chunks of about ``CHUNK_ELEMENTS`` samples x levels,
-    whose cosines come from :meth:`BlockEvolver.cos_chunks`.
+    whose cosines come from :meth:`BlockEvolver.cos_chunks`.  The reseed
+    windows of ``RESEED_CHUNKS`` chunks are dealt out as contiguous
+    groups to one thread per available CPU (at most one per window), each
+    with its own scratch rows; a chunk depends only on its own window, so
+    the result is the same to the bit for any number of threads.
     """
-    if times is None:
-        t_max = 50.0 / abs(params.lam) if params.lam != 0.0 else 50.0
-        times = np.linspace(0.0, t_max, 2000)
     times = np.asarray(times, dtype=float)
     if times.size < 2 or times[0] != 0.0:
         raise ValueError("time grid must start at t=0 and hold at least two samples")
@@ -222,23 +244,44 @@ def entropy_trace(
     s_atom = np.empty(times.size)
     s_field = np.empty(times.size)
     rows = min(times.size, max(1, CHUNK_ELEMENTS // dist.weights.size))
-    w_rows = np.empty((rows, w0.size))
-    scaled_rows = np.empty((rows, a1.size))
-    for chunk, cos in evolver.cos_chunks(times, rows):
-        w = w_rows[: cos.shape[0]]
-        scaled = scaled_rows[: cos.shape[0]]
-        # row sums, not a BLAS product: threaded BLAS would spin a second core
-        np.multiply(cos, a1, out=scaled)
-        p_e = np.sum(scaled, axis=-1) + pe0
-        np.add(w0[:-1], scaled, out=w[:, :-1])
-        w[:, -1] = w0[-1]
-        np.multiply(cos, c1, out=scaled)
-        p_g = np.sum(scaled, axis=-1) + pg0
-        w[:, 1:] += scaled
-        s_atom[chunk] = _row_entropies(np.stack((p_e, p_g), axis=-1), kind)
-        if form is FieldEntropyForm.COARSE:
-            w = _coarse_grained(w, dist.tail_mass)
-        s_field[chunk] = _row_entropies(w, kind)
+    steps = evolver.recurrence_steps(times, rows)
+
+    def walk(first: int, stop: int) -> None:
+        # runs on worker threads: the NumPy calls on whole rows release the GIL;
+        # it calls nothing perfbench/tracing.py wraps, whose span stack is per process
+        w_rows = np.empty((rows, w0.size))
+        scratch = np.empty(rows * w0.size)
+        for chunk, cos in evolver.cos_chunks(times, rows, first, stop, steps):
+            w = w_rows[: cos.shape[0]]
+            scaled = scratch[: cos.size].reshape(cos.shape)
+            # row sums, not a BLAS product: threaded BLAS would spin a second core
+            np.multiply(cos, a1, out=scaled)
+            p_e = np.sum(scaled, axis=-1) + pe0
+            np.add(w0[:-1], scaled, out=w[:, :-1])
+            w[:, -1] = w0[-1]
+            np.multiply(cos, c1, out=scaled)
+            p_g = np.sum(scaled, axis=-1) + pg0
+            w[:, 1:] += scaled
+            s_atom[chunk] = _row_entropies(np.stack((p_e, p_g), axis=-1), kind, scratch)
+            if form is FieldEntropyForm.COARSE:
+                w = _coarse_grained(w, dist.tail_mass)
+            s_field[chunk] = _row_entropies(w, kind, scratch)
+
+    chunks = -(-times.size // rows)
+    windows = -(-chunks // RESEED_CHUNKS)
+    walkers = min(_available_cpus(), windows)
+    bounds = [min(chunks, RESEED_CHUNKS * (windows * i // walkers)) for i in range(walkers + 1)]
+    if walkers == 1:
+        walk(0, chunks)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=walkers - 1) as pool:
+            futures = [pool.submit(walk, *span) for span in zip(bounds[1:-1], bounds[2:])]
+            # the calling thread walks the earliest windows, so its error comes first
+            walk(bounds[0], bounds[1])
+        for future in futures:
+            future.result()
     ds_atom = s_atom - s_atom[0]
     ds_field = s_field - s_field[0]
     ds_total = ds_atom + ds_field
@@ -317,7 +360,7 @@ def bloch_sweep(
         for j, theta in enumerate(theta_values):
             eps = BlochPoint(r=float(r), theta=float(theta)).epsilon
             if eps not in averages:
-                trace = entropy_trace(params, AtomInit(epsilon=eps), dist, kind, form, times)
+                trace = entropy_trace(params, AtomInit(epsilon=eps), dist, kind, form, times=times)
                 averages[eps] = (trace.avg_ds_atom, trace.avg_ds_field)
             out[i, j] = averages[eps]
     return out

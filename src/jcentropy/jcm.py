@@ -21,6 +21,7 @@ error is bounded by the tracked tail mass.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -58,6 +59,9 @@ class ModelParams:
     lam: float = 1.0
 
     def __post_init__(self):
+        for name in ("omega0", "omega", "lam"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.omega > 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
 
@@ -181,48 +185,62 @@ class BlockEvolver:
         b = self._b0 + b_cos * cos + 1j * b_sin * np.sin(phase)
         return a, b, c
 
-    def cos_chunks(self, times: np.ndarray, rows: int):
-        """Yield ``(chunk, cos(outer(times[chunk], delta_n)))`` over a time grid.
+    def recurrence_steps(self, times: np.ndarray, rows: int):
+        """``(2 cos(R h delta_n), sin(R h delta_n))`` if :meth:`cos_chunks` may recur.
+
+        The recurrence runs on a grid equal to
+        ``np.linspace(0, times[-1], times.size)`` that spans more than two
+        chunks of ``rows`` samples (step h, R = ``rows``); on any other
+        grid this returns None.
+        """
+        if times.size > 2 * rows and np.array_equal(
+            times, np.linspace(0.0, times[-1], times.size)
+        ):
+            step = rows * (times[-1] / (times.size - 1)) * self.delta_n
+            return 2.0 * np.cos(step), np.sin(step)
+        return None
+
+    def cos_chunks(self, times: np.ndarray, rows: int, first: int, stop: int, steps):
+        """Yield ``(chunk, cos(outer(times[chunk], delta_n)))`` for chunks ``first..stop-1``.
 
         ``times`` is a strictly increasing grid of at least two samples,
-        walked in chunks of ``rows`` samples (the last may be short).  When
-        ``times`` equals ``np.linspace(0, times[-1], times.size)`` and
-        spans more than two chunks, a full chunk follows from the two before it by the three-term
-        recurrence ``cos_{k+1} = 2 cos(R h delta_n) cos_k - cos_{k-1}``
-        (R rows, step h; Numerical Recipes 5.4).  Every
-        ``RESEED_CHUNKS`` chunks the recurrence restarts from the exact
-        cosine of one chunk and that chunk rotated by ``R h delta_n``.
-        A rounding error amplifies by at most j at the j-th recurrence
-        step, also where ``R h delta_n`` is a multiple of pi, so the
-        drift stays within about ``RESEED_CHUNKS**2`` ulps.  Any other
-        grid takes the exact cosine for every chunk.  A yielded block is
-        overwritten two chunks later.
+        cut into chunks of ``rows`` samples (the last may be short);
+        ``first`` is a multiple of ``RESEED_CHUNKS``.  With ``steps`` from
+        :meth:`recurrence_steps`, a full chunk follows from the two before
+        it by the three-term recurrence
+        ``cos_{k+1} = 2 cos(R h delta_n) cos_k - cos_{k-1}`` (Numerical
+        Recipes 5.4).  Chunk k restarts the recurrence when
+        ``k % RESEED_CHUNKS == 0``, from its exact cosine and that chunk
+        rotated by ``R h delta_n``, so a chunk depends only on the chunks
+        of its own reseed window and any split of the chunks at window
+        boundaries yields the same bytes.  A rounding error amplifies by
+        at most j at the j-th recurrence step, also where ``R h delta_n``
+        is a multiple of pi, so the drift stays within about
+        ``RESEED_CHUNKS**2`` ulps.  With ``steps=None``, and for a short
+        last chunk, every chunk takes the exact cosine.  A yielded block
+        is overwritten two chunks later.
         """
-        uniform = times.size > 2 * rows and np.array_equal(
-            times, np.linspace(0.0, times[-1], times.size)
-        )
-        if uniform:
-            step = rows * (times[-1] / (times.size - 1)) * self.delta_n
-            twice_cos_step, sin_step = 2.0 * np.cos(step), np.sin(step)
-        older, old, new, seed = (np.empty((rows, self.delta_n.size)) for _ in range(4))
-        for k, start in enumerate(range(0, times.size, rows)):
-            t = times[start : start + rows]
+        older, old, new = (np.empty((rows, self.delta_n.size)) for _ in range(3))
+        for k in range(first, stop):
+            t = times[k * rows : (k + 1) * rows]
             block = new[: t.size]
-            position = k % RESEED_CHUNKS if uniform and t.size == rows else 0
+            position = k % RESEED_CHUNKS if steps is not None and t.size == rows else 0
             if position == 0:
-                np.cos(np.multiply.outer(t, self.delta_n, out=seed[: t.size]), out=block)
+                # the phase waits in the buffer the next chunk fills
+                np.cos(np.multiply.outer(t, self.delta_n, out=older[: t.size]), out=block)
             elif position == 1:
                 # a second exact cosine would disagree with the rotation by up
                 # to phase * eps (1e-11 at phase 1e5), which the recurrence then
                 # amplifies up to RESEED_CHUNKS-fold; the rotation agrees to an ulp
-                np.multiply(twice_cos_step, old, out=block)
-                block *= 0.5
-                seed_sin = np.sin(seed, out=seed)
-                block -= np.multiply(sin_step, seed_sin, out=seed_sin)
+                twice_cos_step, sin_step = steps
+                rotated = np.multiply(twice_cos_step, old, out=older)
+                rotated *= 0.5
+                np.multiply(sin_step, np.sin(block, out=block), out=block)
+                np.subtract(rotated, block, out=block)
             else:
-                np.multiply(twice_cos_step, old, out=block)
+                np.multiply(steps[0], old, out=block)
                 block -= older
-            yield slice(start, start + t.size), block
+            yield slice(k * rows, k * rows + t.size), block
             older, old, new = old, new, older
 
     def state(self, t: float) -> EvolvedState:

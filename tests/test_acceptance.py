@@ -216,7 +216,7 @@ def test_criterion_7_qualitative_figure_regimes():
             for q in (1.0, 1.2, 1.4, 1.6):
                 dist, kind = _qualitative_dist(q)
                 trace = jc.entropy_trace(
-                    RESONANT, jc.AtomInit(epsilon=eps), dist, kind, form, times
+                    RESONANT, jc.AtomInit(epsilon=eps), dist, kind, form, times=times
                 )
                 magnitudes.append(float(np.mean(np.abs(trace.ds_total))))
             grows = all(b > a for a, b in zip(magnitudes, magnitudes[1:]))

@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,21 @@ def test_config_value_outside_its_flag_is_usage_error(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
     assert os.listdir(tmp_path) == ["cfg.json"]  # no output, no temporary file
+
+
+@pytest.mark.parametrize("command", ["timeseries", "bloch-sweep"])
+@pytest.mark.parametrize("flag", ["--delta", "--lambda"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_dynamics_input_is_domain_error(tmp_path, capsys, command, flag, value):
+    samples = ["--grid", "6"] if command == "timeseries" else ["--t-samples", "6"]
+    argv = [command, "--gibbs", "--beta", "2", flag, value, *samples,
+            "--out", str(tmp_path / "x.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "must be finite" in err and "Traceback" not in err
+    assert os.listdir(tmp_path) == []  # no output, no temporary file
 
 
 def test_config_takes_integers_for_float_flags_and_false_switches(tmp_path):

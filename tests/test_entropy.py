@@ -1,9 +1,11 @@
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
 
+import jcentropy.entropy as entropy_module
 from jcentropy.entropy import (
     CHUNK_ELEMENTS,
     VON_NEUMANN,
@@ -20,7 +22,7 @@ from jcentropy.entropy import (
     time_average,
     tsallis,
 )
-from jcentropy.jcm import AtomInit, ModelParams, coefficients_at
+from jcentropy.jcm import RESEED_CHUNKS, AtomInit, BlockEvolver, ModelParams, coefficients_at
 from jcentropy.specfun import q_log
 from jcentropy.superstat import (
     GammaSuperstat,
@@ -101,13 +103,24 @@ class TestEntropyOf:
             assert value == pytest.approx(entropy_of(row, kind), rel=1e-14, abs=1e-15)
 
     @pytest.mark.parametrize("kind", [VON_NEUMANN, tsallis(1.6)], ids=["vn", "tsallis1.6"])
-    @pytest.mark.parametrize("bad", [[0.5, -2e-12, 0.5], [0.9, 0.3, 0.0], [0.7, 0.3 + 2e-10, 0.0]])
+    @pytest.mark.parametrize("bad", [
+        [0.5, -2e-12, 0.5], [0.9, 0.3, 0.0], [0.7, 0.3 + 2e-10, 0.0], [math.nan, 0.5, 0.0],
+    ])
     def test_row_helper_rejects_what_entropy_of_rejects(self, kind, bad):
         with pytest.raises(ValueError):
             entropy_of(bad, kind)
         rows = np.array([[0.2, 0.3, 0.5], bad, [1.0, 0.0, 0.0]])
         with pytest.raises(ValueError):
             _row_entropies(rows, kind)
+
+    @pytest.mark.parametrize("kind", [VON_NEUMANN, tsallis(1.6)], ids=["vn", "tsallis1.6"])
+    def test_input_is_left_unchanged(self, kind):
+        # the scoring clamps and rewrites entries, but only in its own copy
+        p = np.array([0.25, 0.0, -1e-13, 0.75])
+        before = p.tobytes()
+        entropy_of(p, kind)
+        _row_entropies(p.reshape(2, 2), kind)
+        assert p.tobytes() == before
 
     def test_kind_validation(self):
         with pytest.raises(ValueError):
@@ -219,7 +232,7 @@ class TestEntropyTrace:
             (VON_NEUMANN, tsallis(1.5)),
             (FieldEntropyForm.FULL, FieldEntropyForm.COARSE),
         ):
-            trace = entropy_trace(RESONANT, atom, dist, kind, form, times)
+            trace = entropy_trace(RESONANT, atom, dist, kind, form, times=times)
             s0_atom = atom_entropy(coefficients_at(RESONANT, atom, dist, 0.0), kind)
             s0_field = field_entropy(coefficients_at(RESONANT, atom, dist, 0.0), kind, form)
             for i in (3, 11, 28):
@@ -250,7 +263,7 @@ class TestEntropyTrace:
         # drift peaks late in a reseed window, more so in one seeded at large t
         picks = [7, *range(120 * rows, 130 * rows), *range(240 * rows, 256 * rows), n - 1]
         for kind in (VON_NEUMANN, tsallis(1.5)):
-            trace = entropy_trace(RESONANT, atom, gamma, kind, FieldEntropyForm.FULL, times)
+            trace = entropy_trace(RESONANT, atom, gamma, kind, FieldEntropyForm.FULL, times=times)
             s0_atom = atom_entropy(coefficients_at(RESONANT, atom, gamma, 0.0), kind)
             s0_field = field_entropy(coefficients_at(RESONANT, atom, gamma, 0.0), kind)
             for i in picks:
@@ -261,6 +274,72 @@ class TestEntropyTrace:
                 assert trace.ds_field[i] == pytest.approx(
                     field_entropy(state, kind) - s0_field, abs=1e-12
                 )
+
+
+class TestTraceWalkers:
+    """The reseed windows of a trace, walked on several threads."""
+
+    @pytest.fixture(scope="class")
+    def gamma(self):
+        # ~4k levels give 3 samples per chunk, so 900 samples are 300 chunks
+        # in three reseed windows
+        dist = photon_weights_gamma(
+            GammaSuperstat(q=1.4, beta_star=3.3356918657181176), tail_tol=1e-6
+        )
+        rows = CHUNK_ELEMENTS // dist.weights.size
+        assert 2 * RESEED_CHUNKS < 900 // rows <= 3 * RESEED_CHUNKS
+        return dist
+
+    @staticmethod
+    def _walkers(monkeypatch, count):
+        monkeypatch.setattr(entropy_module, "_available_cpus", lambda: count)
+
+    @pytest.mark.parametrize("grid", ["linspace", "squares"])
+    def test_bytes_do_not_depend_on_walker_count(self, monkeypatch, gamma, grid):
+        times = {
+            "linspace": np.linspace(0.0, 60.0, 900),
+            "squares": np.linspace(0.0, math.sqrt(60.0), 900) ** 2,
+        }[grid]
+        atom = AtomInit(0.35)
+        for kind, form in itertools.product(
+            (VON_NEUMANN, tsallis(1.5)), (FieldEntropyForm.FULL, FieldEntropyForm.COARSE)
+        ):
+            results = []
+            for count in (1, 2, 3):
+                self._walkers(monkeypatch, count)
+                trace = entropy_trace(RESONANT, atom, gamma, kind, form, times=times)
+                results.append((
+                    trace.ds_atom.tobytes(), trace.ds_field.tobytes(),
+                    np.float64(trace.avg_ds_atom).tobytes(),
+                    np.float64(trace.avg_ds_field).tobytes(),
+                ))
+            assert results[1] == results[0] and results[2] == results[0]
+
+    @pytest.mark.parametrize("faulty", [(2,), (1, 2)], ids=["window2", "windows1-2"])
+    def test_error_is_the_single_walker_one(self, monkeypatch, gamma, faulty):
+        original = BlockEvolver.cos_chunks
+
+        def cos_chunks(evolver, times, rows, first, stop, steps):
+            for chunk, cos in original(evolver, times, rows, first, stop, steps):
+                window = chunk.start // rows // RESEED_CHUNKS
+                # a wrong cosine, scaled differently per window, breaks the weights
+                yield chunk, cos * (10.0 * (window + 1) if window in faulty else 1.0)
+
+        monkeypatch.setattr(BlockEvolver, "cos_chunks", cos_chunks)
+        times = np.linspace(0.0, 60.0, 900)
+        messages = []
+        for count in (1, 2, 3):
+            self._walkers(monkeypatch, count)
+            with pytest.raises(ValueError) as info:
+                entropy_trace(RESONANT, AtomInit(0.35), gamma, times=times)
+            messages.append(str(info.value))
+        assert messages[1] == messages[0] and messages[2] == messages[0]
+
+    def test_no_thread_outlives_the_trace(self, monkeypatch, gamma):
+        self._walkers(monkeypatch, 3)
+        before = threading.active_count()
+        entropy_trace(RESONANT, AtomInit(0.35), gamma, times=np.linspace(0.0, 60.0, 900))
+        assert threading.active_count() == before
 
 
 class TestTimeAverage:
@@ -342,6 +421,6 @@ class TestBloch:
         for i, r in enumerate(r_values):
             for j, theta in enumerate(theta_values):
                 atom = AtomInit(BlochPoint(r, theta).epsilon)
-                trace = entropy_trace(RESONANT, atom, dist, kind, FieldEntropyForm.COARSE, times)
+                trace = entropy_trace(RESONANT, atom, dist, kind, FieldEntropyForm.COARSE, times=times)
                 expected[i, j] = trace.avg_ds_atom, trace.avg_ds_field
         assert np.array_equal(grid, expected)
