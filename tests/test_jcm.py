@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,18 +41,38 @@ def thermal_dist():
 
 class TestManifold:
     def test_resonant_ground_manifold(self):
-        delta_n, omega_plus, omega_minus = _manifold_arrays(RESONANT, 1)
+        delta_n, sin_theta, cos_theta = _manifold_arrays(RESONANT, 1)
         assert delta_n[0] == pytest.approx(2.0, abs=1e-15)
-        assert omega_plus[0] == pytest.approx(1.0, abs=1e-15)
-        assert omega_minus[0] == pytest.approx(-1.0, abs=1e-15)
+        assert sin_theta[0] == pytest.approx(1.0, abs=1e-15)
+        assert cos_theta[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_detuned_manifold(self):
-        delta_n, omega_plus, omega_minus = _manifold_arrays(ModelParams.from_detuning(3.0, 2.0), 1)
+        delta_n, sin_theta, cos_theta = _manifold_arrays(ModelParams.from_detuning(3.0, 2.0), 1)
         assert delta_n[0] == pytest.approx(math.sqrt(13.0), rel=1e-15)
-        assert omega_plus[0] * omega_minus[0] == pytest.approx(-1.0, abs=1e-12)
+        assert sin_theta[0] == pytest.approx(2.0 / math.sqrt(13.0), rel=1e-15)
+        assert cos_theta[0] == pytest.approx(3.0 / math.sqrt(13.0), rel=1e-15)
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0])
+    def test_uncoupled_manifold_does_not_rotate(self, delta):
+        _, sin_theta, cos_theta = _manifold_arrays(ModelParams.from_detuning(delta, 0.0), 3)
+        assert np.array_equal(sin_theta, np.zeros(3))
+        assert np.array_equal(cos_theta, np.ones(3))
 
     def test_resonant_scaling(self):
         assert _manifold_arrays(RESONANT, 4)[0][3] == pytest.approx(4.0, rel=1e-15)
+
+
+def test_evolver_holds_four_level_arrays():
+    # delta_n, a0, a1 and c0; the coherence is rebuilt from the mixing angle
+    dist = photon_weights_gibbs(1e-3, tail_tol=1e-8)
+    tracemalloc.start()
+    try:
+        evolver = BlockEvolver(ModelParams.from_detuning(0.3, 2.0), AtomInit(0.4), dist)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 4 * 8 * dist.n_max <= held <= 4 * 8 * dist.n_max + 4096
+    assert evolver.delta_n.size == dist.n_max
 
 
 class TestInitialConditions:
@@ -106,11 +128,24 @@ class TestClosedForms:
             assert c2[n] == pytest.approx(c1[n], abs=1e-10)
 
     def test_zero_coupling_freezes_populations(self, thermal_dist):
-        params = ModelParams.from_detuning(1.0, 0.0)
-        state0 = coefficients_at(params, AtomInit(0.6), thermal_dist, 0.0)
-        state1 = coefficients_at(params, AtomInit(0.6), thermal_dist, 5.7)
-        assert np.array_equal(state0.coeff_a, state1.coeff_a)
-        assert np.array_equal(state0.coeff_c, state1.coeff_c)
+        for delta in (1.0, 0.0):
+            params = ModelParams.from_detuning(delta, 0.0)
+            state0 = coefficients_at(params, AtomInit(0.6), thermal_dist, 0.0)
+            state1 = coefficients_at(params, AtomInit(0.6), thermal_dist, 5.7)
+            assert np.array_equal(state0.coeff_a, state1.coeff_a)
+            assert np.array_equal(state0.coeff_c, state1.coeff_c)
+            assert not np.any(state1.coeff_b)
+
+    @pytest.mark.parametrize("eps, sector", [(1.0, "c"), (0.0, "a")])
+    def test_empty_sector_is_exactly_zero_at_t0(self, eps, sector):
+        # a t=0 residue of 1e-16 in the empty sector becomes 1e-10 under p^(2-q)
+        gamma = photon_weights_gamma(
+            GammaSuperstat(q=1.4, beta_star=3.3356918657181176), tail_tol=1e-6
+        )
+        assert gamma.n_max == 4147
+        evolver = BlockEvolver(ModelParams.from_detuning(0.3, 2.0), AtomInit(eps), gamma)
+        a, _, c = evolver.coefficients(0.0)
+        assert not np.any({"a": a, "c": c}[sector])
 
 
 class TestOracle:
@@ -129,6 +164,19 @@ class TestOracle:
         assert p_e == pytest.approx(ora.atom_excited, abs=1e-10)
         assert p_g == pytest.approx(ora.atom_ground, abs=1e-10)
         assert np.max(np.abs(reduced_field(state) - ora.field_weights)) < 1e-10
+
+    @pytest.mark.parametrize(
+        "delta, lam",
+        [*itertools.product((0.7, -2.0, 3.0), (1.3, 0.4, 0.2)), (1.5, 0.0), (0.0, 0.0)],
+    )
+    @pytest.mark.parametrize("eps", [0.0, 0.3, 1.0])
+    def test_complex_coherence_matches_oracle(self, thermal_dist, delta, lam, eps):
+        params = ModelParams.from_detuning(delta, lam)
+        evolver = BlockEvolver(params, AtomInit(eps), thermal_dist)
+        for t in (0.0, 0.37, 1.9, 7.3, 25.0):
+            _, b, _ = evolver.coefficients(t)
+            ora = oracle_evolve(params, AtomInit(eps), thermal_dist, t, n_cut=thermal_dist.n_max)
+            assert np.max(np.abs(b - ora.coeff_b)) < 1e-12
 
     def test_oracle_t0_exact(self, thermal_dist):
         atom = AtomInit(0.3)
@@ -224,7 +272,7 @@ def test_structural_invariants(delta, lam, eps, t):
     dist = photon_weights_gibbs(1.5, tail_tol=1e-10)
     evolver = BlockEvolver(params, AtomInit(eps), dist)
     a, b, c = evolver.coefficients(t)
-    # per-manifold conservation, the cosine terms cancel through Omega+ Omega- = -1
+    # per-manifold conservation: the transfer a1 cos leaves A and enters C
     assert np.max(np.abs(a + c - evolver.block_weight)) < 1e-10
     total = evolver.uncoupled_weight + evolver.excited_top + float(np.sum(a + c)) + dist.tail_mass
     assert abs(total - 1.0) < 1e-10

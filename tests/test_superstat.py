@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import jcentropy.superstat as superstat
+from jcentropy.specfun import hurwitz_zeta_scaled
 from jcentropy.superstat import (
     MIN_LEVELS,
     BracketError,
@@ -304,6 +306,37 @@ class TestPhysicalBeta:
         beta_star = 1.3
         beta = physical_beta(GammaSuperstat(q=1.0 + 1e-6, beta_star=beta_star, omega=1.0))
         assert abs(beta - beta_star) <= 1e-4 * beta_star
+
+
+class TestSharedHurwitzSums:
+    """One pair of Hurwitz sums serves Tr rho^q, the q-mean photon number and beta."""
+
+    @pytest.mark.parametrize("fn", [q_trace, mean_photon_q, q_internal_energy, physical_beta])
+    def test_two_zeta_calls(self, monkeypatch, fn):
+        made = []
+
+        def counting(s, x):
+            made.append((s, x))
+            return hurwitz_zeta_scaled(s, x)
+
+        monkeypatch.setattr(superstat, "hurwitz_zeta_scaled", counting)
+        fn(GammaSuperstat(q=1.4, beta_star=1.0))
+        assert len(made) == 2
+
+    def test_bits_equal_the_separate_sum_composition(self):
+        def composed(s):
+            sx, r = s.s_index, s.r_offset
+            trace_q = hurwitz_zeta_scaled(s.q * sx, r) / hurwitz_zeta_scaled(sx, r) ** s.q
+            nbar_q = r * (hurwitz_zeta_scaled(sx, r) / hurwitz_zeta_scaled(s.q * sx, r) - 1.0)
+            energy = s.omega * nbar_q * trace_q
+            beta = s.beta_star * trace_q / (1.0 - (1.0 - s.q) * s.beta_star * energy / trace_q)
+            return trace_q, nbar_q, energy, beta
+
+        for q in np.linspace(1.01, 1.99, 41):
+            for beta_star in np.geomspace(1e-3, 1e3, 50):
+                s = GammaSuperstat(q=float(q), beta_star=float(beta_star))
+                got = (q_trace(s), mean_photon_q(s), q_internal_energy(s), physical_beta(s))
+                assert np.array(got).tobytes() == np.array(composed(s)).tobytes()
 
 
 class TestCalibration:
