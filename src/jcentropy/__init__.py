@@ -3,20 +3,16 @@
 __version__ = "0.1.0"
 
 from .specfun import (
-    GIBBS,
     AccuracyError,
     hurwitz_zeta,
-    q_exp,
     q_log,
 )
 from .superstat import (
     BracketError,
-    DistKind,
     GammaSuperstat,
     MultiLevelSuperstat,
     PhotonDistribution,
     calibrate_beta_star,
-    mean_photon_bose,
     mean_photon_q,
     photon_weights_gamma,
     photon_weights_gibbs,
@@ -31,7 +27,6 @@ from .jcm import (
     BlockEvolver,
     EvolvedState,
     ModelParams,
-    coefficients_at,
     oracle_evolve,
     reduced_atom,
     reduced_field,

@@ -43,6 +43,7 @@ from .specfun import AccuracyError
 from .superstat import (
     HARD_CAP,
     GammaSuperstat,
+    _check_omega,
     calibrate_beta_star,
     photon_weights_gamma,
     photon_weights_gibbs,
@@ -220,10 +221,6 @@ def _time_samples(value: int, flag: str) -> int:
     return value
 
 
-def _model_params(cfg: dict) -> ModelParams:
-    return ModelParams.from_detuning(cfg["delta"], cfg["lam"], cfg["omega"])
-
-
 def _resolve_source(cfg: dict) -> tuple[object, dict]:
     """Build the photon distribution and the derived-parameter record."""
     omega = cfg["omega"]
@@ -265,6 +262,11 @@ def _resolve_source(cfg: dict) -> tuple[object, dict]:
     else:
         # the ensemble file fixes its own omega (part of the stored state)
         model, _spec = load_betas(cfg["betas_file"])
+        if omega != model.omega:
+            raise UsageError(
+                f"--omega {omega!r} differs from the omega {model.omega!r} that "
+                f"{cfg['betas_file']} stores; a betas file fixes its own omega"
+            )
         dist = photon_weights_multilevel(model, tail_tol=tail_tol, hard_cap=hard_cap)
         derived = {
             "source": "multilevel",
@@ -307,7 +309,7 @@ def _resolve_dynamics(cfg: dict, n_times: int):
     An unset horizon becomes 50/|lambda| (50 at zero coupling) and is
     recorded in ``cfg``; both are checked before the distribution is built.
     """
-    params = _model_params(cfg)
+    params = ModelParams.from_detuning(cfg["delta"], cfg["lam"], cfg["omega"])
     if cfg["horizon"] is None:
         cfg["horizon"] = 50.0 / abs(cfg["lam"]) if cfg["lam"] else 50.0
     if not 0.0 < cfg["horizon"] < math.inf:
@@ -345,8 +347,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     if not q_tokens:
         raise UsageError("empty --q list")
     omega = cfg["omega"]
-    if not 0.0 < omega < math.inf:
-        raise ValueError(f"omega must be finite and positive, got {omega}")
+    _check_omega(omega)
     t_star_grid = _parse_range(cfg["grid"])
     if np.any(t_star_grid <= 0.0):
         raise UsageError("T* grid must be strictly positive")

@@ -21,7 +21,7 @@ import os
 import tempfile
 from dataclasses import asdict, dataclass
 
-from .superstat import MultiLevelSuperstat
+from .superstat import MultiLevelSuperstat, _check_omega
 
 __all__ = [
     "BetaEnsembleSpec",
@@ -98,8 +98,7 @@ class BetaEnsembleSpec:
             raise ValueError(f"shape must be 'normal' or 'weibull', got {self.shape!r}")
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
-        if not self.omega > 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
+        _check_omega(self.omega)
         if self.shape == "normal" and not self.sd > 0:
             raise ValueError(f"sd must be positive, got {self.sd}")
         if self.shape == "weibull":

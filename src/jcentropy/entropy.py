@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jcm import (
-    RESEED_CHUNKS,
     AtomInit,
     BlockEvolver,
     EvolvedState,
@@ -56,6 +55,8 @@ __all__ = [
 # that each chunk's arrays (128 KB) stay cache-resident, large enough that the
 # per-call overhead vanishes at a few levels
 CHUNK_ELEMENTS = 2**14
+# chunks between exact reseeds of the cosine recurrence over chunks
+RESEED_CHUNKS = 128
 
 
 class GridCoarseWarning(UserWarning):
@@ -206,6 +207,51 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _cosines(times: np.ndarray, delta_n: np.ndarray, rows: int, first: int, stop: int, steps):
+    """Yield ``(chunk, cos(outer(times[chunk], delta_n)))`` for chunks ``first..stop-1``.
+
+    ``times`` is a strictly increasing grid of at least two samples,
+    cut into chunks of ``rows`` samples (the last may be short);
+    ``first`` is a multiple of ``RESEED_CHUNKS``.  With ``steps`` equal to
+    ``(2 cos(R h delta_n), sin(R h delta_n))`` on a grid equal to
+    ``np.linspace(0, times[-1], times.size)`` (step h, R = ``rows``), a
+    full chunk follows from the two before it by the three-term recurrence
+    ``cos_{k+1} = 2 cos(R h delta_n) cos_k - cos_{k-1}`` (Numerical
+    Recipes 5.4).  Chunk k restarts the recurrence when
+    ``k % RESEED_CHUNKS == 0``, from its exact cosine and that chunk
+    rotated by ``R h delta_n``, so a chunk depends only on the chunks
+    of its own reseed window and any split of the chunks at window
+    boundaries yields the same bytes.  A rounding error amplifies by
+    at most j at the j-th recurrence step, also where ``R h delta_n``
+    is a multiple of pi, so the drift stays within about
+    ``RESEED_CHUNKS**2`` ulps.  With ``steps=None``, and for a short
+    last chunk, every chunk takes the exact cosine.  A yielded block
+    is overwritten two chunks later.
+    """
+    older, old, new = (np.empty((rows, delta_n.size)) for _ in range(3))
+    for k in range(first, stop):
+        t = times[k * rows : (k + 1) * rows]
+        block = new[: t.size]
+        position = k % RESEED_CHUNKS if steps is not None and t.size == rows else 0
+        if position == 0:
+            # the phase waits in the buffer the next chunk fills
+            np.cos(np.multiply.outer(t, delta_n, out=older[: t.size]), out=block)
+        elif position == 1:
+            # a second exact cosine would disagree with the rotation by up
+            # to phase * eps (1e-11 at phase 1e5), which the recurrence then
+            # amplifies up to RESEED_CHUNKS-fold; the rotation agrees to an ulp
+            twice_cos_step, sin_step = steps
+            rotated = np.multiply(twice_cos_step, old, out=older)
+            rotated *= 0.5
+            np.multiply(sin_step, np.sin(block, out=block), out=block)
+            np.subtract(rotated, block, out=block)
+        else:
+            np.multiply(steps[0], old, out=block)
+            block -= older
+        yield slice(k * rows, k * rows + t.size), block
+        older, old, new = old, new, older
+
+
 def entropy_trace(
     params: ModelParams,
     atom: AtomInit,
@@ -220,7 +266,7 @@ def entropy_trace(
     The grid must start at t=0 (the exchange is defined relative to the
     initial state, so the first samples are exactly zero).  Times are
     evaluated in chunks of about ``CHUNK_ELEMENTS`` samples x levels,
-    whose cosines come from :meth:`BlockEvolver.cos_chunks`.  The reseed
+    whose cosines come from :func:`_cosines`.  The reseed
     windows of ``RESEED_CHUNKS`` chunks are dealt out as contiguous
     groups to one thread per available CPU (at most one per window), each
     with its own scratch rows; a chunk depends only on its own window, so
@@ -244,14 +290,18 @@ def entropy_trace(
     s_atom = np.empty(times.size)
     s_field = np.empty(times.size)
     rows = min(times.size, max(1, CHUNK_ELEMENTS // dist.weights.size))
-    steps = evolver.recurrence_steps(times, rows)
+    # the sine overwrites the phase, so no third level array outlives this block
+    steps = None
+    if times.size > 2 * rows and np.array_equal(times, np.linspace(0.0, times[-1], times.size)):
+        step = rows * (times[-1] / (times.size - 1)) * evolver.delta_n
+        steps = 2.0 * np.cos(step), np.sin(step, out=step)
 
     def walk(first: int, stop: int) -> None:
         # runs on worker threads: the NumPy calls on whole rows release the GIL;
         # it calls nothing perfbench/tracing.py wraps, whose span stack is per process
         w_rows = np.empty((rows, w0.size))
         scratch = np.empty(rows * w0.size)
-        for chunk, cos in evolver.cos_chunks(times, rows, first, stop, steps):
+        for chunk, cos in _cosines(times, evolver.delta_n, rows, first, stop, steps):
             w = w_rows[: cos.shape[0]]
             scaled = scratch[: cos.size].reshape(cos.shape)
             # row sums, not a BLAS product: threaded BLAS would spin a second core
@@ -300,24 +350,16 @@ def _window_average(times: np.ndarray, values: np.ndarray) -> float:
     return float(simpson(values, x=times) / (times[-1] - times[0]))
 
 
-def time_average(trace: EntropyTrace, horizon: float | None = None) -> tuple[float, float]:
-    """Time-averaged (atom, field) entropy exchange over [0, horizon].
+def time_average(trace: EntropyTrace) -> tuple[float, float]:
+    """Time-averaged (atom, field) entropy exchange over the whole grid.
 
     Composite Simpson on the stored grid; the average over the half-density
     grid is compared against the full one and a :class:`GridCoarseWarning`
     is emitted when they disagree by more than 1e-6.
     """
-    times = trace.times
-    if horizon is None:
-        sel = slice(None)
-    else:
-        if horizon > times[-1] * (1.0 + 1e-12):
-            raise ValueError(f"horizon {horizon} exceeds last grid time {times[-1]}")
-        stop = int(np.searchsorted(times, horizon * (1.0 + 1e-12), side="right"))
-        sel = slice(0, max(stop, 3))
-    t = times[sel]
+    t = trace.times
     averages = []
-    for values in (trace.ds_atom[sel], trace.ds_field[sel]):
+    for values in (trace.ds_atom, trace.ds_field):
         full = _window_average(t, values)
         if t.size >= 5:
             half = _window_average(t[::2], values[::2])

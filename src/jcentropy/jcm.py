@@ -10,10 +10,9 @@ about an axis at the mixing angle ``sin(theta_n) = lam sqrt(n+1) / delta_n``
 (Jaynes & Cummings, Proc. IEEE 51, 89, 1963; Shore & Knight, J. Mod. Opt.
 40, 1195, 1993).
 
-The analytic route (:class:`BlockEvolver`, :func:`coefficients_at`) and
-the numeric route (:func:`oracle_evolve`, dense per-block
-diagonalization) are implemented independently so each one checks the
-other.
+The analytic route (:class:`BlockEvolver`) and the numeric route
+(:func:`oracle_evolve`, dense per-block diagonalization) are implemented
+independently so each one checks the other.
 
 Photon levels beyond the truncation of the supplied
 :class:`~jcentropy.superstat.PhotonDistribution` are carried as a
@@ -30,10 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .superstat import PhotonDistribution
-
-# chunks between exact reseeds of the cosine recurrence over chunks
-RESEED_CHUNKS = 128
+from .superstat import PhotonDistribution, _check_omega
 
 __all__ = [
     "ModelParams",
@@ -42,7 +38,6 @@ __all__ = [
     "OracleEvolution",
     "CutoffWarning",
     "BlockEvolver",
-    "coefficients_at",
     "reduced_atom",
     "reduced_field",
     "oracle_evolve",
@@ -62,11 +57,12 @@ class ModelParams:
     lam: float = 1.0
 
     def __post_init__(self):
-        for name in ("omega0", "omega", "lam"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.omega > 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
+        _check_omega(self.omega)
+        # named as the detuning and the coupling are given on the command line
+        if not math.isfinite(self.delta):
+            raise ValueError(f"delta must be finite, got {self.delta}")
+        if not math.isfinite(self.lam):
+            raise ValueError(f"lambda must be finite, got {self.lam}")
 
     @property
     def delta(self) -> float:
@@ -124,11 +120,6 @@ class EvolvedState:
     tail_mass: float
     epsilon: float
 
-    @property
-    def n_max(self) -> int:
-        """Top retained photon level (= number of evolved manifolds)."""
-        return self.coeff_a.size
-
 
 class BlockEvolver:
     """Precomputed closed-form manifold evolution for one configuration.
@@ -176,64 +167,6 @@ class BlockEvolver:
         b = half_coherence * (cos_theta * (1.0 - cos) + 1j * np.sin(phase))
         return a, b, c
 
-    def recurrence_steps(self, times: np.ndarray, rows: int):
-        """``(2 cos(R h delta_n), sin(R h delta_n))`` if :meth:`cos_chunks` may recur.
-
-        The recurrence runs on a grid equal to
-        ``np.linspace(0, times[-1], times.size)`` that spans more than two
-        chunks of ``rows`` samples (step h, R = ``rows``); on any other
-        grid this returns None.
-        """
-        if times.size > 2 * rows and np.array_equal(
-            times, np.linspace(0.0, times[-1], times.size)
-        ):
-            step = rows * (times[-1] / (times.size - 1)) * self.delta_n
-            return 2.0 * np.cos(step), np.sin(step)
-        return None
-
-    def cos_chunks(self, times: np.ndarray, rows: int, first: int, stop: int, steps):
-        """Yield ``(chunk, cos(outer(times[chunk], delta_n)))`` for chunks ``first..stop-1``.
-
-        ``times`` is a strictly increasing grid of at least two samples,
-        cut into chunks of ``rows`` samples (the last may be short);
-        ``first`` is a multiple of ``RESEED_CHUNKS``.  With ``steps`` from
-        :meth:`recurrence_steps`, a full chunk follows from the two before
-        it by the three-term recurrence
-        ``cos_{k+1} = 2 cos(R h delta_n) cos_k - cos_{k-1}`` (Numerical
-        Recipes 5.4).  Chunk k restarts the recurrence when
-        ``k % RESEED_CHUNKS == 0``, from its exact cosine and that chunk
-        rotated by ``R h delta_n``, so a chunk depends only on the chunks
-        of its own reseed window and any split of the chunks at window
-        boundaries yields the same bytes.  A rounding error amplifies by
-        at most j at the j-th recurrence step, also where ``R h delta_n``
-        is a multiple of pi, so the drift stays within about
-        ``RESEED_CHUNKS**2`` ulps.  With ``steps=None``, and for a short
-        last chunk, every chunk takes the exact cosine.  A yielded block
-        is overwritten two chunks later.
-        """
-        older, old, new = (np.empty((rows, self.delta_n.size)) for _ in range(3))
-        for k in range(first, stop):
-            t = times[k * rows : (k + 1) * rows]
-            block = new[: t.size]
-            position = k % RESEED_CHUNKS if steps is not None and t.size == rows else 0
-            if position == 0:
-                # the phase waits in the buffer the next chunk fills
-                np.cos(np.multiply.outer(t, self.delta_n, out=older[: t.size]), out=block)
-            elif position == 1:
-                # a second exact cosine would disagree with the rotation by up
-                # to phase * eps (1e-11 at phase 1e5), which the recurrence then
-                # amplifies up to RESEED_CHUNKS-fold; the rotation agrees to an ulp
-                twice_cos_step, sin_step = steps
-                rotated = np.multiply(twice_cos_step, old, out=older)
-                rotated *= 0.5
-                np.multiply(sin_step, np.sin(block, out=block), out=block)
-                np.subtract(rotated, block, out=block)
-            else:
-                np.multiply(steps[0], old, out=block)
-                block -= older
-            yield slice(k * rows, k * rows + t.size), block
-            older, old, new = old, new, older
-
     def state(self, t: float) -> EvolvedState:
         a, b, c = self.coefficients(t)
         return EvolvedState(
@@ -246,13 +179,6 @@ class BlockEvolver:
             tail_mass=self.dist.tail_mass,
             epsilon=self.atom.epsilon,
         )
-
-
-def coefficients_at(
-    params: ModelParams, atom: AtomInit, dist: PhotonDistribution, t: float
-) -> EvolvedState:
-    """Joint-state coefficients at time t (valid for any real t)."""
-    return BlockEvolver(params, atom, dist).state(t)
 
 
 def _atom_probs(a, c, uncoupled, excited_top, tail_mass, epsilon):

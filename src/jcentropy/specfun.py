@@ -1,7 +1,7 @@
-"""Deformed exponential/logarithm algebra and Hurwitz-zeta-type sums.
+"""The deformed logarithm and Hurwitz-zeta-type sums.
 
 Everything downstream (photon statistics, temperature calibration,
-entropy functionals) reduces to the q-exponential family and to sums of
+entropy functionals) reduces to q-deformed power laws and to sums of
 the form ``sum_n (n+x)^(-s)``.  The slowly converging sums are closed
 with an Euler-Maclaurin tail, so a 1e-10 absolute tolerance costs a few
 dozen explicit terms instead of the ~1e10 a plain truncation would need
@@ -10,17 +10,12 @@ for exponents close to 1.
 
 from __future__ import annotations
 
-import enum
-
 import numpy as np
 
 __all__ = [
-    "GIBBS",
-    "Gibbs",
     "ABS_TOL",
     "MAX_TERMS",
     "AccuracyError",
-    "q_exp",
     "q_log",
     "hurwitz_zeta",
     "hurwitz_zeta_scaled",
@@ -30,54 +25,19 @@ ABS_TOL = 1e-10  # absolute accuracy of every Hurwitz sum
 MAX_TERMS = 10**7  # explicit terms a sum may take before it raises AccuracyError
 
 
-class Gibbs(enum.Enum):
-    """Singleton flag for the undeformed (q -> 1) statistics."""
-
-    GIBBS = "gibbs"
-
-
-GIBBS = Gibbs.GIBBS
-
-
 class AccuracyError(ArithmeticError):
     """Raised when a series cannot reach the requested tolerance."""
 
 
-def _check_q(q) -> float:
-    if q == 1.0:
-        raise ValueError("q=1 must be requested through the GIBBS flag")
-    return float(q)
-
-
-def q_exp(x, q):
-    """q-deformed exponential [1 + (1-q) x]^(1/(1-q)).
-
-    Returns 0 where the bracket is non-positive (cutoff convention), and
-    the ordinary exponential under the GIBBS flag.  Total function,
-    works elementwise on arrays.
-    """
-    if q is GIBBS:
-        return np.exp(x)
-    q = _check_q(q)
-    base = 1.0 + (1.0 - q) * np.asarray(x, dtype=float)
-    out = np.where(base > 0.0, np.power(np.where(base > 0.0, base, 1.0), 1.0 / (1.0 - q)), 0.0)
-    return out if out.ndim else float(out)
-
-
 def q_log(x, q):
-    """q-deformed logarithm (x^(1-q) - 1)/(1-q) for x > 0.
-
-    Inverse of :func:`q_exp` on the positive branch; natural log under
-    the GIBBS flag.
-    """
+    """q-deformed logarithm (x^(1-q) - 1)/(1-q) for x > 0 and q != 1."""
+    if q == 1.0:
+        raise ValueError("q_log requires q != 1; the q -> 1 limit is the natural log")
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError("q_log requires strictly positive arguments")
-    if q is GIBBS:
-        out = np.log(x)
-    else:
-        q = _check_q(q)
-        out = (np.power(x, 1.0 - q) - 1.0) / (1.0 - q)
+    q = float(q)
+    out = (np.power(x, 1.0 - q) - 1.0) / (1.0 - q)
     return out if out.ndim else float(out)
 
 

@@ -20,7 +20,6 @@ mode Hamiltonian spectrum is ``E_n = n * omega``.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -29,7 +28,6 @@ import numpy as np
 from .specfun import hurwitz_zeta_scaled
 
 __all__ = [
-    "DistKind",
     "GammaSuperstat",
     "MultiLevelSuperstat",
     "PhotonDistribution",
@@ -43,21 +41,21 @@ __all__ = [
     "physical_beta",
     "calibrate_beta_star",
     "mean_photon_q",
-    "mean_photon_bose",
 ]
 
 HARD_CAP = 10**7  # largest photon index materialized in a weight table
 MIN_LEVELS = 2  # keep at least {|0>, |1>} so the vacuum Rabi manifold exists
+# largest Hurwitz offset r: the Euler-Maclaurin tail of a sum takes (n + r)^7
+MAX_OFFSET = 1e44
 
 
 class BracketError(ValueError):
     """No sign change found while bracketing a root."""
 
 
-class DistKind(enum.Enum):
-    GAMMA = "gamma"
-    MULTILEVEL = "multilevel"
-    GIBBS = "gibbs"
+def _check_omega(omega: float) -> None:
+    if not 0.0 < omega < math.inf:
+        raise ValueError(f"omega must be finite and positive, got {omega}")
 
 
 @dataclass(frozen=True)
@@ -73,8 +71,12 @@ class GammaSuperstat:
             raise ValueError(f"gamma model requires 1 < q < 2, got q={self.q}")
         if not self.beta_star > 0:
             raise ValueError(f"beta_star must be positive, got {self.beta_star}")
-        if not self.omega > 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
+        _check_omega(self.omega)
+        # the Hurwitz offset r_offset = 1/scale must lie in (0, MAX_OFFSET]
+        scale = (self.q - 1.0) * self.beta_star * self.omega
+        if not 1.0 / MAX_OFFSET <= scale < math.inf:
+            raise ValueError(f"beta_star={self.beta_star} puts the Hurwitz offset "
+                             f"1/((q-1) beta_star omega) out of (0, {MAX_OFFSET:g}]")
 
     @property
     def s_index(self) -> float:
@@ -101,8 +103,7 @@ class MultiLevelSuperstat:
         bad = [b for b in betas if not b > 0]
         if bad:
             raise ValueError(f"all inverse temperatures must be positive, got {bad[:3]}")
-        if not self.omega > 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
+        _check_omega(self.omega)
         object.__setattr__(self, "betas", betas)
 
 
@@ -120,24 +121,24 @@ class PhotonDistribution:
 
     weights: np.ndarray
     tail_mass: float
-    source: DistKind
     tail_limited: bool = False
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a non-empty 1-D array")
+        # written so that NaN fails every check
         lowest = w.min()
-        if lowest < -1e-12:
-            raise ValueError("negative photon weight")
+        if not lowest >= -1e-12:
+            raise ValueError(f"negative or NaN photon weight {lowest}")
         if lowest < 0.0:
             w = np.where(w < 0.0, 0.0, w)
         object.__setattr__(self, "weights", w)
-        if self.tail_mass < -1e-12:
-            raise ValueError(f"negative tail mass {self.tail_mass}")
+        if not self.tail_mass >= -1e-12:
+            raise ValueError(f"negative or NaN tail mass {self.tail_mass}")
         object.__setattr__(self, "tail_mass", max(float(self.tail_mass), 0.0))
         total = float(np.sum(w)) + self.tail_mass
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"weights + tail_mass = {total!r}, expected 1 within 1e-12")
 
     @property
@@ -154,7 +155,6 @@ class PhotonDistribution:
         return PhotonDistribution(
             weights=self.weights[: n_max + 1].copy(),
             tail_mass=self.tail_mass + dropped,
-            source=self.source,
             tail_limited=self.tail_limited,
         )
 
@@ -222,7 +222,6 @@ def photon_weights_gamma(
     return PhotonDistribution(
         weights=weights,
         tail_mass=tail,
-        source=DistKind.GAMMA,
         tail_limited=tail_limited,
     )
 
@@ -235,8 +234,9 @@ def photon_weights_gibbs(
     Truncates at the smallest level whose exact tail mass ``x^(n_max+1)``
     is <= tail_tol, subject to the hard cap.
     """
-    if not beta > 0 or not omega > 0:
-        raise ValueError("beta and omega must be positive")
+    if not beta > 0:
+        raise ValueError(f"beta must be positive, got {beta}")
+    _check_omega(omega)
     x = math.exp(-beta * omega)
     _check_resolvable(x, beta * omega)
     n_max, tail_limited = _truncation(lambda n: x ** (n + 1) <= tail_tol, tail_tol, hard_cap)
@@ -245,7 +245,6 @@ def photon_weights_gibbs(
     return PhotonDistribution(
         weights=weights,
         tail_mass=x ** (n_max + 1),
-        source=DistKind.GIBBS,
         tail_limited=tail_limited,
     )
 
@@ -279,7 +278,6 @@ def photon_weights_multilevel(
     return PhotonDistribution(
         weights=weights,
         tail_mass=tail(n_max),
-        source=DistKind.MULTILEVEL,
         tail_limited=tail_limited,
     )
 
@@ -322,13 +320,6 @@ def mean_photon_q(s: GammaSuperstat) -> float:
     return _q_sums(s)[1]
 
 
-def mean_photon_bose(beta: float, omega: float = 1.0) -> float:
-    """Bose-Einstein occupancy 1/(exp(beta omega) - 1)."""
-    if not beta * omega > 0:
-        raise ValueError("beta * omega must be positive")
-    return 1.0 / math.expm1(beta * omega)
-
-
 def q_internal_energy(s: GammaSuperstat) -> float:
     """Constrained internal energy ``omega * sum_n n p_n^q`` of the quasi state.
 
@@ -366,6 +357,7 @@ def calibrate_beta_star(q: float, beta_target: float, omega: float = 1.0) -> flo
     """
     if not beta_target > 0:
         raise ValueError(f"beta_target must be positive, got {beta_target}")
+    _check_omega(omega)
 
     def residual(log_bsw: float) -> float:
         bs = math.exp(log_bsw) / omega

@@ -119,6 +119,34 @@ class TestWeights:
         err = capsys.readouterr().err
         assert "too small to resolve" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("q, beta_star", [("1.6", "5e-324"), ("1.2", "5e-324"),
+                                              ("1.2", "1e-300"), ("1.4", "1e-45")])
+    def test_beta_star_out_of_float_range_is_domain_error(self, tmp_path, capsys, q, beta_star):
+        # the Hurwitz offset 1/((q-1) beta_star omega) is infinite, or its sums overflow
+        argv = ["weights", "--q", q, f"--beta-star={beta_star}", "--n-cap", "100",
+                "--out", str(tmp_path / "w.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "beta_star" in err and "Traceback" not in err
+        assert os.listdir(tmp_path) == []  # no output, no temporary file
+
+    @pytest.mark.parametrize("command", ["weights", "timeseries"])
+    def test_omega_other_than_the_betas_file_omega_is_usage_error(self, tmp_path, capsys,
+                                                                   command):
+        betas = os.path.join(DATA_DIR, "normal_n100.betas")  # stores omega 1.0
+        run = [command, "--betas-file", betas]
+        if command == "timeseries":
+            run += ["--T", "2", "--grid", "8"]
+        assert main([*run, "--omega", "2", "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "--omega" in err and "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+        assert main([*run, "--omega", "1", "--out", str(tmp_path / "a.csv")]) == 0
+        assert main([*run, "--out", str(tmp_path / "b.csv")]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
     def test_model_selection_usage_errors(self, tmp_path):
         out = str(tmp_path / "w.csv")
         assert main(["weights", "--out", out]) == 2  # nothing selected
@@ -240,8 +268,26 @@ def test_non_finite_dynamics_input_is_domain_error(tmp_path, capsys, command, fl
         warnings.simplefilter("error")
         assert main(argv) == 3
     err = capsys.readouterr().err
-    assert "must be finite" in err and "Traceback" not in err
+    # named as the flag is: --delta is the detuning, --lambda the coupling
+    assert f"{flag[2:]} must be finite" in err and "Traceback" not in err
     assert os.listdir(tmp_path) == []  # no output, no temporary file
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_omega_out_of_range_gets_one_message_on_every_command(tmp_path, capsys, value):
+    runs = [
+        ["calibrate", "--q", "1.4", "--grid", "1:2:3"],
+        ["weights", "--q", "1.4", "--beta", "2"],
+        ["weights", "--gibbs", "--beta", "2"],
+        ["timeseries", "--gibbs", "--beta", "2", "--grid", "6"],
+        ["bloch-sweep", "--q", "1.4", "--beta", "2", "--t-samples", "6"],
+        ["ensemble-gen", "--count", "3"],
+    ]
+    for argv in runs:
+        assert main([*argv, f"--omega={value}", "--out", str(tmp_path / "x.csv")]) == 3, argv
+        err = capsys.readouterr().err
+        assert err == f"jcentropy: omega must be finite and positive, got {float(value)}\n", argv
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -455,7 +501,7 @@ def test_outputs_honour_umask(tmp_path, umask, mode):
 
 # ------------------------------------------------------------- input fuzz
 
-SPECIAL_NUMBERS = ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300"]
+SPECIAL_NUMBERS = ["nan", "inf", "-inf", "0", "-1", "1e-300", "5e-324", "1e300"]
 QS = ["1.2", "1.4", "1.6"]
 
 

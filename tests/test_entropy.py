@@ -1,6 +1,7 @@
 import itertools
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import jcentropy.entropy as entropy_module
 from jcentropy.entropy import (
     CHUNK_ELEMENTS,
+    RESEED_CHUNKS,
     VON_NEUMANN,
     BlochPoint,
     EntropyKind,
@@ -23,16 +25,15 @@ from jcentropy.entropy import (
     tsallis,
 )
 from jcentropy.jcm import (
-    RESEED_CHUNKS,
     AtomInit,
     BlockEvolver,
     ModelParams,
-    coefficients_at,
     oracle_evolve,
 )
 from jcentropy.specfun import q_log
 from jcentropy.superstat import (
     GammaSuperstat,
+    PhotonDistribution,
     photon_weights_gamma,
     photon_weights_gibbs,
 )
@@ -139,12 +140,12 @@ class TestEntropyOf:
 class TestAtomEntropy:
     def test_pure_state_zero(self):
         dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-12)
-        state = coefficients_at(RESONANT, AtomInit(1.0), dist, 0.0)
+        state = BlockEvolver(RESONANT, AtomInit(1.0), dist).state(0.0)
         assert atom_entropy(state) == pytest.approx(0.0, abs=1e-12)
 
     def test_maximal_mixing(self):
         dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-12)
-        state = coefficients_at(RESONANT, AtomInit(0.5), dist, 0.0)
+        state = BlockEvolver(RESONANT, AtomInit(0.5), dist).state(0.0)
         assert atom_entropy(state) == pytest.approx(math.log(2.0), abs=1e-12)
         q = 1.5
         assert atom_entropy(state, tsallis(q)) == pytest.approx(-q_log(0.5, q), abs=1e-12)
@@ -157,19 +158,20 @@ class TestAtomEntropy:
             bound = math.log(2.0) if q is None else -q_log(0.5, q)
             for _ in range(25):
                 params = ModelParams.from_detuning(rng.uniform(-2, 2), rng.uniform(0.5, 3))
-                state = coefficients_at(params, AtomInit(rng.uniform()), dist, rng.uniform(0, 9))
+                evolver = BlockEvolver(params, AtomInit(rng.uniform()), dist)
+                state = evolver.state(rng.uniform(0, 9))
                 assert atom_entropy(state, kind) <= bound + 1e-12
 
 
 class TestFieldEntropy:
     def test_thermal_value_at_t0(self):
         dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-12)
-        state = coefficients_at(RESONANT, AtomInit(0.3), dist, 0.0)
+        state = BlockEvolver(RESONANT, AtomInit(0.3), dist).state(0.0)
         assert field_entropy(state) == pytest.approx(THERMAL_S_01, abs=1e-8)
 
     def test_coarse_form_at_t0_is_binary(self):
         dist = photon_weights_gibbs(2.0, tail_tol=1e-12)
-        state = coefficients_at(RESONANT, AtomInit(0.7), dist, 0.0)
+        state = BlockEvolver(RESONANT, AtomInit(0.7), dist).state(0.0)
         p0 = dist.weights[0]
         expected = entropy_of([p0, 1.0 - p0])
         assert field_entropy(state, form=FieldEntropyForm.COARSE) == pytest.approx(
@@ -182,7 +184,7 @@ class TestFieldEntropy:
         beta_star = 1.2
         gs = GammaSuperstat(q=q, beta_star=beta_star, omega=1.0)
         dist = photon_weights_gamma(gs, tail_tol=1e-5, hard_cap=10**6)
-        state = coefficients_at(RESONANT, AtomInit(0.0), dist, 0.0)
+        state = BlockEvolver(RESONANT, AtomInit(0.0), dist).state(0.0)
         s, r = gs.s_index, gs.r_offset
         norm, _ = zeta_brute(s, r, n_terms=2 * 10**6)
         full, _ = zeta_brute((2.0 - q) * s, r, n_terms=2 * 10**6)
@@ -256,11 +258,12 @@ class TestEntropyTrace:
                 )
 
             trace = entropy_trace(params, atom, dist, kind, form, times=times)
-            s0_atom = atom_entropy(coefficients_at(params, atom, dist, 0.0), kind)
-            s0_field = field_entropy(coefficients_at(params, atom, dist, 0.0), kind, form)
+            evolver = BlockEvolver(params, atom, dist)
+            s0_atom = atom_entropy(evolver.state(0.0), kind)
+            s0_field = field_entropy(evolver.state(0.0), kind, form)
             o0_atom, o0_field = oracle_entropies(0.0)
             for i in (3, 11, 28):
-                state = coefficients_at(params, atom, dist, times[i])
+                state = evolver.state(times[i])
                 assert trace.ds_atom[i] == pytest.approx(
                     atom_entropy(state, kind) - s0_atom, abs=1e-12
                 )
@@ -291,10 +294,11 @@ class TestEntropyTrace:
         picks = [7, *range(120 * rows, 130 * rows), *range(240 * rows, 256 * rows), n - 1]
         for kind in (VON_NEUMANN, tsallis(1.5)):
             trace = entropy_trace(RESONANT, atom, gamma, kind, FieldEntropyForm.FULL, times=times)
-            s0_atom = atom_entropy(coefficients_at(RESONANT, atom, gamma, 0.0), kind)
-            s0_field = field_entropy(coefficients_at(RESONANT, atom, gamma, 0.0), kind)
+            evolver = BlockEvolver(RESONANT, atom, gamma)
+            s0_atom = atom_entropy(evolver.state(0.0), kind)
+            s0_field = field_entropy(evolver.state(0.0), kind)
             for i in picks:
-                state = coefficients_at(RESONANT, atom, gamma, times[i])
+                state = evolver.state(times[i])
                 assert trace.ds_atom[i] == pytest.approx(
                     atom_entropy(state, kind) - s0_atom, abs=1e-12
                 )
@@ -344,15 +348,15 @@ class TestTraceWalkers:
 
     @pytest.mark.parametrize("faulty", [(2,), (1, 2)], ids=["window2", "windows1-2"])
     def test_error_is_the_single_walker_one(self, monkeypatch, gamma, faulty):
-        original = BlockEvolver.cos_chunks
+        original = entropy_module._cosines
 
-        def cos_chunks(evolver, times, rows, first, stop, steps):
-            for chunk, cos in original(evolver, times, rows, first, stop, steps):
+        def cosines(times, delta_n, rows, first, stop, steps):
+            for chunk, cos in original(times, delta_n, rows, first, stop, steps):
                 window = chunk.start // rows // RESEED_CHUNKS
                 # a wrong cosine, scaled differently per window, breaks the weights
                 yield chunk, cos * (10.0 * (window + 1) if window in faulty else 1.0)
 
-        monkeypatch.setattr(BlockEvolver, "cos_chunks", cos_chunks)
+        monkeypatch.setattr(entropy_module, "_cosines", cosines)
         times = np.linspace(0.0, 60.0, 900)
         messages = []
         for count in (1, 2, 3):
@@ -367,6 +371,25 @@ class TestTraceWalkers:
         before = threading.active_count()
         entropy_trace(RESONANT, AtomInit(0.35), gamma, times=np.linspace(0.0, 60.0, 900))
         assert threading.active_count() == before
+
+
+def test_single_walker_trace_holds_twelve_level_arrays(monkeypatch):
+    # the evolver's four arrays, the t=0 field weights, three cosine rows, a
+    # field row, its scratch row and the two recurrence steps; a step array
+    # kept beside the steps would make thirteen
+    monkeypatch.setattr(entropy_module, "_available_cpus", lambda: 1)
+    n = 10**5
+    dist = PhotonDistribution(np.full(n + 1, 1.0 / (n + 1)), 0.0)
+    times = np.linspace(0.0, 5.0, 40)  # one sample per chunk, so the recurrence runs
+    # a first run imports the Simpson rule, which is no part of the trace's memory
+    entropy_trace(RESONANT, AtomInit(0.35), dist, tsallis(1.6), times=times[:3])
+    tracemalloc.start()
+    try:
+        entropy_trace(RESONANT, AtomInit(0.35), dist, tsallis(1.6), times=times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * n) < 12.5
 
 
 class TestTimeAverage:
@@ -390,12 +413,6 @@ class TestTimeAverage:
         trace = self._trace_with(np.sin(times), times)
         avg_a, _ = time_average(trace)
         assert abs(avg_a) < 1e-8
-
-    def test_horizon_validation(self):
-        times = np.linspace(0, 4, 33)
-        trace = self._trace_with(np.sin(times), times)
-        with pytest.raises(ValueError):
-            time_average(trace, horizon=9.0)
 
     def test_coarse_grid_warns(self):
         times = np.linspace(0, 12, 9)

@@ -13,13 +13,11 @@ from jcentropy.jcm import (
     CutoffWarning,
     ModelParams,
     _manifold_arrays,
-    coefficients_at,
     oracle_evolve,
     reduced_atom,
     reduced_field,
 )
 from jcentropy.superstat import (
-    DistKind,
     GammaSuperstat,
     PhotonDistribution,
     photon_weights_gamma,
@@ -31,7 +29,7 @@ RESONANT = ModelParams.from_detuning(0.0, 2.0)
 
 def make_dist(weights) -> PhotonDistribution:
     weights = np.asarray(weights, dtype=float)
-    return PhotonDistribution(weights, 1.0 - float(np.sum(weights)), DistKind.GIBBS)
+    return PhotonDistribution(weights, 1.0 - float(np.sum(weights)))
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +78,7 @@ class TestInitialConditions:
     @pytest.mark.parametrize("eps", [0.0, 0.3, 1.0])
     def test_t0_recovers_initial_weights(self, delta, eps, thermal_dist):
         params = ModelParams.from_detuning(delta, 2.0)
-        state = coefficients_at(params, AtomInit(eps), thermal_dist, 0.0)
+        state = BlockEvolver(params, AtomInit(eps), thermal_dist).state(0.0)
         p = thermal_dist.weights
         assert np.max(np.abs(state.coeff_a - eps * p[:-1])) < 1e-14
         assert np.max(np.abs(state.coeff_c - (1.0 - eps) * p[1:])) < 1e-14
@@ -88,13 +86,13 @@ class TestInitialConditions:
 
     def test_t0_reduced_atom(self, thermal_dist):
         for eps, expected in ((1.0, (1.0, 0.0)), (0.0, (0.0, 1.0))):
-            state = coefficients_at(RESONANT, AtomInit(eps), thermal_dist, 0.0)
+            state = BlockEvolver(RESONANT, AtomInit(eps), thermal_dist).state(0.0)
             p_e, p_g = reduced_atom(state)
             assert p_e == pytest.approx(expected[0], abs=1e-12)
             assert p_g == pytest.approx(expected[1], abs=1e-12)
 
     def test_t0_reduced_field_is_input(self, thermal_dist):
-        state = coefficients_at(RESONANT, AtomInit(0.4), thermal_dist, 0.0)
+        state = BlockEvolver(RESONANT, AtomInit(0.4), thermal_dist).state(0.0)
         assert np.max(np.abs(reduced_field(state) - thermal_dist.weights)) < 1e-15
 
 
@@ -102,7 +100,7 @@ class TestClosedForms:
     def test_resonant_ground_atom_rabi(self, thermal_dist):
         # eps=0, Delta=0: A_n(t) = p_{n+1} sin^2(delta_n t / 2)
         t = 0.9
-        state = coefficients_at(RESONANT, AtomInit(0.0), thermal_dist, t)
+        state = BlockEvolver(RESONANT, AtomInit(0.0), thermal_dist).state(t)
         n = np.arange(thermal_dist.n_max)
         delta_n = 2.0 * np.sqrt(n + 1.0)
         expected = thermal_dist.weights[1:] * np.sin(delta_n * t / 2.0) ** 2
@@ -112,8 +110,9 @@ class TestClosedForms:
         # two retained levels, excited atom: level-1 weight grows by p_0 sin^2(delta_0 t/2)
         dist = make_dist([0.7, 0.2])
         t = math.pi / 2.0  # delta_0 = 2 -> half Rabi period
-        w0 = reduced_field(coefficients_at(RESONANT, AtomInit(1.0), dist, 0.0))
-        wt = reduced_field(coefficients_at(RESONANT, AtomInit(1.0), dist, t))
+        evolver = BlockEvolver(RESONANT, AtomInit(1.0), dist)
+        w0 = reduced_field(evolver.state(0.0))
+        wt = reduced_field(evolver.state(t))
         assert wt[1] - w0[1] == pytest.approx(0.7 * math.sin(2.0 * t / 2.0) ** 2, abs=1e-12)
 
     def test_periodicity_per_manifold(self, thermal_dist):
@@ -130,8 +129,8 @@ class TestClosedForms:
     def test_zero_coupling_freezes_populations(self, thermal_dist):
         for delta in (1.0, 0.0):
             params = ModelParams.from_detuning(delta, 0.0)
-            state0 = coefficients_at(params, AtomInit(0.6), thermal_dist, 0.0)
-            state1 = coefficients_at(params, AtomInit(0.6), thermal_dist, 5.7)
+            evolver = BlockEvolver(params, AtomInit(0.6), thermal_dist)
+            state0, state1 = evolver.state(0.0), evolver.state(5.7)
             assert np.array_equal(state0.coeff_a, state1.coeff_a)
             assert np.array_equal(state0.coeff_c, state1.coeff_c)
             assert not np.any(state1.coeff_b)
@@ -155,7 +154,7 @@ class TestOracle:
         dist = photon_weights_gamma(gs, tail_tol=1e-4, hard_cap=10**5).truncated(40)
         params = ModelParams.from_detuning(1.0, 2.0)
         atom = AtomInit(0.3)
-        state = coefficients_at(params, atom, dist, 0.7)
+        state = BlockEvolver(params, atom, dist).state(0.7)
         ora = oracle_evolve(params, atom, dist, 0.7, n_cut=dist.n_max, warn_tol=1.0)
         assert np.max(np.abs(state.coeff_a - ora.coeff_a)) < 1e-10
         assert np.max(np.abs(state.coeff_c - ora.coeff_c)) < 1e-10
@@ -197,7 +196,7 @@ class TestOracle:
             params = ModelParams.from_detuning(rng.uniform(-3, 3), rng.uniform(0.3, 3.0))
             atom = AtomInit(rng.uniform())
             t = rng.uniform(0.0, 10.0)
-            state = coefficients_at(params, atom, thermal_dist, t)
+            state = BlockEvolver(params, atom, thermal_dist).state(t)
             ora = oracle_evolve(params, atom, thermal_dist, t, n_cut=thermal_dist.n_max)
             assert np.max(np.abs(state.coeff_a - ora.coeff_a)) < 1e-10
             assert np.max(np.abs(state.coeff_c - ora.coeff_c)) < 1e-10
@@ -252,7 +251,7 @@ def test_matches_full_space_dense_simulation():
         t = rng.uniform(0.0, 8.0)
         dist = photon_weights_gibbs(rng.uniform(0.8, 3.0), tail_tol=1e-13).truncated(14)
         params = ModelParams.from_detuning(delta, lam)
-        state = coefficients_at(params, AtomInit(eps), dist, t)
+        state = BlockEvolver(params, AtomInit(eps), dist).state(t)
         p_e, p_g = reduced_atom(state)
         ref_e, ref_g, ref_field = _full_dense_sim(delta, lam, eps, dist.weights, dist.tail_mass, t)
         assert p_e == pytest.approx(ref_e, abs=1e-12)

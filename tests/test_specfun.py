@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from jcentropy import specfun
 from jcentropy.specfun import (
-    GIBBS,
     AccuracyError,
     hurwitz_zeta,
     hurwitz_zeta_scaled,
-    q_exp,
     q_log,
 )
 from oracle_utils import zeta_brute
@@ -25,44 +23,17 @@ ZETA_1667_32 = 0.7682197976473740
 PHI_125_08 = 5.0417348157939467
 
 
-class TestQExp:
-    def test_identity_at_zero(self):
-        assert q_exp(0.0, 1.5) == 1.0
-
-    @pytest.mark.parametrize("x", [-1.0, 0.0, 2.0])
-    def test_gibbs_flag_is_plain_exponential(self, x):
-        assert q_exp(x, GIBBS) == pytest.approx(math.exp(x), rel=1e-15)
-
-    def test_cutoff_convention(self):
-        # 1 + (1-q) x = 1 + 0.5*(-3) = -0.5 <= 0
-        assert q_exp(-3.0, 0.5) == 0.0
-
-    def test_elementwise(self):
-        x = np.array([-3.0, 0.0, 1.0])
-        out = q_exp(x, 0.5)
-        assert out[0] == 0.0 and out[1] == 1.0 and out[2] > 0.0
-
-    def test_q_exactly_one_rejected(self):
-        with pytest.raises(ValueError, match="GIBBS"):
-            q_exp(0.3, 1.0)
-
-
 class TestQLog:
     def test_log_of_one(self):
         assert q_log(1.0, 1.7) == 0.0
-
-    def test_round_trip(self):
-        x, q = 0.3, 1.4
-        assert q_log(q_exp(x, q), q) == pytest.approx(x, abs=1e-14)
-
-    def test_gibbs_flag(self):
-        assert q_log(2.0, GIBBS) == pytest.approx(math.log(2.0), rel=1e-15)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
             q_log(0.0, 1.5)
         with pytest.raises(ValueError):
-            q_log(-1.0, GIBBS)
+            q_log(-1.0, 1.5)
+        with pytest.raises(ValueError, match="q != 1"):
+            q_log(2.0, 1.0)
 
 
 class TestHurwitzZeta:
@@ -141,20 +112,3 @@ def test_zeta_shift_recurrence(s, x):
 )
 def test_zeta_strictly_decreasing_in_x(s, x, dx):
     assert hurwitz_zeta(s, x + dx) < hurwitz_zeta(s, x)
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    x=st.floats(min_value=-5.0, max_value=5.0),
-    q=st.floats(min_value=0.2, max_value=1.9).filter(lambda v: abs(v - 1.0) > 1e-3),
-)
-def test_q_exp_q_log_round_trip(x, q):
-    y = q_exp(x, q)
-    if y > 0.0:
-        assert q_log(y, q) == pytest.approx(x, abs=1e-9 * max(1.0, abs(x)))
-
-
-@pytest.mark.parametrize("x", [-2.0, -0.5, 0.0, 0.7, 3.0])
-@pytest.mark.parametrize("q", [1.0 - 1e-6, 1.0 + 1e-6])
-def test_q_exp_pointwise_gibbs_limit(x, q):
-    assert q_exp(x, q) == pytest.approx(math.exp(x), rel=1e-4)

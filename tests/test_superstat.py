@@ -9,12 +9,10 @@ from jcentropy.specfun import hurwitz_zeta_scaled
 from jcentropy.superstat import (
     MIN_LEVELS,
     BracketError,
-    DistKind,
     GammaSuperstat,
     MultiLevelSuperstat,
     PhotonDistribution,
     calibrate_beta_star,
-    mean_photon_bose,
     mean_photon_q,
     photon_weights_gamma,
     photon_weights_gibbs,
@@ -53,7 +51,6 @@ class TestGammaWeights:
         dist = photon_weights_gamma(gs, tail_tol=1e-5, hard_cap=10**6)
         assert dist.weights[0] == pytest.approx(6.0 / math.pi**2, abs=1e-12)
         assert dist.weights[1] == pytest.approx(1.5 / math.pi**2, abs=1e-12)
-        assert dist.source is DistKind.GAMMA
 
     def test_normalization_with_tail(self):
         for q, bsw in ((1.2, 0.5), (1.5, 2.0), (1.9, 1.0)):
@@ -198,17 +195,23 @@ def test_unresolvable_geometric_ratio_is_refused(build):
 class TestPhotonDistribution:
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError):
-            PhotonDistribution(np.array([0.5, -0.1, 0.6]), 0.0, DistKind.GIBBS)
+            PhotonDistribution(np.array([0.5, -0.1, 0.6]), 0.0)
+
+    @pytest.mark.parametrize("weights, tail", [([math.nan, 0.5], 0.5), ([0.5, 0.5], math.nan)],
+                             ids=["nan-weight", "nan-tail"])
+    def test_rejects_nan(self, weights, tail):
+        with pytest.raises(ValueError, match="NaN"):
+            PhotonDistribution(np.array(weights), tail)
 
     def test_rejects_bad_normalization(self):
         with pytest.raises(ValueError):
-            PhotonDistribution(np.array([0.5, 0.4]), 0.2, DistKind.GIBBS)
+            PhotonDistribution(np.array([0.5, 0.4]), 0.2)
 
     def test_clean_table_is_not_copied(self):
         weights = np.full(10**6, 1e-6)
         tracemalloc.start()
         try:
-            dist = PhotonDistribution(weights, 0.0, DistKind.GIBBS)
+            dist = PhotonDistribution(weights, 0.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -217,7 +220,7 @@ class TestPhotonDistribution:
 
     def test_tiny_negative_weights_become_zero(self):
         weights = np.array([0.5, -1e-13, 0.5, -0.0])
-        dist = PhotonDistribution(weights, 1e-13, DistKind.GIBBS)
+        dist = PhotonDistribution(weights, 1e-13)
         assert dist.weights.tolist() == [0.5, 0.0, 0.5, -0.0]
         assert math.copysign(1.0, dist.weights[1]) == 1.0
 
@@ -373,11 +376,6 @@ class TestCalibration:
 
 
 class TestMeanPhoton:
-    def test_bose_reference_points(self):
-        assert mean_photon_bose(math.log(11.0)) == pytest.approx(0.1, abs=1e-15)
-        assert mean_photon_bose(3.0) == pytest.approx(1.0 / (math.e**3 - 1.0), rel=1e-14)
-        assert mean_photon_bose(700.0) < 1e-300
-
     def test_near_gibbs_limit(self):
         gs = GammaSuperstat(q=1.0 + 1e-9, beta_star=math.log(11.0), omega=1.0)
         assert mean_photon_q(gs) == pytest.approx(0.1, abs=1e-6)
