@@ -42,6 +42,7 @@ from .selfcheck import run_selfcheck
 from .specfun import AccuracyError
 from .superstat import (
     HARD_CAP,
+    MAX_OFFSET,
     GammaSuperstat,
     _check_omega,
     calibrate_beta_star,
@@ -58,6 +59,9 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_ACCURACY = 4
 EXIT_IO = 5
+
+# adjacent floats above 2**52 lie a whole radian apart, so no cosine of such a phase resolves
+MAX_PHASE = 2.0**52
 
 
 class UsageError(Exception):
@@ -308,6 +312,8 @@ def _resolve_dynamics(cfg: dict, n_times: int):
 
     An unset horizon becomes 50/|lambda| (50 at zero coupling) and is
     recorded in ``cfg``; both are checked before the distribution is built.
+    The largest phase, the horizon times the top Rabi frequency
+    ``sqrt(delta^2 + lambda^2 n_max)``, may not exceed ``MAX_PHASE``.
     """
     params = ModelParams.from_detuning(cfg["delta"], cfg["lam"], cfg["omega"])
     if cfg["horizon"] is None:
@@ -315,6 +321,10 @@ def _resolve_dynamics(cfg: dict, n_times: int):
     if not 0.0 < cfg["horizon"] < math.inf:
         raise ValueError(f"time horizon must be finite and positive, got {cfg['horizon']}")
     dist, derived = _resolve_source(cfg)
+    phase = cfg["horizon"] * math.hypot(params.delta, params.lam * math.sqrt(dist.n_max))
+    if not phase <= MAX_PHASE:
+        raise ValueError(f"time horizon {cfg['horizon']!r} takes the largest phase to "
+                         f"{phase:.3g}, beyond 2**52, where no cosine is resolvable")
     kind = _resolve_entropy(cfg, derived)
     form = _resolve_form(cfg)
     derived.update(entropy=kind.label(), field_entropy_form=form.value)
@@ -358,8 +368,22 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         for tok in q_tokens:
             for t_star in t_star_grid:
                 beta_star = 1.0 / (t_star * omega)
-                beta = beta_star if tok == "gibbs" else physical_beta(
-                    GammaSuperstat(q=float(tok), beta_star=beta_star, omega=omega))
+                if tok == "gibbs":
+                    beta = beta_star
+                else:
+                    q = float(tok)
+                    try:
+                        model = GammaSuperstat(q=q, beta_star=beta_star, omega=omega)
+                    except ValueError:
+                        if not 1.0 < q < 2.0:
+                            raise
+                        # the model names beta_star = 1/(T* omega), which the user never typed
+                        raise ValueError(
+                            f"--grid {cfg['grid']!r} holds T*={float(t_star)!r}, which the gamma "
+                            f"model at q={tok}, omega={omega!r} cannot take: 1/(T* omega) must be "
+                            f"finite and positive and T*/(q-1) lie in (0, {MAX_OFFSET:g}]"
+                        ) from None
+                    beta = physical_beta(model)
                 temps.append(1.0 / (beta * omega))
     if not all(0.0 < temp < math.inf for temp in temps):
         raise ValueError(f"T* grid {cfg['grid']!r} leaves the float range at omega={omega}")
@@ -501,7 +525,8 @@ def _add_dynamics(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--field-entropy", choices=["full", "coarse"], dest="field_entropy",
                      help="field entropy over the full spectrum or (vacuum, rest)")
     sub.add_argument("--T", type=float, dest="horizon",
-                     help="time horizon (default 50/lambda)")
+                     help="time horizon (default 50/lambda); T sqrt(delta^2 + "
+                          "lambda^2 n_max) may not exceed 2**52")
 
 
 def build_parser() -> argparse.ArgumentParser:

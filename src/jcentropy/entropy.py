@@ -115,15 +115,16 @@ class BlochPoint:
 
 
 def _row_entropies(
-    p: np.ndarray, kind: EntropyKind, scratch: np.ndarray | None = None
+    p: np.ndarray, kind: EntropyKind, *, overwrite: bool = False, logs: np.ndarray | None = None
 ) -> np.ndarray:
     """Entropies of the probability lists along the last axis of ``p``.
 
     Every row must pass the checks :func:`entropy_of` documents; entries
-    that are not positive score 0 (the ``0 ln 0 = 0`` convention).  Given
-    a flat ``scratch`` buffer of at least ``p.size`` entries, the
-    contiguous ``p`` is overwritten and nothing of its size is allocated;
-    without one, ``p`` is left unchanged.
+    that are not positive score 0 (the ``0 ln 0 = 0`` convention).  With
+    ``overwrite`` the contiguous ``p`` is scored in place, and a von
+    Neumann score writes its logarithms to ``logs``, a flat buffer of at
+    least ``p.size`` entries, so nothing of ``p``'s size is allocated;
+    without it, ``p`` is left unchanged.
     """
     if p.shape[-1] == 0:
         raise ValueError("empty probability list")
@@ -134,18 +135,21 @@ def _row_entropies(
     totals = np.sum(p, axis=-1)
     if not np.all(totals <= 1.0 + 1e-10):
         raise ValueError(f"probabilities sum to {float(np.max(totals))}, exceeding 1")
-    if scratch is None:
-        p, scratch = p.copy(), np.empty(p.size)
+    if not overwrite:
+        p = p.copy()
     if kind.is_von_neumann:
-        # a unit entry scores exactly 0
-        np.copyto(p, 1.0, where=p <= 0.0)
-        logs = np.log(p, out=scratch[: p.size].reshape(p.shape))
+        if not lowest > 0.0:
+            # a unit entry scores exactly 0
+            np.copyto(p, 1.0, where=p <= 0.0)
+        logs = np.log(p, out=None if logs is None else logs[: p.size].reshape(p.shape))
         return -np.sum(np.multiply(p, logs, out=logs), axis=-1)
     q = kind.q
-    # -p ln_q p = (p^(2-q) - p)/(q - 1), and 0^(2-q) = 0 for q < 2
-    pos = np.maximum(p, 0.0, out=p)
-    linear = np.sum(pos, axis=-1)
-    return (np.sum(np.power(pos, 2.0 - q, out=pos), axis=-1) - linear) / (q - 1.0)
+    # -p ln_q p = (p^(2-q) - p)/(q - 1), and 0^(2-q) = 0 for q < 2; without a
+    # negative entry the clamp changes nothing, so the totals are the linear sums
+    linear = totals
+    if lowest < 0.0:
+        linear = np.sum(np.maximum(p, 0.0, out=p), axis=-1)
+    return (np.sum(np.power(p, 2.0 - q, out=p), axis=-1) - linear) / (q - 1.0)
 
 
 def entropy_of(p, kind: EntropyKind = VON_NEUMANN) -> float:
@@ -207,8 +211,10 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _cosines(times: np.ndarray, delta_n: np.ndarray, rows: int, first: int, stop: int, steps):
-    """Yield ``(chunk, cos(outer(times[chunk], delta_n)))`` for chunks ``first..stop-1``.
+def _transfers(
+    times: np.ndarray, delta_n: np.ndarray, a1: np.ndarray, rows: int, first: int, stop: int, steps
+):
+    """Yield ``(chunk, a1 * cos(outer(times[chunk], delta_n)))`` for chunks ``first..stop-1``.
 
     ``times`` is a strictly increasing grid of at least two samples,
     cut into chunks of ``rows`` samples (the last may be short);
@@ -216,17 +222,18 @@ def _cosines(times: np.ndarray, delta_n: np.ndarray, rows: int, first: int, stop
     ``(2 cos(R h delta_n), sin(R h delta_n))`` on a grid equal to
     ``np.linspace(0, times[-1], times.size)`` (step h, R = ``rows``), a
     full chunk follows from the two before it by the three-term recurrence
-    ``cos_{k+1} = 2 cos(R h delta_n) cos_k - cos_{k-1}`` (Numerical
-    Recipes 5.4).  Chunk k restarts the recurrence when
-    ``k % RESEED_CHUNKS == 0``, from its exact cosine and that chunk
-    rotated by ``R h delta_n``, so a chunk depends only on the chunks
-    of its own reseed window and any split of the chunks at window
-    boundaries yields the same bytes.  A rounding error amplifies by
-    at most j at the j-th recurrence step, also where ``R h delta_n``
-    is a multiple of pi, so the drift stays within about
-    ``RESEED_CHUNKS**2`` ulps.  With ``steps=None``, and for a short
-    last chunk, every chunk takes the exact cosine.  A yielded block
-    is overwritten two chunks later.
+    ``s_{k+1} = 2 cos(R h delta_n) s_k - s_{k-1}`` (Numerical Recipes
+    5.4), which the transfer ``s = a1 cos`` obeys as the cosine does.
+    Chunk k restarts the recurrence when ``k % RESEED_CHUNKS == 0``, from
+    its exact cosine times ``a1`` and that chunk rotated by
+    ``R h delta_n``, so a chunk depends only on the chunks of its own
+    reseed window and any split of the chunks at window boundaries
+    yields the same bytes.  A rounding error amplifies by at most j at
+    the j-th recurrence step, also where ``R h delta_n`` is a multiple
+    of pi, so the drift stays within about ``RESEED_CHUNKS**2`` ulps of
+    ``|a1|``.  With ``steps=None``, and for a short last chunk, every
+    chunk takes the exact cosine.  A yielded block is overwritten two
+    chunks later.
     """
     older, old, new = (np.empty((rows, delta_n.size)) for _ in range(3))
     for k in range(first, stop):
@@ -236,6 +243,7 @@ def _cosines(times: np.ndarray, delta_n: np.ndarray, rows: int, first: int, stop
         if position == 0:
             # the phase waits in the buffer the next chunk fills
             np.cos(np.multiply.outer(t, delta_n, out=older[: t.size]), out=block)
+            block *= a1
         elif position == 1:
             # a second exact cosine would disagree with the rotation by up
             # to phase * eps (1e-11 at phase 1e5), which the recurrence then
@@ -244,6 +252,7 @@ def _cosines(times: np.ndarray, delta_n: np.ndarray, rows: int, first: int, stop
             rotated = np.multiply(twice_cos_step, old, out=older)
             rotated *= 0.5
             np.multiply(sin_step, np.sin(block, out=block), out=block)
+            block *= a1
             np.subtract(rotated, block, out=block)
         else:
             np.multiply(steps[0], old, out=block)
@@ -266,7 +275,7 @@ def entropy_trace(
     The grid must start at t=0 (the exchange is defined relative to the
     initial state, so the first samples are exactly zero).  Times are
     evaluated in chunks of about ``CHUNK_ELEMENTS`` samples x levels,
-    whose cosines come from :func:`_cosines`.  The reseed
+    whose transfers ``a1 cos`` come from :func:`_transfers`.  The reseed
     windows of ``RESEED_CHUNKS`` chunks are dealt out as contiguous
     groups to one thread per available CPU (at most one per window), each
     with its own scratch rows; a chunk depends only on its own window, so
@@ -287,7 +296,7 @@ def entropy_trace(
         evolver.a0, evolver.c0, uncoupled, excited_top, dist.tail_mass, atom.epsilon
     )
     w0 = _field_weights(evolver.a0, evolver.c0, uncoupled, excited_top)
-    s_atom = np.empty(times.size)
+    moved = np.empty(times.size)
     s_field = np.empty(times.size)
     rows = min(times.size, max(1, CHUNK_ELEMENTS // dist.weights.size))
     # the sine overwrites the phase, so no third level array outlives this block
@@ -300,20 +309,17 @@ def entropy_trace(
         # runs on worker threads: the NumPy calls on whole rows release the GIL;
         # it calls nothing perfbench/tracing.py wraps, whose span stack is per process
         w_rows = np.empty((rows, w0.size))
-        scratch = np.empty(rows * w0.size)
-        for chunk, cos in _cosines(times, evolver.delta_n, rows, first, stop, steps):
-            w = w_rows[: cos.shape[0]]
-            scaled = scratch[: cos.size].reshape(cos.shape)
+        logs = np.empty(rows * w0.size) if kind.is_von_neumann else None
+        for chunk, s in _transfers(times, evolver.delta_n, a1, rows, first, stop, steps):
+            w = w_rows[: s.shape[0]]
             # row sums, not a BLAS product: threaded BLAS would spin a second core
-            moved = np.sum(np.multiply(cos, a1, out=scaled), axis=-1)
-            np.add(w0[:-1], scaled, out=w[:, :-1])
+            moved[chunk] = np.sum(s, axis=-1)
+            np.add(w0[:-1], s, out=w[:, :-1])
             w[:, -1] = w0[-1]
-            w[:, 1:] -= scaled
-            p_atom = np.stack((pe0 + moved, pg0 - moved), axis=-1)
-            s_atom[chunk] = _row_entropies(p_atom, kind, scratch)
+            w[:, 1:] -= s
             if form is FieldEntropyForm.COARSE:
                 w = _coarse_grained(w, dist.tail_mass)
-            s_field[chunk] = _row_entropies(w, kind, scratch)
+            s_field[chunk] = _row_entropies(w, kind, overwrite=True, logs=logs)
 
     chunks = -(-times.size // rows)
     windows = -(-chunks // RESEED_CHUNKS)
@@ -330,6 +336,9 @@ def entropy_trace(
             walk(bounds[0], bounds[1])
         for future in futures:
             future.result()
+    # each two-entry row sums alike in any batch, so one call scores every sample
+    p_atom = np.stack((pe0 + moved, pg0 - moved), axis=-1)
+    s_atom = _row_entropies(p_atom, kind, overwrite=True)
     ds_atom = s_atom - s_atom[0]
     ds_field = s_field - s_field[0]
     ds_total = ds_atom + ds_field

@@ -57,6 +57,15 @@ class TestCalibrate:
         assert main(["calibrate", "--q", "0.5", "--grid", "1:2:3",
                      "--out", str(tmp_path / "x.csv")]) == 3
 
+    def test_t_star_grid_out_of_gamma_range_names_the_grid(self, tmp_path, capsys):
+        # T*/(q-1) = 5e44 passes the Hurwitz offset bound of 1e44
+        assert main(["calibrate", "--q", "1.2", "--grid", "1e44:1e45:2",
+                     "--out", str(tmp_path / "x.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "--grid '1e44:1e45:2'" in err and "omega=1.0" in err
+        assert "beta_star" not in err
+        assert os.listdir(tmp_path) == []
+
 
 class TestWeights:
     def test_gibbs_weights_table(self, tmp_path):
@@ -312,6 +321,22 @@ def test_non_finite_grid_omega_or_horizon_is_refused(tmp_path, capsys, argv, cod
     err = capsys.readouterr().err
     assert "Traceback" not in err and "Warning" not in err
     assert os.listdir(tmp_path) == []  # no output, no temporary file
+
+
+@pytest.mark.parametrize("argv", [
+    ["timeseries", "--betas-file", os.path.join(DATA_DIR, "normal_n100.betas"), "--n-cap", "7",
+     "--T", "1e300", "--grid", "7", "--entropy", "tsallis", "--entropy-q", "1.1"],
+    ["bloch-sweep", "--gibbs", "--beta", "2", "--t-samples", "6", "--T", "1e16"],
+], ids=["timeseries", "bloch-sweep"])
+def test_horizon_beyond_a_resolvable_phase_is_refused(tmp_path, capsys, argv):
+    # T delta_max above 2**52: Simpson's step product overflowed at T=1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("jcentropy: time horizon ") and "2**52" in err
+    assert err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
 
 
 def test_config_takes_integers_for_float_flags_and_false_switches(tmp_path):

@@ -16,6 +16,7 @@ from jcentropy.entropy import (
     FieldEntropyForm,
     GridCoarseWarning,
     _row_entropies,
+    _transfers,
     atom_entropy,
     bloch_sweep,
     entropy_of,
@@ -120,6 +121,27 @@ class TestEntropyOf:
         rows = np.array([[0.2, 0.3, 0.5], bad, [1.0, 0.0, 0.0]])
         with pytest.raises(ValueError):
             _row_entropies(rows, kind)
+
+    @pytest.mark.parametrize("kind", [VON_NEUMANN, tsallis(1.6)], ids=["vn", "tsallis1.6"])
+    @pytest.mark.parametrize("zeros", [False, True], ids=["positive", "with-zeros"])
+    def test_clamp_skip_gives_the_clamped_bits(self, kind, zeros):
+        # a batch without a negative entry skips the clamp (Tsallis) or the unit
+        # fill (von Neumann, and only without zeros); a second row holding a
+        # tiny negative forces both onto the first row as well
+        rng = np.random.default_rng(11)
+        row = rng.uniform(0.0, 1.0, 1000) ** 4
+        if zeros:
+            row[::7] = 0.0
+        row /= 1.25 * row.sum()
+        negative = np.zeros_like(row)
+        negative[:3] = 0.2, -1e-13, 0.3
+        skipped = _row_entropies(row[np.newaxis], kind)
+        clamped = _row_entropies(np.stack((row, negative)), kind)
+        assert skipped.tobytes() == clamped[:1].tobytes()
+        owned = row[np.newaxis].copy()
+        logs = np.empty(owned.size)
+        in_place = _row_entropies(owned, kind, overwrite=True, logs=logs)
+        assert in_place.tobytes() == skipped.tobytes()
 
     @pytest.mark.parametrize("kind", [VON_NEUMANN, tsallis(1.6)], ids=["vn", "tsallis1.6"])
     def test_input_is_left_unchanged(self, kind):
@@ -307,6 +329,42 @@ class TestEntropyTrace:
                 )
 
 
+@pytest.mark.parametrize("grid", ["linspace", "resonant"])
+def test_transfers_follow_the_exact_transfer(grid):
+    # ~4k levels give R = 3 samples per chunk, so 300 chunks cross two reseeds;
+    # the resonant step has R h delta_0 = 2 pi.  Between reseeds the reference
+    # continues each reseed chunk's phases by j steps in extended precision: at
+    # phases up to 1.2e5 the float grid's own rounding of t delta_n moves the
+    # plain a1 cos(t delta_n) by about 1.2e5 ulps of a1, which no recurrence follows
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("the reference needs an extended-precision long double")
+    gamma = photon_weights_gamma(
+        GammaSuperstat(q=1.4, beta_star=3.3356918657181176), tail_tol=1e-6
+    )
+    evolver = BlockEvolver(RESONANT, AtomInit(0.35), gamma)
+    delta_n, a1 = evolver.delta_n, evolver.a1
+    rows = CHUNK_ELEMENTS // gamma.weights.size
+    n = 300 * rows
+    times = {
+        "linspace": np.linspace(0.0, 60.0, n),
+        "resonant": np.linspace(0.0, (n - 1) * math.pi / rows, n),  # delta_0 = 2
+    }[grid]
+    step = rows * (times[-1] / (n - 1)) * delta_n
+    bound = RESEED_CHUNKS**2 * np.finfo(float).eps * np.abs(a1)
+    worst = 0.0
+    for chunk, s in _transfers(times, delta_n, a1, rows, 0, 300, (2.0 * np.cos(step), np.sin(step))):
+        j = chunk.start // rows % RESEED_CHUNKS
+        if j == 0:
+            phase = np.multiply.outer(times[chunk], delta_n)
+            assert np.array_equal(s, a1 * np.cos(phase))
+            seed = phase.astype(np.longdouble)
+            continue
+        exact = a1 * np.cos(seed + j * step.astype(np.longdouble))
+        assert np.all(np.abs(s - exact) <= bound)
+        worst = max(worst, float(np.max(np.abs(s - exact) / bound)))
+    assert worst > 0.0  # the recurrence ran
+
+
 class TestTraceWalkers:
     """The reseed windows of a trace, walked on several threads."""
 
@@ -348,15 +406,15 @@ class TestTraceWalkers:
 
     @pytest.mark.parametrize("faulty", [(2,), (1, 2)], ids=["window2", "windows1-2"])
     def test_error_is_the_single_walker_one(self, monkeypatch, gamma, faulty):
-        original = entropy_module._cosines
+        original = entropy_module._transfers
 
-        def cosines(times, delta_n, rows, first, stop, steps):
-            for chunk, cos in original(times, delta_n, rows, first, stop, steps):
+        def transfers(times, delta_n, a1, rows, first, stop, steps):
+            for chunk, s in original(times, delta_n, a1, rows, first, stop, steps):
                 window = chunk.start // rows // RESEED_CHUNKS
-                # a wrong cosine, scaled differently per window, breaks the weights
-                yield chunk, cos * (10.0 * (window + 1) if window in faulty else 1.0)
+                # a wrong transfer, scaled differently per window, breaks the weights
+                yield chunk, s * (10.0 * (window + 1) if window in faulty else 1.0)
 
-        monkeypatch.setattr(entropy_module, "_cosines", cosines)
+        monkeypatch.setattr(entropy_module, "_transfers", transfers)
         times = np.linspace(0.0, 60.0, 900)
         messages = []
         for count in (1, 2, 3):
@@ -373,10 +431,10 @@ class TestTraceWalkers:
         assert threading.active_count() == before
 
 
-def test_single_walker_trace_holds_twelve_level_arrays(monkeypatch):
-    # the evolver's four arrays, the t=0 field weights, three cosine rows, a
-    # field row, its scratch row and the two recurrence steps; a step array
-    # kept beside the steps would make thirteen
+def test_single_walker_trace_holds_eleven_level_arrays(monkeypatch):
+    # the evolver's four arrays, the t=0 field weights, three transfer rows, a
+    # field row and the two recurrence steps; a Tsallis score needs no log
+    # buffer, and a step array kept beside the steps would make twelve
     monkeypatch.setattr(entropy_module, "_available_cpus", lambda: 1)
     n = 10**5
     dist = PhotonDistribution(np.full(n + 1, 1.0 / (n + 1)), 0.0)
@@ -389,7 +447,7 @@ def test_single_walker_trace_holds_twelve_level_arrays(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / (8 * n) < 12.5
+    assert peak / (8 * n) < 11.5
 
 
 class TestTimeAverage:
