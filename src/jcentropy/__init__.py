@@ -25,11 +25,8 @@ from .superstat import (
 from .jcm import (
     AtomInit,
     BlockEvolver,
-    EvolvedState,
     ModelParams,
     oracle_evolve,
-    reduced_atom,
-    reduced_field,
 )
 from .entropy import (
     VON_NEUMANN,
@@ -37,12 +34,9 @@ from .entropy import (
     EntropyKind,
     EntropyTrace,
     FieldEntropyForm,
-    atom_entropy,
     bloch_sweep,
     entropy_of,
     entropy_trace,
-    field_entropy,
-    time_average,
     tsallis,
 )
 from .ensemble import (

@@ -526,7 +526,8 @@ def _add_dynamics(sub: argparse.ArgumentParser) -> None:
                      help="field entropy over the full spectrum or (vacuum, rest)")
     sub.add_argument("--T", type=float, dest="horizon",
                      help="time horizon (default 50/lambda); T sqrt(delta^2 + "
-                          "lambda^2 n_max) may not exceed 2**52")
+                          "lambda^2 n_max) may not exceed 2**52, nor the time step "
+                          "T/(samples - 1) 5.6e102")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -176,7 +176,10 @@ def save_betas(
 
 
 def load_betas(path) -> tuple[MultiLevelSuperstat, BetaEnsembleSpec | None]:
-    """Read an ensemble file back; the value list round-trips bitwise."""
+    """Read an ensemble file back; the value list round-trips bitwise.
+
+    A malformed header or value raises :class:`ValueError` naming the file.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read().splitlines()
     if not raw or not raw[0].startswith("# "):
@@ -185,7 +188,16 @@ def load_betas(path) -> tuple[MultiLevelSuperstat, BetaEnsembleSpec | None]:
         header = json.loads(raw[0][2:])
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: header line is not valid JSON: {exc}") from exc
-    omega = float(header.get("omega", 1.0))
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: header must be a JSON object, got {raw[0][2:]!r}")
+    try:
+        omega = float(header.get("omega", 1.0))
+        count = int(header["count"]) if "count" in header else None
+        spec = header.get("spec")
+        if spec is not None:
+            spec = BetaEnsembleSpec(**spec)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed header {raw[0][2:]!r}: {exc}") from None
     betas = []
     for lineno, line in enumerate(raw[1:], start=2):
         line = line.strip()
@@ -198,11 +210,8 @@ def load_betas(path) -> tuple[MultiLevelSuperstat, BetaEnsembleSpec | None]:
         if not value > 0.0:
             raise ValueError(f"{path}:{lineno}: beta must be positive, got {value!r}")
         betas.append(value)
-    if len(betas) != int(header.get("count", len(betas))):
+    if count is not None and len(betas) != count:
         raise ValueError(
-            f"{path}: header declares {header.get('count')} values, found {len(betas)}"
+            f"{path}: header declares {header['count']} values, found {len(betas)}"
         )
-    spec = None
-    if header.get("spec") is not None:
-        spec = BetaEnsembleSpec(**header["spec"])
     return MultiLevelSuperstat(betas=tuple(betas), omega=omega), spec

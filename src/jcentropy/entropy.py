@@ -17,21 +17,11 @@ from __future__ import annotations
 import enum
 import math
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .jcm import (
-    AtomInit,
-    BlockEvolver,
-    EvolvedState,
-    ModelParams,
-    _atom_probs,
-    _field_weights,
-    reduced_atom,
-    reduced_field,
-)
+from .jcm import AtomInit, BlockEvolver, ModelParams
 from .superstat import PhotonDistribution
 
 __all__ = [
@@ -41,12 +31,8 @@ __all__ = [
     "FieldEntropyForm",
     "EntropyTrace",
     "BlochPoint",
-    "GridCoarseWarning",
     "entropy_of",
-    "atom_entropy",
-    "field_entropy",
     "entropy_trace",
-    "time_average",
     "bloch_sweep",
 ]
 
@@ -57,10 +43,9 @@ __all__ = [
 CHUNK_ELEMENTS = 2**14
 # chunks between exact reseeds of the cosine recurrence over chunks
 RESEED_CHUNKS = 128
-
-
-class GridCoarseWarning(UserWarning):
-    pass
+# a time step whose cube is still a finite float (the cube root of the largest
+# float is 5.64e102)
+MAX_STEP = 5.6e102
 
 
 @dataclass(frozen=True)
@@ -163,29 +148,6 @@ def entropy_of(p, kind: EntropyKind = VON_NEUMANN) -> float:
     return float(_row_entropies(np.asarray(p, dtype=float).ravel(), kind))
 
 
-def atom_entropy(state: EvolvedState, kind: EntropyKind = VON_NEUMANN) -> float:
-    """Entropy of the reduced atomic state (two outcomes)."""
-    return entropy_of(reduced_atom(state), kind)
-
-
-def field_entropy(
-    state: EvolvedState,
-    kind: EntropyKind = VON_NEUMANN,
-    form: FieldEntropyForm = FieldEntropyForm.FULL,
-) -> float:
-    """Entropy of the reduced field state.
-
-    ``FULL`` scores the whole photon-number weight list; ``COARSE``
-    aggregates everything above the vacuum into a single outcome, i.e.
-    the two-term expression (vacuum weight, all n >= 1 including the
-    tail).
-    """
-    w = reduced_field(state)
-    if form is FieldEntropyForm.COARSE:
-        w = _coarse_grained(w, state.tail_mass)
-    return entropy_of(w, kind)
-
-
 def _coarse_grained(w: np.ndarray, tail_mass: float) -> np.ndarray:
     """(vacuum, all n >= 1 including the tail) weights along the last axis."""
     return np.stack((w[..., 0], np.sum(w[..., 1:], axis=-1) + tail_mass), axis=-1)
@@ -273,7 +235,8 @@ def entropy_trace(
     """Partial entropy exchange of atom and field on a time grid.
 
     The grid must start at t=0 (the exchange is defined relative to the
-    initial state, so the first samples are exactly zero).  Times are
+    initial state, so the first samples are exactly zero), increase
+    strictly, and take no step above ``MAX_STEP``.  Times are
     evaluated in chunks of about ``CHUNK_ELEMENTS`` samples x levels,
     whose transfers ``a1 cos`` come from :func:`_transfers`.  The reseed
     windows of ``RESEED_CHUNKS`` chunks are dealt out as contiguous
@@ -284,18 +247,21 @@ def entropy_trace(
     times = np.asarray(times, dtype=float)
     if times.size < 2 or times[0] != 0.0:
         raise ValueError("time grid must start at t=0 and hold at least two samples")
-    if np.any(np.diff(times) <= 0.0):
+    steps = np.diff(times)
+    if np.any(steps <= 0.0):
         raise ValueError("time grid must be strictly increasing")
+    # Simpson's rule on an even sample count weighs its last panel with the
+    # cube of a step, which leaves the float range above MAX_STEP
+    largest = float(np.max(steps))
+    if not largest <= MAX_STEP:
+        raise ValueError(f"time step {largest:.3g} exceeds {MAX_STEP:.3g}, "
+                         "where the Simpson weights overflow")
 
     evolver = BlockEvolver(params, atom, dist)
     a1 = evolver.a1
-    uncoupled, excited_top = evolver.uncoupled_weight, evolver.excited_top
     # A = a0 + a1 cos and C = c0 - a1 cos, so the atom populations and the
     # field weights are their t-independent parts plus or minus a1 cos
-    pe0, pg0 = _atom_probs(
-        evolver.a0, evolver.c0, uncoupled, excited_top, dist.tail_mass, atom.epsilon
-    )
-    w0 = _field_weights(evolver.a0, evolver.c0, uncoupled, excited_top)
+    pe0, pg0, w0 = evolver.populations(evolver.a0, evolver.c0)
     moved = np.empty(times.size)
     s_field = np.empty(times.size)
     rows = min(times.size, max(1, CHUNK_ELEMENTS // dist.weights.size))
@@ -357,30 +323,6 @@ def _window_average(times: np.ndarray, values: np.ndarray) -> float:
     from scipy.integrate import simpson  # imported here to keep scipy off the CLI start-up
 
     return float(simpson(values, x=times) / (times[-1] - times[0]))
-
-
-def time_average(trace: EntropyTrace) -> tuple[float, float]:
-    """Time-averaged (atom, field) entropy exchange over the whole grid.
-
-    Composite Simpson on the stored grid; the average over the half-density
-    grid is compared against the full one and a :class:`GridCoarseWarning`
-    is emitted when they disagree by more than 1e-6.
-    """
-    t = trace.times
-    averages = []
-    for values in (trace.ds_atom, trace.ds_field):
-        full = _window_average(t, values)
-        if t.size >= 5:
-            half = _window_average(t[::2], values[::2])
-            if abs(full - half) > 1e-6:
-                warnings.warn(
-                    f"time grid may be too coarse: half/full Simpson averages differ "
-                    f"by {abs(full - half):.3e} (> 1e-06)",
-                    GridCoarseWarning,
-                    stacklevel=2,
-                )
-        averages.append(full)
-    return averages[0], averages[1]
 
 
 def bloch_sweep(

@@ -34,12 +34,9 @@ from .superstat import PhotonDistribution, _check_omega
 __all__ = [
     "ModelParams",
     "AtomInit",
-    "EvolvedState",
     "OracleEvolution",
     "CutoffWarning",
     "BlockEvolver",
-    "reduced_atom",
-    "reduced_field",
     "oracle_evolve",
 ]
 
@@ -98,29 +95,6 @@ def _manifold_arrays(params: ModelParams, count: int):
     return delta_n, sin_theta, cos_theta
 
 
-@dataclass(frozen=True)
-class EvolvedState:
-    """Joint-state coefficients at one instant.
-
-    ``coeff_a[n]``, ``coeff_b[n]``, ``coeff_c[n]`` are the population of
-    |e,n>, the coherence ``<e,n|rho|g,n+1>`` (the |e,n><g,n+1| element,
-    as :func:`oracle_evolve` returns it) and the population of |g,n+1>
-    in manifold n; ``uncoupled_weight`` is the stationary |g,0> weight.
-    ``excited_top`` (the |e, n_max> weight, which has no partner level
-    inside the truncation) and the split tail are frozen at their t=0
-    values.
-    """
-
-    time: float
-    coeff_a: np.ndarray
-    coeff_b: np.ndarray
-    coeff_c: np.ndarray
-    uncoupled_weight: float
-    excited_top: float
-    tail_mass: float
-    epsilon: float
-
-
 class BlockEvolver:
     """Precomputed closed-form manifold evolution for one configuration.
 
@@ -156,7 +130,12 @@ class BlockEvolver:
         return eps * p[:-1] + (1.0 - eps) * p[1:]
 
     def coefficients(self, t: float):
-        """(A_n(t), B_n(t), C_n(t)) over the evolved manifolds at time ``t``."""
+        """(A_n(t), B_n(t), C_n(t)) over the evolved manifolds at time ``t``.
+
+        ``A_n`` and ``C_n`` are the populations of |e,n> and |g,n+1>;
+        ``B_n`` is the coherence ``<e,n|rho|g,n+1>`` (the |e,n><g,n+1|
+        element, as :func:`oracle_evolve` returns it).
+        """
         phase = t * self.delta_n
         cos = np.cos(phase)
         a = self.a0 + self.a1 * cos
@@ -167,61 +146,24 @@ class BlockEvolver:
         b = half_coherence * (cos_theta * (1.0 - cos) + 1j * np.sin(phase))
         return a, b, c
 
-    def state(self, t: float) -> EvolvedState:
-        a, b, c = self.coefficients(t)
-        return EvolvedState(
-            time=float(t),
-            coeff_a=a,
-            coeff_b=b,
-            coeff_c=c,
-            uncoupled_weight=self.uncoupled_weight,
-            excited_top=self.excited_top,
-            tail_mass=self.dist.tail_mass,
-            epsilon=self.atom.epsilon,
-        )
+    def populations(self, a, c):
+        """(p_e, p_g, field) of the reduced states, along the last axis of ``a`` and ``c``.
 
-
-def _atom_probs(a, c, uncoupled, excited_top, tail_mass, epsilon):
-    """Excited/ground atom populations from the last-axis coefficient rows."""
-    p_e = np.sum(a, axis=-1) + excited_top + epsilon * tail_mass
-    p_g = uncoupled + np.sum(c, axis=-1) + (1.0 - epsilon) * tail_mass
-    return p_e, p_g
-
-
-def _field_weights(a, c, uncoupled, excited_top):
-    """Photon-number weights over levels 0..n_max along the last axis."""
-    w = np.empty(a.shape[:-1] + (a.shape[-1] + 1,))
-    w[..., 0] = uncoupled + a[..., 0]
-    np.add(a[..., 1:], c[..., :-1], out=w[..., 1:-1])
-    w[..., -1] = c[..., -1] + excited_top
-    return w
-
-
-def reduced_atom(state: EvolvedState) -> tuple[float, float]:
-    """Excited/ground populations of the reduced atomic state.
-
-    The frozen tail is split epsilon : (1 - epsilon) between the two
-    sectors, so the pair sums to one exactly.
-    """
-    p_e, p_g = _atom_probs(
-        state.coeff_a,
-        state.coeff_c,
-        state.uncoupled_weight,
-        state.excited_top,
-        state.tail_mass,
-        state.epsilon,
-    )
-    return float(p_e), float(p_g)
-
-
-def reduced_field(state: EvolvedState) -> np.ndarray:
-    """Photon-number weights of the reduced field state over levels 0..n_max.
-
-    The remaining probability beyond the top level is ``state.tail_mass``.
-    """
-    return _field_weights(
-        state.coeff_a, state.coeff_c, state.uncoupled_weight, state.excited_top
-    )
+        ``a`` and ``c`` are ``A_n`` and ``C_n`` over the evolved manifolds.
+        The |g,0> weight, the |e,n_max> weight and the tail beyond
+        ``n_max`` stay at their t=0 values; the tail is split
+        epsilon : (1 - epsilon) between the atomic sectors, so
+        ``p_e + p_g = 1``.  ``field`` holds the photon-number weights over
+        levels 0..n_max; the remaining probability is the tail mass.
+        """
+        eps, tail = self.atom.epsilon, self.dist.tail_mass
+        p_e = np.sum(a, axis=-1) + self.excited_top + eps * tail
+        p_g = self.uncoupled_weight + np.sum(c, axis=-1) + (1.0 - eps) * tail
+        field = np.empty(a.shape[:-1] + (a.shape[-1] + 1,))
+        field[..., 0] = self.uncoupled_weight + a[..., 0]
+        np.add(a[..., 1:], c[..., :-1], out=field[..., 1:-1])
+        field[..., -1] = c[..., -1] + self.excited_top
+        return p_e, p_g, field
 
 
 @dataclass(frozen=True)

@@ -339,6 +339,24 @@ def test_horizon_beyond_a_resolvable_phase_is_refused(tmp_path, capsys, argv):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["timeseries", "--gibbs", "--beta", "1", "--lambda", "1e-140", "--T", "1e155", "--grid", "7"],
+    ["timeseries", "--gibbs", "--beta", "1", "--lambda", "0", "--T", "1e300"],
+    ["timeseries", "--gibbs", "--beta", "1", "--lambda", "0", "--T", "1e105", "--grid", "8"],
+    ["bloch-sweep", "--gibbs", "--beta", "1", "--lambda", "0", "--T", "1e105",
+     "--t-samples", "8", "--grid", "1x2"],
+], ids=["square-overflow", "zero-coupling", "cube-overflow", "bloch-sweep"])
+def test_time_step_beyond_simpson_range_is_refused(tmp_path, capsys, argv):
+    # these once exited 0 with a RuntimeWarning and a wrong or NaN average
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("jcentropy: time step ") and "5.6e+102" in err
+    assert err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
 def test_config_takes_integers_for_float_flags_and_false_switches(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text('{"gibbs": true, "beta": 2, "lam": 1, "horizon": 3, "grid": 16}')
@@ -379,6 +397,20 @@ class TestBlochSweep:
         assert main(["bloch-sweep", "--gibbs", "--beta", "2.0", "--t-samples", "1",
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("header", [
+    '[1]', '{"omega": null}', '{"spec": {"bogus": 1}}', '{"count": [2]}',
+], ids=["not-an-object", "null-omega", "unknown-spec-key", "list-count"])
+def test_malformed_betas_header_is_domain_error(tmp_path, capsys, header):
+    betas = tmp_path / "bad.betas"
+    betas.write_text(f"# {header}\n2.0\n3.0\n")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main(["weights", "--betas-file", str(betas), "--out", str(out_dir / "w.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"jcentropy: {betas}: ") and "Traceback" not in err
+    assert os.listdir(out_dir) == []
 
 
 class TestEnsembleGen:

@@ -2,6 +2,7 @@ import itertools
 import math
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,16 +14,15 @@ from jcentropy.entropy import (
     VON_NEUMANN,
     BlochPoint,
     EntropyKind,
+    MAX_STEP,
     FieldEntropyForm,
-    GridCoarseWarning,
+    _coarse_grained,
     _row_entropies,
     _transfers,
-    atom_entropy,
+    _window_average,
     bloch_sweep,
     entropy_of,
     entropy_trace,
-    field_entropy,
-    time_average,
     tsallis,
 )
 from jcentropy.jcm import (
@@ -44,6 +44,15 @@ RESONANT = ModelParams.from_detuning(0.0, 2.0)
 # Thermal von Neumann entropy (1+nbar) ln(1+nbar) - nbar ln(nbar) at nbar=0.1,
 # frozen from direct evaluation and cross-checked by summing the weights.
 THERMAL_S_01 = 0.3350997070841619
+
+
+def exact_entropies(evolver, t, kind=VON_NEUMANN, form=FieldEntropyForm.FULL):
+    """(atom, field) entropies at time t from the coefficients, one instant at a time."""
+    a, _, c = evolver.coefficients(t)
+    p_e, p_g, field = evolver.populations(a, c)
+    if form is FieldEntropyForm.COARSE:
+        field = _coarse_grained(field, evolver.dist.tail_mass)
+    return entropy_of([p_e, p_g], kind), entropy_of(field, kind)
 
 
 class TestEntropyOf:
@@ -162,15 +171,17 @@ class TestEntropyOf:
 class TestAtomEntropy:
     def test_pure_state_zero(self):
         dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-12)
-        state = BlockEvolver(RESONANT, AtomInit(1.0), dist).state(0.0)
-        assert atom_entropy(state) == pytest.approx(0.0, abs=1e-12)
+        s_atom, _ = exact_entropies(BlockEvolver(RESONANT, AtomInit(1.0), dist), 0.0)
+        assert s_atom == pytest.approx(0.0, abs=1e-12)
 
     def test_maximal_mixing(self):
         dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-12)
-        state = BlockEvolver(RESONANT, AtomInit(0.5), dist).state(0.0)
-        assert atom_entropy(state) == pytest.approx(math.log(2.0), abs=1e-12)
+        evolver = BlockEvolver(RESONANT, AtomInit(0.5), dist)
+        s_atom, _ = exact_entropies(evolver, 0.0)
+        assert s_atom == pytest.approx(math.log(2.0), abs=1e-12)
         q = 1.5
-        assert atom_entropy(state, tsallis(q)) == pytest.approx(-q_log(0.5, q), abs=1e-12)
+        s_atom, _ = exact_entropies(evolver, 0.0, tsallis(q))
+        assert s_atom == pytest.approx(-q_log(0.5, q), abs=1e-12)
 
     def test_bounded_by_maximal_binary_entropy(self):
         dist = photon_weights_gibbs(1.0, tail_tol=1e-10)
@@ -181,24 +192,23 @@ class TestAtomEntropy:
             for _ in range(25):
                 params = ModelParams.from_detuning(rng.uniform(-2, 2), rng.uniform(0.5, 3))
                 evolver = BlockEvolver(params, AtomInit(rng.uniform()), dist)
-                state = evolver.state(rng.uniform(0, 9))
-                assert atom_entropy(state, kind) <= bound + 1e-12
+                s_atom, _ = exact_entropies(evolver, rng.uniform(0, 9), kind)
+                assert s_atom <= bound + 1e-12
 
 
 class TestFieldEntropy:
     def test_thermal_value_at_t0(self):
         dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-12)
-        state = BlockEvolver(RESONANT, AtomInit(0.3), dist).state(0.0)
-        assert field_entropy(state) == pytest.approx(THERMAL_S_01, abs=1e-8)
+        _, s_field = exact_entropies(BlockEvolver(RESONANT, AtomInit(0.3), dist), 0.0)
+        assert s_field == pytest.approx(THERMAL_S_01, abs=1e-8)
 
     def test_coarse_form_at_t0_is_binary(self):
         dist = photon_weights_gibbs(2.0, tail_tol=1e-12)
-        state = BlockEvolver(RESONANT, AtomInit(0.7), dist).state(0.0)
+        evolver = BlockEvolver(RESONANT, AtomInit(0.7), dist)
         p0 = dist.weights[0]
         expected = entropy_of([p0, 1.0 - p0])
-        assert field_entropy(state, form=FieldEntropyForm.COARSE) == pytest.approx(
-            expected, abs=1e-12
-        )
+        _, s_field = exact_entropies(evolver, 0.0, form=FieldEntropyForm.COARSE)
+        assert s_field == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("q", [1.2, 1.4])
     def test_deformed_t0_matches_tail_corrected_closed_form(self, q):
@@ -206,14 +216,14 @@ class TestFieldEntropy:
         beta_star = 1.2
         gs = GammaSuperstat(q=q, beta_star=beta_star, omega=1.0)
         dist = photon_weights_gamma(gs, tail_tol=1e-5, hard_cap=10**6)
-        state = BlockEvolver(RESONANT, AtomInit(0.0), dist).state(0.0)
+        evolver = BlockEvolver(RESONANT, AtomInit(0.0), dist)
         s, r = gs.s_index, gs.r_offset
         norm, _ = zeta_brute(s, r, n_terms=2 * 10**6)
         full, _ = zeta_brute((2.0 - q) * s, r, n_terms=2 * 10**6)
         tail, _ = zeta_brute((2.0 - q) * s, r + dist.n_max + 1.0, n_terms=2 * 10**6)
         exact = (full / norm ** (2.0 - q) - 1.0) / (q - 1.0)
         tail_correction = (tail / norm ** (2.0 - q) - dist.tail_mass) / (q - 1.0)
-        got = field_entropy(state, tsallis(q)) + tail_correction
+        got = exact_entropies(evolver, 0.0, tsallis(q))[1] + tail_correction
         assert got == pytest.approx(exact, abs=1e-8)
 
 
@@ -236,7 +246,7 @@ class TestEntropyTrace:
         trace = entropy_trace(params, AtomInit(0.4), dist, times=np.linspace(0, 5, 32))
         assert np.max(np.abs(trace.ds_total)) == 0.0
 
-    def test_pure_atom_entropy_never_negative(self):
+    def test_pure_atom_exchange_never_negative(self):
         dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-10)
         trace = entropy_trace(RESONANT, AtomInit(0.0), dist, times=np.linspace(0, 20, 400))
         assert np.min(trace.ds_atom) >= 0.0
@@ -248,8 +258,20 @@ class TestEntropyTrace:
         with pytest.raises(ValueError):
             entropy_trace(RESONANT, AtomInit(0.2), dist, times=np.array([0.0, 2.0, 1.0]))
 
+    def test_steps_up_to_max_step_keep_the_averages_finite(self):
+        # on an even sample count Simpson's rule weighs the last step by its cube
+        dist = photon_weights_gibbs(1.0, tail_tol=1e-10)
+        times = np.array([0.0, 0.5, 1.0, 2.0]) * MAX_STEP
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = entropy_trace(RESONANT, AtomInit(0.2), dist, times=times)
+        assert math.isfinite(trace.avg_ds_atom) and math.isfinite(trace.avg_ds_field)
+        times[-1] = np.nextafter(times[-1], np.inf)
+        with pytest.raises(ValueError, match="time step"):
+            entropy_trace(RESONANT, AtomInit(0.2), dist, times=times)
+
     def test_trace_matches_state_level_entropies(self):
-        # the batched trace path, the public per-state path and the oracle must
+        # the batched trace path, the exact per-time route and the oracle must
         # agree; the ~4k-level gamma state spans several chunks of the 29-sample
         # grid; at eps in {0, 1} one sector starts empty, where a residue of
         # 1e-16 would cost 1e-10 under p^(2-q)
@@ -281,17 +303,12 @@ class TestEntropyTrace:
 
             trace = entropy_trace(params, atom, dist, kind, form, times=times)
             evolver = BlockEvolver(params, atom, dist)
-            s0_atom = atom_entropy(evolver.state(0.0), kind)
-            s0_field = field_entropy(evolver.state(0.0), kind, form)
+            s0_atom, s0_field = exact_entropies(evolver, 0.0, kind, form)
             o0_atom, o0_field = oracle_entropies(0.0)
             for i in (3, 11, 28):
-                state = evolver.state(times[i])
-                assert trace.ds_atom[i] == pytest.approx(
-                    atom_entropy(state, kind) - s0_atom, abs=1e-12
-                )
-                assert trace.ds_field[i] == pytest.approx(
-                    field_entropy(state, kind, form) - s0_field, abs=1e-12
-                )
+                s_atom, s_field = exact_entropies(evolver, times[i], kind, form)
+                assert trace.ds_atom[i] == pytest.approx(s_atom - s0_atom, abs=1e-12)
+                assert trace.ds_field[i] == pytest.approx(s_field - s0_field, abs=1e-12)
                 o_atom, o_field = oracle_entropies(times[i])
                 assert trace.ds_atom[i] == pytest.approx(o_atom - o0_atom, abs=1e-12)
                 assert trace.ds_field[i] == pytest.approx(o_field - o0_field, abs=1e-12)
@@ -317,16 +334,11 @@ class TestEntropyTrace:
         for kind in (VON_NEUMANN, tsallis(1.5)):
             trace = entropy_trace(RESONANT, atom, gamma, kind, FieldEntropyForm.FULL, times=times)
             evolver = BlockEvolver(RESONANT, atom, gamma)
-            s0_atom = atom_entropy(evolver.state(0.0), kind)
-            s0_field = field_entropy(evolver.state(0.0), kind)
+            s0_atom, s0_field = exact_entropies(evolver, 0.0, kind)
             for i in picks:
-                state = evolver.state(times[i])
-                assert trace.ds_atom[i] == pytest.approx(
-                    atom_entropy(state, kind) - s0_atom, abs=1e-12
-                )
-                assert trace.ds_field[i] == pytest.approx(
-                    field_entropy(state, kind) - s0_field, abs=1e-12
-                )
+                s_atom, s_field = exact_entropies(evolver, times[i], kind)
+                assert trace.ds_atom[i] == pytest.approx(s_atom - s0_atom, abs=1e-12)
+                assert trace.ds_field[i] == pytest.approx(s_field - s0_field, abs=1e-12)
 
 
 @pytest.mark.parametrize("grid", ["linspace", "resonant"])
@@ -451,33 +463,13 @@ def test_single_walker_trace_holds_eleven_level_arrays(monkeypatch):
 
 
 class TestTimeAverage:
-    def _trace_with(self, values, times):
-        from jcentropy.entropy import EntropyTrace
-
-        return EntropyTrace(
-            times=times, ds_atom=values, ds_field=values, ds_total=2.0 * values,
-            avg_ds_atom=0.0, avg_ds_field=0.0,
-        )
-
     def test_constant_trace(self):
         times = np.linspace(0, 4, 33)
-        trace = self._trace_with(np.full_like(times, 0.7), times)
-        avg_a, avg_b = time_average(trace)
-        assert avg_a == pytest.approx(0.7, rel=1e-12)
-        assert avg_b == pytest.approx(0.7, rel=1e-12)
+        assert _window_average(times, np.full_like(times, 0.7)) == pytest.approx(0.7, rel=1e-12)
 
     def test_sinusoid_over_integer_periods(self):
         times = np.linspace(0, 6 * math.pi, 2001)
-        trace = self._trace_with(np.sin(times), times)
-        avg_a, _ = time_average(trace)
-        assert abs(avg_a) < 1e-8
-
-    def test_coarse_grid_warns(self):
-        times = np.linspace(0, 12, 9)
-        dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-10)
-        trace = entropy_trace(RESONANT, AtomInit(0.0), dist, times=times)
-        with pytest.warns(GridCoarseWarning):
-            time_average(trace)
+        assert abs(_window_average(times, np.sin(times))) < 1e-8
 
     def test_doubling_grid_converges(self):
         dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-10)

@@ -14,8 +14,6 @@ from jcentropy.jcm import (
     ModelParams,
     _manifold_arrays,
     oracle_evolve,
-    reduced_atom,
-    reduced_field,
 )
 from jcentropy.superstat import (
     GammaSuperstat,
@@ -30,6 +28,12 @@ RESONANT = ModelParams.from_detuning(0.0, 2.0)
 def make_dist(weights) -> PhotonDistribution:
     weights = np.asarray(weights, dtype=float)
     return PhotonDistribution(weights, 1.0 - float(np.sum(weights)))
+
+
+def populations_at(evolver, t):
+    """(p_e, p_g, field weights) at time t."""
+    a, _, c = evolver.coefficients(t)
+    return evolver.populations(a, c)
 
 
 @pytest.fixture(scope="module")
@@ -78,41 +82,42 @@ class TestInitialConditions:
     @pytest.mark.parametrize("eps", [0.0, 0.3, 1.0])
     def test_t0_recovers_initial_weights(self, delta, eps, thermal_dist):
         params = ModelParams.from_detuning(delta, 2.0)
-        state = BlockEvolver(params, AtomInit(eps), thermal_dist).state(0.0)
+        a, b, c = BlockEvolver(params, AtomInit(eps), thermal_dist).coefficients(0.0)
         p = thermal_dist.weights
-        assert np.max(np.abs(state.coeff_a - eps * p[:-1])) < 1e-14
-        assert np.max(np.abs(state.coeff_c - (1.0 - eps) * p[1:])) < 1e-14
-        assert np.max(np.abs(state.coeff_b)) < 1e-14
+        assert np.max(np.abs(a - eps * p[:-1])) < 1e-14
+        assert np.max(np.abs(c - (1.0 - eps) * p[1:])) < 1e-14
+        assert np.max(np.abs(b)) < 1e-14
 
-    def test_t0_reduced_atom(self, thermal_dist):
+    def test_t0_atom_populations(self, thermal_dist):
         for eps, expected in ((1.0, (1.0, 0.0)), (0.0, (0.0, 1.0))):
-            state = BlockEvolver(RESONANT, AtomInit(eps), thermal_dist).state(0.0)
-            p_e, p_g = reduced_atom(state)
+            evolver = BlockEvolver(RESONANT, AtomInit(eps), thermal_dist)
+            p_e, p_g, _ = populations_at(evolver, 0.0)
             assert p_e == pytest.approx(expected[0], abs=1e-12)
             assert p_g == pytest.approx(expected[1], abs=1e-12)
 
-    def test_t0_reduced_field_is_input(self, thermal_dist):
-        state = BlockEvolver(RESONANT, AtomInit(0.4), thermal_dist).state(0.0)
-        assert np.max(np.abs(reduced_field(state) - thermal_dist.weights)) < 1e-15
+    def test_t0_field_is_input(self, thermal_dist):
+        evolver = BlockEvolver(RESONANT, AtomInit(0.4), thermal_dist)
+        _, _, field = populations_at(evolver, 0.0)
+        assert np.max(np.abs(field - thermal_dist.weights)) < 1e-15
 
 
 class TestClosedForms:
     def test_resonant_ground_atom_rabi(self, thermal_dist):
         # eps=0, Delta=0: A_n(t) = p_{n+1} sin^2(delta_n t / 2)
         t = 0.9
-        state = BlockEvolver(RESONANT, AtomInit(0.0), thermal_dist).state(t)
+        a, _, _ = BlockEvolver(RESONANT, AtomInit(0.0), thermal_dist).coefficients(t)
         n = np.arange(thermal_dist.n_max)
         delta_n = 2.0 * np.sqrt(n + 1.0)
         expected = thermal_dist.weights[1:] * np.sin(delta_n * t / 2.0) ** 2
-        assert np.max(np.abs(state.coeff_a - expected)) < 1e-14
+        assert np.max(np.abs(a - expected)) < 1e-14
 
     def test_single_photon_transfer(self):
         # two retained levels, excited atom: level-1 weight grows by p_0 sin^2(delta_0 t/2)
         dist = make_dist([0.7, 0.2])
         t = math.pi / 2.0  # delta_0 = 2 -> half Rabi period
         evolver = BlockEvolver(RESONANT, AtomInit(1.0), dist)
-        w0 = reduced_field(evolver.state(0.0))
-        wt = reduced_field(evolver.state(t))
+        _, _, w0 = populations_at(evolver, 0.0)
+        _, _, wt = populations_at(evolver, t)
         assert wt[1] - w0[1] == pytest.approx(0.7 * math.sin(2.0 * t / 2.0) ** 2, abs=1e-12)
 
     def test_periodicity_per_manifold(self, thermal_dist):
@@ -130,10 +135,11 @@ class TestClosedForms:
         for delta in (1.0, 0.0):
             params = ModelParams.from_detuning(delta, 0.0)
             evolver = BlockEvolver(params, AtomInit(0.6), thermal_dist)
-            state0, state1 = evolver.state(0.0), evolver.state(5.7)
-            assert np.array_equal(state0.coeff_a, state1.coeff_a)
-            assert np.array_equal(state0.coeff_c, state1.coeff_c)
-            assert not np.any(state1.coeff_b)
+            a0, _, c0 = evolver.coefficients(0.0)
+            a1, b1, c1 = evolver.coefficients(5.7)
+            assert np.array_equal(a0, a1)
+            assert np.array_equal(c0, c1)
+            assert not np.any(b1)
 
     @pytest.mark.parametrize("eps, sector", [(1.0, "c"), (0.0, "a")])
     def test_empty_sector_is_exactly_zero_at_t0(self, eps, sector):
@@ -154,15 +160,16 @@ class TestOracle:
         dist = photon_weights_gamma(gs, tail_tol=1e-4, hard_cap=10**5).truncated(40)
         params = ModelParams.from_detuning(1.0, 2.0)
         atom = AtomInit(0.3)
-        state = BlockEvolver(params, atom, dist).state(0.7)
+        evolver = BlockEvolver(params, atom, dist)
+        a, b, c = evolver.coefficients(0.7)
         ora = oracle_evolve(params, atom, dist, 0.7, n_cut=dist.n_max, warn_tol=1.0)
-        assert np.max(np.abs(state.coeff_a - ora.coeff_a)) < 1e-10
-        assert np.max(np.abs(state.coeff_c - ora.coeff_c)) < 1e-10
-        assert np.max(np.abs(np.abs(state.coeff_b) - np.abs(ora.coeff_b))) < 1e-10
-        p_e, p_g = reduced_atom(state)
+        assert np.max(np.abs(a - ora.coeff_a)) < 1e-10
+        assert np.max(np.abs(c - ora.coeff_c)) < 1e-10
+        assert np.max(np.abs(np.abs(b) - np.abs(ora.coeff_b))) < 1e-10
+        p_e, p_g, field = evolver.populations(a, c)
         assert p_e == pytest.approx(ora.atom_excited, abs=1e-10)
         assert p_g == pytest.approx(ora.atom_ground, abs=1e-10)
-        assert np.max(np.abs(reduced_field(state) - ora.field_weights)) < 1e-10
+        assert np.max(np.abs(field - ora.field_weights)) < 1e-10
 
     @pytest.mark.parametrize(
         "delta, lam",
@@ -196,11 +203,12 @@ class TestOracle:
             params = ModelParams.from_detuning(rng.uniform(-3, 3), rng.uniform(0.3, 3.0))
             atom = AtomInit(rng.uniform())
             t = rng.uniform(0.0, 10.0)
-            state = BlockEvolver(params, atom, thermal_dist).state(t)
+            evolver = BlockEvolver(params, atom, thermal_dist)
+            a, _, c = evolver.coefficients(t)
             ora = oracle_evolve(params, atom, thermal_dist, t, n_cut=thermal_dist.n_max)
-            assert np.max(np.abs(state.coeff_a - ora.coeff_a)) < 1e-10
-            assert np.max(np.abs(state.coeff_c - ora.coeff_c)) < 1e-10
-            p_e, p_g = reduced_atom(state)
+            assert np.max(np.abs(a - ora.coeff_a)) < 1e-10
+            assert np.max(np.abs(c - ora.coeff_c)) < 1e-10
+            p_e, p_g, _ = evolver.populations(a, c)
             assert p_e == pytest.approx(ora.atom_excited, abs=1e-10)
             assert p_g == pytest.approx(ora.atom_ground, abs=1e-10)
 
@@ -251,12 +259,11 @@ def test_matches_full_space_dense_simulation():
         t = rng.uniform(0.0, 8.0)
         dist = photon_weights_gibbs(rng.uniform(0.8, 3.0), tail_tol=1e-13).truncated(14)
         params = ModelParams.from_detuning(delta, lam)
-        state = BlockEvolver(params, AtomInit(eps), dist).state(t)
-        p_e, p_g = reduced_atom(state)
+        p_e, p_g, field = populations_at(BlockEvolver(params, AtomInit(eps), dist), t)
         ref_e, ref_g, ref_field = _full_dense_sim(delta, lam, eps, dist.weights, dist.tail_mass, t)
         assert p_e == pytest.approx(ref_e, abs=1e-12)
         assert p_g == pytest.approx(ref_g, abs=1e-12)
-        assert np.max(np.abs(reduced_field(state) - ref_field)) < 1e-12
+        assert np.max(np.abs(field - ref_field)) < 1e-12
 
 
 @settings(max_examples=80, deadline=None)

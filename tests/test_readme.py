@@ -1,0 +1,18 @@
+"""Every ``python`` block of the README runs as written, so a documented name cannot go stale."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+
+
+def test_readme_has_python_examples():
+    assert BLOCKS
+
+
+@pytest.mark.parametrize("index", range(len(BLOCKS)))
+def test_readme_example_runs(index):
+    exec(compile(BLOCKS[index], f"{README}:python block {index}", "exec"), {"__name__": "readme"})
