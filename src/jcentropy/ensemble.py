@@ -191,8 +191,13 @@ def load_betas(path) -> tuple[MultiLevelSuperstat, BetaEnsembleSpec | None]:
     if not isinstance(header, dict):
         raise ValueError(f"{path}: header must be a JSON object, got {raw[0][2:]!r}")
     try:
+        # float() and int() would take true as 1 and truncate a count of 2.5
+        if isinstance(header.get("omega"), bool):
+            raise TypeError(f"omega must be a number, got {header['omega']!r}")
         omega = float(header.get("omega", 1.0))
-        count = int(header["count"]) if "count" in header else None
+        count = header.get("count")
+        if "count" in header and (isinstance(count, bool) or not isinstance(count, int)):
+            raise TypeError(f"count must be an integer, got {count!r}")
         spec = header.get("spec")
         if spec is not None:
             spec = BetaEnsembleSpec(**spec)

@@ -41,6 +41,11 @@ __all__ = [
 # that each chunk's arrays (128 KB) stay cache-resident, large enough that the
 # per-call overhead vanishes at a few levels
 CHUNK_ELEMENTS = 2**14
+# time samples x photon levels x preparations walked at once by a Bloch sweep
+# (256 KB per buffer): four 1000-sample traces of a few levels share a group,
+# while a trace whose chunk alone exceeds it walks by itself; twice this bought
+# 5% more speed for twice the memory of the group's buffers
+GROUP_ELEMENTS = 2**15
 # chunks between exact reseeds of the cosine recurrence over chunks
 RESEED_CHUNKS = 128
 # a time step whose cube is still a finite float (the cube root of the largest
@@ -176,11 +181,13 @@ def _available_cpus() -> int:
 def _transfers(
     times: np.ndarray, delta_n: np.ndarray, a1: np.ndarray, rows: int, first: int, stop: int, steps
 ):
-    """Yield ``(chunk, a1 * cos(outer(times[chunk], delta_n)))`` for chunks ``first..stop-1``.
+    """Yield ``(chunk, a1[:, None] * cos(outer(times[chunk], delta_n)))`` for chunks ``first..stop-1``.
 
-    ``times`` is a strictly increasing grid of at least two samples,
-    cut into chunks of ``rows`` samples (the last may be short);
-    ``first`` is a multiple of ``RESEED_CHUNKS``.  With ``steps`` equal to
+    ``a1`` holds one transfer row per preparation, shape ``(k, levels)``,
+    and a yielded block has shape ``(k, samples, levels)``.  ``times`` is
+    a strictly increasing grid of at least two samples, cut into chunks
+    of ``rows`` samples (the last may be short); ``first`` is a multiple
+    of ``RESEED_CHUNKS``.  With ``steps`` equal to
     ``(2 cos(R h delta_n), sin(R h delta_n))`` on a grid equal to
     ``np.linspace(0, times[-1], times.size)`` (step h, R = ``rows``), a
     full chunk follows from the two before it by the three-term recurrence
@@ -194,33 +201,133 @@ def _transfers(
     the j-th recurrence step, also where ``R h delta_n`` is a multiple
     of pi, so the drift stays within about ``RESEED_CHUNKS**2`` ulps of
     ``|a1|``.  With ``steps=None``, and for a short last chunk, every
-    chunk takes the exact cosine.  A yielded block is overwritten two
-    chunks later.
+    chunk takes the exact cosine.  The phase and its cosine or sine are
+    computed once per chunk for all k rows of ``a1``, and each row takes
+    the float operations it would take alone.  A yielded block is
+    overwritten two chunks later.
     """
-    older, old, new = (np.empty((rows, delta_n.size)) for _ in range(3))
-    for k in range(first, stop):
-        t = times[k * rows : (k + 1) * rows]
-        block = new[: t.size]
-        position = k % RESEED_CHUNKS if steps is not None and t.size == rows else 0
+    k, levels = a1.shape
+    older, old, new = (np.empty(k * rows * levels) for _ in range(3))
+    for c in range(first, stop):
+        t = times[c * rows : (c + 1) * rows]
+        shape = (k, t.size, levels)
+        block = new[: k * t.size * levels].reshape(shape)
+        position = c % RESEED_CHUNKS if steps is not None and t.size == rows else 0
         if position == 0:
             # the phase waits in the buffer the next chunk fills
-            np.cos(np.multiply.outer(t, delta_n, out=older[: t.size]), out=block)
-            block *= a1
+            phase = np.multiply.outer(t, delta_n, out=older[: t.size * levels].reshape(shape[1:]))
+            np.cos(phase, out=block[0])
+            _spread(block, a1)
         elif position == 1:
             # a second exact cosine would disagree with the rotation by up
             # to phase * eps (1e-11 at phase 1e5), which the recurrence then
             # amplifies up to RESEED_CHUNKS-fold; the rotation agrees to an ulp
             twice_cos_step, sin_step = steps
-            rotated = np.multiply(twice_cos_step, old, out=older)
+            rotated = np.multiply(twice_cos_step, old.reshape(shape), out=older.reshape(shape))
             rotated *= 0.5
-            np.multiply(sin_step, np.sin(block, out=block), out=block)
-            block *= a1
+            # the first row holds the phase of the chunk before
+            np.multiply(sin_step, np.sin(block[0], out=block[0]), out=block[0])
+            _spread(block, a1)
             np.subtract(rotated, block, out=block)
         else:
-            np.multiply(steps[0], old, out=block)
-            block -= older
-        yield slice(k * rows, k * rows + t.size), block
+            np.multiply(steps[0], old.reshape(shape), out=block)
+            block -= older.reshape(shape)
+        yield slice(c * rows, c * rows + t.size), block
         older, old, new = old, new, older
+
+
+def _spread(block: np.ndarray, a1: np.ndarray) -> None:
+    """Turn ``block[0]``, a factor shared by every preparation, into ``block[i] = block[0] * a1[i]``."""
+    np.multiply(block[0], a1[1:, np.newaxis], out=block[1:])
+    block[0] *= a1[0]
+
+
+def _checked_grid(times) -> np.ndarray:
+    """``times`` as a float array, once it passes the checks :func:`entropy_trace` documents."""
+    times = np.asarray(times, dtype=float)
+    if times.size < 2 or times[0] != 0.0:
+        raise ValueError("time grid must start at t=0 and hold at least two samples")
+    steps = np.diff(times)
+    if np.any(steps <= 0.0):
+        raise ValueError("time grid must be strictly increasing")
+    # Simpson's rule on an even sample count weighs its last panel with the
+    # cube of a step, which leaves the float range above MAX_STEP
+    largest = float(np.max(steps))
+    if not largest <= MAX_STEP:
+        raise ValueError(f"time step {largest:.3g} exceeds {MAX_STEP:.3g}, "
+                         "where the Simpson weights overflow")
+    return times
+
+
+def _chunk_rows(times: np.ndarray, dist: PhotonDistribution) -> int:
+    """Time samples per chunk: a function of the levels, never of the preparations."""
+    return min(times.size, max(1, CHUNK_ELEMENTS // dist.weights.size))
+
+
+def _exchanges(
+    params: ModelParams,
+    atoms: tuple[AtomInit, ...],
+    dist: PhotonDistribution,
+    kind: EntropyKind,
+    form: FieldEntropyForm,
+    times: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(atom, field) entropy exchanges of each preparation, shape ``(len(atoms), times.size)``.
+
+    The one walk behind :func:`entropy_trace` and :func:`bloch_sweep`;
+    ``times`` has passed :func:`_checked_grid`.  Every preparation's row
+    has the bits it has when walked alone.
+    """
+    evolver = BlockEvolver(params, atoms, dist)
+    a1 = evolver.a1
+    # A = a0 + a1 cos and C = c0 - a1 cos, so the atom populations and the
+    # field weights are their t-independent parts plus or minus a1 cos
+    pe0, pg0, w0 = evolver.populations(evolver.a0, evolver.c0)
+    moved = np.empty((len(atoms), times.size))
+    s_field = np.empty((len(atoms), times.size))
+    rows = _chunk_rows(times, dist)
+    # the sine overwrites the phase, so no third level array outlives this block
+    steps = None
+    if times.size > 2 * rows and np.array_equal(times, np.linspace(0.0, times[-1], times.size)):
+        step = rows * (times[-1] / (times.size - 1)) * evolver.delta_n
+        steps = 2.0 * np.cos(step), np.sin(step, out=step)
+
+    def walk(first: int, stop: int) -> None:
+        # runs on worker threads: the NumPy calls on whole rows release the GIL;
+        # it calls nothing perfbench/tracing.py wraps, whose span stack is per process
+        w_rows = np.empty(len(atoms) * rows * w0.shape[-1])
+        logs = np.empty(w_rows.size) if kind.is_von_neumann else None
+        for chunk, s in _transfers(times, evolver.delta_n, a1, rows, first, stop, steps):
+            shape = s.shape[:-1] + w0.shape[-1:]
+            w = w_rows[: math.prod(shape)].reshape(shape)
+            # row sums, not a BLAS product: threaded BLAS would spin a second core
+            moved[:, chunk] = np.sum(s, axis=-1)
+            np.add(w0[:, np.newaxis, :-1], s, out=w[..., :-1])
+            w[..., -1] = w0[:, -1:]
+            w[..., 1:] -= s
+            if form is FieldEntropyForm.COARSE:
+                w = _coarse_grained(w, dist.tail_mass)
+            s_field[:, chunk] = _row_entropies(w, kind, overwrite=True, logs=logs)
+
+    chunks = -(-times.size // rows)
+    windows = -(-chunks // RESEED_CHUNKS)
+    walkers = min(_available_cpus(), windows)
+    bounds = [min(chunks, RESEED_CHUNKS * (windows * i // walkers)) for i in range(walkers + 1)]
+    if walkers == 1:
+        walk(0, chunks)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=walkers - 1) as pool:
+            futures = [pool.submit(walk, *span) for span in zip(bounds[1:-1], bounds[2:])]
+            # the calling thread walks the earliest windows, so its error comes first
+            walk(bounds[0], bounds[1])
+        for future in futures:
+            future.result()
+    # each two-entry row sums alike in any batch, so one call scores every sample
+    p_atom = np.stack((pe0[:, np.newaxis] + moved, pg0[:, np.newaxis] - moved), axis=-1)
+    s_atom = _row_entropies(p_atom, kind, overwrite=True)
+    return s_atom - s_atom[:, :1], s_field - s_field[:, :1]
 
 
 def entropy_trace(
@@ -244,85 +351,23 @@ def entropy_trace(
     with its own scratch rows; a chunk depends only on its own window, so
     the result is the same to the bit for any number of threads.
     """
-    times = np.asarray(times, dtype=float)
-    if times.size < 2 or times[0] != 0.0:
-        raise ValueError("time grid must start at t=0 and hold at least two samples")
-    steps = np.diff(times)
-    if np.any(steps <= 0.0):
-        raise ValueError("time grid must be strictly increasing")
-    # Simpson's rule on an even sample count weighs its last panel with the
-    # cube of a step, which leaves the float range above MAX_STEP
-    largest = float(np.max(steps))
-    if not largest <= MAX_STEP:
-        raise ValueError(f"time step {largest:.3g} exceeds {MAX_STEP:.3g}, "
-                         "where the Simpson weights overflow")
-
-    evolver = BlockEvolver(params, atom, dist)
-    a1 = evolver.a1
-    # A = a0 + a1 cos and C = c0 - a1 cos, so the atom populations and the
-    # field weights are their t-independent parts plus or minus a1 cos
-    pe0, pg0, w0 = evolver.populations(evolver.a0, evolver.c0)
-    moved = np.empty(times.size)
-    s_field = np.empty(times.size)
-    rows = min(times.size, max(1, CHUNK_ELEMENTS // dist.weights.size))
-    # the sine overwrites the phase, so no third level array outlives this block
-    steps = None
-    if times.size > 2 * rows and np.array_equal(times, np.linspace(0.0, times[-1], times.size)):
-        step = rows * (times[-1] / (times.size - 1)) * evolver.delta_n
-        steps = 2.0 * np.cos(step), np.sin(step, out=step)
-
-    def walk(first: int, stop: int) -> None:
-        # runs on worker threads: the NumPy calls on whole rows release the GIL;
-        # it calls nothing perfbench/tracing.py wraps, whose span stack is per process
-        w_rows = np.empty((rows, w0.size))
-        logs = np.empty(rows * w0.size) if kind.is_von_neumann else None
-        for chunk, s in _transfers(times, evolver.delta_n, a1, rows, first, stop, steps):
-            w = w_rows[: s.shape[0]]
-            # row sums, not a BLAS product: threaded BLAS would spin a second core
-            moved[chunk] = np.sum(s, axis=-1)
-            np.add(w0[:-1], s, out=w[:, :-1])
-            w[:, -1] = w0[-1]
-            w[:, 1:] -= s
-            if form is FieldEntropyForm.COARSE:
-                w = _coarse_grained(w, dist.tail_mass)
-            s_field[chunk] = _row_entropies(w, kind, overwrite=True, logs=logs)
-
-    chunks = -(-times.size // rows)
-    windows = -(-chunks // RESEED_CHUNKS)
-    walkers = min(_available_cpus(), windows)
-    bounds = [min(chunks, RESEED_CHUNKS * (windows * i // walkers)) for i in range(walkers + 1)]
-    if walkers == 1:
-        walk(0, chunks)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=walkers - 1) as pool:
-            futures = [pool.submit(walk, *span) for span in zip(bounds[1:-1], bounds[2:])]
-            # the calling thread walks the earliest windows, so its error comes first
-            walk(bounds[0], bounds[1])
-        for future in futures:
-            future.result()
-    # each two-entry row sums alike in any batch, so one call scores every sample
-    p_atom = np.stack((pe0 + moved, pg0 - moved), axis=-1)
-    s_atom = _row_entropies(p_atom, kind, overwrite=True)
-    ds_atom = s_atom - s_atom[0]
-    ds_field = s_field - s_field[0]
-    ds_total = ds_atom + ds_field
-
+    times = _checked_grid(times)
+    ds_atom, ds_field = _exchanges(params, (atom,), dist, kind, form, times)
     return EntropyTrace(
         times=times,
-        ds_atom=ds_atom,
-        ds_field=ds_field,
-        ds_total=ds_total,
-        avg_ds_atom=_window_average(times, ds_atom),
-        avg_ds_field=_window_average(times, ds_field),
+        ds_atom=ds_atom[0],
+        ds_field=ds_field[0],
+        ds_total=ds_atom[0] + ds_field[0],
+        avg_ds_atom=float(_window_average(times, ds_atom)[0]),
+        avg_ds_field=float(_window_average(times, ds_field)[0]),
     )
 
 
-def _window_average(times: np.ndarray, values: np.ndarray) -> float:
+def _window_average(times: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Simpson time averages of ``values`` along its last axis."""
     from scipy.integrate import simpson  # imported here to keep scipy off the CLI start-up
 
-    return float(simpson(values, x=times) / (times[-1] - times[0]))
+    return simpson(values, x=times, axis=-1) / (times[-1] - times[0])
 
 
 def bloch_sweep(
@@ -338,20 +383,31 @@ def bloch_sweep(
 
     Returns an array of shape ``(len(r_values), len(theta_values), 2)``
     holding (avg atom exchange, avg field exchange) over the whole of
-    ``times``, ordered by the declared grid.  The dynamics depends on a preparation only through
-    its excited-state weight epsilon, so each distinct epsilon is traced
-    once and its averages fill every point that shares it (the whole
-    r=0 row, for instance).
+    ``times``, ordered by the declared grid.  The dynamics depends on a
+    preparation only through its excited-state weight epsilon, so each
+    distinct epsilon is walked once and its averages fill every point
+    that shares it (the whole r=0 row, for instance).  The distinct
+    epsilons are walked in first-seen order, in groups that share the
+    manifold arrays, each chunk's phases and cosines, and one Simpson
+    call per side; a group holds as many as keep ``k x samples x levels``
+    per chunk within ``GROUP_ELEMENTS``, so the working set follows that
+    budget, not the number of epsilons.  Every average has the bits of
+    :func:`entropy_trace` at the same epsilon.
     """
     r_values = np.asarray(r_values, dtype=float)
     theta_values = np.asarray(theta_values, dtype=float)
-    out = np.empty((r_values.size, theta_values.size, 2))
-    averages: dict[float, tuple[float, float]] = {}
-    for i, r in enumerate(r_values):
-        for j, theta in enumerate(theta_values):
-            eps = BlochPoint(r=float(r), theta=float(theta)).epsilon
-            if eps not in averages:
-                trace = entropy_trace(params, AtomInit(epsilon=eps), dist, kind, form, times=times)
-                averages[eps] = (trace.avg_ds_atom, trace.avg_ds_field)
-            out[i, j] = averages[eps]
-    return out
+    times = _checked_grid(times)
+    first_seen: dict[float, int] = {}
+    cells = np.array([
+        first_seen.setdefault(BlochPoint(r=float(r), theta=float(theta)).epsilon, len(first_seen))
+        for r in r_values for theta in theta_values
+    ], dtype=int)
+    atoms = [AtomInit(epsilon=eps) for eps in first_seen]
+    averages = np.empty((len(atoms), 2))
+    size = max(1, GROUP_ELEMENTS // (_chunk_rows(times, dist) * dist.weights.size))
+    for start in range(0, len(atoms), size):
+        group = tuple(atoms[start : start + size])
+        ds_atom, ds_field = _exchanges(params, group, dist, kind, form, times)
+        averages[start : start + len(group), 0] = _window_average(times, ds_atom)
+        averages[start : start + len(group), 1] = _window_average(times, ds_field)
+    return averages[cells].reshape(r_values.size, theta_values.size, 2)

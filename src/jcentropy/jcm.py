@@ -105,29 +105,44 @@ class BlockEvolver:
     evolver holds four per-level arrays: ``delta_n``, ``a0``, ``a1`` and ``c0``.  The
     coherence, which the entropy traces never read, follows from the same angle:
     ``B_n(t) = sin(theta_n) (x - y) / 2 [cos(theta_n) (1 - cos(delta_n t)) + i sin(delta_n t)]``.
+
+    ``atom`` may also be a sequence of k preparations, which share ``delta_n``:
+    then ``a0``, ``a1``, ``c0``, ``block_weight`` and the frozen weights
+    (``uncoupled_weight``, ``excited_top``) gain a leading axis of length k,
+    whose entries have the bits of the evolver of each preparation alone.
     """
 
-    def __init__(self, params: ModelParams, atom: AtomInit, dist: PhotonDistribution):
+    def __init__(self, params: ModelParams, atom, dist: PhotonDistribution):
         if dist.n_max < 1:
             raise ValueError("need at least photon levels {0, 1} to evolve a manifold")
         self.params = params
         self.atom = atom
         self.dist = dist
-        eps = atom.epsilon
         p = dist.weights
-        self.uncoupled_weight = float((1.0 - eps) * p[0])
-        self.excited_top = float(eps * p[-1])
+        if isinstance(atom, AtomInit):
+            self._eps = atom.epsilon
+            self.uncoupled_weight = float((1.0 - self._eps) * p[0])
+            self.excited_top = float(self._eps * p[-1])
+        else:
+            self._eps = np.array([one.epsilon for one in atom])
+            self.uncoupled_weight = (1.0 - self._eps) * p[0]
+            self.excited_top = self._eps * p[-1]
         self.delta_n, sin_theta, _ = _manifold_arrays(params, dist.n_max)
-        excited, ground = eps * p[:-1], (1.0 - eps) * p[1:]
+        excited, ground = self._split()
         self.a1 = 0.5 * sin_theta**2 * (excited - ground)
         self.a0 = excited - self.a1
         self.c0 = ground + self.a1
 
+    def _split(self):
+        """(x, y) = (eps p_n, (1 - eps) p_{n+1}), with a leading preparation axis for a group."""
+        p = self.dist.weights
+        return np.multiply.outer(self._eps, p[:-1]), np.multiply.outer(1.0 - self._eps, p[1:])
+
     @property
     def block_weight(self) -> np.ndarray:
         """Total weight of each manifold, ``A_n(t) + C_n(t)`` at every t."""
-        eps, p = self.atom.epsilon, self.dist.weights
-        return eps * p[:-1] + (1.0 - eps) * p[1:]
+        excited, ground = self._split()
+        return excited + ground
 
     def coefficients(self, t: float):
         """(A_n(t), B_n(t), C_n(t)) over the evolved manifolds at time ``t``.
@@ -141,22 +156,23 @@ class BlockEvolver:
         a = self.a0 + self.a1 * cos
         c = self.c0 - self.a1 * cos
         _, sin_theta, cos_theta = _manifold_arrays(self.params, self.delta_n.size)
-        eps, p = self.atom.epsilon, self.dist.weights
-        half_coherence = 0.5 * sin_theta * (eps * p[:-1] - (1.0 - eps) * p[1:])
+        excited, ground = self._split()
+        half_coherence = 0.5 * sin_theta * (excited - ground)
         b = half_coherence * (cos_theta * (1.0 - cos) + 1j * np.sin(phase))
         return a, b, c
 
     def populations(self, a, c):
         """(p_e, p_g, field) of the reduced states, along the last axis of ``a`` and ``c``.
 
-        ``a`` and ``c`` are ``A_n`` and ``C_n`` over the evolved manifolds.
+        ``a`` and ``c`` are ``A_n`` and ``C_n`` over the evolved manifolds,
+        with the leading preparation axis of a group's evolver first.
         The |g,0> weight, the |e,n_max> weight and the tail beyond
         ``n_max`` stay at their t=0 values; the tail is split
         epsilon : (1 - epsilon) between the atomic sectors, so
         ``p_e + p_g = 1``.  ``field`` holds the photon-number weights over
         levels 0..n_max; the remaining probability is the tail mass.
         """
-        eps, tail = self.atom.epsilon, self.dist.tail_mass
+        eps, tail = self._eps, self.dist.tail_mass
         p_e = np.sum(a, axis=-1) + self.excited_top + eps * tail
         p_g = self.uncoupled_weight + np.sum(c, axis=-1) + (1.0 - eps) * tail
         field = np.empty(a.shape[:-1] + (a.shape[-1] + 1,))

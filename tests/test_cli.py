@@ -413,6 +413,20 @@ def test_malformed_betas_header_is_domain_error(tmp_path, capsys, header):
     assert os.listdir(out_dir) == []
 
 
+@pytest.mark.parametrize("header, values", [
+    ('{"count": 2.5}', "2.0\n3.0\n"), ('{"count": true}', "2.0\n"), ('{"omega": true}', "2.0\n"),
+], ids=["fractional-count", "boolean-count", "boolean-omega"])
+def test_betas_header_number_of_the_wrong_type_is_domain_error(tmp_path, capsys, header, values):
+    betas = tmp_path / "bad.betas"
+    betas.write_text(f"# {header}\n{values}")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main(["weights", "--betas-file", str(betas), "--out", str(out_dir / "w.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"jcentropy: {betas}: ") and "Traceback" not in err
+    assert os.listdir(out_dir) == []
+
+
 class TestEnsembleGen:
     def test_generates_loadable_deterministic_file(self, tmp_path):
         from jcentropy.ensemble import load_betas

@@ -10,6 +10,7 @@ import pytest
 import jcentropy.entropy as entropy_module
 from jcentropy.entropy import (
     CHUNK_ELEMENTS,
+    GROUP_ELEMENTS,
     RESEED_CHUNKS,
     VON_NEUMANN,
     BlochPoint,
@@ -364,7 +365,8 @@ def test_transfers_follow_the_exact_transfer(grid):
     step = rows * (times[-1] / (n - 1)) * delta_n
     bound = RESEED_CHUNKS**2 * np.finfo(float).eps * np.abs(a1)
     worst = 0.0
-    for chunk, s in _transfers(times, delta_n, a1, rows, 0, 300, (2.0 * np.cos(step), np.sin(step))):
+    steps = 2.0 * np.cos(step), np.sin(step)
+    for chunk, (s,) in _transfers(times, delta_n, a1[np.newaxis], rows, 0, 300, steps):
         j = chunk.start // rows % RESEED_CHUNKS
         if j == 0:
             phase = np.multiply.outer(times[chunk], delta_n)
@@ -518,3 +520,80 @@ class TestBloch:
                 trace = entropy_trace(RESONANT, atom, dist, kind, FieldEntropyForm.COARSE, times=times)
                 expected[i, j] = trace.avg_ds_atom, trace.avg_ds_field
         assert np.array_equal(grid, expected)
+
+
+BATCH_KINDS = pytest.mark.parametrize("kind, form", [
+    (VON_NEUMANN, FieldEntropyForm.FULL), (tsallis(1.3), FieldEntropyForm.COARSE),
+], ids=["vn-full", "tsallis1.3-coarse"])
+
+
+class TestSweepGroups:
+    """A sweep walks its distinct epsilons in groups, each with the bits of its own trace."""
+
+    @staticmethod
+    def group_size(dist, times):
+        rows = min(times.size, CHUNK_ELEMENTS // dist.weights.size)
+        return GROUP_ELEMENTS // (rows * dist.weights.size)
+
+    @staticmethod
+    def per_point(dist, kind, form, r_values, theta_values, times):
+        expected = np.empty((len(r_values), len(theta_values), 2))
+        for i, r in enumerate(r_values):
+            for j, theta in enumerate(theta_values):
+                atom = AtomInit(BlochPoint(r, theta).epsilon)
+                trace = entropy_trace(RESONANT, atom, dist, kind, form, times=times)
+                expected[i, j] = trace.avg_ds_atom, trace.avg_ds_field
+        return expected
+
+    @BATCH_KINDS
+    def test_gamma_sweep_over_three_reseed_windows_on_two_walkers(self, monkeypatch, kind, form):
+        # 4148 levels give 3 samples per chunk, so 900 samples are three reseed
+        # windows, and two epsilons share a group: the five distinct ones need three
+        monkeypatch.setattr(entropy_module, "_available_cpus", lambda: 2)
+        dist = photon_weights_gamma(
+            GammaSuperstat(q=1.4, beta_star=3.3356918657181176), tail_tol=1e-6
+        )
+        assert dist.weights.size == 4148 and self.group_size(dist, np.empty(900)) == 2
+        times = np.linspace(0.0, 60.0, 900)
+        r_values, theta_values = np.linspace(0.0, 1.0, 3), np.linspace(0.0, math.pi, 3)
+        grid = bloch_sweep(RESONANT, dist, kind, form, r_values, theta_values, times)
+        expected = self.per_point(dist, kind, form, r_values, theta_values, times)
+        assert grid.tobytes() == expected.tobytes()
+
+    @BATCH_KINDS
+    def test_gibbs_sweep_in_several_groups(self, kind, form):
+        dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-8)
+        times = np.linspace(0.0, 25.0, 1000)
+        r_values, theta_values = np.linspace(0.0, 1.0, 4), np.linspace(0.0, math.pi, 5)
+        distinct = {BlochPoint(r, theta).epsilon for r in r_values for theta in theta_values}
+        assert len(distinct) > 2 * self.group_size(dist, times) > 2
+        grid = bloch_sweep(RESONANT, dist, kind, form, r_values, theta_values, times)
+        expected = self.per_point(dist, kind, form, r_values, theta_values, times)
+        assert grid.tobytes() == expected.tobytes()
+
+    def test_peak_memory_follows_the_group_budget(self, monkeypatch):
+        # 8 levels x 1000 samples put four epsilons in a group; the 3x3 grid
+        # fills one, and the 9x13 grid's 92 epsilons would need 23 times its
+        # buffers if they were walked at once
+        monkeypatch.setattr(entropy_module, "_available_cpus", lambda: 1)
+        dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-8)
+        times = np.linspace(0.0, 25.0, 1000)
+        group = self.group_size(dist, times)
+        assert group == 4
+        # three transfer buffers, the field rows and the von Neumann logarithms
+        buffers = 5 * 8 * GROUP_ELEMENTS
+
+        def peak(n_r, n_theta):
+            r_values, theta_values = np.linspace(0.0, 1.0, n_r), np.linspace(0.0, math.pi, n_theta)
+            tracemalloc.start()
+            try:
+                bloch_sweep(RESONANT, dist, VON_NEUMANN, FieldEntropyForm.FULL,
+                            r_values, theta_values, times)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2, 2)  # imports the Simpson rule, which is no part of a sweep's memory
+        small, large = peak(3, 3), peak(9, 13)
+        assert small > buffers / 2
+        assert large <= small + buffers
