@@ -60,9 +60,6 @@ EXIT_DOMAIN = 3
 EXIT_ACCURACY = 4
 EXIT_IO = 5
 
-# adjacent floats above 2**52 lie a whole radian apart, so no cosine of such a phase resolves
-MAX_PHASE = 2.0**52
-
 
 class UsageError(Exception):
     pass
@@ -232,8 +229,8 @@ def _resolve_source(cfg: dict) -> tuple[object, dict]:
     hard_cap = cfg.get("n_cap")
     if hard_cap is None:
         hard_cap = HARD_CAP
-    elif hard_cap < 1:
-        raise UsageError(f"--n-cap must be at least 1, got {hard_cap}")
+    elif not 1 <= hard_cap <= HARD_CAP:
+        raise UsageError(f"--n-cap must lie in [1, {HARD_CAP}], got {hard_cap}")
     chosen = [name for name, active in (
         ("gamma", cfg.get("q") is not None),
         ("gibbs", bool(cfg.get("gibbs"))),
@@ -312,8 +309,6 @@ def _resolve_dynamics(cfg: dict, n_times: int):
 
     An unset horizon becomes 50/|lambda| (50 at zero coupling) and is
     recorded in ``cfg``; both are checked before the distribution is built.
-    The largest phase, the horizon times the top Rabi frequency
-    ``sqrt(delta^2 + lambda^2 n_max)``, may not exceed ``MAX_PHASE``.
     """
     params = ModelParams.from_detuning(cfg["delta"], cfg["lam"], cfg["omega"])
     if cfg["horizon"] is None:
@@ -321,10 +316,6 @@ def _resolve_dynamics(cfg: dict, n_times: int):
     if not 0.0 < cfg["horizon"] < math.inf:
         raise ValueError(f"time horizon must be finite and positive, got {cfg['horizon']}")
     dist, derived = _resolve_source(cfg)
-    phase = cfg["horizon"] * math.hypot(params.delta, params.lam * math.sqrt(dist.n_max))
-    if not phase <= MAX_PHASE:
-        raise ValueError(f"time horizon {cfg['horizon']!r} takes the largest phase to "
-                         f"{phase:.3g}, beyond 2**52, where no cosine is resolvable")
     kind = _resolve_entropy(cfg, derived)
     form = _resolve_form(cfg)
     derived.update(entropy=kind.label(), field_entropy_form=form.value)

@@ -36,7 +36,7 @@ _MASK64 = (1 << 64) - 1
 _MAX_CONSECUTIVE_REJECTIONS = 10**6
 
 
-class RejectionOverflowError(RuntimeError):
+class RejectionOverflowError(ValueError):
     """The positivity rejection loop failed to produce a draw."""
 
 
@@ -99,6 +99,10 @@ class BetaEnsembleSpec:
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
         _check_omega(self.omega)
+        for name in ("mean", "sd", "scale", "shape_param"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.shape == "normal" and not self.sd > 0:
             raise ValueError(f"sd must be positive, got {self.sd}")
         if self.shape == "weibull":
@@ -212,8 +216,8 @@ def load_betas(path) -> tuple[MultiLevelSuperstat, BetaEnsembleSpec | None]:
             value = float(line)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: not a number: {line!r}") from exc
-        if not value > 0.0:
-            raise ValueError(f"{path}:{lineno}: beta must be positive, got {value!r}")
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{path}:{lineno}: beta must be finite and positive, got {value!r}")
         betas.append(value)
     if count is not None and len(betas) != count:
         raise ValueError(

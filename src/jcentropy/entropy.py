@@ -51,6 +51,8 @@ RESEED_CHUNKS = 128
 # a time step whose cube is still a finite float (the cube root of the largest
 # float is 5.64e102)
 MAX_STEP = 5.6e102
+# adjacent floats above 2**52 lie a whole radian apart, so no cosine of such a phase resolves
+MAX_PHASE = 2.0**52
 
 
 @dataclass(frozen=True)
@@ -242,7 +244,7 @@ def _spread(block: np.ndarray, a1: np.ndarray) -> None:
     block[0] *= a1[0]
 
 
-def _checked_grid(times) -> np.ndarray:
+def _checked_grid(times, params: ModelParams, dist: PhotonDistribution) -> np.ndarray:
     """``times`` as a float array, once it passes the checks :func:`entropy_trace` documents."""
     times = np.asarray(times, dtype=float)
     if times.size < 2 or times[0] != 0.0:
@@ -250,6 +252,10 @@ def _checked_grid(times) -> np.ndarray:
     steps = np.diff(times)
     if np.any(steps <= 0.0):
         raise ValueError("time grid must be strictly increasing")
+    phase = times[-1] * math.hypot(params.delta, params.lam * math.sqrt(dist.n_max))
+    if not phase <= MAX_PHASE:
+        raise ValueError(f"time horizon {float(times[-1])!r} takes the largest phase to "
+                         f"{phase:.3g}, beyond 2**52, where no cosine is resolvable")
     # Simpson's rule on an even sample count weighs its last panel with the
     # cube of a step, which leaves the float range above MAX_STEP
     largest = float(np.max(steps))
@@ -343,15 +349,16 @@ def entropy_trace(
 
     The grid must start at t=0 (the exchange is defined relative to the
     initial state, so the first samples are exactly zero), increase
-    strictly, and take no step above ``MAX_STEP``.  Times are
-    evaluated in chunks of about ``CHUNK_ELEMENTS`` samples x levels,
-    whose transfers ``a1 cos`` come from :func:`_transfers`.  The reseed
-    windows of ``RESEED_CHUNKS`` chunks are dealt out as contiguous
-    groups to one thread per available CPU (at most one per window), each
-    with its own scratch rows; a chunk depends only on its own window, so
-    the result is the same to the bit for any number of threads.
+    strictly, take no phase ``t delta_n`` above ``MAX_PHASE`` and no step
+    above ``MAX_STEP``.  Times are evaluated in chunks of about
+    ``CHUNK_ELEMENTS`` samples x levels, whose transfers ``a1 cos`` come
+    from :func:`_transfers`.  The reseed windows of ``RESEED_CHUNKS``
+    chunks are dealt out as contiguous groups to one thread per available
+    CPU (at most one per window), each with its own scratch rows; a chunk
+    depends only on its own window, so the result is the same to the bit
+    for any number of threads.
     """
-    times = _checked_grid(times)
+    times = _checked_grid(times, params, dist)
     ds_atom, ds_field = _exchanges(params, (atom,), dist, kind, form, times)
     return EntropyTrace(
         times=times,
@@ -396,7 +403,7 @@ def bloch_sweep(
     """
     r_values = np.asarray(r_values, dtype=float)
     theta_values = np.asarray(theta_values, dtype=float)
-    times = _checked_grid(times)
+    times = _checked_grid(times, params, dist)
     first_seen: dict[float, int] = {}
     cells = np.array([
         first_seen.setdefault(BlochPoint(r=float(r), theta=float(theta)).epsilon, len(first_seen))

@@ -106,27 +106,22 @@ class BlockEvolver:
     coherence, which the entropy traces never read, follows from the same angle:
     ``B_n(t) = sin(theta_n) (x - y) / 2 [cos(theta_n) (1 - cos(delta_n t)) + i sin(delta_n t)]``.
 
-    ``atom`` may also be a sequence of k preparations, which share ``delta_n``:
-    then ``a0``, ``a1``, ``c0``, ``block_weight`` and the frozen weights
-    (``uncoupled_weight``, ``excited_top``) gain a leading axis of length k,
-    whose entries have the bits of the evolver of each preparation alone.
+    ``atom`` is one :class:`AtomInit` or a sequence of k, which share ``delta_n``.
+    Its epsilons, of shape ``()`` or ``(k,)``, lead the shapes of ``a0``, ``a1``,
+    ``c0``, ``block_weight``, ``uncoupled_weight`` and ``excited_top``, and each
+    entry has the bits of the evolver of its preparation alone.
     """
 
     def __init__(self, params: ModelParams, atom, dist: PhotonDistribution):
         if dist.n_max < 1:
             raise ValueError("need at least photon levels {0, 1} to evolve a manifold")
         self.params = params
-        self.atom = atom
         self.dist = dist
+        eps = atom.epsilon if isinstance(atom, AtomInit) else [one.epsilon for one in atom]
+        self._eps = np.array(eps, dtype=float)
         p = dist.weights
-        if isinstance(atom, AtomInit):
-            self._eps = atom.epsilon
-            self.uncoupled_weight = float((1.0 - self._eps) * p[0])
-            self.excited_top = float(self._eps * p[-1])
-        else:
-            self._eps = np.array([one.epsilon for one in atom])
-            self.uncoupled_weight = (1.0 - self._eps) * p[0]
-            self.excited_top = self._eps * p[-1]
+        self.uncoupled_weight = (1.0 - self._eps) * p[0]
+        self.excited_top = self._eps * p[-1]
         self.delta_n, sin_theta, _ = _manifold_arrays(params, dist.n_max)
         excited, ground = self._split()
         self.a1 = 0.5 * sin_theta**2 * (excited - ground)
@@ -134,7 +129,7 @@ class BlockEvolver:
         self.c0 = ground + self.a1
 
     def _split(self):
-        """(x, y) = (eps p_n, (1 - eps) p_{n+1}), with a leading preparation axis for a group."""
+        """(x, y) = (eps p_n, (1 - eps) p_{n+1}), led by the preparation axis."""
         p = self.dist.weights
         return np.multiply.outer(self._eps, p[:-1]), np.multiply.outer(1.0 - self._eps, p[1:])
 
@@ -165,20 +160,22 @@ class BlockEvolver:
         """(p_e, p_g, field) of the reduced states, along the last axis of ``a`` and ``c``.
 
         ``a`` and ``c`` are ``A_n`` and ``C_n`` over the evolved manifolds,
-        with the leading preparation axis of a group's evolver first.
+        led by a group's preparation axis, which the frozen weights follow.
         The |g,0> weight, the |e,n_max> weight and the tail beyond
         ``n_max`` stay at their t=0 values; the tail is split
         epsilon : (1 - epsilon) between the atomic sectors, so
         ``p_e + p_g = 1``.  ``field`` holds the photon-number weights over
         levels 0..n_max; the remaining probability is the tail mass.
         """
-        eps, tail = self._eps, self.dist.tail_mass
-        p_e = np.sum(a, axis=-1) + self.excited_top + eps * tail
-        p_g = self.uncoupled_weight + np.sum(c, axis=-1) + (1.0 - eps) * tail
+        lead = self._eps.shape + (1,) * (np.ndim(a) - 1 - self._eps.ndim)
+        eps, top, uncoupled = (np.reshape(x, lead)
+                               for x in (self._eps, self.excited_top, self.uncoupled_weight))
+        p_e = np.sum(a, axis=-1) + top + eps * self.dist.tail_mass
+        p_g = uncoupled + np.sum(c, axis=-1) + (1.0 - eps) * self.dist.tail_mass
         field = np.empty(a.shape[:-1] + (a.shape[-1] + 1,))
-        field[..., 0] = self.uncoupled_weight + a[..., 0]
+        field[..., 0] = uncoupled + a[..., 0]
         np.add(a[..., 1:], c[..., :-1], out=field[..., 1:-1])
-        field[..., -1] = c[..., -1] + self.excited_top
+        field[..., -1] = c[..., -1] + top
         return p_e, p_g, field
 
 

@@ -100,9 +100,9 @@ class MultiLevelSuperstat:
         betas = tuple(float(b) for b in self.betas)
         if len(betas) < 1:
             raise ValueError("at least one inverse temperature is required")
-        bad = [b for b in betas if not b > 0]
+        bad = [b for b in betas if not 0 < b < math.inf]
         if bad:
-            raise ValueError(f"all inverse temperatures must be positive, got {bad[:3]}")
+            raise ValueError(f"all inverse temperatures must be finite and positive, got {bad[:3]}")
         _check_omega(self.omega)
         object.__setattr__(self, "betas", betas)
 
@@ -166,9 +166,12 @@ def _truncation(tail_within_tol, tail_tol: float, hard_cap: int) -> tuple[int, b
     is at most ``tail_tol``; it must be monotone in n.  The result is the
     smallest n_max in ``[MIN_LEVELS - 1, hard_cap]`` where it holds, found
     by bisection, or ``(hard_cap, True)`` when it fails even at the cap.
+    ``hard_cap`` itself must lie in ``[MIN_LEVELS - 1, HARD_CAP]``.
     """
     if not 0.0 < tail_tol < 1.0:
         raise ValueError(f"tail_tol must be in (0, 1), got {tail_tol}")
+    if not MIN_LEVELS - 1 <= hard_cap <= HARD_CAP:
+        raise ValueError(f"hard_cap must lie in [{MIN_LEVELS - 1}, {HARD_CAP}], got {hard_cap}")
     lo, hi = MIN_LEVELS - 1, hard_cap
     if not tail_within_tol(hi):
         return hard_cap, True

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jcentropy
+from jcentropy import ensemble
+from jcentropy.ensemble import load_betas
 from jcentropy.cli import _csv_text, _json_text, main
 from oracle_utils import rowwise_csv, rowwise_json
 
@@ -105,13 +108,15 @@ class TestWeights:
         total = math.fsum(float(p) for _, p in rows) + derived["tail_mass"]
         assert abs(total - 1.0) <= 1e-12
 
-    @pytest.mark.parametrize("cap", ["0", "-5"])
+    @pytest.mark.parametrize("cap", ["0", "-5", "10000001", "1000000000000"])
     @pytest.mark.parametrize("model", [["--gibbs", "--beta", "1e-4"],
                                        ["--q", "1.6", "--beta", "2.0"]], ids=["gibbs", "gamma"])
-    def test_n_cap_below_one_is_usage_error(self, tmp_path, model, cap):
+    def test_n_cap_below_one_is_usage_error(self, tmp_path, capsys, model, cap):
+        # and above HARD_CAP: 1e12 levels once died allocating 7.28 TiB
         out = tmp_path / "w.csv"
         assert main(["weights", *model, "--n-cap", cap, "--out", str(out)]) == 2
-        assert not out.exists()
+        assert f"--n-cap must lie in [1, 10000000], got {cap}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("source", ["gibbs", "betas-file"])
     def test_unresolvable_beta_is_domain_error(self, tmp_path, capsys, source):
@@ -354,6 +359,37 @@ def test_time_step_beyond_simpson_range_is_refused(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("jcentropy: time step ") and "5.6e+102" in err
     assert err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
+def test_usage_error_comes_before_an_unresolvable_phase(tmp_path, capsys):
+    # the phase is checked with the time grid, after the entropy is resolved
+    argv = ["timeseries", "--gibbs", "--beta", "2", "--T", "1e300", "--entropy", "tsallis"]
+    assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
+    assert "--entropy-q" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--mean", "inf", "--count", "2"], "mean must be finite, got inf"),
+    (["--sd", "inf"], "sd must be finite, got inf"),
+    (["--shape", "weibull", "--scale", "inf"], "scale must be finite, got inf"),
+    (["--shape", "weibull", "--shape-param", "nan"], "shape_param must be finite, got nan"),
+    (["--omega", "1e-310", "--mean", "1e300"], "got [inf, inf, inf]"),
+], ids=["mean", "sd", "scale", "shape-param", "draw-over-omega"])
+def test_ensemble_gen_refuses_non_finite_parameters(tmp_path, capsys, argv, named):
+    assert main(["ensemble-gen", *argv, "--out", str(tmp_path / "e.betas")]) == 3
+    err = capsys.readouterr().err
+    assert named in err and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
+def test_draw_that_rejects_every_sample_is_a_domain_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(ensemble, "_MAX_CONSECUTIVE_REJECTIONS", 100)
+    argv = ["ensemble-gen", "--mean", "-100", "--sd", "0.1", "--count", "1"]
+    assert main([*argv, "--out", str(tmp_path / "e.betas")]) == 3
+    err = capsys.readouterr().err
+    assert "101 consecutive non-positive draws" in err and err.count("\n") == 1
     assert os.listdir(tmp_path) == []
 
 
@@ -674,3 +710,46 @@ def test_every_input_ends_in_a_documented_exit_code(run):
         if argv[0] == "weights":
             weights = [float(row[1]) for row in rows]
             assert abs(math.fsum(weights) + meta["derived"]["tail_mass"] - 1.0) <= 1e-12, argv
+
+
+@st.composite
+def ensemble_gen_runs(draw):
+    """argv without --out for a small ensemble-gen run."""
+    flags = {"--shape": draw(st.sampled_from(["normal", "weibull"])),
+             "--count": str(draw(_counts(1, 8, [0, -1]))),
+             "--seed": str(draw(st.integers(-2, 2**70)))}
+
+    def maybe(flag, values):
+        value = draw(st.none() | values)
+        if value is not None:
+            flags[flag] = value
+
+    maybe("--omega", _numbers(0.5, 2.0))
+    maybe("--mean", _numbers(-3.0, 10.0))
+    maybe("--sd", _numbers(0.01, 3.0))
+    maybe("--scale", _numbers(0.1, 10.0))
+    maybe("--shape-param", _numbers(0.2, 5.0))
+    return ["ensemble-gen"] + [f"{flag}={value}" for flag, value in flags.items()]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(ensemble_gen_runs())
+def test_every_ensemble_gen_ends_in_a_documented_exit_code(argv):
+    # a hopeless spec (all mass at or below 0) exhausts its rejections in milliseconds
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(ensemble, "_MAX_CONSECUTIVE_REJECTIONS", 200):
+        out = pathlib.Path(tmp) / "e.betas"
+        with contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main([*argv, f"--out={out}"])
+            except SystemExit as exc:  # argparse refuses a value its flag cannot take
+                code = exc.code
+        assert code in (0, 2, 3, 4, 5), argv
+        assert not [name for name in os.listdir(tmp) if name.endswith(".tmp")], argv
+        if code != 0:
+            assert not out.exists(), argv
+            return
+        model, _ = load_betas(out)
+        count = int(argv[2].split("=")[1])
+        assert len(model.betas) == count, argv
+        assert all(0.0 < beta < math.inf for beta in model.betas), argv

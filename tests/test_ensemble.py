@@ -77,6 +77,13 @@ class TestSampling:
         with pytest.raises(ValueError):
             BetaEnsembleSpec(shape="normal", count=5, seed=0, sd=-1.0)
 
+    @pytest.mark.parametrize("name", ["mean", "sd", "scale", "shape_param"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_spec_refuses_non_finite_parameters(self, name, value):
+        # whichever shape reads the parameter: a betas-file header records them all
+        with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+            BetaEnsembleSpec(shape="normal", count=5, seed=0, **{name: value})
+
 
 class TestPersistence:
     def test_round_trip_is_bitwise(self, tmp_path):

@@ -15,6 +15,7 @@ from jcentropy.entropy import (
     VON_NEUMANN,
     BlochPoint,
     EntropyKind,
+    MAX_PHASE,
     MAX_STEP,
     FieldEntropyForm,
     _coarse_grained,
@@ -260,16 +261,44 @@ class TestEntropyTrace:
             entropy_trace(RESONANT, AtomInit(0.2), dist, times=np.array([0.0, 2.0, 1.0]))
 
     def test_steps_up_to_max_step_keep_the_averages_finite(self):
-        # on an even sample count Simpson's rule weighs the last step by its cube
+        # on an even sample count Simpson's rule weighs the last step by its cube;
+        # a weak resonant coupling keeps every phase below MAX_PHASE, and still
+        # moves the whole transfer
+        params = ModelParams.from_detuning(0.0, 1e-90)
         dist = photon_weights_gibbs(1.0, tail_tol=1e-10)
         times = np.array([0.0, 0.5, 1.0, 2.0]) * MAX_STEP
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            trace = entropy_trace(RESONANT, AtomInit(0.2), dist, times=times)
+            trace = entropy_trace(params, AtomInit(0.2), dist, times=times)
         assert math.isfinite(trace.avg_ds_atom) and math.isfinite(trace.avg_ds_field)
+        assert np.all(trace.ds_atom[1:] != 0.0)
         times[-1] = np.nextafter(times[-1], np.inf)
         with pytest.raises(ValueError, match="time step"):
-            entropy_trace(RESONANT, AtomInit(0.2), dist, times=times)
+            entropy_trace(params, AtomInit(0.2), dist, times=times)
+
+    def test_phase_beyond_max_phase_is_refused_for_traces_and_sweeps(self):
+        # 14 levels at beta=1 and lambda=1 put the largest phase at T sqrt(13)
+        params = ModelParams.from_detuning(0.0, 1.0)
+        dist = photon_weights_gibbs(1.0, tail_tol=1e-6)
+        assert dist.n_max == 13
+        runs = (
+            lambda times: entropy_trace(params, AtomInit(0.3), dist, times=times),
+            lambda times: bloch_sweep(params, dist, VON_NEUMANN, FieldEntropyForm.FULL,
+                                      [0.0, 1.0], [0.0, math.pi], times),
+        )
+        horizon = MAX_PHASE / math.sqrt(13.0)
+        while horizon * math.sqrt(13.0) > MAX_PHASE:
+            horizon = np.nextafter(horizon, 0.0)
+        for run in runs:
+            with pytest.raises(ValueError, match=r"2\*\*52"):
+                run(np.linspace(0.0, 1e17, 9))
+            with pytest.raises(ValueError, match=r"2\*\*52"):
+                run(np.linspace(0.0, np.nextafter(horizon, np.inf), 9))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                result = run(np.linspace(0.0, horizon, 9))
+            averages = (result.avg_ds_atom, result.avg_ds_field) if run is runs[0] else result
+            assert np.all(np.isfinite(averages))
 
     def test_trace_matches_state_level_entropies(self):
         # the batched trace path, the exact per-time route and the oracle must

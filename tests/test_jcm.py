@@ -77,6 +77,28 @@ def test_evolver_holds_four_level_arrays():
     assert evolver.delta_n.size == dist.n_max
 
 
+@pytest.mark.parametrize("times", [(0.0, 0.7), (0.0, 0.7, 3.1)], ids=["k-samples", "3-samples"])
+def test_group_populations_over_samples_have_each_lone_evolvers_bits(times):
+    # (k, samples, levels) input: the frozen weights follow the preparation
+    # axis, also where k == samples would let them broadcast along the samples
+    params, eps = ModelParams.from_detuning(0.0, 1.0), (0.1, 0.9)
+    dist = photon_weights_gibbs(0.5, tail_tol=1e-12).truncated(5)
+    group = BlockEvolver(params, [AtomInit(e) for e in eps], dist)
+    cos = np.cos(np.multiply.outer(times, group.delta_n))
+    a = group.a0[:, np.newaxis] + group.a1[:, np.newaxis] * cos
+    c = group.c0[:, np.newaxis] - group.a1[:, np.newaxis] * cos
+    p_e, p_g, field = group.populations(a, c)
+    assert p_e.shape == p_g.shape == (len(eps), len(times))
+    for i, e in enumerate(eps):
+        lone = BlockEvolver(params, AtomInit(e), dist)
+        for j, t in enumerate(times):
+            a_t, _, c_t = lone.coefficients(t)
+            assert a_t.tobytes() == a[i, j].tobytes() and c_t.tobytes() == c[i, j].tobytes()
+            want = lone.populations(a_t, c_t)
+            assert (p_e[i, j], p_g[i, j]) == want[:2] and field[i, j].tobytes() == want[2].tobytes()
+        assert p_e[i, 0] == pytest.approx(e, abs=1e-12)
+
+
 class TestInitialConditions:
     @pytest.mark.parametrize("delta", [0.0, 1.3, -2.0])
     @pytest.mark.parametrize("eps", [0.0, 0.3, 1.0])

@@ -7,6 +7,7 @@ import pytest
 import jcentropy.superstat as superstat
 from jcentropy.specfun import hurwitz_zeta_scaled
 from jcentropy.superstat import (
+    HARD_CAP,
     MIN_LEVELS,
     BracketError,
     GammaSuperstat,
@@ -103,6 +104,9 @@ class TestMultiLevelWeights:
             MultiLevelSuperstat(betas=(), omega=1.0)
         with pytest.raises(ValueError):
             MultiLevelSuperstat(betas=(1.0, -2.0), omega=1.0)
+        for beta in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"finite and positive, got \\[{beta}\\]"):
+                MultiLevelSuperstat(betas=(1.0, beta), omega=1.0)
 
 
 def _gibbs_case(beta):
@@ -153,9 +157,13 @@ TRUNCATION_CASES = [
 ]
 
 
-@pytest.mark.parametrize("hard_cap", [3, 1000, 10**5])  # 1e5: the dynamics commands' cap
+@pytest.mark.parametrize("hard_cap", [1, 3, 1000, 10**5])  # 1e5: the dynamics commands' cap
 @pytest.mark.parametrize("build,tail_exceeds", TRUNCATION_CASES)
 def test_truncation_contract(build, tail_exceeds, hard_cap):
+    # a cap outside [MIN_LEVELS - 1, HARD_CAP] is refused, never bent
+    for refused in (MIN_LEVELS - 2, -hard_cap, HARD_CAP + hard_cap):
+        with pytest.raises(ValueError, match="hard_cap must lie in"):
+            build(1e-6, refused)
     for tol in (1e-2, 1e-6, 1e-10):
         dist = build(tol, hard_cap)
         assert MIN_LEVELS - 1 <= dist.n_max <= hard_cap
