@@ -119,17 +119,23 @@ def _json_text(table: dict, meta: dict) -> str:
 
 def _emit(cfg: dict, table: dict, meta: dict) -> None:
     """Write ``table`` (column name -> column of values) to ``--out``."""
-    out = cfg.get("out")
+    out = cfg["out"]
     if not out:
         raise UsageError("--out is required")
-    if cfg.get("format", "csv") == "json":
+    if cfg["format"] == "json":
         _write_atomic(out, _json_text(table, meta))
     else:
         _write_atomic(out, _csv_text(table))
         _write_atomic(out + ".meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, flags: dict) -> dict:
+    """The values of a ``--config`` file that set one of ``flags`` (dest -> action).
+
+    A JSON output's ``meta`` and a sidecar's ``config`` are unwrapped, so
+    any output reruns from its own record.  Keys the command does not take
+    and ``null`` values are dropped: such a flag keeps its default.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -137,9 +143,13 @@ def _load_config(path: str) -> dict:
             raise UsageError(f"{path}: not a JSON config: {exc}") from None
     if not isinstance(data, dict):
         raise UsageError(f"{path}: config must be a JSON object")
-    if isinstance(data.get("config"), dict):  # accept recorded sidecars directly
-        return data["config"]
-    return data
+    for record in ("meta", "config"):
+        if isinstance(data.get(record), dict):
+            data = data[record]
+    values = {key: value for key, value in data.items() if key in flags and value is not None}
+    for key, value in values.items():
+        _check_config_value(key, value, flags[key])
+    return values
 
 
 # JSON types a --config value may take, by the type of its flag
@@ -149,11 +159,9 @@ _CONFIG_TYPES = {None: str, int: int, float: (int, float)}
 def _check_config_value(key: str, value, action: argparse.Action) -> None:
     """Refuse a ``--config`` value that its flag could not have produced.
 
-    ``null`` leaves the key unset.  A value is taken as it is, never
-    converted, so a recorded sidecar reruns to the same bytes.
+    A value is taken as it is, never converted, so a recorded sidecar
+    reruns to the same bytes.
     """
-    if value is None:
-        return
     if action.nargs == 0:  # a switch such as --gibbs
         fits = isinstance(value, bool)
     else:  # bool subclasses int, but JSON true and false are no numbers
@@ -164,20 +172,6 @@ def _check_config_value(key: str, value, action: argparse.Action) -> None:
         raise UsageError(
             f"config key {key!r}: {value!r} is not a valid {action.option_strings[0]} value"
         )
-
-
-def _effective_config(args: argparse.Namespace, defaults: dict) -> dict:
-    cfg = dict(defaults)
-    if getattr(args, "config", None):
-        for key, value in _load_config(args.config).items():
-            if key in defaults:
-                _check_config_value(key, value, args.flags[key])
-                cfg[key] = value
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    return cfg
 
 
 def _meta(cfg: dict, command: str, derived: dict) -> dict:
@@ -226,15 +220,15 @@ def _resolve_source(cfg: dict) -> tuple[object, dict]:
     """Build the photon distribution and the derived-parameter record."""
     omega = cfg["omega"]
     tail_tol = cfg["tail_tol"]
-    hard_cap = cfg.get("n_cap")
+    hard_cap = cfg["n_cap"]
     if hard_cap is None:
         hard_cap = HARD_CAP
     elif not 1 <= hard_cap <= HARD_CAP:
         raise UsageError(f"--n-cap must lie in [1, {HARD_CAP}], got {hard_cap}")
     chosen = [name for name, active in (
-        ("gamma", cfg.get("q") is not None),
-        ("gibbs", bool(cfg.get("gibbs"))),
-        ("multilevel", cfg.get("betas_file") is not None),
+        ("gamma", cfg["q"] is not None),
+        ("gibbs", bool(cfg["gibbs"])),
+        ("multilevel", cfg["betas_file"] is not None),
     ) if active]
     if len(chosen) != 1:
         raise UsageError(
@@ -244,7 +238,7 @@ def _resolve_source(cfg: dict) -> tuple[object, dict]:
 
     if source == "gamma":
         q = float(cfg["q"])
-        beta, beta_star = cfg.get("beta"), cfg.get("beta_star")
+        beta, beta_star = cfg["beta"], cfg["beta_star"]
         if (beta is None) == (beta_star is None):
             raise UsageError("gamma model needs exactly one of --beta / --beta-star")
         if beta_star is None:
@@ -255,7 +249,7 @@ def _resolve_source(cfg: dict) -> tuple[object, dict]:
         dist = photon_weights_gamma(model, tail_tol=tail_tol, hard_cap=hard_cap)
         derived = {"source": "gamma", "q": q, "beta": beta, "beta_star": beta_star}
     elif source == "gibbs":
-        beta = cfg.get("beta")
+        beta = cfg["beta"]
         if beta is None:
             raise UsageError("--gibbs needs --beta")
         dist = photon_weights_gibbs(beta, omega, tail_tol=tail_tol, hard_cap=hard_cap)
@@ -287,21 +281,17 @@ def _resolve_source(cfg: dict) -> tuple[object, dict]:
 
 
 def _resolve_entropy(cfg: dict, derived: dict) -> EntropyKind:
-    choice = cfg.get("entropy")
+    choice = cfg["entropy"]
     if choice is None:
         choice = "tsallis" if derived["source"] == "gamma" else "vn"
     if choice == "vn":
         return VON_NEUMANN
-    q = cfg.get("entropy_q")
+    q = cfg["entropy_q"]
     if q is None:
         q = derived.get("q")
     if q is None:
         raise UsageError("--entropy tsallis needs --entropy-q (or a gamma model's --q)")
     return tsallis(float(q))
-
-
-def _resolve_form(cfg: dict) -> FieldEntropyForm:
-    return FieldEntropyForm(cfg.get("field_entropy", "full"))
 
 
 def _resolve_dynamics(cfg: dict, n_times: int):
@@ -317,7 +307,7 @@ def _resolve_dynamics(cfg: dict, n_times: int):
         raise ValueError(f"time horizon must be finite and positive, got {cfg['horizon']}")
     dist, derived = _resolve_source(cfg)
     kind = _resolve_entropy(cfg, derived)
-    form = _resolve_form(cfg)
+    form = FieldEntropyForm(cfg["field_entropy"])
     derived.update(entropy=kind.label(), field_entropy_form=form.value)
     times = np.linspace(0.0, cfg["horizon"], n_times)
     return dist, derived, kind, form, params, times
@@ -326,12 +316,7 @@ def _resolve_dynamics(cfg: dict, n_times: int):
 # ------------------------------------------------------------- commands
 
 
-def cmd_calibrate(args: argparse.Namespace) -> int:
-    defaults = {
-        "q": None, "grid": "0.5:10:50", "omega": 1.0,
-        "out": None, "format": "csv",
-    }
-    cfg = _effective_config(args, defaults)
+def cmd_calibrate(cfg: dict) -> int:
     if cfg["q"] is None:
         raise UsageError("--q is required (comma list, e.g. 'gibbs,1.2,1.6')")
     q_tokens = []
@@ -387,33 +372,14 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_MODEL_DEFAULTS = {
-    "omega": 1.0, "q": None, "beta": None, "beta_star": None,
-    "gibbs": None, "betas_file": None, "tail_tol": 1e-8, "n_cap": None,
-}
-
-
-_DYNAMICS_DEFAULTS = {
-    **_MODEL_DEFAULTS,
-    "delta": 0.0, "lam": 2.0,
-    "entropy": None, "entropy_q": None, "field_entropy": "full", "horizon": None,
-    "n_cap": 10**5,  # keeps heavy-tail runs tractable; tail mass stays tracked
-    "out": None, "format": "csv",
-}
-
-
-def cmd_weights(args: argparse.Namespace) -> int:
-    defaults = {**_MODEL_DEFAULTS, "out": None, "format": "csv"}
-    cfg = _effective_config(args, defaults)
+def cmd_weights(cfg: dict) -> int:
     dist, derived = _resolve_source(cfg)
     table = {"n": np.arange(dist.weights.size), "p": dist.weights}
     _emit(cfg, table, _meta(cfg, "weights", derived))
     return EXIT_OK
 
 
-def cmd_timeseries(args: argparse.Namespace) -> int:
-    defaults = {**_DYNAMICS_DEFAULTS, "epsilon": 0.0, "grid": 2000}
-    cfg = _effective_config(args, defaults)
+def cmd_timeseries(cfg: dict) -> int:
     n_times = _time_samples(cfg["grid"], "--grid")
     dist, derived, kind, form, params, times = _resolve_dynamics(cfg, n_times)
     trace = entropy_trace(params, AtomInit(epsilon=cfg["epsilon"]), dist, kind, form, times=times)
@@ -424,9 +390,7 @@ def cmd_timeseries(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_bloch_sweep(args: argparse.Namespace) -> int:
-    defaults = {**_DYNAMICS_DEFAULTS, "grid": "5x7", "t_samples": 1000}
-    cfg = _effective_config(args, defaults)
+def cmd_bloch_sweep(cfg: dict) -> int:
     n_times = _time_samples(cfg["t_samples"], "--t-samples")
     n_r, n_theta = _parse_pair(cfg["grid"])
     if n_r < 1 or n_theta < 1:
@@ -450,13 +414,7 @@ def cmd_bloch_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_ensemble_gen(args: argparse.Namespace) -> int:
-    defaults = {
-        "shape": "normal", "count": 100, "seed": 0, "omega": 1.0,
-        "mean": 3.0, "sd": 0.3, "scale": None, "shape_param": 2.0,
-        "out": None,
-    }
-    cfg = _effective_config(args, defaults)
+def cmd_ensemble_gen(cfg: dict) -> int:
     if not cfg["out"]:
         raise UsageError("--out is required")
     spec = BetaEnsembleSpec(
@@ -469,9 +427,8 @@ def cmd_ensemble_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_selfcheck(args: argparse.Namespace) -> int:
-    perturb = getattr(args, "inject_perturbation", None) or 0.0
-    results = run_selfcheck(perturb=perturb)
+def cmd_selfcheck(cfg: dict) -> int:
+    results = run_selfcheck(perturb=cfg["inject_perturbation"])
     all_passed = True
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -488,8 +445,9 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file (flags override file values)")
     sub.add_argument("--out", help="output file path")
-    sub.add_argument("--format", choices=["csv", "json"], help="output format (default csv)")
-    sub.add_argument("--omega", type=float, help="cavity frequency (default 1.0)")
+    sub.add_argument("--format", choices=["csv", "json"], default="csv",
+                     help="output format (default csv)")
+    sub.add_argument("--omega", type=float, default=1.0, help="cavity frequency (default 1.0)")
 
 
 def _add_model(sub: argparse.ArgumentParser) -> None:
@@ -501,24 +459,27 @@ def _add_model(sub: argparse.ArgumentParser) -> None:
                      help="plain thermal state at --beta")
     sub.add_argument("--betas-file", dest="betas_file",
                      help="multi-temperature ensemble file (see ensemble-gen)")
-    sub.add_argument("--tail-tol", type=float, dest="tail_tol",
+    sub.add_argument("--tail-tol", type=float, dest="tail_tol", default=1e-8,
                      help="photon-number tail tolerance (default 1e-8)")
     sub.add_argument("--n-cap", type=int, dest="n_cap",
                      help="hard cap on the retained photon levels")
 
 
 def _add_dynamics(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--delta", type=float, help="detuning omega0 - omega (default 0)")
-    sub.add_argument("--lambda", type=float, dest="lam", help="coupling strength (default 2)")
+    sub.add_argument("--delta", type=float, default=0.0,
+                     help="detuning omega0 - omega (default 0)")
+    sub.add_argument("--lambda", type=float, dest="lam", default=2.0,
+                     help="coupling strength (default 2)")
     sub.add_argument("--entropy", choices=["vn", "tsallis"], help="entropy functional")
     sub.add_argument("--entropy-q", type=float, dest="entropy_q",
                      help="deformation index for --entropy tsallis (defaults to --q)")
     sub.add_argument("--field-entropy", choices=["full", "coarse"], dest="field_entropy",
-                     help="field entropy over the full spectrum or (vacuum, rest)")
+                     default="full", help="field entropy over the full spectrum or (vacuum, rest)")
     sub.add_argument("--T", type=float, dest="horizon",
                      help="time horizon (default 50/lambda); T sqrt(delta^2 + "
                           "lambda^2 n_max) may not exceed 2**52, nor the time step "
                           "T/(samples - 1) 5.6e102")
+    sub.set_defaults(n_cap=10**5)  # keeps heavy-tail runs tractable; tail mass stays tracked
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -533,7 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
     cal = subs.add_parser("calibrate", help="physical temperature vs quasi-temperature table")
     _add_common(cal)
     cal.add_argument("--q", help="comma list of deformation indices, 'gibbs' allowed")
-    cal.add_argument("--grid", help="T* grid as 'min:max:count' (default 0.5:10:50)")
+    cal.add_argument("--grid", default="0.5:10:50",
+                     help="T* grid as 'min:max:count' (default 0.5:10:50)")
     cal.set_defaults(func=cmd_calibrate)
 
     wts = subs.add_parser("weights", help="photon-number weight table")
@@ -545,48 +507,57 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(ts)
     _add_model(ts)
     _add_dynamics(ts)
-    ts.add_argument("--epsilon", type=float, help="initial excited-state weight (default 0)")
-    ts.add_argument("--grid", type=int, help="number of time samples (default 2000)")
+    ts.add_argument("--epsilon", type=float, default=0.0,
+                    help="initial excited-state weight (default 0)")
+    ts.add_argument("--grid", type=int, default=2000, help="number of time samples (default 2000)")
     ts.set_defaults(func=cmd_timeseries)
 
     bs = subs.add_parser("bloch-sweep", help="time-averaged exchange over atom preparations")
     _add_common(bs)
     _add_model(bs)
     _add_dynamics(bs)
-    bs.add_argument("--grid", help="(r, theta) grid as 'NRxNTHETA' (default 5x7)")
-    bs.add_argument("--t-samples", type=int, dest="t_samples",
+    bs.add_argument("--grid", default="5x7", help="(r, theta) grid as 'NRxNTHETA' (default 5x7)")
+    bs.add_argument("--t-samples", type=int, dest="t_samples", default=1000,
                     help="time samples per point (default 1000)")
     bs.set_defaults(func=cmd_bloch_sweep)
 
     gen = subs.add_parser("ensemble-gen", help="draw and store an inverse-temperature ensemble")
     gen.add_argument("--config", help="JSON config file (flags override file values)")
     gen.add_argument("--out", help="output betas file")
-    gen.add_argument("--shape", choices=["normal", "weibull"], help="distribution shape")
-    gen.add_argument("--count", type=int, help="ensemble size (default 100)")
-    gen.add_argument("--seed", type=int, help="PRNG seed (default 0)")
-    gen.add_argument("--omega", type=float, help="cavity frequency (default 1.0)")
-    gen.add_argument("--mean", type=float, help="target mean of beta*omega (default 3)")
-    gen.add_argument("--sd", type=float, help="normal-shape standard deviation (default 0.3)")
+    gen.add_argument("--shape", choices=["normal", "weibull"], default="normal",
+                     help="distribution shape")
+    gen.add_argument("--count", type=int, default=100, help="ensemble size (default 100)")
+    gen.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
+    gen.add_argument("--omega", type=float, default=1.0, help="cavity frequency (default 1.0)")
+    gen.add_argument("--mean", type=float, default=3.0,
+                     help="target mean of beta*omega (default 3)")
+    gen.add_argument("--sd", type=float, default=0.3,
+                     help="normal-shape standard deviation (default 0.3)")
     gen.add_argument("--scale", type=float, help="weibull scale (default: mean-matched)")
-    gen.add_argument("--shape-param", type=float, dest="shape_param",
+    gen.add_argument("--shape-param", type=float, dest="shape_param", default=2.0,
                      help="weibull shape parameter (default 2)")
     gen.set_defaults(func=cmd_ensemble_gen)
 
     chk = subs.add_parser("selfcheck", help="run the built-in consistency suite")
     chk.add_argument("--inject-perturbation", type=float, dest="inject_perturbation",
-                     help=argparse.SUPPRESS)
+                     default=0.0, help=argparse.SUPPRESS)
     chk.set_defaults(func=cmd_selfcheck)
 
     for sub in subs.choices.values():
-        sub.set_defaults(flags={action.dest: action for action in sub._actions})
+        sub.set_defaults(parser=sub)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    flags = {action.dest: action for action in args.parser._actions
+             if action.dest not in ("help", "config")}
     try:
-        return args.func(args)
+        if getattr(args, "config", None):  # file values become defaults the flags override
+            args.parser.set_defaults(**_load_config(args.config, flags))
+            args = parser.parse_args(argv)
+        return args.func({dest: getattr(args, dest) for dest in flags})
     except UsageError as exc:
         print(f"jcentropy: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

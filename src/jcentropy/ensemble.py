@@ -37,7 +37,7 @@ _MAX_CONSECUTIVE_REJECTIONS = 10**6
 
 
 class RejectionOverflowError(ValueError):
-    """The positivity rejection loop failed to produce a draw."""
+    """No positive draw can come, or the rejection loop gave up waiting for one."""
 
 
 class SplitMix64:
@@ -120,25 +120,43 @@ class BetaEnsembleSpec:
 
 
 def sample_betas(spec: BetaEnsembleSpec) -> MultiLevelSuperstat:
-    """Draw the ensemble deterministically from (spec, seed)."""
+    """Draw the ensemble deterministically from (spec, seed).
+
+    A normal spec whose largest possible draw is not positive is refused
+    before the first draw; a Weibull spec whose draws leave the float
+    range is refused naming ``shape_param`` and ``scale``.
+    """
     rng = SplitMix64(spec.seed)
-    if spec.shape == "normal":
-        draw = lambda: rng.normal(spec.mean, spec.sd)
-    else:
-        scale = spec.effective_scale
-        draw = lambda: rng.weibull(scale, spec.shape_param)
     betas = []
-    for _ in range(spec.count):
-        rejections = 0
-        value = draw()
-        while value <= 0.0:
-            rejections += 1
-            if rejections > _MAX_CONSECUTIVE_REJECTIONS:
+    try:
+        if spec.shape == "normal":
+            # the largest draw there is: u1 = 2**-53, the least uniform_pos gives, and u2 = 0
+            top = spec.mean + spec.sd * math.sqrt(-2.0 * math.log(2.0**-53)) * math.cos(0.0)
+            if top <= 0.0:
                 raise RejectionOverflowError(
-                    f"{rejections} consecutive non-positive draws for spec {spec}"
+                    f"no normal draw can be positive: at --mean {spec.mean!r} and --sd "
+                    f"{spec.sd!r} the largest possible draw is {top!r}"
                 )
+            draw = lambda: rng.normal(spec.mean, spec.sd)
+        else:
+            scale = spec.effective_scale
+            draw = lambda: rng.weibull(scale, spec.shape_param)
+        for _ in range(spec.count):
+            rejections = 0
             value = draw()
-        betas.append(value / spec.omega)
+            while value <= 0.0:
+                rejections += 1
+                if rejections > _MAX_CONSECUTIVE_REJECTIONS:
+                    raise RejectionOverflowError(
+                        f"{rejections} consecutive non-positive draws for spec {spec}"
+                    )
+                value = draw()
+            betas.append(value / spec.omega)
+    except OverflowError:  # only the Weibull gamma function and power raise it
+        raise ValueError(
+            f"weibull draws leave the float range at shape_param={spec.shape_param!r}, "
+            f"scale={spec.scale!r}"
+        ) from None
     return MultiLevelSuperstat(betas=tuple(betas), omega=spec.omega)
 
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import jcentropy
 from jcentropy import ensemble
 from jcentropy.ensemble import load_betas
-from jcentropy.cli import _csv_text, _json_text, main
+from jcentropy.cli import _csv_text, _json_text, build_parser, main
 from oracle_utils import rowwise_csv, rowwise_json
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -376,7 +376,12 @@ def test_usage_error_comes_before_an_unresolvable_phase(tmp_path, capsys):
     (["--shape", "weibull", "--scale", "inf"], "scale must be finite, got inf"),
     (["--shape", "weibull", "--shape-param", "nan"], "shape_param must be finite, got nan"),
     (["--omega", "1e-310", "--mean", "1e300"], "got [inf, inf, inf]"),
-], ids=["mean", "sd", "scale", "shape-param", "draw-over-omega"])
+    (["--shape", "weibull", "--shape-param", "1e-300", "--count", "3"],
+     "weibull draws leave the float range at shape_param=1e-300, scale=None"),
+    (["--shape", "weibull", "--shape-param", "0.001", "--scale", "1e300", "--count", "3"],
+     "weibull draws leave the float range at shape_param=0.001, scale=1e+300"),
+], ids=["mean", "sd", "scale", "shape-param", "draw-over-omega", "weibull-mean-matched-scale",
+        "weibull-power"])
 def test_ensemble_gen_refuses_non_finite_parameters(tmp_path, capsys, argv, named):
     assert main(["ensemble-gen", *argv, "--out", str(tmp_path / "e.betas")]) == 3
     err = capsys.readouterr().err
@@ -385,11 +390,29 @@ def test_ensemble_gen_refuses_non_finite_parameters(tmp_path, capsys, argv, name
 
 
 def test_draw_that_rejects_every_sample_is_a_domain_error(tmp_path, capsys, monkeypatch):
+    # a draw above 0 is possible here (8.57 sd up), but far rarer than one in 100
     monkeypatch.setattr(ensemble, "_MAX_CONSECUTIVE_REJECTIONS", 100)
-    argv = ["ensemble-gen", "--mean", "-100", "--sd", "0.1", "--count", "1"]
+    argv = ["ensemble-gen", "--mean", "-5", "--sd", "1", "--count", "1"]
     assert main([*argv, "--out", str(tmp_path / "e.betas")]) == 3
     err = capsys.readouterr().err
     assert "101 consecutive non-positive draws" in err and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("mean, sd", [("-100", "0.1"), ("-60", "0.5")])
+def test_spec_with_no_positive_draw_is_refused_before_drawing(tmp_path, capsys, monkeypatch,
+                                                              mean, sd):
+    draws = []
+    normal = ensemble.SplitMix64.normal
+    monkeypatch.setattr(ensemble.SplitMix64, "normal",
+                        lambda rng, *args: draws.append(args) or normal(rng, *args))
+    monkeypatch.setattr(ensemble, "_MAX_CONSECUTIVE_REJECTIONS", 100)  # a drawing spec fails fast
+    argv = ["ensemble-gen", "--mean", mean, "--sd", sd, "--count", "1"]
+    assert main([*argv, "--out", str(tmp_path / "e.betas")]) == 3
+    err = capsys.readouterr().err
+    assert f"--mean {float(mean)!r} and --sd {float(sd)!r} the largest" in err
+    assert err.count("\n") == 1
+    assert draws == []
     assert os.listdir(tmp_path) == []
 
 
@@ -402,6 +425,51 @@ def test_config_takes_integers_for_float_flags_and_false_switches(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     config.write_text('{"gibbs": false, "q": "1.5", "beta": 2.0, "n_cap": 100}')
     assert main(["weights", "--config", str(config), "--out", str(tmp_path / "w.csv")]) == 0
+
+
+# a small run of each command that takes --config, and the flags with a non-null default
+NULL_RUNS = {
+    "calibrate": ({"q": "gibbs", "grid": "1:2:3"}, ["omega", "format", "grid"]),
+    "weights": ({"gibbs": True, "beta": 2.0}, ["omega", "tail_tol", "format"]),
+    "timeseries": ({"gibbs": True, "beta": 2.0, "horizon": 3, "grid": 16, "n_cap": 20},
+                   ["omega", "tail_tol", "format", "delta", "lam", "field_entropy", "epsilon",
+                    "grid", "n_cap"]),
+    "bloch-sweep": ({"gibbs": True, "beta": 2.0, "horizon": 3, "grid": "2x2", "t_samples": 16,
+                     "n_cap": 20},
+                    ["omega", "tail_tol", "format", "delta", "lam", "field_entropy", "grid",
+                     "t_samples", "n_cap"]),
+    "ensemble-gen": ({"count": 5}, ["omega", "shape", "count", "seed", "mean", "sd",
+                                    "shape_param"]),
+}
+
+
+@pytest.mark.parametrize("command, key", [(command, key) for command, (_, keys)
+                                          in NULL_RUNS.items() for key in keys])
+def test_null_config_value_keeps_the_flag_default(tmp_path, command, key):
+    base = NULL_RUNS[command][0]
+    configs = {"null": {**base, key: None},
+               "absent": {k: v for k, v in base.items() if k != key}}
+    for name, config in configs.items():
+        run = tmp_path / name
+        run.mkdir()
+        (run / "cfg.json").write_text(json.dumps(config))
+        assert main([command, "--config", str(run / "cfg.json"), "--out", str(run / "out")]) == 0
+        (run / "cfg.json").unlink()
+    outputs = sorted(os.listdir(tmp_path / "null"))  # the table, and a CSV table's sidecar
+    assert outputs == sorted(os.listdir(tmp_path / "absent"))
+    for name in outputs:
+        assert (tmp_path / "null" / name).read_bytes() == (tmp_path / "absent" / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["timeseries", "--gibbs", "--beta", "1.0", "--epsilon", "0.3", "--T", "3", "--grid", "16"],
+    ["calibrate", "--q", "gibbs,1.4", "--grid", "0.5:5:4"],
+], ids=["timeseries", "calibrate"])
+def test_json_output_reruns_from_itself_byte_identical(tmp_path, argv):
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    assert main([*argv, "--format", "json", "--out", str(first)]) == 0
+    assert main([argv[0], "--config", str(first), "--out", str(second)]) == 0
+    assert first.read_bytes() == second.read_bytes()
 
 
 class TestBlochSweep:
@@ -753,3 +821,87 @@ def test_every_ensemble_gen_ends_in_a_documented_exit_code(argv):
         count = int(argv[2].split("=")[1])
         assert len(model.betas) == count, argv
         assert all(0.0 < beta < math.inf for beta in model.betas), argv
+
+
+def _config_flags(command):
+    """The flags of ``command`` that a config file may set (dest -> action), ``out`` aside."""
+    sub = build_parser().parse_args([command]).parser
+    return {a.dest: a for a in sub._actions if a.dest not in ("help", "config", "out")}
+
+
+def _typed(action):
+    """Values of the JSON type that ``action`` takes, within its choices."""
+    if action.nargs == 0:
+        return st.booleans()
+    if action.choices is not None:
+        return st.sampled_from(action.choices)
+    return {None: st.text(max_size=5), int: st.integers(-3, 3),
+            float: st.floats(0.0, 5.0) | st.sampled_from(EDGE_FLOATS)}[action.type]
+
+
+ANY_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.integers(), st.sampled_from(EDGE_FLOATS),
+    st.floats(), st.text(max_size=5), st.lists(st.integers(0, 3), max_size=2),
+)
+# work sizes, always set, so that no run falls back to a large default
+WORK_SIZES = {
+    "n_cap": _counts(1, 64, [-1, 0]), "t_samples": _counts(2, 12, [0, 1]),
+    "count": _counts(1, 8, [-1, 0]),
+    ("grid", "calibrate"): st.builds("{}:{}:{}".format, _numbers(0.1, 5.0), _numbers(0.1, 10.0),
+                                     _counts(1, 12, [0])),
+    ("grid", "timeseries"): _counts(2, 12, [0, 1]),
+    ("grid", "bloch-sweep"): st.builds("{}x{}".format, _counts(1, 3, [0]), _counts(1, 3, [0])),
+}
+SOURCES = {
+    "gamma": st.fixed_dictionaries({"q": st.sampled_from(QS), "beta": st.floats(0.2, 5.0)}),
+    "gibbs": st.fixed_dictionaries({"gibbs": st.just(True), "beta": st.floats(0.2, 5.0)}),
+    "betas-file": st.just({"betas_file": os.path.join(DATA_DIR, "normal_n100.betas")}),
+}
+
+
+@st.composite
+def config_runs(draw):
+    """(command, config file text): one model, drawn flags, one wild value, one unknown key."""
+    command = draw(st.sampled_from(["calibrate", "weights", "timeseries", "bloch-sweep",
+                                    "ensemble-gen"]))
+    flags = _config_flags(command)
+    config = {}
+    if command == "calibrate":
+        config["q"] = draw(st.sampled_from(["gibbs", "gibbs,1.4", *QS]))
+    elif command != "ensemble-gen":
+        config.update(draw(st.sampled_from(sorted(SOURCES)).flatmap(SOURCES.get)))
+    for key in draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=5)):
+        config[key] = draw(_typed(flags[key]))
+    for key in flags:
+        size = WORK_SIZES.get(key, WORK_SIZES.get((key, command)))
+        if size is not None:
+            config[key] = draw(size)
+    wild = draw(st.none() | st.sampled_from(sorted(flags)))
+    if wild is not None:  # any JSON value, null included, for any flag
+        config[wild] = draw(ANY_VALUE)
+    unknown = draw(st.sampled_from(["bogus", "seed", "func", "parser", "help", "config",
+                                    "command", "columns"]).filter(lambda k: k not in flags))
+    config[unknown] = draw(ANY_VALUE)
+    wrapper = draw(st.sampled_from(["flat", "sidecar", "json-output"]))
+    if wrapper == "sidecar":
+        config = {"command": command, "config": config}
+    elif wrapper == "json-output":
+        config = {"columns": [], "meta": {"config": config}, "rows": []}
+    return command, json.dumps(config)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(config_runs())
+def test_every_config_file_ends_in_a_documented_exit_code(run):
+    command, text = run
+    # a spec that draws but rarely gets a positive value gives up in milliseconds
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(ensemble, "_MAX_CONSECUTIVE_REJECTIONS", 200):
+        config = pathlib.Path(tmp) / "cfg.json"
+        config.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, f"--config={config}", f"--out={pathlib.Path(tmp) / 'out'}"])
+        assert code in (0, 2, 3, 4, 5), text
+        assert "Traceback" not in err.getvalue(), text
+        assert not [name for name in os.listdir(tmp) if name.endswith(".tmp")], text

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from jcentropy import ensemble
 from jcentropy.ensemble import (
     BetaEnsembleSpec,
     RejectionOverflowError,
@@ -67,6 +68,20 @@ class TestSampling:
     def test_rejection_overflow(self):
         spec = BetaEnsembleSpec(shape="normal", count=1, seed=0, mean=-60.0, sd=0.5)
         with pytest.raises(RejectionOverflowError):
+            sample_betas(spec)
+
+    @pytest.mark.parametrize("mean, refused", [(-8.5, False), (-8.6, True)])
+    def test_refused_exactly_when_the_largest_draw_is_not_positive(self, monkeypatch, mean,
+                                                                  refused):
+        # the largest draw comes at the least u1 that uniform_pos gives and u2 = 0
+        rng = SplitMix64(0)
+        monkeypatch.setattr(rng, "uniform_pos", lambda: 2.0**-53)
+        monkeypatch.setattr(rng, "uniform", lambda: 0.0)
+        assert (rng.normal(mean, 1.0) <= 0.0) == refused
+        monkeypatch.setattr(ensemble, "_MAX_CONSECUTIVE_REJECTIONS", 100)
+        spec = BetaEnsembleSpec(shape="normal", count=1, seed=0, mean=mean, sd=1.0)
+        message = "no normal draw can be positive" if refused else "101 consecutive"
+        with pytest.raises(RejectionOverflowError, match=message):
             sample_betas(spec)
 
     def test_spec_validation(self):
