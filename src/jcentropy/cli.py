@@ -120,8 +120,6 @@ def _json_text(table: dict, meta: dict) -> str:
 def _emit(cfg: dict, table: dict, meta: dict) -> None:
     """Write ``table`` (column name -> column of values) to ``--out``."""
     out = cfg["out"]
-    if not out:
-        raise UsageError("--out is required")
     if cfg["format"] == "json":
         _write_atomic(out, _json_text(table, meta))
     else:
@@ -209,6 +207,16 @@ def _parse_pair(text: str) -> tuple[int, int]:
         raise UsageError(f"expected grid as 'NRxNTHETA', got {text!r}") from None
 
 
+def _q_value(token: str) -> float | None:
+    """The one reader of ``--q`` text: a deformation index, or None for 'gibbs'."""
+    if token.strip().lower() == "gibbs":
+        return None
+    try:
+        return float(token)
+    except ValueError:
+        raise UsageError(f"--q entries must be numbers or 'gibbs', got {token!r}") from None
+
+
 def _time_samples(value: int, flag: str) -> int:
     """Validated time-sample count: an exchange needs t=0 and one later time."""
     if value < 2:
@@ -235,9 +243,16 @@ def _resolve_source(cfg: dict) -> tuple[object, dict]:
             "select exactly one initial-state model: --q (gamma), --gibbs, or --betas-file"
         )
     source = chosen[0]
+    # a value the chosen model never reads would be recorded as if it had shaped the run
+    if source == "multilevel" and cfg["beta"] is not None:
+        raise UsageError("--beta is not read with --betas-file: the file fixes the temperatures")
+    if source != "gamma" and cfg["beta_star"] is not None:
+        raise UsageError("--beta-star is read only by the gamma model (--q)")
 
     if source == "gamma":
-        q = float(cfg["q"])
+        q = _q_value(cfg["q"])
+        if q is None:
+            raise UsageError("--q gibbs selects no gamma model; the thermal state is --gibbs")
         beta, beta_star = cfg["beta"], cfg["beta_star"]
         if (beta is None) == (beta_star is None):
             raise UsageError("gamma model needs exactly one of --beta / --beta-star")
@@ -285,6 +300,8 @@ def _resolve_entropy(cfg: dict, derived: dict) -> EntropyKind:
     if choice is None:
         choice = "tsallis" if derived["source"] == "gamma" else "vn"
     if choice == "vn":
+        if cfg["entropy_q"] is not None:
+            raise UsageError("--entropy-q is not read by the von Neumann entropy")
         return VON_NEUMANN
     q = cfg["entropy_q"]
     if q is None:
@@ -319,17 +336,8 @@ def _resolve_dynamics(cfg: dict, n_times: int):
 def cmd_calibrate(cfg: dict) -> int:
     if cfg["q"] is None:
         raise UsageError("--q is required (comma list, e.g. 'gibbs,1.2,1.6')")
-    q_tokens = []
-    for tok in cfg["q"].split(","):
-        tok = tok.strip().lower()
-        if not tok:
-            continue
-        if tok != "gibbs":
-            try:
-                float(tok)
-            except ValueError:
-                raise UsageError(f"--q entries must be numbers or 'gibbs', got {tok!r}") from None
-        q_tokens.append(tok)
+    q_tokens = [tok for tok in (tok.strip().lower() for tok in cfg["q"].split(",")) if tok]
+    q_values = [_q_value(tok) for tok in q_tokens]
     if not q_tokens:
         raise UsageError("empty --q list")
     omega = cfg["omega"]
@@ -341,13 +349,12 @@ def cmd_calibrate(cfg: dict) -> int:
     temps = []
     # a T* omega or a beta out of the float range shows as a temperature out of it
     with np.errstate(divide="ignore", over="ignore"):
-        for tok in q_tokens:
+        for tok, q in zip(q_tokens, q_values):
             for t_star in t_star_grid:
                 beta_star = 1.0 / (t_star * omega)
-                if tok == "gibbs":
+                if q is None:
                     beta = beta_star
                 else:
-                    q = float(tok)
                     try:
                         model = GammaSuperstat(q=q, beta_star=beta_star, omega=omega)
                     except ValueError:
@@ -415,8 +422,6 @@ def cmd_bloch_sweep(cfg: dict) -> int:
 
 
 def cmd_ensemble_gen(cfg: dict) -> int:
-    if not cfg["out"]:
-        raise UsageError("--out is required")
     spec = BetaEnsembleSpec(
         shape=cfg["shape"], count=cfg["count"], seed=cfg["seed"],
         omega=cfg["omega"], mean=cfg["mean"], sd=cfg["sd"],
@@ -557,6 +562,8 @@ def main(argv=None) -> int:
         if getattr(args, "config", None):  # file values become defaults the flags override
             args.parser.set_defaults(**_load_config(args.config, flags))
             args = parser.parse_args(argv)
+        if "out" in flags and not args.out:
+            raise UsageError("--out is required")
         return args.func({dest: getattr(args, dest) for dest in flags})
     except UsageError as exc:
         print(f"jcentropy: usage error: {exc}", file=sys.stderr)
@@ -566,6 +573,9 @@ def main(argv=None) -> int:
         return EXIT_ACCURACY
     except (ValueError, ArithmeticError) as exc:
         print(f"jcentropy: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except MemoryError as exc:
+        print(f"jcentropy: out of memory: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:
         print(f"jcentropy: i/o error: {exc}", file=sys.stderr)

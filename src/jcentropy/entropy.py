@@ -390,10 +390,14 @@ def bloch_sweep(
 
     Returns an array of shape ``(len(r_values), len(theta_values), 2)``
     holding (avg atom exchange, avg field exchange) over the whole of
-    ``times``, ordered by the declared grid.  The dynamics depends on a
-    preparation only through its excited-state weight epsilon, so each
-    distinct epsilon is walked once and its averages fill every point
-    that shares it (the whole r=0 row, for instance).  The distinct
+    ``times``, ordered by the declared grid.  Each point (r, theta) is
+    evaluated at the dephased preparation ``diag(epsilon, 1 - epsilon)``
+    with ``epsilon = (1 + r cos theta) / 2``: its coherence ``r sin theta``
+    is dropped, since the coherence is not evolved yet.  A point with
+    ``r > 0`` and ``0 < theta < pi`` therefore reports its dephased state,
+    not the pure or partly coherent one it names.  So each distinct
+    epsilon is walked once and its averages fill every point that shares
+    it (the whole r=0 row, for instance).  The distinct
     epsilons are walked in first-seen order, in groups that share the
     manifold arrays, each chunk's phases and cosines, and one Simpson
     call per side; a group holds as many as keep ``k x samples x levels``

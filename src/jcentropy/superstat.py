@@ -194,13 +194,13 @@ def _check_resolvable(x_max: float, beta_omega: float) -> None:
         )
 
 
-def _gamma_log_tail(s: float, r: float, n_last: int) -> float:
-    """log of zeta_H(s, n_last+1+r) / zeta_H(s, r), the mass beyond level n_last."""
+def _gamma_log_tail(s: float, r: float, n_last: int, log_norm: float) -> float:
+    """log of zeta_H(s, n_last+1+r) / exp(log_norm), the mass beyond level n_last."""
     shift = n_last + 1.0
     return float(
         -s * np.log1p(shift / r)
         + np.log(hurwitz_zeta_scaled(s, shift + r))
-        - np.log(hurwitz_zeta_scaled(s, r))
+        - log_norm
     )
 
 
@@ -215,13 +215,14 @@ def photon_weights_gamma(
     Hurwitz zetas) is <= tail_tol, subject to the hard cap.
     """
     sx, r = s.s_index, s.r_offset
-    n_max, tail_limited = _truncation(
-        lambda n: _gamma_log_tail(sx, r, n) <= math.log(tail_tol), tail_tol, hard_cap
-    )
     norm = hurwitz_zeta_scaled(sx, r)
+    log_norm = np.log(norm)  # of zeta_H(s, r), summed once for every tail below
+    n_max, tail_limited = _truncation(
+        lambda n: _gamma_log_tail(sx, r, n, log_norm) <= math.log(tail_tol), tail_tol, hard_cap
+    )
     n = np.arange(n_max + 1, dtype=np.float64)
     weights = np.exp(-sx * np.log1p(n / r)) / norm
-    tail = math.exp(_gamma_log_tail(sx, r, n_max))
+    tail = math.exp(_gamma_log_tail(sx, r, n_max, log_norm))
     return PhotonDistribution(
         weights=weights,
         tail_mass=tail,
@@ -353,8 +354,8 @@ _SCAN_DECADES = (-3.0, 3.0)  # beta_star * omega scan range, log10
 def calibrate_beta_star(q: float, beta_target: float, omega: float = 1.0) -> float:
     """Invert :func:`physical_beta`: the gamma-model beta_star that realizes a physical beta.
 
-    Bracketing scan over log(beta_star) across [1e-3, 1e3]/omega followed
-    by a derivative-free hybrid root solve; the round trip
+    Scan over log(beta_star) across [1e-3, 1e3]/omega up to the first
+    sign change, then a derivative-free hybrid root solve on it; the round trip
     ``physical_beta(calibrate_beta_star(beta)) == beta`` holds to 1e-10
     relative.
     """
@@ -368,17 +369,15 @@ def calibrate_beta_star(q: float, beta_target: float, omega: float = 1.0) -> flo
 
     lo_exp, hi_exp = _SCAN_DECADES
     grid = np.linspace(lo_exp, hi_exp, 61) * math.log(10.0)
-    values = [residual(g) for g in grid]
-    for (ga, fa), (gb, fb) in zip(zip(grid, values), zip(grid[1:], values[1:])):
-        if fa == 0.0:
-            return math.exp(ga) / omega
-        if fa * fb < 0.0:
+    fa = residual(grid[0])
+    for ga, gb in zip(grid, grid[1:]):
+        fb = residual(gb)
+        if fa * fb <= 0.0:  # brentq returns an endpoint whose residual is exactly 0
             from scipy.optimize import brentq  # imported here to keep scipy off the CLI start-up
 
             root = brentq(residual, ga, gb, xtol=1e-14, rtol=8.9e-16)
             return math.exp(root) / omega
-    if values[-1] == 0.0:
-        return math.exp(grid[-1]) / omega
+        fa = fb
     raise BracketError(
         f"beta={beta_target} not attainable for q={q} with beta_star*omega in "
         f"[1e{lo_exp:+.0f}, 1e{hi_exp:+.0f}]"

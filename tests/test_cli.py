@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jcentropy
-from jcentropy import ensemble
+from jcentropy import cli, ensemble
 from jcentropy.ensemble import load_betas
 from jcentropy.cli import _csv_text, _json_text, build_parser, main
 from oracle_utils import rowwise_csv, rowwise_json
@@ -905,3 +905,127 @@ def test_every_config_file_ends_in_a_documented_exit_code(run):
         assert code in (0, 2, 3, 4, 5), text
         assert "Traceback" not in err.getvalue(), text
         assert not [name for name in os.listdir(tmp) if name.endswith(".tmp")], text
+
+
+# ------------------------------------------------- refusals before any work
+
+HEAVY_TRACE = ["timeseries", "--q", "1.6", "--beta", repr(math.log(11.0)), "--tail-tol", "1e-4"]
+BETAS_FILE = os.path.join(DATA_DIR, "normal_n100.betas")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called before the refusal")
+
+
+@pytest.mark.parametrize("argv", [
+    ["calibrate", "--q", "gibbs"],
+    ["calibrate"],  # no --q either: the missing --out is reported first
+    ["weights", "--gibbs", "--beta", "2"],
+    HEAVY_TRACE,
+    ["bloch-sweep", "--gibbs", "--beta", "2"],
+    ["ensemble-gen"],
+], ids=["calibrate", "calibrate-no-q", "weights", "timeseries", "bloch-sweep", "ensemble-gen"])
+def test_missing_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    for name in ("calibrate_beta_star", "photon_weights_gamma", "photon_weights_gibbs",
+                 "physical_beta", "sample_betas"):
+        monkeypatch.setattr(cli, name, _refuse)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "jcentropy: usage error: --out is required\n"
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", ["weights", "timeseries", "bloch-sweep"])
+@pytest.mark.parametrize("q", ["gibbs", "Gibbs", "x", "1.2,1.4", ""])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_q_that_is_no_gamma_index_is_usage_error(tmp_path, capsys, command, q, via):
+    argv = [command, "--beta", "2", "--n-cap", "5"]
+    if via == "flag":
+        argv += [f"--q={q}"]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({"q": q}))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("jcentropy: usage error: --q ") and err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_calibrate_words_a_bad_q_entry_as_before(tmp_path, capsys):
+    assert main(["calibrate", "--q", "gibbs, 1.2,Foo", "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == (
+        "jcentropy: usage error: --q entries must be numbers or 'gibbs', got 'foo'\n")
+
+
+# (a run, the flag its model never reads, that flag's config key and value)
+UNREAD_FLAGS = {
+    "beta-with-betas-file": (["weights", "--betas-file", BETAS_FILE], "--beta", "beta", 7.0),
+    "beta-star-with-betas-file": (["weights", "--betas-file", BETAS_FILE], "--beta-star",
+                                  "beta_star", 9.0),
+    "beta-star-with-gibbs": (["weights", "--gibbs", "--beta", "2"], "--beta-star", "beta_star",
+                             9.0),
+    "entropy-q-with-explicit-vn": (["timeseries", "--q", "1.5", "--beta", "2", "--entropy", "vn",
+                                    "--n-cap", "5", "--grid", "2"],
+                                   "--entropy-q", "entropy_q", 1.7),
+    "entropy-q-with-gibbs": (["bloch-sweep", "--gibbs", "--beta", "2", "--grid", "1x1",
+                              "--t-samples", "2"], "--entropy-q", "entropy_q", 1.7),
+    "entropy-q-with-betas-file": (["timeseries", "--betas-file", BETAS_FILE, "--n-cap", "5",
+                                   "--grid", "2"], "--entropy-q", "entropy_q", 1.7),
+}
+
+
+@pytest.mark.parametrize("case", UNREAD_FLAGS)
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_flag_the_model_never_reads_is_usage_error(tmp_path, capsys, case, via):
+    # such runs exited 0 and recorded the value as if it had shaped the output
+    argv, flag, key, value = UNREAD_FLAGS[case]
+    if via == "flag":
+        argv = [*argv, flag, repr(value)]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+        argv = [*argv, "--config", str(tmp_path / "cfg.json")]
+    assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"jcentropy: usage error: {flag} ") and err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["timeseries", "--gibbs", "--beta", "2", "--grid", "1000000000000000"],
+    ["bloch-sweep", "--gibbs", "--beta", "2", "--t-samples", "1000000000000000"],
+], ids=["timeseries", "bloch-sweep"])
+def test_allocation_beyond_memory_is_domain_error(tmp_path, capsys, argv):
+    # a 7.11 PiB time grid: numpy refuses it at once, before allocating anything
+    assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("jcentropy: out of memory: ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command, extra, n_cap, n_max", [
+    ("timeseries", ["--grid", "2"], 100000, 100000),
+    ("bloch-sweep", ["--grid", "1x1", "--t-samples", "2"], 100000, 100000),
+    ("weights", [], None, None),
+])
+def test_n_cap_defaults(tmp_path, command, extra, n_cap, n_max):
+    # dynamics runs cap a heavy tail at 1e5 levels; weights keeps the 1e7 ceiling
+    model = (["--q", "1.6", "--beta", repr(math.log(11.0)), "--tail-tol", "1e-4", "--T", "1"]
+             if n_max else ["--gibbs", "--beta", "2"])
+    assert main([command, *model, *extra, "--out", str(tmp_path / "x.csv")]) == 0
+    meta = json.loads((tmp_path / "x.csv.meta.json").read_text())
+    assert meta["config"]["n_cap"] == n_cap
+    if n_max:
+        assert meta["derived"]["n_max"] == n_max and meta["derived"]["tail_limited"] is True
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["weights", "--gibbs"], 2, "usage error: --gibbs needs --beta"),
+    (["calibrate", "--q", "gibbs", "--grid", "0:1:3"], 2,
+     "usage error: T* grid must be strictly positive"),
+    (["calibrate", "--q", "gibbs", "--grid", "1e300:1e300:1", "--omega", "1e10"], 3,
+     "T* grid '1e300:1e300:1' leaves the float range at omega=10000000000.0"),
+], ids=["gibbs-without-beta", "t-star-not-positive", "t-star-out-of-float-range"])
+def test_model_and_grid_refusals(tmp_path, capsys, argv, code, message):
+    assert main([*argv, "--out", str(tmp_path / "x.csv")]) == code
+    assert capsys.readouterr().err == f"jcentropy: {message}\n"
+    assert os.listdir(tmp_path) == []

@@ -139,8 +139,10 @@ def _gamma_case(q, beta_star):
     def build(tol, cap):
         return photon_weights_gamma(model, tail_tol=tol, hard_cap=cap)
 
+    log_norm = np.log(hurwitz_zeta_scaled(model.s_index, model.r_offset))
+
     def tail_exceeds(n, tol):
-        return _gamma_log_tail(model.s_index, model.r_offset, n) > math.log(tol)
+        return _gamma_log_tail(model.s_index, model.r_offset, n, log_norm) > math.log(tol)
 
     return pytest.param(build, tail_exceeds, id=f"gamma-q{q}-bs{beta_star:.3g}")
 
@@ -334,6 +336,21 @@ class TestSharedHurwitzSums:
         fn(GammaSuperstat(q=1.4, beta_star=1.0))
         assert len(made) == 2
 
+    @pytest.mark.parametrize("q, hard_cap", [(1.2, 10**5), (1.9, 1000)])
+    def test_gamma_weights_sum_their_normalization_once(self, monkeypatch, q, hard_cap):
+        made = []
+
+        def counting(s, x):
+            made.append(x)
+            return hurwitz_zeta_scaled(s, x)
+
+        monkeypatch.setattr(superstat, "hurwitz_zeta_scaled", counting)
+        model = GammaSuperstat(q=q, beta_star=math.log(11.0))
+        dist = photon_weights_gamma(model, tail_tol=1e-8, hard_cap=hard_cap)
+        assert made.count(model.r_offset) == 1
+        # one tail sum per bisection step, and one for the tail mass kept
+        assert len(made) == len(set(made)) + 1 and dist.n_max + 1 + model.r_offset in made
+
     def test_bits_equal_the_separate_sum_composition(self):
         def composed(s):
             sx, r = s.s_index, s.r_offset
@@ -375,6 +392,26 @@ class TestCalibration:
     def test_unattainable_target_raises(self):
         with pytest.raises(BracketError):
             calibrate_beta_star(1.5, 1e9)
+
+    @pytest.mark.parametrize("k", [0, 30, 60])
+    def test_exact_zero_at_a_scan_point_returns_that_point(self, monkeypatch, k):
+        # residual sign(beta_star - b_k): exactly 0 at scan point k, a sign change there
+        b_k = math.exp(np.linspace(-3.0, 3.0, 61)[k] * math.log(10.0))
+        monkeypatch.setattr(superstat, "physical_beta",
+                            lambda s: 1.0 + (s.beta_star > b_k) - (s.beta_star < b_k))
+        assert calibrate_beta_star(1.5, 1.0) == b_k
+
+    @pytest.mark.parametrize("q", [1.2, 1.6])
+    def test_scan_stops_at_its_first_bracket(self, monkeypatch, q):
+        seen = []
+        real = superstat.physical_beta
+        monkeypatch.setattr(superstat, "physical_beta",
+                            lambda s: seen.append(s.beta_star) or real(s))
+        beta_star = calibrate_beta_star(q, math.log(11.0))
+        grid = [math.exp(g) for g in np.linspace(-3.0, 3.0, 61) * math.log(10.0)]
+        upper = grid.index(next(b for b in grid if b > beta_star))
+        assert seen[: upper + 1] == grid[: upper + 1]  # the scan, in order
+        assert max(seen) == grid[upper]  # and nothing past its first bracket
 
     def test_scales_with_omega(self):
         beta = math.log(11.0) / 3.0

@@ -1,0 +1,93 @@
+"""Write the outputs of a fixed set of CLI runs into one directory, for a byte-identity check.
+
+Usage, from any directory::
+
+    python tools/outputs.py <dir>
+
+The runs use the ``jcentropy`` of the checkout that holds this script, in this
+process, with ``<dir>`` as the working directory, so every path the outputs
+record is relative and the same for any checkout.  They are:
+
+* every command of the three benchmark workloads (``perfbench/workloads.py``)
+  on seeds 1-3, each seed in ``<workload>/seed<N>/``;
+* ``weights --q Q --beta 2.3978952727983707`` for Q in 1.2, 1.4, 1.6, 1.8 in
+  ``weights/``; at Q >= 1.6 the default cap of 1e7 levels binds, and a 1e7-row
+  table is some 290 MB of text, so those two runs add ``--n-cap 100000``;
+* a five-q ``calibrate``, in CSV and in JSON, in ``calibrate/``;
+* a ``timeseries --config <sidecar>`` rerun of the seed-1 heavy trace in ``rerun/``;
+* the stdout of ``selfcheck`` and of ``selfcheck --inject-perturbation 1e-6``;
+* the ``--help`` text of the parser and of every subcommand, at 80 columns.
+
+``runs.txt`` lists each run with its exit code and its stderr.  Run the script
+on two checkouts into two empty directories; ``diff -r`` between them is then
+the whole check.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+BETA = "2.3978952727983707"  # ln 11
+SEEDS = (1, 2, 3)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    os.environ["COLUMNS"] = "80"  # argparse wraps its help text to the terminal width
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    from jcentropy.cli import build_parser
+    from jcentropy.cli import main as cli_main
+    from workloads import WORKLOADS
+
+    out = Path(argv[0])
+    out.mkdir(parents=True, exist_ok=True)
+    os.chdir(out)
+    log = []
+
+    def run(args: list[str], stdout_file: str | None = None) -> None:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = cli_main(args)
+            except SystemExit as exc:  # --help, and argparse's own refusals
+                code = exc.code
+        if stdout_file is not None:
+            Path(stdout_file).write_text(stdout.getvalue(), encoding="utf-8")
+        log.append(f"$ jcentropy {' '.join(args)}\nexit {code}\n{stderr.getvalue()}")
+
+    for name, workload in WORKLOADS.items():
+        for seed in SEEDS:
+            directory = Path(name, f"seed{seed}")
+            directory.mkdir(parents=True, exist_ok=True)
+            for args in workload(seed, str(directory)).commands:
+                run(args)
+    Path("weights").mkdir(exist_ok=True)
+    for q in ("1.2", "1.4", "1.6", "1.8"):
+        cap = ["--n-cap", "100000"] if float(q) >= 1.6 else []
+        run(["weights", "--q", q, "--beta", BETA, *cap, "--out", f"weights/q{q}.csv"])
+    Path("calibrate").mkdir(exist_ok=True)
+    calibrate = ["calibrate", "--q", "gibbs,1.2,1.4,1.6,1.8", "--grid", "0.5:10:50"]
+    run([*calibrate, "--out", "calibrate/cal.csv"])
+    run([*calibrate, "--format", "json", "--out", "calibrate/cal.json"])
+    Path("rerun").mkdir(exist_ok=True)
+    run(["timeseries", "--config", "heavy_tail_trace/seed1/trace.csv.meta.json",
+         "--out", "rerun/trace.csv"])
+    run(["selfcheck"], "selfcheck.txt")
+    run(["selfcheck", "--inject-perturbation", "1e-6"], "selfcheck-perturbed.txt")
+    Path("help").mkdir(exist_ok=True)
+    run(["--help"], "help/jcentropy.txt")
+    for command in build_parser()._subparsers._group_actions[0].choices:
+        run([command, "--help"], f"help/{command}.txt")
+    Path("runs.txt").write_text("\n".join(log), encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
