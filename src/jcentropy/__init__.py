@@ -30,7 +30,6 @@ from .jcm import (
 )
 from .entropy import (
     VON_NEUMANN,
-    BlochPoint,
     EntropyKind,
     EntropyTrace,
     FieldEntropyForm,

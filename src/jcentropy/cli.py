@@ -30,7 +30,6 @@ from .ensemble import (
 )
 from .entropy import (
     VON_NEUMANN,
-    BlochPoint,
     EntropyKind,
     FieldEntropyForm,
     bloch_sweep,
@@ -193,18 +192,13 @@ def _parse_range(text: str) -> np.ndarray:
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
-    for sep in ("x", ","):
-        if sep in text:
-            a, b = text.split(sep, 1)
-            try:
-                return int(a), int(b)
-            except ValueError:
-                break
     try:
-        n = int(text)
-        return n, n
+        n_r, n_theta = map(int, text.split("x"))
     except ValueError:
         raise UsageError(f"expected grid as 'NRxNTHETA', got {text!r}") from None
+    if n_r < 1 or n_theta < 1:
+        raise UsageError("bloch grid must have at least one point per axis")
+    return n_r, n_theta
 
 
 def _q_value(token: str) -> float | None:
@@ -320,6 +314,9 @@ def _resolve_dynamics(cfg: dict, n_times: int):
     params = ModelParams.from_detuning(cfg["delta"], cfg["lam"], cfg["omega"])
     if cfg["horizon"] is None:
         cfg["horizon"] = 50.0 / abs(cfg["lam"]) if cfg["lam"] else 50.0
+        if cfg["horizon"] == math.inf:
+            raise ValueError(f"--lambda {cfg['lam']!r} takes the default horizon 50/|lambda| "
+                             "beyond the float range; set the horizon with --T")
     if not 0.0 < cfg["horizon"] < math.inf:
         raise ValueError(f"time horizon must be finite and positive, got {cfg['horizon']}")
     dist, derived = _resolve_source(cfg)
@@ -400,22 +397,22 @@ def cmd_timeseries(cfg: dict) -> int:
 def cmd_bloch_sweep(cfg: dict) -> int:
     n_times = _time_samples(cfg["t_samples"], "--t-samples")
     n_r, n_theta = _parse_pair(cfg["grid"])
-    if n_r < 1 or n_theta < 1:
-        raise UsageError("bloch grid must have at least one point per axis")
     dist, derived, kind, form, params, times = _resolve_dynamics(cfg, n_times)
-    r_values = np.linspace(0.0, 1.0, n_r)
-    theta_values = np.linspace(0.0, math.pi, n_theta)
-    grid = bloch_sweep(params, dist, kind, form, r_values, theta_values, times)
-    r_col = np.repeat(r_values, n_theta)
-    theta_col = np.tile(theta_values, n_r)
+    r_col = np.repeat(np.linspace(0.0, 1.0, n_r), n_theta)
+    theta_col = np.tile(np.linspace(0.0, math.pi, n_theta), n_r)
+    # the dephased preparation diag(epsilon, 1 - epsilon) of each (r, theta): the
+    # coherence r sin(theta) is not evolved yet; |r cos(theta)| <= 1 keeps epsilon in [0, 1]
+    eps_col = [(1.0 + r * math.cos(theta)) / 2.0
+               for r, theta in zip(r_col.tolist(), theta_col.tolist())]
+    averages = bloch_sweep(params, [AtomInit(epsilon=eps) for eps in eps_col], dist, kind, form,
+                           times=times)
     derived.update(n_r=n_r, n_theta=n_theta)
     table = {
         "r": r_col,
         "theta": theta_col,
-        "epsilon": [BlochPoint(r=float(r), theta=float(th)).epsilon
-                    for r, th in zip(r_col, theta_col)],
-        "avg_dSa": grid[:, :, 0].ravel(),
-        "avg_dSb": grid[:, :, 1].ravel(),
+        "epsilon": eps_col,
+        "avg_dSa": averages[:, 0],
+        "avg_dSb": averages[:, 1],
     }
     _emit(cfg, table, _meta(cfg, "bloch-sweep", derived))
     return EXIT_OK

@@ -241,4 +241,8 @@ def load_betas(path) -> tuple[MultiLevelSuperstat, BetaEnsembleSpec | None]:
         raise ValueError(
             f"{path}: header declares {header['count']} values, found {len(betas)}"
         )
-    return MultiLevelSuperstat(betas=tuple(betas), omega=omega), spec
+    try:
+        model = MultiLevelSuperstat(betas=tuple(betas), omega=omega)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return model, spec

@@ -1,4 +1,4 @@
-"""Entropy functionals, entropy-exchange traces and Bloch-sphere sweeps.
+"""Entropy functionals, entropy-exchange traces and sweeps over atom preparations.
 
 Two functionals are available for every probability list: the von
 Neumann entropy ``-sum p ln p`` and its q-deformed counterpart
@@ -30,7 +30,6 @@ __all__ = [
     "tsallis",
     "FieldEntropyForm",
     "EntropyTrace",
-    "BlochPoint",
     "entropy_of",
     "entropy_trace",
     "bloch_sweep",
@@ -87,36 +86,17 @@ class FieldEntropyForm(enum.Enum):
     COARSE = "coarse"
 
 
-@dataclass(frozen=True)
-class BlochPoint:
-    """Polar Bloch-sphere coordinates of the atomic initial state."""
-
-    r: float
-    theta: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.r <= 1.0:
-            raise ValueError(f"r must lie in [0, 1], got {self.r}")
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-
-    @property
-    def epsilon(self) -> float:
-        """Excited-state weight (1 + r cos(theta)) / 2."""
-        return min(max((1.0 + self.r * math.cos(self.theta)) / 2.0, 0.0), 1.0)
-
-
 def _row_entropies(
-    p: np.ndarray, kind: EntropyKind, *, overwrite: bool = False, logs: np.ndarray | None = None
+    p: np.ndarray, kind: EntropyKind, *, logs: np.ndarray | None = None
 ) -> np.ndarray:
     """Entropies of the probability lists along the last axis of ``p``.
 
     Every row must pass the checks :func:`entropy_of` documents; entries
-    that are not positive score 0 (the ``0 ln 0 = 0`` convention).  With
-    ``overwrite`` the contiguous ``p`` is scored in place, and a von
-    Neumann score writes its logarithms to ``logs``, a flat buffer of at
-    least ``p.size`` entries, so nothing of ``p``'s size is allocated;
-    without it, ``p`` is left unchanged.
+    that are not positive score 0 (the ``0 ln 0 = 0`` convention).  The
+    contiguous ``p`` is scored in place, so a caller passes rows it owns.
+    A von Neumann score writes its logarithms to ``logs`` when given, a
+    flat buffer of at least ``p.size`` entries, so that nothing of
+    ``p``'s size is allocated.
     """
     if p.shape[-1] == 0:
         raise ValueError("empty probability list")
@@ -127,8 +107,6 @@ def _row_entropies(
     totals = np.sum(p, axis=-1)
     if not np.all(totals <= 1.0 + 1e-10):
         raise ValueError(f"probabilities sum to {float(np.max(totals))}, exceeding 1")
-    if not overwrite:
-        p = p.copy()
     if kind.is_von_neumann:
         if not lowest > 0.0:
             # a unit entry scores exactly 0
@@ -152,7 +130,7 @@ def entropy_of(p, kind: EntropyKind = VON_NEUMANN) -> float:
     below -1e-12, a NaN entry or a sum above 1 + 1e-10 raise
     :class:`ValueError`.
     """
-    return float(_row_entropies(np.asarray(p, dtype=float).ravel(), kind))
+    return float(_row_entropies(np.array(p, dtype=float).ravel(), kind))
 
 
 def _coarse_grained(w: np.ndarray, tail_mass: float) -> np.ndarray:
@@ -313,7 +291,7 @@ def _exchanges(
             w[..., 1:] -= s
             if form is FieldEntropyForm.COARSE:
                 w = _coarse_grained(w, dist.tail_mass)
-            s_field[:, chunk] = _row_entropies(w, kind, overwrite=True, logs=logs)
+            s_field[:, chunk] = _row_entropies(w, kind, logs=logs)
 
     chunks = -(-times.size // rows)
     windows = -(-chunks // RESEED_CHUNKS)
@@ -332,7 +310,7 @@ def _exchanges(
             future.result()
     # each two-entry row sums alike in any batch, so one call scores every sample
     p_atom = np.stack((pe0[:, np.newaxis] + moved, pg0[:, np.newaxis] - moved), axis=-1)
-    s_atom = _row_entropies(p_atom, kind, overwrite=True)
+    s_atom = _row_entropies(p_atom, kind)
     return s_atom - s_atom[:, :1], s_field - s_field[:, :1]
 
 
@@ -379,46 +357,36 @@ def _window_average(times: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def bloch_sweep(
     params: ModelParams,
+    atoms,
     dist: PhotonDistribution,
-    kind: EntropyKind,
-    form: FieldEntropyForm,
-    r_values,
-    theta_values,
+    kind: EntropyKind = VON_NEUMANN,
+    form: FieldEntropyForm = FieldEntropyForm.FULL,
+    *,
     times: np.ndarray,
 ) -> np.ndarray:
-    """Time-averaged exchanges over a (r, theta) grid of atom preparations.
+    """Time-averaged exchanges of each given atom preparation.
 
-    Returns an array of shape ``(len(r_values), len(theta_values), 2)``
-    holding (avg atom exchange, avg field exchange) over the whole of
-    ``times``, ordered by the declared grid.  Each point (r, theta) is
-    evaluated at the dephased preparation ``diag(epsilon, 1 - epsilon)``
-    with ``epsilon = (1 + r cos theta) / 2``: its coherence ``r sin theta``
-    is dropped, since the coherence is not evolved yet.  A point with
-    ``r > 0`` and ``0 < theta < pi`` therefore reports its dephased state,
-    not the pure or partly coherent one it names.  So each distinct
-    epsilon is walked once and its averages fill every point that shares
-    it (the whole r=0 row, for instance).  The distinct
-    epsilons are walked in first-seen order, in groups that share the
-    manifold arrays, each chunk's phases and cosines, and one Simpson
-    call per side; a group holds as many as keep ``k x samples x levels``
-    per chunk within ``GROUP_ELEMENTS``, so the working set follows that
-    budget, not the number of epsilons.  Every average has the bits of
-    :func:`entropy_trace` at the same epsilon.
+    Returns an array of shape ``(len(atoms), 2)`` holding (avg atom
+    exchange, avg field exchange) over the whole of ``times``, one row
+    per entry of ``atoms``, in their order; ``times`` takes the checks of
+    :func:`entropy_trace`.  Each distinct preparation is walked once and
+    its averages fill every row that repeats it.  The distinct ones are
+    walked in first-seen order, in groups that share the manifold arrays,
+    each chunk's phases and cosines, and one Simpson call per side; a
+    group holds as many as keep ``k x samples x levels`` per chunk within
+    ``GROUP_ELEMENTS``, so the working set follows that budget, not the
+    number of preparations.  Every row has the bits of
+    :func:`entropy_trace` for its preparation.
     """
-    r_values = np.asarray(r_values, dtype=float)
-    theta_values = np.asarray(theta_values, dtype=float)
     times = _checked_grid(times, params, dist)
-    first_seen: dict[float, int] = {}
-    cells = np.array([
-        first_seen.setdefault(BlochPoint(r=float(r), theta=float(theta)).epsilon, len(first_seen))
-        for r in r_values for theta in theta_values
-    ], dtype=int)
-    atoms = [AtomInit(epsilon=eps) for eps in first_seen]
-    averages = np.empty((len(atoms), 2))
+    first_seen: dict[AtomInit, int] = {}
+    index = np.array([first_seen.setdefault(atom, len(first_seen)) for atom in atoms], dtype=int)
+    distinct = list(first_seen)
+    averages = np.empty((len(distinct), 2))
     size = max(1, GROUP_ELEMENTS // (_chunk_rows(times, dist) * dist.weights.size))
-    for start in range(0, len(atoms), size):
-        group = tuple(atoms[start : start + size])
+    for start in range(0, len(distinct), size):
+        group = tuple(distinct[start : start + size])
         ds_atom, ds_field = _exchanges(params, group, dist, kind, form, times)
         averages[start : start + len(group), 0] = _window_average(times, ds_atom)
         averages[start : start + len(group), 1] = _window_average(times, ds_field)
-    return averages[cells].reshape(r_values.size, theta_values.size, 2)
+    return averages[index]

@@ -200,10 +200,10 @@ def test_criterion_7_qualitative_figure_regimes():
     # (a) sign pattern at the south pole of the Bloch sphere (epsilon = 0)
     for q in (1.0, 1.6):
         dist, kind = _qualitative_dist(q)
-        grid = jc.bloch_sweep(
-            RESONANT, dist, kind, FieldEntropyForm.FULL, [1.0], [math.pi], times
+        averages = jc.bloch_sweep(
+            RESONANT, [jc.AtomInit(epsilon=0.0)], dist, kind, FieldEntropyForm.FULL, times=times
         )
-        avg_atom, avg_field = grid[0, 0, 0], grid[0, 0, 1]
+        avg_atom, avg_field = averages[0]
         assert avg_atom > 0.0, f"q={q}: avg atom exchange {avg_atom} not positive"
         assert avg_field < 0.0, f"q={q}: avg field exchange {avg_field} not negative"
         report(f"[PASS] criterion 7a (q={q}): avg dS_a={avg_atom:+.4f} > 0, "

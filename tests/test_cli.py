@@ -345,6 +345,20 @@ def test_horizon_beyond_a_resolvable_phase_is_refused(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["timeseries", "--gibbs", "--beta", "2", "--grid", "6"],
+    ["bloch-sweep", "--gibbs", "--beta", "2", "--t-samples", "6"],
+], ids=["timeseries", "bloch-sweep"])
+def test_default_horizon_beyond_the_float_range_names_lambda(tmp_path, capsys, argv):
+    # 50/|lambda| overflows: the user typed --lambda, never a horizon
+    assert main([*argv, "--lambda", "1e-320", "--out", str(tmp_path / "x.csv")]) == 3
+    assert capsys.readouterr().err == (
+        "jcentropy: --lambda 1e-320 takes the default horizon 50/|lambda| beyond the "
+        "float range; set the horizon with --T\n"
+    )
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [
     ["timeseries", "--gibbs", "--beta", "1", "--lambda", "1e-140", "--T", "1e155", "--grid", "7"],
     ["timeseries", "--gibbs", "--beta", "1", "--lambda", "0", "--T", "1e300"],
     ["timeseries", "--gibbs", "--beta", "1", "--lambda", "0", "--T", "1e105", "--grid", "8"],
@@ -493,9 +507,26 @@ class TestBlochSweep:
         assert float(rows[-1][0]) == 1.0 and float(rows[-1][1]) == pytest.approx(math.pi)
         assert float(rows[-1][2]) == pytest.approx(0.0, abs=1e-15)
 
-    def test_bad_grid_is_usage_error(self, tmp_path):
-        assert main(["bloch-sweep", "--gibbs", "--beta", "2.0", "--grid", "axb",
-                     "--out", str(tmp_path / "x.csv")]) == 2
+    def test_epsilon_column_maps_the_poles_and_the_centre(self, tmp_path):
+        # epsilon = (1 + r cos theta) / 2: r=0 is the centre, r=1 at theta=0 and pi the poles
+        out = tmp_path / "bloch.csv"
+        assert main(["bloch-sweep", "--gibbs", "--beta", "2.0", "--grid", "2x3",
+                     "--T", "4", "--t-samples", "81", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        eps = {(float(r), float(theta)): float(e) for r, theta, e, *_ in rows}
+        assert [eps[0.0, theta] for theta in (0.0, math.pi / 2, math.pi)] == [0.5] * 3
+        assert eps[1.0, 0.0] == 1.0
+        assert eps[1.0, math.pi] == 0.0
+
+    def test_bad_grid_is_usage_error(self, tmp_path, capsys):
+        # only the documented NRxNTHETA form is taken
+        for grid in ("axb", "5,7", "5"):
+            assert main(["bloch-sweep", "--gibbs", "--beta", "2.0", "--grid", grid,
+                         "--out", str(tmp_path / "x.csv")]) == 2, grid
+            assert capsys.readouterr().err == (
+                f"jcentropy: usage error: expected grid as 'NRxNTHETA', got {grid!r}\n"
+            )
+        assert os.listdir(tmp_path) == []
 
     def test_single_time_sample_is_usage_error(self, tmp_path):
         assert main(["bloch-sweep", "--gibbs", "--beta", "2.0", "--t-samples", "1",
@@ -514,6 +545,20 @@ def test_malformed_betas_header_is_domain_error(tmp_path, capsys, header):
     assert main(["weights", "--betas-file", str(betas), "--out", str(out_dir / "w.csv")]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"jcentropy: {betas}: ") and "Traceback" not in err
+    assert os.listdir(out_dir) == []
+
+
+@pytest.mark.parametrize("header, values, message", [
+    ('{"omega": 0.0, "count": 1}', "2.0\n", "omega must be finite and positive, got 0.0"),
+    ("{}", "", "at least one inverse temperature is required"),
+], ids=["zero-omega", "no-values"])
+def test_betas_model_refusal_names_the_file(tmp_path, capsys, header, values, message):
+    betas = tmp_path / "bad.betas"
+    betas.write_text(f"# {header}\n{values}")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main(["weights", "--betas-file", str(betas), "--out", str(out_dir / "w.csv")]) == 3
+    assert capsys.readouterr().err == f"jcentropy: {betas}: {message}\n"
     assert os.listdir(out_dir) == []
 
 

@@ -13,7 +13,6 @@ from jcentropy.entropy import (
     GROUP_ELEMENTS,
     RESEED_CHUNKS,
     VON_NEUMANN,
-    BlochPoint,
     EntropyKind,
     MAX_PHASE,
     MAX_STEP,
@@ -111,7 +110,7 @@ class TestEntropyOf:
             [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
             [0.05, 0.1, 0.15, 0.2, 0.1, 0.1, 0.1, 0.1, 0.1],
         ])
-        got = _row_entropies(rows, kind)
+        got = _row_entropies(rows.copy(), kind)
         assert got.shape == (rows.shape[0],)
         for row, value in zip(rows, got):
             p = row[row > 0.0]
@@ -146,13 +145,12 @@ class TestEntropyOf:
         row /= 1.25 * row.sum()
         negative = np.zeros_like(row)
         negative[:3] = 0.2, -1e-13, 0.3
-        skipped = _row_entropies(row[np.newaxis], kind)
+        skipped = _row_entropies(row[np.newaxis].copy(), kind)
         clamped = _row_entropies(np.stack((row, negative)), kind)
         assert skipped.tobytes() == clamped[:1].tobytes()
-        owned = row[np.newaxis].copy()
-        logs = np.empty(owned.size)
-        in_place = _row_entropies(owned, kind, overwrite=True, logs=logs)
-        assert in_place.tobytes() == skipped.tobytes()
+        logs = np.empty(row.size)
+        with_logs = _row_entropies(row[np.newaxis].copy(), kind, logs=logs)
+        assert with_logs.tobytes() == skipped.tobytes()
 
     @pytest.mark.parametrize("kind", [VON_NEUMANN, tsallis(1.6)], ids=["vn", "tsallis1.6"])
     def test_input_is_left_unchanged(self, kind):
@@ -160,7 +158,6 @@ class TestEntropyOf:
         p = np.array([0.25, 0.0, -1e-13, 0.75])
         before = p.tobytes()
         entropy_of(p, kind)
-        _row_entropies(p.reshape(2, 2), kind)
         assert p.tobytes() == before
 
     def test_kind_validation(self):
@@ -283,8 +280,8 @@ class TestEntropyTrace:
         assert dist.n_max == 13
         runs = (
             lambda times: entropy_trace(params, AtomInit(0.3), dist, times=times),
-            lambda times: bloch_sweep(params, dist, VON_NEUMANN, FieldEntropyForm.FULL,
-                                      [0.0, 1.0], [0.0, math.pi], times),
+            lambda times: bloch_sweep(params, [AtomInit(0.5), AtomInit(1.0), AtomInit(0.0)], dist,
+                                      times=times),
         )
         horizon = MAX_PHASE / math.sqrt(13.0)
         while horizon * math.sqrt(13.0) > MAX_PHASE:
@@ -511,44 +508,56 @@ class TestTimeAverage:
 
 
 class TestBloch:
-    def test_epsilon_mapping(self):
-        assert BlochPoint(1.0, math.pi).epsilon == pytest.approx(0.0, abs=1e-15)
-        assert BlochPoint(0.0, 0.3).epsilon == 0.5
-        assert BlochPoint(1.0, 0.0).epsilon == 1.0
+    """A sweep returns one row of averages per given preparation, in input order."""
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            BlochPoint(1.2, 0.0)
-        with pytest.raises(ValueError):
-            BlochPoint(0.5, 3.5)
+        # a preparation checks its own excited-state weight before any sweep sees it
+        for epsilon in (-1e-300, 1.0 + 1e-15, math.nan):
+            with pytest.raises(ValueError, match="epsilon must lie in"):
+                AtomInit(epsilon)
 
     def test_sweep_shape_and_order(self):
         dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-8)
         times = np.linspace(0, 10, 201)
-        grid = bloch_sweep(
-            RESONANT, dist, VON_NEUMANN, FieldEntropyForm.FULL,
-            [0.0, 1.0], [0.0, math.pi / 2, math.pi], times,
-        )
-        assert grid.shape == (2, 3, 2)
-        # r=0 rows are theta-independent (epsilon = 1/2 everywhere)
-        assert np.allclose(grid[0, 0], grid[0, 2], atol=1e-12)
+        atoms = [AtomInit(0.5), AtomInit(1.0), AtomInit(0.0), AtomInit(0.5)]
+        averages = bloch_sweep(RESONANT, atoms, dist, times=times)
+        assert averages.shape == (4, 2)
+        # a repeated preparation gets the same row, wherever it stands
+        assert averages[0].tobytes() == averages[3].tobytes()
+        assert not np.array_equal(averages[1], averages[2])
+        reversed_order = bloch_sweep(RESONANT, atoms[::-1], dist, times=times)
+        assert reversed_order.tobytes() == averages[::-1].tobytes()
+        assert bloch_sweep(RESONANT, [], dist, times=times).shape == (0, 2)
 
     def test_sweep_matches_per_point_traces(self):
-        # the r=0 row shares epsilon = 1/2, so the sweep reuses one trace there
+        # duplicates in permuted order: each row has the bits of its own trace
         dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-8)
         times = np.linspace(0, 8, 161)
         times = times[times <= 6.0]
-        r_values, theta_values = [0.0, 0.5, 1.0], [0.0, 1.2, math.pi]
         kind = tsallis(1.6)
-        grid = bloch_sweep(RESONANT, dist, kind, FieldEntropyForm.COARSE,
-                           r_values, theta_values, times)
-        expected = np.empty_like(grid)
-        for i, r in enumerate(r_values):
-            for j, theta in enumerate(theta_values):
-                atom = AtomInit(BlochPoint(r, theta).epsilon)
-                trace = entropy_trace(RESONANT, atom, dist, kind, FieldEntropyForm.COARSE, times=times)
-                expected[i, j] = trace.avg_ds_atom, trace.avg_ds_field
-        assert np.array_equal(grid, expected)
+        atoms = [AtomInit(eps) for eps in (0.75, 0.0, 0.5, 0.75, 1.0, 0.0, 0.25, 0.5, 0.75)]
+        averages = bloch_sweep(RESONANT, atoms, dist, kind, FieldEntropyForm.COARSE, times=times)
+        expected = np.empty_like(averages)
+        for row, atom in zip(expected, atoms):
+            trace = entropy_trace(RESONANT, atom, dist, kind, FieldEntropyForm.COARSE, times=times)
+            row[:] = trace.avg_ds_atom, trace.avg_ds_field
+        assert averages.tobytes() == expected.tobytes()
+
+    def test_each_distinct_preparation_is_walked_once(self, monkeypatch):
+        walked = []
+        exchanges = entropy_module._exchanges
+
+        def counting(params, atoms, *args):
+            walked.extend(atoms)
+            return exchanges(params, atoms, *args)
+
+        monkeypatch.setattr(entropy_module, "_exchanges", counting)
+        dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-8)
+        epsilons = (1.0, 0.5, 0.0, 0.5, 1.0, 0.3, 0.0, 0.3, 0.5)
+        bloch_sweep(RESONANT, [AtomInit(eps) for eps in epsilons], dist,
+                    times=np.linspace(0.0, 25.0, 1000))
+        # once each, in first-seen order
+        assert walked == [AtomInit(eps) for eps in (1.0, 0.5, 0.0, 0.3)]
 
 
 BATCH_KINDS = pytest.mark.parametrize("kind, form", [
@@ -557,7 +566,7 @@ BATCH_KINDS = pytest.mark.parametrize("kind, form", [
 
 
 class TestSweepGroups:
-    """A sweep walks its distinct epsilons in groups, each with the bits of its own trace."""
+    """A sweep walks its distinct preparations in groups, each with the bits of its own trace."""
 
     @staticmethod
     def group_size(dist, times):
@@ -565,45 +574,42 @@ class TestSweepGroups:
         return GROUP_ELEMENTS // (rows * dist.weights.size)
 
     @staticmethod
-    def per_point(dist, kind, form, r_values, theta_values, times):
-        expected = np.empty((len(r_values), len(theta_values), 2))
-        for i, r in enumerate(r_values):
-            for j, theta in enumerate(theta_values):
-                atom = AtomInit(BlochPoint(r, theta).epsilon)
-                trace = entropy_trace(RESONANT, atom, dist, kind, form, times=times)
-                expected[i, j] = trace.avg_ds_atom, trace.avg_ds_field
+    def per_point(dist, kind, form, atoms, times):
+        expected = np.empty((len(atoms), 2))
+        for row, atom in zip(expected, atoms):
+            trace = entropy_trace(RESONANT, atom, dist, kind, form, times=times)
+            row[:] = trace.avg_ds_atom, trace.avg_ds_field
         return expected
 
     @BATCH_KINDS
     def test_gamma_sweep_over_three_reseed_windows_on_two_walkers(self, monkeypatch, kind, form):
         # 4148 levels give 3 samples per chunk, so 900 samples are three reseed
-        # windows, and two epsilons share a group: the five distinct ones need three
+        # windows, and two preparations share a group: the five distinct ones need three
         monkeypatch.setattr(entropy_module, "_available_cpus", lambda: 2)
         dist = photon_weights_gamma(
             GammaSuperstat(q=1.4, beta_star=3.3356918657181176), tail_tol=1e-6
         )
         assert dist.weights.size == 4148 and self.group_size(dist, np.empty(900)) == 2
         times = np.linspace(0.0, 60.0, 900)
-        r_values, theta_values = np.linspace(0.0, 1.0, 3), np.linspace(0.0, math.pi, 3)
-        grid = bloch_sweep(RESONANT, dist, kind, form, r_values, theta_values, times)
-        expected = self.per_point(dist, kind, form, r_values, theta_values, times)
-        assert grid.tobytes() == expected.tobytes()
+        atoms = [AtomInit(eps) for eps in (0.5, 1.0, 0.5, 0.75, 0.0, 0.25, 1.0)]
+        averages = bloch_sweep(RESONANT, atoms, dist, kind, form, times=times)
+        expected = self.per_point(dist, kind, form, atoms, times)
+        assert averages.tobytes() == expected.tobytes()
 
     @BATCH_KINDS
     def test_gibbs_sweep_in_several_groups(self, kind, form):
         dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-8)
         times = np.linspace(0.0, 25.0, 1000)
-        r_values, theta_values = np.linspace(0.0, 1.0, 4), np.linspace(0.0, math.pi, 5)
-        distinct = {BlochPoint(r, theta).epsilon for r in r_values for theta in theta_values}
-        assert len(distinct) > 2 * self.group_size(dist, times) > 2
-        grid = bloch_sweep(RESONANT, dist, kind, form, r_values, theta_values, times)
-        expected = self.per_point(dist, kind, form, r_values, theta_values, times)
-        assert grid.tobytes() == expected.tobytes()
+        epsilons = np.linspace(0.0, 1.0, 11)
+        atoms = [AtomInit(eps) for eps in [*epsilons[::-1], *epsilons[::3]]]
+        assert len(set(atoms)) > 2 * self.group_size(dist, times) > 2
+        averages = bloch_sweep(RESONANT, atoms, dist, kind, form, times=times)
+        expected = self.per_point(dist, kind, form, atoms, times)
+        assert averages.tobytes() == expected.tobytes()
 
     def test_peak_memory_follows_the_group_budget(self, monkeypatch):
-        # 8 levels x 1000 samples put four epsilons in a group; the 3x3 grid
-        # fills one, and the 9x13 grid's 92 epsilons would need 23 times its
-        # buffers if they were walked at once
+        # 8 levels x 1000 samples put four preparations in a group; four fill
+        # one, and 92 would need 23 times its buffers if they were walked at once
         monkeypatch.setattr(entropy_module, "_available_cpus", lambda: 1)
         dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-8)
         times = np.linspace(0.0, 25.0, 1000)
@@ -612,17 +618,16 @@ class TestSweepGroups:
         # three transfer buffers, the field rows and the von Neumann logarithms
         buffers = 5 * 8 * GROUP_ELEMENTS
 
-        def peak(n_r, n_theta):
-            r_values, theta_values = np.linspace(0.0, 1.0, n_r), np.linspace(0.0, math.pi, n_theta)
+        def peak(count):
+            atoms = [AtomInit(eps) for eps in np.linspace(0.0, 1.0, count)]
             tracemalloc.start()
             try:
-                bloch_sweep(RESONANT, dist, VON_NEUMANN, FieldEntropyForm.FULL,
-                            r_values, theta_values, times)
+                bloch_sweep(RESONANT, atoms, dist, times=times)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        peak(2, 2)  # imports the Simpson rule, which is no part of a sweep's memory
-        small, large = peak(3, 3), peak(9, 13)
+        peak(2)  # imports the Simpson rule, which is no part of a sweep's memory
+        small, large = peak(group), peak(92)
         assert small > buffers / 2
         assert large <= small + buffers

@@ -14,7 +14,11 @@ record is relative and the same for any checkout.  They are:
   ``weights/``; at Q >= 1.6 the default cap of 1e7 levels binds, and a 1e7-row
   table is some 290 MB of text, so those two runs add ``--n-cap 100000``;
 * a five-q ``calibrate``, in CSV and in JSON, in ``calibrate/``;
-* a ``timeseries --config <sidecar>`` rerun of the seed-1 heavy trace in ``rerun/``;
+* four ``bloch-sweep`` runs in ``sweeps/``: a 3x3 gamma q=1.4 sweep over 4148
+  levels and 900 samples (several groups, three reseed windows), a Gibbs 9x13
+  sweep, a Gibbs 4x6 Tsallis coarse sweep in JSON and a Gibbs 1x1 sweep;
+* a ``timeseries --config <sidecar>`` rerun of the seed-1 heavy trace and a
+  ``bloch-sweep --config <sidecar>`` rerun of the 9x13 sweep in ``rerun/``;
 * the stdout of ``selfcheck`` and of ``selfcheck --inject-perturbation 1e-6``;
 * the ``--help`` text of the parser and of every subcommand, at 80 columns.
 
@@ -76,9 +80,18 @@ def main(argv: list[str]) -> int:
     calibrate = ["calibrate", "--q", "gibbs,1.2,1.4,1.6,1.8", "--grid", "0.5:10:50"]
     run([*calibrate, "--out", "calibrate/cal.csv"])
     run([*calibrate, "--format", "json", "--out", "calibrate/cal.json"])
+    Path("sweeps").mkdir(exist_ok=True)
+    run(["bloch-sweep", "--q", "1.4", "--beta", BETA, "--tail-tol", "1e-6", "--n-cap", "4147",
+         "--t-samples", "900", "--grid", "3x3", "--out", "sweeps/gamma3x3.csv"])
+    gibbs = ["bloch-sweep", "--gibbs", "--beta", BETA]
+    run([*gibbs, "--grid", "9x13", "--out", "sweeps/gibbs9x13.csv"])
+    run([*gibbs, "--grid", "4x6", "--format", "json", "--entropy", "tsallis", "--entropy-q", "1.3",
+         "--field-entropy", "coarse", "--out", "sweeps/gibbs4x6.json"])
+    run([*gibbs, "--grid", "1x1", "--out", "sweeps/gibbs1x1.csv"])
     Path("rerun").mkdir(exist_ok=True)
     run(["timeseries", "--config", "heavy_tail_trace/seed1/trace.csv.meta.json",
          "--out", "rerun/trace.csv"])
+    run(["bloch-sweep", "--config", "sweeps/gibbs9x13.csv.meta.json", "--out", "rerun/sweep.csv"])
     run(["selfcheck"], "selfcheck.txt")
     run(["selfcheck", "--inject-perturbation", "1e-6"], "selfcheck-perturbed.txt")
     Path("help").mkdir(exist_ok=True)
