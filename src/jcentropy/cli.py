@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -35,6 +36,7 @@ from .entropy import (
     bloch_sweep,
     entropy_trace,
     tsallis,
+    walk_bytes,
 )
 from .jcm import AtomInit, ModelParams
 from .selfcheck import run_selfcheck
@@ -93,37 +95,55 @@ def _cells(column, json_cells: bool) -> list:
     return cells
 
 
-def _csv_text(table: dict) -> str:
-    """Header line, then one comma-joined line per row."""
-    cells = [_cells(col, json_cells=False) for col in table.values()]
-    return "\n".join([",".join(table), *map(",".join, zip(*cells))]) + "\n"
+# rows converted and written at a time: a block's cell strings take about
+# 1.3 MB, so a table of any length is written within one block's memory
+BLOCK_ROWS = 4096
 
 
-def _json_text(table: dict, meta: dict) -> str:
-    """``json.dumps({"columns", "meta", "rows"}, indent=2, sort_keys=True)``, by column.
+def _blocks(table: dict, json_cells: bool):
+    """The cell texts of each block of ``BLOCK_ROWS`` rows, as one list per column."""
+    columns = list(table.values())
+    n_rows = min(map(len, columns))
+    for start in range(0, n_rows, BLOCK_ROWS):
+        yield [_cells(col[start : start + BLOCK_ROWS], json_cells) for col in columns]
+
+
+def _csv_text(table: dict):
+    """Header line, then one comma-joined line per row, in text pieces of one block each."""
+    yield ",".join(table) + "\n"
+    for cells in _blocks(table, json_cells=False):
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def _json_text(table: dict, meta: dict):
+    """``json.dumps({"columns", "meta", "rows"}, indent=2, sort_keys=True)``, in text pieces.
 
     ``json`` renders everything but the rows; ``"rows"`` sorts last, so
     its empty list closes the text and gives way to the rows laid out as
     ``indent=2`` lays them out: a row opens four spaces in, a cell sits
-    six spaces in.
+    six spaces in.  Each block of rows is one piece.
     """
     head = json.dumps({"columns": list(table), "meta": meta, "rows": []},
                       indent=2, sort_keys=True)
-    cells = [_cells(col, json_cells=True) for col in table.values()]
-    body = "\n    ],\n    [\n      ".join(map(",\n      ".join, zip(*cells)))
-    if not body:
-        return head + "\n"
-    return head[: -len("[]\n}")] + "[\n    [\n      " + body + "\n    ]\n  ]\n}\n"
+    if not min(map(len, table.values())):
+        yield head + "\n"
+        return
+    row_break = "\n    ],\n    [\n      "
+    opening = head[: -len("[]\n}")] + "[\n    [\n      "
+    for cells in _blocks(table, json_cells=True):
+        yield opening + row_break.join(map(",\n      ".join, zip(*cells)))
+        opening = row_break
+    yield "\n    ]\n  ]\n}\n"
 
 
 def _emit(cfg: dict, table: dict, meta: dict) -> None:
-    """Write ``table`` (column name -> column of values) to ``--out``."""
+    """Write ``table`` (column name -> column of values) to ``--out``, a block of rows at a time."""
     out = cfg["out"]
     if cfg["format"] == "json":
         _write_atomic(out, _json_text(table, meta))
     else:
         _write_atomic(out, _csv_text(table))
-        _write_atomic(out + ".meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        _write_atomic(out + ".meta.json", (json.dumps(meta, indent=2, sort_keys=True) + "\n",))
 
 
 def _load_config(path: str, flags: dict) -> dict:
@@ -305,11 +325,37 @@ def _resolve_entropy(cfg: dict, derived: dict) -> EntropyKind:
     return tsallis(float(q))
 
 
-def _resolve_dynamics(cfg: dict, n_times: int):
+def _physical_memory() -> float:
+    """Bytes of physical memory of this host; infinite where the platform does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        return math.inf
+
+
+def _check_walk_memory(n_times: int, levels: int, preparations: int) -> None:
+    """Refuse with :class:`MemoryError` a walk whose estimated bytes exceed physical memory.
+
+    A caught ``MemoryError`` covers only an allocation refused at once; one
+    the OS overcommits can end the process later, with a partial run behind it.
+    """
+    need = walk_bytes(n_times, levels, preparations)
+    have = _physical_memory()
+    if need > have:
+        raise MemoryError(
+            f"a walk over {n_times} time samples and {levels} photon levels, for "
+            f"{preparations} atom preparation(s), needs an estimated {need / 2**30:.3g} GiB, "
+            f"more than the {have / 2**30:.3g} GiB of physical memory"
+        )
+
+
+def _resolve_dynamics(cfg: dict, n_times: int, preparations: int = 1):
     """Distribution, derived record, entropy, field form, model and time grid of a run.
 
     An unset horizon becomes 50/|lambda| (50 at zero coupling) and is
     recorded in ``cfg``; both are checked before the distribution is built.
+    The walk over ``preparations`` atom preparations is sized before the
+    time grid, or anything of its length, is allocated.
     """
     params = ModelParams.from_detuning(cfg["delta"], cfg["lam"], cfg["omega"])
     if cfg["horizon"] is None:
@@ -323,6 +369,7 @@ def _resolve_dynamics(cfg: dict, n_times: int):
     kind = _resolve_entropy(cfg, derived)
     form = FieldEntropyForm(cfg["field_entropy"])
     derived.update(entropy=kind.label(), field_entropy_form=form.value)
+    _check_walk_memory(n_times, dist.weights.size, preparations)
     times = np.linspace(0.0, cfg["horizon"], n_times)
     return dist, derived, kind, form, params, times
 
@@ -397,7 +444,7 @@ def cmd_timeseries(cfg: dict) -> int:
 def cmd_bloch_sweep(cfg: dict) -> int:
     n_times = _time_samples(cfg["t_samples"], "--t-samples")
     n_r, n_theta = _parse_pair(cfg["grid"])
-    dist, derived, kind, form, params, times = _resolve_dynamics(cfg, n_times)
+    dist, derived, kind, form, params, times = _resolve_dynamics(cfg, n_times, n_r * n_theta)
     r_col = np.repeat(np.linspace(0.0, 1.0, n_r), n_theta)
     theta_col = np.tile(np.linspace(0.0, math.pi, n_theta), n_r)
     # the dephased preparation diag(epsilon, 1 - epsilon) of each (r, theta): the

@@ -15,6 +15,7 @@ shortest-round-trip decimal form.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -160,19 +161,22 @@ def sample_betas(spec: BetaEnsembleSpec) -> MultiLevelSuperstat:
     return MultiLevelSuperstat(betas=tuple(betas), omega=spec.omega)
 
 
-def _write_atomic(path, text: str) -> None:
-    """Write ``text`` to ``path`` whole or not at all.
+def _write_atomic(path, pieces) -> None:
+    """Write the text ``pieces``, an iterable of ``str``, to ``path`` whole or not at all.
 
-    The text goes to a temporary file in the same directory, which then
-    replaces ``path``; on failure the temporary file is removed.  The file
-    gets the mode ``open`` would give it (``0o666`` less the umask), not
-    the ``0o600`` of ``mkstemp``.
+    The pieces go one at a time to a temporary file in the same directory,
+    which then replaces ``path``, so a caller that yields its text in
+    blocks never holds all of it; on failure, also one raised while the
+    pieces are produced, the temporary file is removed and ``path`` is
+    left as it was.  The file gets the mode ``open`` would give it
+    (``0o666`` less the umask), not the ``0o600`` of ``mkstemp``.
     """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".jcentropy-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for piece in pieces:
+                fh.write(piece)
         umask = os.umask(0)  # the umask can only be read by setting it
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
@@ -192,9 +196,8 @@ def save_betas(
         "count": len(model.betas),
         "spec": asdict(spec) if spec is not None else None,
     }
-    lines = ["# " + json.dumps(header, sort_keys=True)]
-    lines.extend(repr(b) for b in model.betas)
-    _write_atomic(path, "\n".join(lines) + "\n")
+    head = "# " + json.dumps(header, sort_keys=True) + "\n"
+    _write_atomic(path, itertools.chain((head,), (repr(b) + "\n" for b in model.betas)))
 
 
 def load_betas(path) -> tuple[MultiLevelSuperstat, BetaEnsembleSpec | None]:

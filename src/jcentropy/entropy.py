@@ -33,6 +33,7 @@ __all__ = [
     "entropy_of",
     "entropy_trace",
     "bloch_sweep",
+    "walk_bytes",
 ]
 
 
@@ -45,6 +46,11 @@ CHUNK_ELEMENTS = 2**14
 # while a trace whose chunk alone exceeds it walks by itself; twice this bought
 # 5% more speed for twice the memory of the group's buffers
 GROUP_ELEMENTS = 2**15
+# float arrays of one entry per time sample and preparation that a walk holds
+# at once, at most (under tracemalloc): the moved populations and the field
+# entropies, then the two atom populations with their logarithms, the atom
+# entropies and the two exchanges
+SAMPLE_ARRAYS = 8
 # chunks between exact reseeds of the cosine recurrence over chunks
 RESEED_CHUNKS = 128
 # a time step whose cube is still a finite float (the cube root of the largest
@@ -243,9 +249,38 @@ def _checked_grid(times, params: ModelParams, dist: PhotonDistribution) -> np.nd
     return times
 
 
-def _chunk_rows(times: np.ndarray, dist: PhotonDistribution) -> int:
+def _chunk_rows(samples: int, levels: int) -> int:
     """Time samples per chunk: a function of the levels, never of the preparations."""
-    return min(times.size, max(1, CHUNK_ELEMENTS // dist.weights.size))
+    return min(samples, max(1, CHUNK_ELEMENTS // levels))
+
+
+def _group_size(rows: int, levels: int) -> int:
+    """Preparations a sweep walks at once: ``k x rows x levels`` within ``GROUP_ELEMENTS``."""
+    return max(1, GROUP_ELEMENTS // (rows * levels))
+
+
+def _walkers(samples: int, rows: int) -> int:
+    """Threads that walk a trace: one per available CPU, at most one per reseed window."""
+    windows = -(-samples // (rows * RESEED_CHUNKS))
+    return min(_available_cpus(), windows)
+
+
+def walk_bytes(samples: int, levels: int, preparations: int = 1) -> int:
+    """Estimated peak bytes of the walk behind :func:`entropy_trace` and :func:`bloch_sweep`.
+
+    ``levels`` is the length of the weight table (``n_max + 1``) and
+    ``preparations`` the number of distinct preparations (1 for a trace),
+    of which a group of k is walked at once.  Counted in 8-byte floats:
+    the evolver's four level arrays and the t=0 field weights per
+    preparation, the two recurrence steps, each walker's five scratch rows
+    of ``k x rows x levels``, and ``SAMPLE_ARRAYS`` arrays of
+    ``k x samples``.  Nothing is allocated to work it out.
+    """
+    rows = _chunk_rows(samples, levels)
+    k = min(preparations, _group_size(rows, levels))
+    walkers = _walkers(samples, rows)
+    return 8 * (k * (5 * levels + SAMPLE_ARRAYS * samples + walkers * 5 * rows * levels)
+                + 2 * levels)
 
 
 def _exchanges(
@@ -269,7 +304,7 @@ def _exchanges(
     pe0, pg0, w0 = evolver.populations(evolver.a0, evolver.c0)
     moved = np.empty((len(atoms), times.size))
     s_field = np.empty((len(atoms), times.size))
-    rows = _chunk_rows(times, dist)
+    rows = _chunk_rows(times.size, dist.weights.size)
     # the sine overwrites the phase, so no third level array outlives this block
     steps = None
     if times.size > 2 * rows and np.array_equal(times, np.linspace(0.0, times[-1], times.size)):
@@ -295,7 +330,7 @@ def _exchanges(
 
     chunks = -(-times.size // rows)
     windows = -(-chunks // RESEED_CHUNKS)
-    walkers = min(_available_cpus(), windows)
+    walkers = _walkers(times.size, rows)
     bounds = [min(chunks, RESEED_CHUNKS * (windows * i // walkers)) for i in range(walkers + 1)]
     if walkers == 1:
         walk(0, chunks)
@@ -383,7 +418,8 @@ def bloch_sweep(
     index = np.array([first_seen.setdefault(atom, len(first_seen)) for atom in atoms], dtype=int)
     distinct = list(first_seen)
     averages = np.empty((len(distinct), 2))
-    size = max(1, GROUP_ELEMENTS // (_chunk_rows(times, dist) * dist.weights.size))
+    levels = dist.weights.size
+    size = _group_size(_chunk_rows(times.size, levels), levels)
     for start in range(0, len(distinct), size):
         group = tuple(distinct[start : start + size])
         ds_atom, ds_field = _exchanges(params, group, dist, kind, form, times)

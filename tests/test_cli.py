@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -657,8 +658,53 @@ def test_columnwise_emitter_matches_rowwise_text(table):
     names, columns, rows = table
     meta = {"command": "test", "config": {"x": 0.1, "y": None}, "derived": {"n": len(rows)}}
     by_name = dict(zip(names, columns))
-    assert _csv_text(by_name) == rowwise_csv(names, rows)
-    assert _json_text(by_name, meta) == rowwise_json(names, rows, meta)
+    # blocks of 3 rows give the drawn tables no rows, one block, a whole
+    # number of blocks and a short last block
+    for block_rows in (cli.BLOCK_ROWS, 3):
+        with mock.patch.object(cli, "BLOCK_ROWS", block_rows):
+            assert "".join(_csv_text(by_name)) == rowwise_csv(names, rows)
+            assert "".join(_json_text(by_name, meta)) == rowwise_json(names, rows, meta)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emitted_table_is_held_one_block_at_a_time(tmp_path, fmt):
+    # the whole text of these 2e5 rows took 47 MiB (CSV) and 57 MiB (JSON)
+    rows = 200000
+    table = {"n": np.arange(rows), "p": np.linspace(0.0, 1.0, rows) ** 3}
+    meta = {"command": "test", "config": {}, "derived": {}}
+    cfg = {"out": str(tmp_path / f"t.{fmt}"), "format": fmt}
+    tracemalloc.start()
+    try:
+        cli._emit(cfg, table, meta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert (tmp_path / f"t.{fmt}").stat().st_size > 20 * rows
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_failure_in_a_later_block_leaves_the_old_output(tmp_path, monkeypatch, fmt):
+    # the third block of two rows holds a cell no table column may hold
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 2)
+    table = {"x": [0.5, 1.5, 2.5, 3.5, None]}
+    out = tmp_path / f"t.{fmt}"
+    out.write_text("old output\n")
+    (tmp_path / f"t.{fmt}.meta.json").write_text("old sidecar\n")
+    blocks = []
+    real_cells = cli._cells
+
+    def cells(column, json_cells):
+        blocks.append(len(column))
+        return real_cells(column, json_cells)
+
+    monkeypatch.setattr(cli, "_cells", cells)
+    with pytest.raises(TypeError, match="unsupported table column"):
+        cli._emit({"out": str(out), "format": fmt}, table, {})
+    assert blocks == [2, 2, 1]
+    assert sorted(os.listdir(tmp_path)) == [f"t.{fmt}", f"t.{fmt}.meta.json"]
+    assert out.read_text() == "old output\n"
+    assert (tmp_path / f"t.{fmt}.meta.json").read_text() == "old sidecar\n"
 
 
 def _parse_like(csv_row, json_row):
@@ -1044,6 +1090,23 @@ def test_allocation_beyond_memory_is_domain_error(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("jcentropy: out of memory: ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["timeseries", "--gibbs", "--beta", "2", "--grid", "1000"],
+    ["bloch-sweep", "--gibbs", "--beta", "2", "--t-samples", "1000"],
+], ids=["timeseries", "bloch-sweep"])
+def test_walk_beyond_physical_memory_is_refused_before_it_starts(tmp_path, capsys, monkeypatch,
+                                                                  argv):
+    # an allocation the OS overcommits is not refused at once, so the walk is
+    # sized first; the time grid is the first array of its length
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 2**16)
+    monkeypatch.setattr(np, "linspace", mock.Mock(side_effect=AssertionError("allocated")))
+    assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("jcentropy: out of memory: a walk over 1000 time samples and ")
+    assert "more than the 6.1e-05 GiB of physical memory\n" in err and err.count("\n") == 1
     assert os.listdir(tmp_path) == []
 
 

@@ -25,6 +25,7 @@ from jcentropy.entropy import (
     entropy_of,
     entropy_trace,
     tsallis,
+    walk_bytes,
 )
 from jcentropy.jcm import (
     AtomInit,
@@ -488,6 +489,37 @@ def test_single_walker_trace_holds_eleven_level_arrays(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak / (8 * n) < 11.5
+
+
+@pytest.mark.parametrize("case", ["samples", "levels", "sweep"])
+def test_walk_bytes_bounds_the_traced_peak(monkeypatch, case):
+    # the estimate a run is refused on holds every array the walk keeps, and
+    # overstates it by less than half
+    walkers, kind, count, samples = {
+        "samples": (1, VON_NEUMANN, 1, 100000),
+        "levels": (2, VON_NEUMANN, 1, 900),
+        "sweep": (1, tsallis(1.3), 92, 1000),
+    }[case]
+    monkeypatch.setattr(entropy_module, "_available_cpus", lambda: walkers)
+    if case == "levels":  # 4148 levels, three reseed windows
+        dist = photon_weights_gamma(
+            GammaSuperstat(q=1.4, beta_star=3.3356918657181176), tail_tol=1e-6
+        )
+    else:
+        dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-8)
+    times = np.linspace(0.0, 25.0, samples)
+    atoms = [AtomInit(eps) for eps in np.linspace(0.0, 1.0, count)]
+    # a first run imports the Simpson rule and the thread pool, which are no
+    # part of the walk's memory
+    bloch_sweep(RESONANT, atoms, dist, kind, times=times)
+    tracemalloc.start()
+    try:
+        bloch_sweep(RESONANT, atoms, dist, kind, times=times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    estimate = walk_bytes(samples, dist.weights.size, count)
+    assert estimate / 2 < peak <= estimate
 
 
 class TestTimeAverage:

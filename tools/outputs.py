@@ -11,8 +11,12 @@ record is relative and the same for any checkout.  They are:
 * every command of the three benchmark workloads (``perfbench/workloads.py``)
   on seeds 1-3, each seed in ``<workload>/seed<N>/``;
 * ``weights --q Q --beta 2.3978952727983707`` for Q in 1.2, 1.4, 1.6, 1.8 in
-  ``weights/``; at Q >= 1.6 the default cap of 1e7 levels binds, and a 1e7-row
-  table is some 290 MB of text, so those two runs add ``--n-cap 100000``;
+  ``weights/``; at Q >= 1.6 the default cap of 1e7 levels binds, where each
+  table is 300 MB and a checkout that builds a table's whole text before
+  writing it needs about 3.5 GB, so those two runs add ``--n-cap 100000``;
+* ``weights --q 1.6 --beta 2.3978952727983707 --n-cap 1000000``, in CSV and
+  in JSON, in ``weights/``: 1 000 001 rows, which the CLI writes in many row
+  blocks with a short last one;
 * a five-q ``calibrate``, in CSV and in JSON, in ``calibrate/``;
 * four ``bloch-sweep`` runs in ``sweeps/``: a 3x3 gamma q=1.4 sweep over 4148
   levels and 900 samples (several groups, three reseed windows), a Gibbs 9x13
@@ -76,6 +80,9 @@ def main(argv: list[str]) -> int:
     for q in ("1.2", "1.4", "1.6", "1.8"):
         cap = ["--n-cap", "100000"] if float(q) >= 1.6 else []
         run(["weights", "--q", q, "--beta", BETA, *cap, "--out", f"weights/q{q}.csv"])
+    for fmt in ("csv", "json"):
+        run(["weights", "--q", "1.6", "--beta", BETA, "--n-cap", "1000000", "--format", fmt,
+             "--out", f"weights/q1.6-1e6.{fmt}"])
     Path("calibrate").mkdir(exist_ok=True)
     calibrate = ["calibrate", "--q", "gibbs,1.2,1.4,1.6,1.8", "--grid", "0.5:10:50"]
     run([*calibrate, "--out", "calibrate/cal.csv"])
