@@ -449,10 +449,8 @@ def cmd_bloch_sweep(cfg: dict) -> int:
     theta_col = np.tile(np.linspace(0.0, math.pi, n_theta), n_r)
     # the dephased preparation diag(epsilon, 1 - epsilon) of each (r, theta): the
     # coherence r sin(theta) is not evolved yet; |r cos(theta)| <= 1 keeps epsilon in [0, 1]
-    eps_col = [(1.0 + r * math.cos(theta)) / 2.0
-               for r, theta in zip(r_col.tolist(), theta_col.tolist())]
-    averages = bloch_sweep(params, [AtomInit(epsilon=eps) for eps in eps_col], dist, kind, form,
-                           times=times)
+    eps_col = (1.0 + r_col * np.cos(theta_col)) / 2.0
+    averages = bloch_sweep(params, eps_col, dist, kind, form, times=times)
     derived.update(n_r=n_r, n_theta=n_theta)
     table = {
         "r": r_col,

@@ -19,7 +19,6 @@ import itertools
 import json
 import math
 import os
-import tempfile
 from dataclasses import asdict, dataclass
 
 from .superstat import MultiLevelSuperstat, _check_omega
@@ -168,18 +167,17 @@ def _write_atomic(path, pieces) -> None:
     which then replaces ``path``, so a caller that yields its text in
     blocks never holds all of it; on failure, also one raised while the
     pieces are produced, the temporary file is removed and ``path`` is
-    left as it was.  The file gets the mode ``open`` would give it
-    (``0o666`` less the umask), not the ``0o600`` of ``mkstemp``.
+    left as it was.  The kernel creates the file as ``open`` would, with
+    ``0o666`` less the umask, and refuses a temporary name that exists,
+    so no other file is ever removed.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".jcentropy-", suffix=".tmp")
+    tmp = os.path.join(directory, f".jcentropy-{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             for piece in pieces:
                 fh.write(piece)
-        umask = os.umask(0)  # the umask can only be read by setting it
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -51,6 +51,9 @@ GROUP_ELEMENTS = 2**15
 # entropies, then the two atom populations with their logarithms, the atom
 # entropies and the two exchanges
 SAMPLE_ARRAYS = 8
+# 8-byte entries a Bloch sweep holds per grid point, at most: its r, theta and epsilon
+# columns with np.unique's sort and inverse, or with both averages tables (9 under tracemalloc)
+POINT_ARRAYS = 10
 # chunks between exact reseeds of the cosine recurrence over chunks
 RESEED_CHUNKS = 128
 # a time step whose cube is still a finite float (the cube root of the largest
@@ -269,18 +272,18 @@ def walk_bytes(samples: int, levels: int, preparations: int = 1) -> int:
     """Estimated peak bytes of the walk behind :func:`entropy_trace` and :func:`bloch_sweep`.
 
     ``levels`` is the length of the weight table (``n_max + 1``) and
-    ``preparations`` the number of distinct preparations (1 for a trace),
-    of which a group of k is walked at once.  Counted in 8-byte floats:
-    the evolver's four level arrays and the t=0 field weights per
-    preparation, the two recurrence steps, each walker's five scratch rows
-    of ``k x rows x levels``, and ``SAMPLE_ARRAYS`` arrays of
-    ``k x samples``.  Nothing is allocated to work it out.
+    ``preparations`` the number given (1 for a trace), of which a group
+    of k distinct ones is walked at once.  Counted in 8-byte entries:
+    ``POINT_ARRAYS`` per preparation given; per one of a group the
+    evolver's four level arrays and the t=0 field weights, each walker's
+    five scratch rows of ``k x rows x levels`` and ``SAMPLE_ARRAYS``
+    arrays of ``k x samples``; and the two recurrence steps.
     """
     rows = _chunk_rows(samples, levels)
     k = min(preparations, _group_size(rows, levels))
     walkers = _walkers(samples, rows)
-    return 8 * (k * (5 * levels + SAMPLE_ARRAYS * samples + walkers * 5 * rows * levels)
-                + 2 * levels)
+    return 8 * (POINT_ARRAYS * preparations + 2 * levels
+                + k * (5 * levels + SAMPLE_ARRAYS * samples + walkers * 5 * rows * levels))
 
 
 def _exchanges(
@@ -392,37 +395,36 @@ def _window_average(times: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def bloch_sweep(
     params: ModelParams,
-    atoms,
+    epsilons,
     dist: PhotonDistribution,
     kind: EntropyKind = VON_NEUMANN,
     form: FieldEntropyForm = FieldEntropyForm.FULL,
     *,
     times: np.ndarray,
 ) -> np.ndarray:
-    """Time-averaged exchanges of each given atom preparation.
+    """Time-averaged exchanges of the dephased preparation of each weight in ``epsilons``.
 
-    Returns an array of shape ``(len(atoms), 2)`` holding (avg atom
-    exchange, avg field exchange) over the whole of ``times``, one row
-    per entry of ``atoms``, in their order; ``times`` takes the checks of
-    :func:`entropy_trace`.  Each distinct preparation is walked once and
-    its averages fill every row that repeats it.  The distinct ones are
-    walked in first-seen order, in groups that share the manifold arrays,
-    each chunk's phases and cosines, and one Simpson call per side; a
-    group holds as many as keep ``k x samples x levels`` per chunk within
-    ``GROUP_ELEMENTS``, so the working set follows that budget, not the
-    number of preparations.  Every row has the bits of
-    :func:`entropy_trace` for its preparation.
+    ``epsilons`` is a 1-D column of excited-state weights.  Returns an
+    array of shape ``(len(epsilons), 2)`` holding (avg atom exchange, avg
+    field exchange) over the whole of ``times``, one row per weight, in
+    their order.  ``times`` takes the checks of :func:`entropy_trace` and
+    each weight that of :class:`AtomInit`, before anything is walked.
+    Each distinct weight is walked once, in ascending order, in groups
+    that share the manifold arrays, each chunk's phases and cosines, and
+    one Simpson call per side; a group holds as many as keep
+    ``k x samples x levels`` per chunk within ``GROUP_ELEMENTS``.  Every
+    row has the bits of :func:`entropy_trace` for its preparation.
     """
     times = _checked_grid(times, params, dist)
-    first_seen: dict[AtomInit, int] = {}
-    index = np.array([first_seen.setdefault(atom, len(first_seen)) for atom in atoms], dtype=int)
-    distinct = list(first_seen)
-    averages = np.empty((len(distinct), 2))
+    distinct, inverse = np.unique(np.asarray(epsilons, dtype=float), return_inverse=True)
+    for eps in distinct[:1].tolist() + distinct[-1:].tolist():  # NaN sorts last
+        AtomInit(eps)
+    averages = np.empty((distinct.size, 2))
     levels = dist.weights.size
     size = _group_size(_chunk_rows(times.size, levels), levels)
-    for start in range(0, len(distinct), size):
-        group = tuple(distinct[start : start + size])
+    for start in range(0, distinct.size, size):
+        group = tuple(map(AtomInit, distinct[start : start + size].tolist()))
         ds_atom, ds_field = _exchanges(params, group, dist, kind, form, times)
         averages[start : start + len(group), 0] = _window_average(times, ds_atom)
         averages[start : start + len(group), 1] = _window_average(times, ds_field)
-    return averages[index]
+    return averages[inverse]

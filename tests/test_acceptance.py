@@ -201,7 +201,7 @@ def test_criterion_7_qualitative_figure_regimes():
     for q in (1.0, 1.6):
         dist, kind = _qualitative_dist(q)
         averages = jc.bloch_sweep(
-            RESONANT, [jc.AtomInit(epsilon=0.0)], dist, kind, FieldEntropyForm.FULL, times=times
+            RESONANT, np.array([0.0]), dist, kind, FieldEntropyForm.FULL, times=times
         )
         avg_atom, avg_field = averages[0]
         assert avg_atom > 0.0, f"q={q}: avg atom exchange {avg_atom} not positive"

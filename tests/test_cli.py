@@ -752,6 +752,32 @@ def test_cli_start_up_leaves_scipy_solvers_unimported():
     assert done.stdout.strip() == "[]"
 
 
+def test_outputs_agree_across_cpu_dispatch_tiers(tmp_path):
+    # NumPy rounds exp, log, log1p and power differently on each SIMD tier, so
+    # another tier gives other bytes; it must still give the same numbers
+    src = os.path.dirname(os.path.dirname(os.path.abspath(jcentropy.__file__)))
+    beta = repr(math.log(11.0))
+    runs = [["timeseries", "--q", "1.4", "--beta", beta, "--tail-tol", "1e-6", "--epsilon", "0.3",
+             "--delta", "0.3", "--grid", "401", "--T", "12.5", "--out", "trace.csv"],
+            ["weights", "--q", "1.4", "--beta", beta, "--tail-tol", "1e-6", "--out", "weights.csv"]]
+    snippet = f"from jcentropy.cli import main\nfor argv in {runs!r}:\n    assert main(argv) == 0"
+    tables = {}
+    for tier, mask in (("plain", None), ("masked", "X86_V4 AVX512_ICL AVX512_SPR")):
+        env = {key: value for key, value in os.environ.items()
+               if key not in ("NPY_DISABLE_CPU_FEATURES", "NPY_ENABLE_CPU_FEATURES")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        if mask is not None:
+            env["NPY_DISABLE_CPU_FEATURES"] = mask
+        (tmp_path / tier).mkdir()
+        subprocess.run([sys.executable, "-c", snippet], env=env, cwd=tmp_path / tier, check=True)
+        tables[tier] = {name: np.loadtxt(tmp_path / tier / name, delimiter=",", skiprows=1)
+                        for name in ("trace.csv", "weights.csv")}
+    plain, masked = tables["plain"], tables["masked"]
+    # a cell near zero is held to 1e-13 absolute, far inside the 1e-8 oracle criterion
+    np.testing.assert_allclose(masked["trace.csv"], plain["trace.csv"], rtol=1e-10, atol=1e-13)
+    np.testing.assert_allclose(masked["weights.csv"], plain["weights.csv"], rtol=1e-13, atol=0.0)
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)])
 def test_outputs_honour_umask(tmp_path, umask, mode):
     betas, out = tmp_path / "e.betas", tmp_path / "w.csv"
@@ -763,6 +789,25 @@ def test_outputs_honour_umask(tmp_path, umask, mode):
         os.umask(previous)
     for path in (out, tmp_path / "w.csv.meta.json", betas):
         assert stat.S_IMODE(os.stat(path).st_mode) == mode, path
+
+
+def test_outputs_leave_the_umask_alone(tmp_path, monkeypatch):
+    # the umask is per process: setting it, even for a moment, would leave the
+    # files other threads create meanwhile unmasked
+    monkeypatch.setattr(os, "umask", mock.Mock(side_effect=AssertionError("umask set")))
+    betas = tmp_path / "e.betas"
+    assert main(["ensemble-gen", "--count", "5", "--seed", "1", "--out", str(betas)]) == 0
+    assert main(["weights", "--betas-file", str(betas), "--out", str(tmp_path / "w.csv")]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["e.betas", "w.csv", "w.csv.meta.json"]
+
+
+def test_temporary_name_in_use_is_left_to_its_owner(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "urandom", lambda n: bytes(n))
+    theirs = tmp_path / ".jcentropy-0000000000000000.tmp"
+    theirs.write_text("theirs")
+    with pytest.raises(FileExistsError):
+        ensemble._write_atomic(str(tmp_path / "x.csv"), ("mine\n",))
+    assert os.listdir(tmp_path) == [theirs.name] and theirs.read_text() == "theirs"
 
 
 # ------------------------------------------------------------- input fuzz
@@ -1093,21 +1138,30 @@ def test_allocation_beyond_memory_is_domain_error(tmp_path, capsys, argv):
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("argv", [
-    ["timeseries", "--gibbs", "--beta", "2", "--grid", "1000"],
-    ["bloch-sweep", "--gibbs", "--beta", "2", "--t-samples", "1000"],
-], ids=["timeseries", "bloch-sweep"])
+@pytest.mark.parametrize("argv, memory, walk", [
+    (["timeseries", "--gibbs", "--beta", "2", "--grid", "1000"], 2**16,
+     "a walk over 1000 time samples and "),
+    (["bloch-sweep", "--gibbs", "--beta", "2", "--t-samples", "1000"], 2**16,
+     "a walk over 1000 time samples and "),
+    # one group of the million points' walk takes 2.2 MB, the points 80 MB
+    (["bloch-sweep", "--gibbs", "--beta", "2", "--t-samples", "2", "--T", "1",
+      "--grid", "1000x1000"], 2**24,
+     "a walk over 2 time samples and 10 photon levels, for 1000000 atom preparation(s), "
+     "needs an estimated 0.0765 GiB"),
+], ids=["timeseries", "bloch-sweep", "bloch-sweep-grid"])
 def test_walk_beyond_physical_memory_is_refused_before_it_starts(tmp_path, capsys, monkeypatch,
-                                                                  argv):
+                                                                  argv, memory, walk):
     # an allocation the OS overcommits is not refused at once, so the walk is
-    # sized first; the time grid is the first array of its length
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 2**16)
-    monkeypatch.setattr(np, "linspace", mock.Mock(side_effect=AssertionError("allocated")))
+    # sized first; the time grid is the first array of its length, and a
+    # sweep's grid columns come after it
+    monkeypatch.setattr(cli, "_physical_memory", lambda: memory)
+    for name in ("linspace", "repeat", "tile"):
+        monkeypatch.setattr(np, name, mock.Mock(side_effect=AssertionError("allocated")))
     assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("jcentropy: out of memory: a walk over 1000 time samples and ")
-    assert "more than the 6.1e-05 GiB of physical memory\n" in err and err.count("\n") == 1
-    assert os.listdir(tmp_path) == []
+    assert err.startswith(f"jcentropy: out of memory: {walk}")
+    assert f"more than the {memory / 2**30:.3g} GiB of physical memory\n" in err
+    assert err.count("\n") == 1 and os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("command, extra, n_cap, n_max", [

@@ -3,6 +3,7 @@ import math
 import threading
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -281,8 +282,7 @@ class TestEntropyTrace:
         assert dist.n_max == 13
         runs = (
             lambda times: entropy_trace(params, AtomInit(0.3), dist, times=times),
-            lambda times: bloch_sweep(params, [AtomInit(0.5), AtomInit(1.0), AtomInit(0.0)], dist,
-                                      times=times),
+            lambda times: bloch_sweep(params, np.array([0.5, 1.0, 0.0]), dist, times=times),
         )
         horizon = MAX_PHASE / math.sqrt(13.0)
         while horizon * math.sqrt(13.0) > MAX_PHASE:
@@ -491,7 +491,7 @@ def test_single_walker_trace_holds_eleven_level_arrays(monkeypatch):
     assert peak / (8 * n) < 11.5
 
 
-@pytest.mark.parametrize("case", ["samples", "levels", "sweep"])
+@pytest.mark.parametrize("case", ["samples", "levels", "sweep", "grid"])
 def test_walk_bytes_bounds_the_traced_peak(monkeypatch, case):
     # the estimate a run is refused on holds every array the walk keeps, and
     # overstates it by less than half
@@ -499,6 +499,7 @@ def test_walk_bytes_bounds_the_traced_peak(monkeypatch, case):
         "samples": (1, VON_NEUMANN, 1, 100000),
         "levels": (2, VON_NEUMANN, 1, 900),
         "sweep": (1, tsallis(1.3), 92, 1000),
+        "grid": (1, VON_NEUMANN, 200000, 2),
     }[case]
     monkeypatch.setattr(entropy_module, "_available_cpus", lambda: walkers)
     if case == "levels":  # 4148 levels, three reseed windows
@@ -508,13 +509,22 @@ def test_walk_bytes_bounds_the_traced_peak(monkeypatch, case):
     else:
         dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-8)
     times = np.linspace(0.0, 25.0, samples)
-    atoms = [AtomInit(eps) for eps in np.linspace(0.0, 1.0, count)]
+
+    def sweep():
+        if case != "grid":
+            return bloch_sweep(RESONANT, np.linspace(0.0, 1.0, count), dist, kind, times=times)
+        # a 500x400 grid's columns, built and held as the bloch-sweep command holds them
+        r_col = np.repeat(np.linspace(0.0, 1.0, 500), 400)
+        theta_col = np.tile(np.linspace(0.0, math.pi, 400), 500)
+        eps_col = (1.0 + r_col * np.cos(theta_col)) / 2.0
+        return r_col, theta_col, bloch_sweep(RESONANT, eps_col, dist, kind, times=times)
+
     # a first run imports the Simpson rule and the thread pool, which are no
     # part of the walk's memory
-    bloch_sweep(RESONANT, atoms, dist, kind, times=times)
+    sweep()
     tracemalloc.start()
     try:
-        bloch_sweep(RESONANT, atoms, dist, kind, times=times)
+        sweep()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -540,26 +550,35 @@ class TestTimeAverage:
 
 
 class TestBloch:
-    """A sweep returns one row of averages per given preparation, in input order."""
+    """A sweep returns one row of averages per given excited-state weight, in input order."""
 
-    def test_validation(self):
-        # a preparation checks its own excited-state weight before any sweep sees it
+    def test_validation(self, monkeypatch):
+        # a sweep checks its column with the rule and message of a preparation,
+        # before anything is walked
+        monkeypatch.setattr(entropy_module, "_exchanges",
+                            mock.Mock(side_effect=AssertionError("walked")))
+        dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-8)
+        times = np.linspace(0, 10, 201)
         for epsilon in (-1e-300, 1.0 + 1e-15, math.nan):
-            with pytest.raises(ValueError, match="epsilon must lie in"):
+            with pytest.raises(ValueError, match="epsilon must lie in") as refused:
                 AtomInit(epsilon)
+            for column in ([epsilon], [0.5, epsilon, 0.25], [epsilon, 0.0, 1.0, epsilon]):
+                with pytest.raises(ValueError) as swept:
+                    bloch_sweep(RESONANT, np.array(column), dist, times=times)
+                assert str(swept.value) == str(refused.value)
 
     def test_sweep_shape_and_order(self):
         dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-8)
         times = np.linspace(0, 10, 201)
-        atoms = [AtomInit(0.5), AtomInit(1.0), AtomInit(0.0), AtomInit(0.5)]
-        averages = bloch_sweep(RESONANT, atoms, dist, times=times)
+        epsilons = np.array([0.5, 1.0, 0.0, 0.5])
+        averages = bloch_sweep(RESONANT, epsilons, dist, times=times)
         assert averages.shape == (4, 2)
         # a repeated preparation gets the same row, wherever it stands
         assert averages[0].tobytes() == averages[3].tobytes()
         assert not np.array_equal(averages[1], averages[2])
-        reversed_order = bloch_sweep(RESONANT, atoms[::-1], dist, times=times)
+        reversed_order = bloch_sweep(RESONANT, epsilons[::-1], dist, times=times)
         assert reversed_order.tobytes() == averages[::-1].tobytes()
-        assert bloch_sweep(RESONANT, [], dist, times=times).shape == (0, 2)
+        assert bloch_sweep(RESONANT, np.empty(0), dist, times=times).shape == (0, 2)
 
     def test_sweep_matches_per_point_traces(self):
         # duplicates in permuted order: each row has the bits of its own trace
@@ -567,11 +586,13 @@ class TestBloch:
         times = np.linspace(0, 8, 161)
         times = times[times <= 6.0]
         kind = tsallis(1.6)
-        atoms = [AtomInit(eps) for eps in (0.75, 0.0, 0.5, 0.75, 1.0, 0.0, 0.25, 0.5, 0.75)]
-        averages = bloch_sweep(RESONANT, atoms, dist, kind, FieldEntropyForm.COARSE, times=times)
+        epsilons = np.array([0.75, 0.0, 0.5, 0.75, 1.0, 0.0, 0.25, 0.5, 0.75])
+        averages = bloch_sweep(RESONANT, epsilons, dist, kind, FieldEntropyForm.COARSE,
+                               times=times)
         expected = np.empty_like(averages)
-        for row, atom in zip(expected, atoms):
-            trace = entropy_trace(RESONANT, atom, dist, kind, FieldEntropyForm.COARSE, times=times)
+        for row, eps in zip(expected, epsilons):
+            trace = entropy_trace(RESONANT, AtomInit(eps), dist, kind, FieldEntropyForm.COARSE,
+                                  times=times)
             row[:] = trace.avg_ds_atom, trace.avg_ds_field
         assert averages.tobytes() == expected.tobytes()
 
@@ -585,11 +606,10 @@ class TestBloch:
 
         monkeypatch.setattr(entropy_module, "_exchanges", counting)
         dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-8)
-        epsilons = (1.0, 0.5, 0.0, 0.5, 1.0, 0.3, 0.0, 0.3, 0.5)
-        bloch_sweep(RESONANT, [AtomInit(eps) for eps in epsilons], dist,
-                    times=np.linspace(0.0, 25.0, 1000))
-        # once each, in first-seen order
-        assert walked == [AtomInit(eps) for eps in (1.0, 0.5, 0.0, 0.3)]
+        epsilons = np.array([1.0, 0.5, 0.0, 0.5, 1.0, 0.3, 0.0, 0.3, 0.5])
+        bloch_sweep(RESONANT, epsilons, dist, times=np.linspace(0.0, 25.0, 1000))
+        # once each, in ascending order
+        assert walked == [AtomInit(eps) for eps in (0.0, 0.3, 0.5, 1.0)]
 
 
 BATCH_KINDS = pytest.mark.parametrize("kind, form", [
@@ -606,10 +626,10 @@ class TestSweepGroups:
         return GROUP_ELEMENTS // (rows * dist.weights.size)
 
     @staticmethod
-    def per_point(dist, kind, form, atoms, times):
-        expected = np.empty((len(atoms), 2))
-        for row, atom in zip(expected, atoms):
-            trace = entropy_trace(RESONANT, atom, dist, kind, form, times=times)
+    def per_point(dist, kind, form, epsilons, times):
+        expected = np.empty((len(epsilons), 2))
+        for row, eps in zip(expected, epsilons):
+            trace = entropy_trace(RESONANT, AtomInit(eps), dist, kind, form, times=times)
             row[:] = trace.avg_ds_atom, trace.avg_ds_field
         return expected
 
@@ -623,9 +643,9 @@ class TestSweepGroups:
         )
         assert dist.weights.size == 4148 and self.group_size(dist, np.empty(900)) == 2
         times = np.linspace(0.0, 60.0, 900)
-        atoms = [AtomInit(eps) for eps in (0.5, 1.0, 0.5, 0.75, 0.0, 0.25, 1.0)]
-        averages = bloch_sweep(RESONANT, atoms, dist, kind, form, times=times)
-        expected = self.per_point(dist, kind, form, atoms, times)
+        epsilons = np.array([0.5, 1.0, 0.5, 0.75, 0.0, 0.25, 1.0])
+        averages = bloch_sweep(RESONANT, epsilons, dist, kind, form, times=times)
+        expected = self.per_point(dist, kind, form, epsilons, times)
         assert averages.tobytes() == expected.tobytes()
 
     @BATCH_KINDS
@@ -633,10 +653,10 @@ class TestSweepGroups:
         dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-8)
         times = np.linspace(0.0, 25.0, 1000)
         epsilons = np.linspace(0.0, 1.0, 11)
-        atoms = [AtomInit(eps) for eps in [*epsilons[::-1], *epsilons[::3]]]
-        assert len(set(atoms)) > 2 * self.group_size(dist, times) > 2
-        averages = bloch_sweep(RESONANT, atoms, dist, kind, form, times=times)
-        expected = self.per_point(dist, kind, form, atoms, times)
+        epsilons = np.concatenate((epsilons[::-1], epsilons[::3]))
+        assert np.unique(epsilons).size > 2 * self.group_size(dist, times) > 2
+        averages = bloch_sweep(RESONANT, epsilons, dist, kind, form, times=times)
+        expected = self.per_point(dist, kind, form, epsilons, times)
         assert averages.tobytes() == expected.tobytes()
 
     def test_peak_memory_follows_the_group_budget(self, monkeypatch):
@@ -651,10 +671,10 @@ class TestSweepGroups:
         buffers = 5 * 8 * GROUP_ELEMENTS
 
         def peak(count):
-            atoms = [AtomInit(eps) for eps in np.linspace(0.0, 1.0, count)]
+            epsilons = np.linspace(0.0, 1.0, count)
             tracemalloc.start()
             try:
-                bloch_sweep(RESONANT, atoms, dist, times=times)
+                bloch_sweep(RESONANT, epsilons, dist, times=times)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

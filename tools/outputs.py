@@ -18,9 +18,11 @@ record is relative and the same for any checkout.  They are:
   in JSON, in ``weights/``: 1 000 001 rows, which the CLI writes in many row
   blocks with a short last one;
 * a five-q ``calibrate``, in CSV and in JSON, in ``calibrate/``;
-* four ``bloch-sweep`` runs in ``sweeps/``: a 3x3 gamma q=1.4 sweep over 4148
+* five ``bloch-sweep`` runs in ``sweeps/``: a 3x3 gamma q=1.4 sweep over 4148
   levels and 900 samples (several groups, three reseed windows), a Gibbs 9x13
-  sweep, a Gibbs 4x6 Tsallis coarse sweep in JSON and a Gibbs 1x1 sweep;
+  sweep, a Gibbs 4x6 Tsallis coarse sweep in JSON, a Gibbs 1x1 sweep and a
+  Gibbs 300x301 sweep on 2 samples (90 300 points with repeated epsilons, in
+  some 44 groups of 2048, so the walk order over the distinct ones shows);
 * a ``timeseries --config <sidecar>`` rerun of the seed-1 heavy trace and a
   ``bloch-sweep --config <sidecar>`` rerun of the 9x13 sweep in ``rerun/``;
 * the stdout of ``selfcheck`` and of ``selfcheck --inject-perturbation 1e-6``;
@@ -95,6 +97,8 @@ def main(argv: list[str]) -> int:
     run([*gibbs, "--grid", "4x6", "--format", "json", "--entropy", "tsallis", "--entropy-q", "1.3",
          "--field-entropy", "coarse", "--out", "sweeps/gibbs4x6.json"])
     run([*gibbs, "--grid", "1x1", "--out", "sweeps/gibbs1x1.csv"])
+    run([*gibbs, "--grid", "300x301", "--t-samples", "2", "--T", "1",
+         "--out", "sweeps/gibbs300x301.csv"])
     Path("rerun").mkdir(exist_ok=True)
     run(["timeseries", "--config", "heavy_tail_trace/seed1/trace.csv.meta.json",
          "--out", "rerun/trace.csv"])
