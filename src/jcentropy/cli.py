@@ -350,12 +350,13 @@ def _check_walk_memory(n_times: int, levels: int, preparations: int) -> None:
 
 
 def _resolve_dynamics(cfg: dict, n_times: int, preparations: int = 1):
-    """Distribution, derived record, entropy, field form, model and time grid of a run.
+    """Distribution, derived record, entropy, field form and model of a run.
 
     An unset horizon becomes 50/|lambda| (50 at zero coupling) and is
-    recorded in ``cfg``; both are checked before the distribution is built.
-    The walk over ``preparations`` atom preparations is sized before the
-    time grid, or anything of its length, is allocated.
+    recorded in ``cfg``; a default that overflows is refused before the
+    distribution is built.  The walk over ``preparations`` atom
+    preparations is sized before anything of the time grid's length is
+    allocated.
     """
     params = ModelParams.from_detuning(cfg["delta"], cfg["lam"], cfg["omega"])
     if cfg["horizon"] is None:
@@ -363,15 +364,12 @@ def _resolve_dynamics(cfg: dict, n_times: int, preparations: int = 1):
         if cfg["horizon"] == math.inf:
             raise ValueError(f"--lambda {cfg['lam']!r} takes the default horizon 50/|lambda| "
                              "beyond the float range; set the horizon with --T")
-    if not 0.0 < cfg["horizon"] < math.inf:
-        raise ValueError(f"time horizon must be finite and positive, got {cfg['horizon']}")
     dist, derived = _resolve_source(cfg)
     kind = _resolve_entropy(cfg, derived)
     form = FieldEntropyForm(cfg["field_entropy"])
     derived.update(entropy=kind.label(), field_entropy_form=form.value)
     _check_walk_memory(n_times, dist.weights.size, preparations)
-    times = np.linspace(0.0, cfg["horizon"], n_times)
-    return dist, derived, kind, form, params, times
+    return dist, derived, kind, form, params
 
 
 # ------------------------------------------------------------- commands
@@ -432,8 +430,9 @@ def cmd_weights(cfg: dict) -> int:
 
 def cmd_timeseries(cfg: dict) -> int:
     n_times = _time_samples(cfg["grid"], "--grid")
-    dist, derived, kind, form, params, times = _resolve_dynamics(cfg, n_times)
-    trace = entropy_trace(params, AtomInit(epsilon=cfg["epsilon"]), dist, kind, form, times=times)
+    dist, derived, kind, form, params = _resolve_dynamics(cfg, n_times)
+    trace = entropy_trace(params, AtomInit(epsilon=cfg["epsilon"]), dist, kind, form,
+                          horizon=cfg["horizon"], samples=n_times)
     derived.update(avg_dSa=trace.avg_ds_atom, avg_dSb=trace.avg_ds_field)
     table = {"t": trace.times, "dS_a": trace.ds_atom, "dS_b": trace.ds_field,
              "dS_total": trace.ds_total}
@@ -444,13 +443,14 @@ def cmd_timeseries(cfg: dict) -> int:
 def cmd_bloch_sweep(cfg: dict) -> int:
     n_times = _time_samples(cfg["t_samples"], "--t-samples")
     n_r, n_theta = _parse_pair(cfg["grid"])
-    dist, derived, kind, form, params, times = _resolve_dynamics(cfg, n_times, n_r * n_theta)
+    dist, derived, kind, form, params = _resolve_dynamics(cfg, n_times, n_r * n_theta)
     r_col = np.repeat(np.linspace(0.0, 1.0, n_r), n_theta)
     theta_col = np.tile(np.linspace(0.0, math.pi, n_theta), n_r)
     # the dephased preparation diag(epsilon, 1 - epsilon) of each (r, theta): the
     # coherence r sin(theta) is not evolved yet; |r cos(theta)| <= 1 keeps epsilon in [0, 1]
     eps_col = (1.0 + r_col * np.cos(theta_col)) / 2.0
-    averages = bloch_sweep(params, eps_col, dist, kind, form, times=times)
+    averages = bloch_sweep(params, eps_col, dist, kind, form,
+                           horizon=cfg["horizon"], samples=n_times)
     derived.update(n_r=n_r, n_theta=n_theta)
     table = {
         "r": r_col,

@@ -61,6 +61,9 @@ RESEED_CHUNKS = 128
 MAX_STEP = 5.6e102
 # adjacent floats above 2**52 lie a whole radian apart, so no cosine of such a phase resolves
 MAX_PHASE = 2.0**52
+# a Rabi frequency whose square is still a finite float (the square root of the
+# largest float is 1.3408e154)
+MAX_RABI = 1.34e154
 
 
 @dataclass(frozen=True)
@@ -174,11 +177,10 @@ def _transfers(
 
     ``a1`` holds one transfer row per preparation, shape ``(k, levels)``,
     and a yielded block has shape ``(k, samples, levels)``.  ``times`` is
-    a strictly increasing grid of at least two samples, cut into chunks
-    of ``rows`` samples (the last may be short); ``first`` is a multiple
+    the grid of :func:`_time_grid`, step h, cut into chunks of R =
+    ``rows`` samples (the last may be short); ``first`` is a multiple
     of ``RESEED_CHUNKS``.  With ``steps`` equal to
-    ``(2 cos(R h delta_n), sin(R h delta_n))`` on a grid equal to
-    ``np.linspace(0, times[-1], times.size)`` (step h, R = ``rows``), a
+    ``(2 cos(R h delta_n), sin(R h delta_n))``, a
     full chunk follows from the two before it by the three-term recurrence
     ``s_{k+1} = 2 cos(R h delta_n) s_k - s_{k-1}`` (Numerical Recipes
     5.4), which the transfer ``s = a1 cos`` obeys as the cosine does.
@@ -189,11 +191,10 @@ def _transfers(
     yields the same bytes.  A rounding error amplifies by at most j at
     the j-th recurrence step, also where ``R h delta_n`` is a multiple
     of pi, so the drift stays within about ``RESEED_CHUNKS**2`` ulps of
-    ``|a1|``.  With ``steps=None``, and for a short last chunk, every
-    chunk takes the exact cosine.  The phase and its cosine or sine are
-    computed once per chunk for all k rows of ``a1``, and each row takes
-    the float operations it would take alone.  A yielded block is
-    overwritten two chunks later.
+    ``|a1|``.  A short last chunk takes the exact cosine too.  The phase
+    and its cosine or sine are computed once per chunk for all k rows of
+    ``a1``, and each row takes the float operations it would take alone.
+    A yielded block is overwritten two chunks later.
     """
     k, levels = a1.shape
     older, old, new = (np.empty(k * rows * levels) for _ in range(3))
@@ -201,7 +202,7 @@ def _transfers(
         t = times[c * rows : (c + 1) * rows]
         shape = (k, t.size, levels)
         block = new[: k * t.size * levels].reshape(shape)
-        position = c % RESEED_CHUNKS if steps is not None and t.size == rows else 0
+        position = c % RESEED_CHUNKS if t.size == rows else 0
         if position == 0:
             # the phase waits in the buffer the next chunk fills
             phase = np.multiply.outer(t, delta_n, out=older[: t.size * levels].reshape(shape[1:]))
@@ -231,25 +232,30 @@ def _spread(block: np.ndarray, a1: np.ndarray) -> None:
     block[0] *= a1[0]
 
 
-def _checked_grid(times, params: ModelParams, dist: PhotonDistribution) -> np.ndarray:
-    """``times`` as a float array, once it passes the checks :func:`entropy_trace` documents."""
-    times = np.asarray(times, dtype=float)
-    if times.size < 2 or times[0] != 0.0:
-        raise ValueError("time grid must start at t=0 and hold at least two samples")
-    steps = np.diff(times)
-    if np.any(steps <= 0.0):
-        raise ValueError("time grid must be strictly increasing")
-    phase = times[-1] * math.hypot(params.delta, params.lam * math.sqrt(dist.n_max))
+def _time_grid(
+    horizon: float, samples: int, params: ModelParams, dist: PhotonDistribution
+) -> np.ndarray:
+    """``np.linspace(0, horizon, samples)``, once it passes the checks :func:`entropy_trace` documents."""
+    if samples < 2:
+        raise ValueError(f"a time grid needs at least two samples, got {samples}")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"time horizon must be finite and positive, got {horizon}")
+    rabi = math.hypot(params.delta, params.lam * math.sqrt(dist.n_max))
+    if not rabi <= MAX_RABI:
+        raise ValueError(f"delta {params.delta!r} and lambda {params.lam!r} take the largest "
+                         f"Rabi frequency sqrt(delta^2 + lambda^2 n_max) to {rabi:.4g}, beyond "
+                         f"{MAX_RABI:.4g}, where its square overflows")
+    phase = horizon * rabi
     if not phase <= MAX_PHASE:
-        raise ValueError(f"time horizon {float(times[-1])!r} takes the largest phase to "
+        raise ValueError(f"time horizon {horizon!r} takes the largest phase to "
                          f"{phase:.3g}, beyond 2**52, where no cosine is resolvable")
     # Simpson's rule on an even sample count weighs its last panel with the
     # cube of a step, which leaves the float range above MAX_STEP
-    largest = float(np.max(steps))
-    if not largest <= MAX_STEP:
-        raise ValueError(f"time step {largest:.3g} exceeds {MAX_STEP:.3g}, "
+    step = horizon / (samples - 1)
+    if not step <= MAX_STEP:
+        raise ValueError(f"time step {step:.3g} exceeds {MAX_STEP:.3g}, "
                          "where the Simpson weights overflow")
-    return times
+    return np.linspace(0.0, horizon, samples)
 
 
 def _chunk_rows(samples: int, levels: int) -> int:
@@ -277,12 +283,12 @@ def walk_bytes(samples: int, levels: int, preparations: int = 1) -> int:
     ``POINT_ARRAYS`` per preparation given; per one of a group the
     evolver's four level arrays and the t=0 field weights, each walker's
     five scratch rows of ``k x rows x levels`` and ``SAMPLE_ARRAYS``
-    arrays of ``k x samples``; and the two recurrence steps.
+    arrays of ``k x samples``; the two recurrence steps; and the time grid.
     """
     rows = _chunk_rows(samples, levels)
     k = min(preparations, _group_size(rows, levels))
     walkers = _walkers(samples, rows)
-    return 8 * (POINT_ARRAYS * preparations + 2 * levels
+    return 8 * (POINT_ARRAYS * preparations + 2 * levels + samples
                 + k * (5 * levels + SAMPLE_ARRAYS * samples + walkers * 5 * rows * levels))
 
 
@@ -297,7 +303,7 @@ def _exchanges(
     """(atom, field) entropy exchanges of each preparation, shape ``(len(atoms), times.size)``.
 
     The one walk behind :func:`entropy_trace` and :func:`bloch_sweep`;
-    ``times`` has passed :func:`_checked_grid`.  Every preparation's row
+    ``times`` is the grid of :func:`_time_grid`.  Every preparation's row
     has the bits it has when walked alone.
     """
     evolver = BlockEvolver(params, atoms, dist)
@@ -308,11 +314,9 @@ def _exchanges(
     moved = np.empty((len(atoms), times.size))
     s_field = np.empty((len(atoms), times.size))
     rows = _chunk_rows(times.size, dist.weights.size)
-    # the sine overwrites the phase, so no third level array outlives this block
-    steps = None
-    if times.size > 2 * rows and np.array_equal(times, np.linspace(0.0, times[-1], times.size)):
-        step = rows * (times[-1] / (times.size - 1)) * evolver.delta_n
-        steps = 2.0 * np.cos(step), np.sin(step, out=step)
+    # the sine overwrites the phase, so no third level array outlives this line
+    step = rows * (times[-1] / (times.size - 1)) * evolver.delta_n
+    steps = 2.0 * np.cos(step), np.sin(step, out=step)
 
     def walk(first: int, stop: int) -> None:
         # runs on worker threads: the NumPy calls on whole rows release the GIL;
@@ -359,22 +363,24 @@ def entropy_trace(
     kind: EntropyKind = VON_NEUMANN,
     form: FieldEntropyForm = FieldEntropyForm.FULL,
     *,
-    times: np.ndarray,
+    horizon: float,
+    samples: int,
 ) -> EntropyTrace:
-    """Partial entropy exchange of atom and field on a time grid.
+    """Partial entropy exchange of atom and field at ``samples`` even steps over ``[0, horizon]``.
 
-    The grid must start at t=0 (the exchange is defined relative to the
-    initial state, so the first samples are exactly zero), increase
-    strictly, take no phase ``t delta_n`` above ``MAX_PHASE`` and no step
-    above ``MAX_STEP``.  Times are evaluated in chunks of about
-    ``CHUNK_ELEMENTS`` samples x levels, whose transfers ``a1 cos`` come
-    from :func:`_transfers`.  The reseed windows of ``RESEED_CHUNKS``
-    chunks are dealt out as contiguous groups to one thread per available
-    CPU (at most one per window), each with its own scratch rows; a chunk
-    depends only on its own window, so the result is the same to the bit
-    for any number of threads.
+    The exchange is defined relative to the initial state, so the first
+    samples are exactly zero.  The grid needs at least two samples, a
+    finite positive horizon, no Rabi frequency ``delta_n`` above
+    ``MAX_RABI``, no phase ``horizon delta_n`` above ``MAX_PHASE`` and no
+    step ``horizon / (samples - 1)`` above ``MAX_STEP``.  Times are
+    evaluated in chunks of about ``CHUNK_ELEMENTS`` samples x levels,
+    whose transfers ``a1 cos`` come from :func:`_transfers`.  The reseed
+    windows of ``RESEED_CHUNKS`` chunks are dealt out as contiguous groups
+    to one thread per available CPU (at most one per window), each with
+    its own scratch rows; a chunk depends only on its own window, so the
+    result is the same to the bit for any number of threads.
     """
-    times = _checked_grid(times, params, dist)
+    times = _time_grid(horizon, samples, params, dist)
     ds_atom, ds_field = _exchanges(params, (atom,), dist, kind, form, times)
     return EntropyTrace(
         times=times,
@@ -400,23 +406,28 @@ def bloch_sweep(
     kind: EntropyKind = VON_NEUMANN,
     form: FieldEntropyForm = FieldEntropyForm.FULL,
     *,
-    times: np.ndarray,
+    horizon: float,
+    samples: int,
 ) -> np.ndarray:
     """Time-averaged exchanges of the dephased preparation of each weight in ``epsilons``.
 
     ``epsilons`` is a 1-D column of excited-state weights.  Returns an
     array of shape ``(len(epsilons), 2)`` holding (avg atom exchange, avg
-    field exchange) over the whole of ``times``, one row per weight, in
-    their order.  ``times`` takes the checks of :func:`entropy_trace` and
-    each weight that of :class:`AtomInit`, before anything is walked.
+    field exchange) over the grid of :func:`entropy_trace`, one row per
+    weight, in their order.  The grid takes the checks of
+    :func:`entropy_trace`, the column must be 1-D and each weight pass
+    that of :class:`AtomInit`, before anything is walked.
     Each distinct weight is walked once, in ascending order, in groups
     that share the manifold arrays, each chunk's phases and cosines, and
     one Simpson call per side; a group holds as many as keep
     ``k x samples x levels`` per chunk within ``GROUP_ELEMENTS``.  Every
     row has the bits of :func:`entropy_trace` for its preparation.
     """
-    times = _checked_grid(times, params, dist)
-    distinct, inverse = np.unique(np.asarray(epsilons, dtype=float), return_inverse=True)
+    times = _time_grid(horizon, samples, params, dist)
+    epsilons = np.asarray(epsilons, dtype=float)
+    if epsilons.ndim != 1:
+        raise ValueError(f"epsilons must be a 1-D column, got shape {epsilons.shape}")
+    distinct, inverse = np.unique(epsilons, return_inverse=True)
     for eps in distinct[:1].tolist() + distinct[-1:].tolist():  # NaN sorts last
         AtomInit(eps)
     averages = np.empty((distinct.size, 2))

@@ -144,11 +144,10 @@ def _structural_fuzz(cases: int = 100) -> list[CheckResult]:
 def _trace_zeroes() -> list[CheckResult]:
     params = ModelParams.from_detuning(0.0, 2.0)
     dist = photon_weights_gibbs(_BETA_OMEGA, tail_tol=1e-10)
-    times = np.linspace(0.0, 10.0, 101)
-    trace = ent.entropy_trace(params, AtomInit(epsilon=0.3), dist, times=times)
+    trace = ent.entropy_trace(params, AtomInit(epsilon=0.3), dist, horizon=10.0, samples=101)
     dev0 = max(abs(trace.ds_atom[0]), abs(trace.ds_field[0]))
     frozen = ModelParams.from_detuning(0.0, 0.0)
-    flat = ent.entropy_trace(frozen, AtomInit(epsilon=0.3), dist, times=times)
+    flat = ent.entropy_trace(frozen, AtomInit(epsilon=0.3), dist, horizon=10.0, samples=101)
     dev_flat = max(float(np.max(np.abs(flat.ds_atom))), float(np.max(np.abs(flat.ds_field))))
     return [
         _check("exchange-zero-at-t0", dev0, 1e-12),
@@ -165,12 +164,11 @@ def _trace_oracle() -> list[CheckResult]:
     atom = AtomInit(epsilon=0.35)
     # about 4k levels give 3 samples per chunk: 134 chunks, past one reseed of
     # the chunk recurrence, with the rows of its largest drift (chunk 127) checked
-    times = np.linspace(0.0, 40.0, 400)
     results = []
     for kind in (ent.VON_NEUMANN, ent.tsallis(q)):
         label = f"trace-oracle[gamma-q1.4,{kind.label()}]"
         try:
-            trace = ent.entropy_trace(params, atom, dist, kind, times=times)
+            trace = ent.entropy_trace(params, atom, dist, kind, horizon=40.0, samples=400)
         except ValueError as exc:
             # a faulty kernel can emit rows that are no probability lists at all
             results.append(_check(label, math.inf, 1e-8, detail=str(exc)))
@@ -186,7 +184,7 @@ def _trace_oracle() -> list[CheckResult]:
         s0_atom, s0_field = oracle_entropies(0.0)
         dev = 0.0
         for i in (5, 150, 381, 383, 386, 399):
-            s_atom, s_field = oracle_entropies(times[i])
+            s_atom, s_field = oracle_entropies(trace.times[i])
             dev = max(
                 dev,
                 abs(trace.ds_atom[i] - (s_atom - s0_atom)),

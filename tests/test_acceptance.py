@@ -122,7 +122,7 @@ def test_criterion_4_structural_invariants_fuzz():
                  + float(np.sum(a + c)) + dist.tail_mass)
         dev_total = max(dev_total, abs(total - 1.0))
 
-        trace = jc.entropy_trace(params, atom, dist, times=np.array([0.0, t / 2 + 0.1, t + 0.2]))
+        trace = jc.entropy_trace(params, atom, dist, horizon=t + 0.2, samples=3)
         dev_zero = max(dev_zero, abs(trace.ds_atom[0]), abs(trace.ds_field[0]))
 
     assert dev_angle <= 1e-12
@@ -148,10 +148,10 @@ def test_criterion_5_gibbs_limit_continuity():
     dev_beta = abs(jc.physical_beta(gs) - beta_star) / beta_star
     assert dev_beta <= 1e-4
 
-    times = np.linspace(0.0, 10.0, 101)
+    grid = {"horizon": 10.0, "samples": 101}
     atom = jc.AtomInit(epsilon=0.4)
-    deformed = jc.entropy_trace(RESONANT, atom, gamma_dist, jc.tsallis(q), times=times)
-    plain = jc.entropy_trace(RESONANT, atom, gibbs_dist, jc.VON_NEUMANN, times=times)
+    deformed = jc.entropy_trace(RESONANT, atom, gamma_dist, jc.tsallis(q), **grid)
+    plain = jc.entropy_trace(RESONANT, atom, gibbs_dist, jc.VON_NEUMANN, **grid)
     dev_s = max(
         float(np.max(np.abs(deformed.ds_atom - plain.ds_atom))),
         float(np.max(np.abs(deformed.ds_field - plain.ds_field))),
@@ -170,10 +170,10 @@ def test_criterion_6_multilevel_degeneracy():
     dev_p = float(np.max(np.abs(ml_dist.weights - gibbs_dist.weights)))
     dev_tail = abs(ml_dist.tail_mass - gibbs_dist.tail_mass)
 
-    times = np.linspace(0.0, 12.5, 301)
+    grid = {"horizon": 12.5, "samples": 301}
     atom = jc.AtomInit(epsilon=1.0)
-    tr_ml = jc.entropy_trace(RESONANT, atom, ml_dist, times=times)
-    tr_gibbs = jc.entropy_trace(RESONANT, atom, gibbs_dist, times=times)
+    tr_ml = jc.entropy_trace(RESONANT, atom, ml_dist, **grid)
+    tr_gibbs = jc.entropy_trace(RESONANT, atom, gibbs_dist, **grid)
     dev_s = max(
         float(np.max(np.abs(tr_ml.ds_atom - tr_gibbs.ds_atom))),
         float(np.max(np.abs(tr_ml.ds_field - tr_gibbs.ds_field))),
@@ -195,13 +195,13 @@ def _qualitative_dist(q):
 
 def test_criterion_7_qualitative_figure_regimes():
     start = time.perf_counter()
-    times = np.linspace(0.0, 12.5, 1001)
+    grid = {"horizon": 12.5, "samples": 1001}
 
     # (a) sign pattern at the south pole of the Bloch sphere (epsilon = 0)
     for q in (1.0, 1.6):
         dist, kind = _qualitative_dist(q)
         averages = jc.bloch_sweep(
-            RESONANT, np.array([0.0]), dist, kind, FieldEntropyForm.FULL, times=times
+            RESONANT, np.array([0.0]), dist, kind, FieldEntropyForm.FULL, **grid
         )
         avg_atom, avg_field = averages[0]
         assert avg_atom > 0.0, f"q={q}: avg atom exchange {avg_atom} not positive"
@@ -216,7 +216,7 @@ def test_criterion_7_qualitative_figure_regimes():
             for q in (1.0, 1.2, 1.4, 1.6):
                 dist, kind = _qualitative_dist(q)
                 trace = jc.entropy_trace(
-                    RESONANT, jc.AtomInit(epsilon=eps), dist, kind, form, times=times
+                    RESONANT, jc.AtomInit(epsilon=eps), dist, kind, form, **grid
                 )
                 magnitudes.append(float(np.mean(np.abs(trace.ds_total))))
             grows = all(b > a for a, b in zip(magnitudes, magnitudes[1:]))

@@ -377,11 +377,29 @@ def test_time_step_beyond_simpson_range_is_refused(tmp_path, capsys, argv):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["timeseries", "--gibbs", "--beta", "2", "--lambda", "2e154", "--grid", "5"],
+    ["timeseries", "--gibbs", "--beta", "2", "--delta", "2e154", "--lambda", "1", "--T", "1e-160"],
+    ["bloch-sweep", "--gibbs", "--beta", "2", "--lambda", "1e160"],
+    ["timeseries", "--gibbs", "--beta", "0.01", "--lambda", "1e153"],
+], ids=["lambda-squared", "delta-squared", "bloch-sweep", "lambda-squared-times-levels"])
+def test_rabi_frequency_whose_square_overflows_is_refused(tmp_path, capsys, argv):
+    # these once exited 3 with a bare OverflowError or after RuntimeWarnings and a NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("jcentropy: delta ") and " and lambda " in err
+    assert "Rabi frequency" in err and "1.34e+154" in err and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
 def test_usage_error_comes_before_an_unresolvable_phase(tmp_path, capsys):
-    # the phase is checked with the time grid, after the entropy is resolved
-    argv = ["timeseries", "--gibbs", "--beta", "2", "--T", "1e300", "--entropy", "tsallis"]
-    assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
-    assert "--entropy-q" in capsys.readouterr().err
+    # --T is checked with the time grid, after the entropy is resolved
+    for horizon in ("1e300", "-1", "nan"):
+        argv = ["timeseries", "--gibbs", "--beta", "2", f"--T={horizon}", "--entropy", "tsallis"]
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
+        assert "--entropy-q" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
 
 

@@ -231,33 +231,41 @@ class TestFieldEntropy:
 class TestEntropyTrace:
     def test_first_sample_exactly_zero(self):
         dist = photon_weights_gibbs(1.0, tail_tol=1e-10)
-        trace = entropy_trace(RESONANT, AtomInit(0.2), dist, times=np.linspace(0, 5, 64))
+        trace = entropy_trace(RESONANT, AtomInit(0.2), dist, horizon=5.0, samples=64)
         assert trace.ds_atom[0] == 0.0
         assert trace.ds_field[0] == 0.0
         assert trace.ds_total[0] == 0.0
 
     def test_total_is_elementwise_sum(self):
         dist = photon_weights_gibbs(1.0, tail_tol=1e-10)
-        trace = entropy_trace(RESONANT, AtomInit(0.2), dist, times=np.linspace(0, 5, 64))
+        trace = entropy_trace(RESONANT, AtomInit(0.2), dist, horizon=5.0, samples=64)
         assert np.array_equal(trace.ds_total, trace.ds_atom + trace.ds_field)
 
     def test_zero_coupling_flat(self):
         params = ModelParams.from_detuning(0.0, 0.0)
         dist = photon_weights_gibbs(1.0, tail_tol=1e-10)
-        trace = entropy_trace(params, AtomInit(0.4), dist, times=np.linspace(0, 5, 32))
+        trace = entropy_trace(params, AtomInit(0.4), dist, horizon=5.0, samples=32)
         assert np.max(np.abs(trace.ds_total)) == 0.0
 
     def test_pure_atom_exchange_never_negative(self):
         dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-10)
-        trace = entropy_trace(RESONANT, AtomInit(0.0), dist, times=np.linspace(0, 20, 400))
+        trace = entropy_trace(RESONANT, AtomInit(0.0), dist, horizon=20.0, samples=400)
         assert np.min(trace.ds_atom) >= 0.0
 
     def test_grid_validation(self):
         dist = photon_weights_gibbs(1.0, tail_tol=1e-10)
-        with pytest.raises(ValueError):
-            entropy_trace(RESONANT, AtomInit(0.2), dist, times=np.linspace(1, 5, 8))
-        with pytest.raises(ValueError):
-            entropy_trace(RESONANT, AtomInit(0.2), dist, times=np.array([0.0, 2.0, 1.0]))
+        for horizon, samples, message in (
+            (5.0, 1, "at least two samples, got 1"),
+            (5.0, 0, "at least two samples, got 0"),
+            (0.0, 8, "finite and positive, got 0.0"),
+            (-1.0, 8, "finite and positive, got -1.0"),
+            (math.inf, 8, "finite and positive, got inf"),
+            (math.nan, 8, "finite and positive, got nan"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                entropy_trace(RESONANT, AtomInit(0.2), dist, horizon=horizon, samples=samples)
+            with pytest.raises(ValueError, match=message):
+                bloch_sweep(RESONANT, np.array([0.5]), dist, horizon=horizon, samples=samples)
 
     def test_steps_up_to_max_step_keep_the_averages_finite(self):
         # on an even sample count Simpson's rule weighs the last step by its cube;
@@ -265,15 +273,17 @@ class TestEntropyTrace:
         # moves the whole transfer
         params = ModelParams.from_detuning(0.0, 1e-90)
         dist = photon_weights_gibbs(1.0, tail_tol=1e-10)
-        times = np.array([0.0, 0.5, 1.0, 2.0]) * MAX_STEP
+        horizon = 3.0 * MAX_STEP
+        assert horizon / 3.0 == MAX_STEP
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            trace = entropy_trace(params, AtomInit(0.2), dist, times=times)
+            trace = entropy_trace(params, AtomInit(0.2), dist, horizon=horizon, samples=4)
         assert math.isfinite(trace.avg_ds_atom) and math.isfinite(trace.avg_ds_field)
         assert np.all(trace.ds_atom[1:] != 0.0)
-        times[-1] = np.nextafter(times[-1], np.inf)
+        horizon = np.nextafter(horizon, np.inf)
+        assert horizon / 3.0 == np.nextafter(MAX_STEP, np.inf)
         with pytest.raises(ValueError, match="time step"):
-            entropy_trace(params, AtomInit(0.2), dist, times=times)
+            entropy_trace(params, AtomInit(0.2), dist, horizon=horizon, samples=4)
 
     def test_phase_beyond_max_phase_is_refused_for_traces_and_sweeps(self):
         # 14 levels at beta=1 and lambda=1 put the largest phase at T sqrt(13)
@@ -281,20 +291,21 @@ class TestEntropyTrace:
         dist = photon_weights_gibbs(1.0, tail_tol=1e-6)
         assert dist.n_max == 13
         runs = (
-            lambda times: entropy_trace(params, AtomInit(0.3), dist, times=times),
-            lambda times: bloch_sweep(params, np.array([0.5, 1.0, 0.0]), dist, times=times),
+            lambda horizon: entropy_trace(params, AtomInit(0.3), dist, horizon=horizon, samples=9),
+            lambda horizon: bloch_sweep(params, np.array([0.5, 1.0, 0.0]), dist, horizon=horizon,
+                                        samples=9),
         )
         horizon = MAX_PHASE / math.sqrt(13.0)
         while horizon * math.sqrt(13.0) > MAX_PHASE:
             horizon = np.nextafter(horizon, 0.0)
         for run in runs:
             with pytest.raises(ValueError, match=r"2\*\*52"):
-                run(np.linspace(0.0, 1e17, 9))
+                run(1e17)
             with pytest.raises(ValueError, match=r"2\*\*52"):
-                run(np.linspace(0.0, np.nextafter(horizon, np.inf), 9))
+                run(np.nextafter(horizon, np.inf))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                result = run(np.linspace(0.0, horizon, 9))
+                result = run(horizon)
             averages = (result.avg_ds_atom, result.avg_ds_field) if run is runs[0] else result
             assert np.all(np.isfinite(averages))
 
@@ -307,8 +318,7 @@ class TestEntropyTrace:
         gamma = photon_weights_gamma(
             GammaSuperstat(q=1.4, beta_star=3.3356918657181176), tail_tol=1e-6
         )
-        times = np.linspace(0.0, 7.0, 29)
-        assert 1 < CHUNK_ELEMENTS // gamma.weights.size < times.size
+        assert 1 < CHUNK_ELEMENTS // gamma.weights.size < 29
         for delta, eps, dist, kind, form in itertools.product(
             (0.0, 0.3),
             (0.35, 0.0, 1.0),
@@ -329,42 +339,44 @@ class TestEntropyTrace:
                     entropy_of(field, kind),
                 )
 
-            trace = entropy_trace(params, atom, dist, kind, form, times=times)
+            trace = entropy_trace(params, atom, dist, kind, form, horizon=7.0, samples=29)
             evolver = BlockEvolver(params, atom, dist)
             s0_atom, s0_field = exact_entropies(evolver, 0.0, kind, form)
             o0_atom, o0_field = oracle_entropies(0.0)
             for i in (3, 11, 28):
-                s_atom, s_field = exact_entropies(evolver, times[i], kind, form)
+                s_atom, s_field = exact_entropies(evolver, trace.times[i], kind, form)
                 assert trace.ds_atom[i] == pytest.approx(s_atom - s0_atom, abs=1e-12)
                 assert trace.ds_field[i] == pytest.approx(s_field - s0_field, abs=1e-12)
-                o_atom, o_field = oracle_entropies(times[i])
+                o_atom, o_field = oracle_entropies(trace.times[i])
                 assert trace.ds_atom[i] == pytest.approx(o_atom - o0_atom, abs=1e-12)
                 assert trace.ds_field[i] == pytest.approx(o_field - o0_field, abs=1e-12)
 
-    @pytest.mark.parametrize("grid", ["linspace", "squares", "resonant"])
+    @pytest.mark.parametrize("grid", ["linspace", "resonant", "two-chunks"])
     def test_chunk_recurrence_matches_state_level_entropies(self, grid):
         # ~4k levels give R = 3 samples per chunk, and 300 chunks cross two
-        # reseeds of the cosine recurrence; t = s^2 is no linspace grid, so every
-        # chunk takes the exact cosine; the resonant step has R h delta_0 = 2 pi
+        # reseeds of the cosine recurrence; the resonant step has R h delta_0 =
+        # 2 pi; of two full chunks, the second is the first one rotated
         gamma = photon_weights_gamma(
             GammaSuperstat(q=1.4, beta_star=3.3356918657181176), tail_tol=1e-6
         )
         rows = CHUNK_ELEMENTS // gamma.weights.size
-        n = 300 * rows
-        times = {
-            "linspace": np.linspace(0.0, 60.0, n),
-            "squares": np.linspace(0.0, math.sqrt(60.0), n) ** 2,
-            "resonant": np.linspace(0.0, (n - 1) * math.pi / rows, n),  # delta_0 = 2
+        n = 2 * rows if grid == "two-chunks" else 300 * rows
+        horizon = {
+            "linspace": 60.0,
+            "resonant": (n - 1) * math.pi / rows,  # delta_0 = 2
+            "two-chunks": 5.0,
         }[grid]
         atom = AtomInit(0.35)
         # drift peaks late in a reseed window, more so in one seeded at large t
-        picks = [7, *range(120 * rows, 130 * rows), *range(240 * rows, 256 * rows), n - 1]
+        picks = range(n) if grid == "two-chunks" else [
+            7, *range(120 * rows, 130 * rows), *range(240 * rows, 256 * rows), n - 1]
         for kind in (VON_NEUMANN, tsallis(1.5)):
-            trace = entropy_trace(RESONANT, atom, gamma, kind, FieldEntropyForm.FULL, times=times)
+            trace = entropy_trace(RESONANT, atom, gamma, kind, FieldEntropyForm.FULL,
+                                  horizon=horizon, samples=n)
             evolver = BlockEvolver(RESONANT, atom, gamma)
             s0_atom, s0_field = exact_entropies(evolver, 0.0, kind)
             for i in picks:
-                s_atom, s_field = exact_entropies(evolver, times[i], kind)
+                s_atom, s_field = exact_entropies(evolver, trace.times[i], kind)
                 assert trace.ds_atom[i] == pytest.approx(s_atom - s0_atom, abs=1e-12)
                 assert trace.ds_field[i] == pytest.approx(s_field - s0_field, abs=1e-12)
 
@@ -424,12 +436,7 @@ class TestTraceWalkers:
     def _walkers(monkeypatch, count):
         monkeypatch.setattr(entropy_module, "_available_cpus", lambda: count)
 
-    @pytest.mark.parametrize("grid", ["linspace", "squares"])
-    def test_bytes_do_not_depend_on_walker_count(self, monkeypatch, gamma, grid):
-        times = {
-            "linspace": np.linspace(0.0, 60.0, 900),
-            "squares": np.linspace(0.0, math.sqrt(60.0), 900) ** 2,
-        }[grid]
+    def test_bytes_do_not_depend_on_walker_count(self, monkeypatch, gamma):
         atom = AtomInit(0.35)
         for kind, form in itertools.product(
             (VON_NEUMANN, tsallis(1.5)), (FieldEntropyForm.FULL, FieldEntropyForm.COARSE)
@@ -437,7 +444,7 @@ class TestTraceWalkers:
             results = []
             for count in (1, 2, 3):
                 self._walkers(monkeypatch, count)
-                trace = entropy_trace(RESONANT, atom, gamma, kind, form, times=times)
+                trace = entropy_trace(RESONANT, atom, gamma, kind, form, horizon=60.0, samples=900)
                 results.append((
                     trace.ds_atom.tobytes(), trace.ds_field.tobytes(),
                     np.float64(trace.avg_ds_atom).tobytes(),
@@ -456,19 +463,18 @@ class TestTraceWalkers:
                 yield chunk, s * (10.0 * (window + 1) if window in faulty else 1.0)
 
         monkeypatch.setattr(entropy_module, "_transfers", transfers)
-        times = np.linspace(0.0, 60.0, 900)
         messages = []
         for count in (1, 2, 3):
             self._walkers(monkeypatch, count)
             with pytest.raises(ValueError) as info:
-                entropy_trace(RESONANT, AtomInit(0.35), gamma, times=times)
+                entropy_trace(RESONANT, AtomInit(0.35), gamma, horizon=60.0, samples=900)
             messages.append(str(info.value))
         assert messages[1] == messages[0] and messages[2] == messages[0]
 
     def test_no_thread_outlives_the_trace(self, monkeypatch, gamma):
         self._walkers(monkeypatch, 3)
         before = threading.active_count()
-        entropy_trace(RESONANT, AtomInit(0.35), gamma, times=np.linspace(0.0, 60.0, 900))
+        entropy_trace(RESONANT, AtomInit(0.35), gamma, horizon=60.0, samples=900)
         assert threading.active_count() == before
 
 
@@ -479,12 +485,12 @@ def test_single_walker_trace_holds_eleven_level_arrays(monkeypatch):
     monkeypatch.setattr(entropy_module, "_available_cpus", lambda: 1)
     n = 10**5
     dist = PhotonDistribution(np.full(n + 1, 1.0 / (n + 1)), 0.0)
-    times = np.linspace(0.0, 5.0, 40)  # one sample per chunk, so the recurrence runs
     # a first run imports the Simpson rule, which is no part of the trace's memory
-    entropy_trace(RESONANT, AtomInit(0.35), dist, tsallis(1.6), times=times[:3])
+    entropy_trace(RESONANT, AtomInit(0.35), dist, tsallis(1.6), horizon=1.0, samples=3)
     tracemalloc.start()
     try:
-        entropy_trace(RESONANT, AtomInit(0.35), dist, tsallis(1.6), times=times)
+        # one sample per chunk, so the recurrence runs
+        entropy_trace(RESONANT, AtomInit(0.35), dist, tsallis(1.6), horizon=5.0, samples=40)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -508,16 +514,16 @@ def test_walk_bytes_bounds_the_traced_peak(monkeypatch, case):
         )
     else:
         dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-8)
-    times = np.linspace(0.0, 25.0, samples)
+    grid = {"horizon": 25.0, "samples": samples}
 
     def sweep():
         if case != "grid":
-            return bloch_sweep(RESONANT, np.linspace(0.0, 1.0, count), dist, kind, times=times)
+            return bloch_sweep(RESONANT, np.linspace(0.0, 1.0, count), dist, kind, **grid)
         # a 500x400 grid's columns, built and held as the bloch-sweep command holds them
         r_col = np.repeat(np.linspace(0.0, 1.0, 500), 400)
         theta_col = np.tile(np.linspace(0.0, math.pi, 400), 500)
         eps_col = (1.0 + r_col * np.cos(theta_col)) / 2.0
-        return r_col, theta_col, bloch_sweep(RESONANT, eps_col, dist, kind, times=times)
+        return r_col, theta_col, bloch_sweep(RESONANT, eps_col, dist, kind, **grid)
 
     # a first run imports the Simpson rule and the thread pool, which are no
     # part of the walk's memory
@@ -543,8 +549,8 @@ class TestTimeAverage:
 
     def test_doubling_grid_converges(self):
         dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-10)
-        coarse = entropy_trace(RESONANT, AtomInit(0.0), dist, times=np.linspace(0, 25, 2001))
-        fine = entropy_trace(RESONANT, AtomInit(0.0), dist, times=np.linspace(0, 25, 4001))
+        coarse = entropy_trace(RESONANT, AtomInit(0.0), dist, horizon=25.0, samples=2001)
+        fine = entropy_trace(RESONANT, AtomInit(0.0), dist, horizon=25.0, samples=4001)
         assert abs(coarse.avg_ds_atom - fine.avg_ds_atom) < 1e-6
         assert abs(coarse.avg_ds_field - fine.avg_ds_field) < 1e-6
 
@@ -558,41 +564,42 @@ class TestBloch:
         monkeypatch.setattr(entropy_module, "_exchanges",
                             mock.Mock(side_effect=AssertionError("walked")))
         dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-8)
-        times = np.linspace(0, 10, 201)
         for epsilon in (-1e-300, 1.0 + 1e-15, math.nan):
             with pytest.raises(ValueError, match="epsilon must lie in") as refused:
                 AtomInit(epsilon)
             for column in ([epsilon], [0.5, epsilon, 0.25], [epsilon, 0.0, 1.0, epsilon]):
                 with pytest.raises(ValueError) as swept:
-                    bloch_sweep(RESONANT, np.array(column), dist, times=times)
+                    bloch_sweep(RESONANT, np.array(column), dist, horizon=10.0, samples=201)
                 assert str(swept.value) == str(refused.value)
+        # a column that is not 1-D is refused by its shape
+        for column, shape in ((np.full((2, 3), 0.5), r"\(2, 3\)"), (0.5, r"\(\)")):
+            with pytest.raises(ValueError, match=r"1-D column, got shape " + shape):
+                bloch_sweep(RESONANT, column, dist, horizon=10.0, samples=201)
 
     def test_sweep_shape_and_order(self):
         dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-8)
-        times = np.linspace(0, 10, 201)
+        grid = {"horizon": 10.0, "samples": 201}
         epsilons = np.array([0.5, 1.0, 0.0, 0.5])
-        averages = bloch_sweep(RESONANT, epsilons, dist, times=times)
+        averages = bloch_sweep(RESONANT, epsilons, dist, **grid)
         assert averages.shape == (4, 2)
         # a repeated preparation gets the same row, wherever it stands
         assert averages[0].tobytes() == averages[3].tobytes()
         assert not np.array_equal(averages[1], averages[2])
-        reversed_order = bloch_sweep(RESONANT, epsilons[::-1], dist, times=times)
+        reversed_order = bloch_sweep(RESONANT, epsilons[::-1], dist, **grid)
         assert reversed_order.tobytes() == averages[::-1].tobytes()
-        assert bloch_sweep(RESONANT, np.empty(0), dist, times=times).shape == (0, 2)
+        assert bloch_sweep(RESONANT, np.empty(0), dist, **grid).shape == (0, 2)
 
     def test_sweep_matches_per_point_traces(self):
         # duplicates in permuted order: each row has the bits of its own trace
         dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-8)
-        times = np.linspace(0, 8, 161)
-        times = times[times <= 6.0]
         kind = tsallis(1.6)
         epsilons = np.array([0.75, 0.0, 0.5, 0.75, 1.0, 0.0, 0.25, 0.5, 0.75])
         averages = bloch_sweep(RESONANT, epsilons, dist, kind, FieldEntropyForm.COARSE,
-                               times=times)
+                               horizon=6.0, samples=121)
         expected = np.empty_like(averages)
         for row, eps in zip(expected, epsilons):
             trace = entropy_trace(RESONANT, AtomInit(eps), dist, kind, FieldEntropyForm.COARSE,
-                                  times=times)
+                                  horizon=6.0, samples=121)
             row[:] = trace.avg_ds_atom, trace.avg_ds_field
         assert averages.tobytes() == expected.tobytes()
 
@@ -607,7 +614,7 @@ class TestBloch:
         monkeypatch.setattr(entropy_module, "_exchanges", counting)
         dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-8)
         epsilons = np.array([1.0, 0.5, 0.0, 0.5, 1.0, 0.3, 0.0, 0.3, 0.5])
-        bloch_sweep(RESONANT, epsilons, dist, times=np.linspace(0.0, 25.0, 1000))
+        bloch_sweep(RESONANT, epsilons, dist, horizon=25.0, samples=1000)
         # once each, in ascending order
         assert walked == [AtomInit(eps) for eps in (0.0, 0.3, 0.5, 1.0)]
 
@@ -621,15 +628,16 @@ class TestSweepGroups:
     """A sweep walks its distinct preparations in groups, each with the bits of its own trace."""
 
     @staticmethod
-    def group_size(dist, times):
-        rows = min(times.size, CHUNK_ELEMENTS // dist.weights.size)
+    def group_size(dist, samples):
+        rows = min(samples, CHUNK_ELEMENTS // dist.weights.size)
         return GROUP_ELEMENTS // (rows * dist.weights.size)
 
     @staticmethod
-    def per_point(dist, kind, form, epsilons, times):
+    def per_point(dist, kind, form, epsilons, horizon, samples):
         expected = np.empty((len(epsilons), 2))
         for row, eps in zip(expected, epsilons):
-            trace = entropy_trace(RESONANT, AtomInit(eps), dist, kind, form, times=times)
+            trace = entropy_trace(RESONANT, AtomInit(eps), dist, kind, form,
+                                  horizon=horizon, samples=samples)
             row[:] = trace.avg_ds_atom, trace.avg_ds_field
         return expected
 
@@ -641,22 +649,20 @@ class TestSweepGroups:
         dist = photon_weights_gamma(
             GammaSuperstat(q=1.4, beta_star=3.3356918657181176), tail_tol=1e-6
         )
-        assert dist.weights.size == 4148 and self.group_size(dist, np.empty(900)) == 2
-        times = np.linspace(0.0, 60.0, 900)
+        assert dist.weights.size == 4148 and self.group_size(dist, 900) == 2
         epsilons = np.array([0.5, 1.0, 0.5, 0.75, 0.0, 0.25, 1.0])
-        averages = bloch_sweep(RESONANT, epsilons, dist, kind, form, times=times)
-        expected = self.per_point(dist, kind, form, epsilons, times)
+        averages = bloch_sweep(RESONANT, epsilons, dist, kind, form, horizon=60.0, samples=900)
+        expected = self.per_point(dist, kind, form, epsilons, 60.0, 900)
         assert averages.tobytes() == expected.tobytes()
 
     @BATCH_KINDS
     def test_gibbs_sweep_in_several_groups(self, kind, form):
         dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-8)
-        times = np.linspace(0.0, 25.0, 1000)
         epsilons = np.linspace(0.0, 1.0, 11)
         epsilons = np.concatenate((epsilons[::-1], epsilons[::3]))
-        assert np.unique(epsilons).size > 2 * self.group_size(dist, times) > 2
-        averages = bloch_sweep(RESONANT, epsilons, dist, kind, form, times=times)
-        expected = self.per_point(dist, kind, form, epsilons, times)
+        assert np.unique(epsilons).size > 2 * self.group_size(dist, 1000) > 2
+        averages = bloch_sweep(RESONANT, epsilons, dist, kind, form, horizon=25.0, samples=1000)
+        expected = self.per_point(dist, kind, form, epsilons, 25.0, 1000)
         assert averages.tobytes() == expected.tobytes()
 
     def test_peak_memory_follows_the_group_budget(self, monkeypatch):
@@ -664,8 +670,7 @@ class TestSweepGroups:
         # one, and 92 would need 23 times its buffers if they were walked at once
         monkeypatch.setattr(entropy_module, "_available_cpus", lambda: 1)
         dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-8)
-        times = np.linspace(0.0, 25.0, 1000)
-        group = self.group_size(dist, times)
+        group = self.group_size(dist, 1000)
         assert group == 4
         # three transfer buffers, the field rows and the von Neumann logarithms
         buffers = 5 * 8 * GROUP_ELEMENTS
@@ -674,7 +679,7 @@ class TestSweepGroups:
             epsilons = np.linspace(0.0, 1.0, count)
             tracemalloc.start()
             try:
-                bloch_sweep(RESONANT, epsilons, dist, times=times)
+                bloch_sweep(RESONANT, epsilons, dist, horizon=25.0, samples=1000)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -23,14 +23,20 @@ record is relative and the same for any checkout.  They are:
   sweep, a Gibbs 4x6 Tsallis coarse sweep in JSON, a Gibbs 1x1 sweep and a
   Gibbs 300x301 sweep on 2 samples (90 300 points with repeated epsilons, in
   some 44 groups of 2048, so the walk order over the distinct ones shows);
+* two ``timeseries`` runs of the same 4148-level q=1.4 state in ``traces/``,
+  at 3 samples per chunk: ``--grid 6`` (exactly two full chunks, the second
+  one rotated from the first) and ``--grid 9`` (the first recurrence step);
 * a ``timeseries --config <sidecar>`` rerun of the seed-1 heavy trace and a
   ``bloch-sweep --config <sidecar>`` rerun of the 9x13 sweep in ``rerun/``;
 * the stdout of ``selfcheck`` and of ``selfcheck --inject-perturbation 1e-6``;
 * the ``--help`` text of the parser and of every subcommand, at 80 columns.
 
-``runs.txt`` lists each run with its exit code and its stderr.  Run the script
-on two checkouts into two empty directories; ``diff -r`` between them is then
-the whole check.
+``runs.txt`` lists each run with its exit code and its stderr.  Every run
+expects exit 0 except ``selfcheck --inject-perturbation``, which expects 4; the
+script exits 1 and lists on stderr the runs that ended otherwise, so two
+checkouts that fail alike do not pass as identical.  Run the script on two
+checkouts into two empty directories; ``diff -r`` between them is then the
+whole check.
 """
 
 from __future__ import annotations
@@ -60,8 +66,9 @@ def main(argv: list[str]) -> int:
     out.mkdir(parents=True, exist_ok=True)
     os.chdir(out)
     log = []
+    unexpected = []
 
-    def run(args: list[str], stdout_file: str | None = None) -> None:
+    def run(args: list[str], stdout_file: str | None = None, expect: int = 0) -> None:
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
@@ -71,6 +78,8 @@ def main(argv: list[str]) -> int:
         if stdout_file is not None:
             Path(stdout_file).write_text(stdout.getvalue(), encoding="utf-8")
         log.append(f"$ jcentropy {' '.join(args)}\nexit {code}\n{stderr.getvalue()}")
+        if code != expect:
+            unexpected.append(f"jcentropy {' '.join(args)}: exit {code}, expected {expect}")
 
     for name, workload in WORKLOADS.items():
         for seed in SEEDS:
@@ -99,17 +108,25 @@ def main(argv: list[str]) -> int:
     run([*gibbs, "--grid", "1x1", "--out", "sweeps/gibbs1x1.csv"])
     run([*gibbs, "--grid", "300x301", "--t-samples", "2", "--T", "1",
          "--out", "sweeps/gibbs300x301.csv"])
+    Path("traces").mkdir(exist_ok=True)
+    for grid in ("6", "9"):
+        run(["timeseries", "--q", "1.4", "--beta", BETA, "--tail-tol", "1e-6", "--n-cap", "4147",
+             "--grid", grid, "--out", f"traces/gamma-grid{grid}.csv"])
     Path("rerun").mkdir(exist_ok=True)
     run(["timeseries", "--config", "heavy_tail_trace/seed1/trace.csv.meta.json",
          "--out", "rerun/trace.csv"])
     run(["bloch-sweep", "--config", "sweeps/gibbs9x13.csv.meta.json", "--out", "rerun/sweep.csv"])
     run(["selfcheck"], "selfcheck.txt")
-    run(["selfcheck", "--inject-perturbation", "1e-6"], "selfcheck-perturbed.txt")
+    run(["selfcheck", "--inject-perturbation", "1e-6"], "selfcheck-perturbed.txt", expect=4)
     Path("help").mkdir(exist_ok=True)
     run(["--help"], "help/jcentropy.txt")
     for command in build_parser()._subparsers._group_actions[0].choices:
         run([command, "--help"], f"help/{command}.txt")
     Path("runs.txt").write_text("\n".join(log), encoding="utf-8")
+    if unexpected:
+        print("outputs: runs that ended with an unexpected exit code:", *unexpected,
+              sep="\n  ", file=sys.stderr)
+        return 1
     return 0
 
 
