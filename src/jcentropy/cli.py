@@ -523,9 +523,9 @@ def _add_dynamics(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--field-entropy", choices=["full", "coarse"], dest="field_entropy",
                      default="full", help="field entropy over the full spectrum or (vacuum, rest)")
     sub.add_argument("--T", type=float, dest="horizon",
-                     help="time horizon (default 50/lambda); T sqrt(delta^2 + "
-                          "lambda^2 n_max) may not exceed 2**52, nor the time step "
-                          "T/(samples - 1) 5.6e102")
+                     help="time horizon (default 50/lambda); sqrt(delta^2 + lambda^2 "
+                          "n_max) may not exceed 1.34e154, T times it 2**52, nor the time "
+                          "step T/(samples - 1) 5.6e102")
     sub.set_defaults(n_cap=10**5)  # keeps heavy-tail runs tractable; tail mass stays tracked
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -236,6 +237,10 @@ def _time_grid(
     horizon: float, samples: int, params: ModelParams, dist: PhotonDistribution
 ) -> np.ndarray:
     """``np.linspace(0, horizon, samples)``, once it passes the checks :func:`entropy_trace` documents."""
+    try:
+        samples = operator.index(samples)
+    except TypeError:
+        raise ValueError(f"the sample count must be an integer, got {samples!r}") from None
     if samples < 2:
         raise ValueError(f"a time grid needs at least two samples, got {samples}")
     if not 0.0 < horizon < math.inf:
@@ -369,16 +374,17 @@ def entropy_trace(
     """Partial entropy exchange of atom and field at ``samples`` even steps over ``[0, horizon]``.
 
     The exchange is defined relative to the initial state, so the first
-    samples are exactly zero.  The grid needs at least two samples, a
-    finite positive horizon, no Rabi frequency ``delta_n`` above
-    ``MAX_RABI``, no phase ``horizon delta_n`` above ``MAX_PHASE`` and no
-    step ``horizon / (samples - 1)`` above ``MAX_STEP``.  Times are
-    evaluated in chunks of about ``CHUNK_ELEMENTS`` samples x levels,
-    whose transfers ``a1 cos`` come from :func:`_transfers`.  The reseed
-    windows of ``RESEED_CHUNKS`` chunks are dealt out as contiguous groups
-    to one thread per available CPU (at most one per window), each with
-    its own scratch rows; a chunk depends only on its own window, so the
-    result is the same to the bit for any number of threads.
+    samples are exactly zero.  The grid needs an integer count of at
+    least two samples, a finite positive horizon, no Rabi frequency
+    ``delta_n`` above ``MAX_RABI``, no phase ``horizon delta_n`` above
+    ``MAX_PHASE`` and no step ``horizon / (samples - 1)`` above
+    ``MAX_STEP``.  Times are evaluated in chunks of about
+    ``CHUNK_ELEMENTS`` samples x levels, whose transfers ``a1 cos`` come
+    from :func:`_transfers`.  The reseed windows of ``RESEED_CHUNKS``
+    chunks are dealt out as contiguous groups to one thread per available
+    CPU (at most one per window), each with its own scratch rows; a chunk
+    depends only on its own window, so the result is the same to the bit
+    for any number of threads.
     """
     times = _time_grid(horizon, samples, params, dist)
     ds_atom, ds_field = _exchanges(params, (atom,), dist, kind, form, times)

@@ -83,16 +83,15 @@ class AtomInit:
 
 
 def _manifold_arrays(params: ModelParams, count: int):
-    """delta_n, sin(theta_n), cos(theta_n) for manifolds n = 0..count-1 (vectorized).
+    """delta_n and sin(theta_n) for manifolds n = 0..count-1 (vectorized).
 
     theta_n = 0 where delta_n = 0 (no coupling, no detuning), so no manifold rotates uncoupled.
     """
     n1 = np.arange(1.0, count + 1.0)
     delta_n = np.sqrt(params.delta**2 + params.lam**2 * n1)
-    rotates = delta_n > 0.0
-    sin_theta = np.divide(params.lam * np.sqrt(n1), delta_n, out=np.zeros(count), where=rotates)
-    cos_theta = np.divide(params.delta, delta_n, out=np.ones(count), where=rotates)
-    return delta_n, sin_theta, cos_theta
+    sin_theta = np.divide(params.lam * np.sqrt(n1), delta_n, out=np.zeros(count),
+                          where=delta_n > 0.0)
+    return delta_n, sin_theta
 
 
 class BlockEvolver:
@@ -102,59 +101,30 @@ class BlockEvolver:
     on |g,n+1>; its Rabi rotation moves ``a1 (1 - cos(delta_n t))`` from |e,n> to
     |g,n+1>, with the transfer ``a1 = sin^2(theta_n) (x - y) / 2``.  So
     ``A_n(t) = a0 + a1 cos(delta_n t)`` and ``C_n(t) = c0 - a1 cos(delta_n t)``, and an
-    evolver holds four per-level arrays: ``delta_n``, ``a0``, ``a1`` and ``c0``.  The
-    coherence, which the entropy traces never read, follows from the same angle:
-    ``B_n(t) = sin(theta_n) (x - y) / 2 [cos(theta_n) (1 - cos(delta_n t)) + i sin(delta_n t)]``.
+    evolver holds four per-level arrays: ``delta_n``, ``a0``, ``a1`` and ``c0``.
 
     ``atom`` is one :class:`AtomInit` or a sequence of k, which share ``delta_n``.
     Its epsilons, of shape ``()`` or ``(k,)``, lead the shapes of ``a0``, ``a1``,
-    ``c0``, ``block_weight``, ``uncoupled_weight`` and ``excited_top``, and each
-    entry has the bits of the evolver of its preparation alone.
+    ``c0``, ``uncoupled_weight`` and ``excited_top``, and each entry has the bits
+    of the evolver of its preparation alone.
     """
 
     def __init__(self, params: ModelParams, atom, dist: PhotonDistribution):
         if dist.n_max < 1:
             raise ValueError("need at least photon levels {0, 1} to evolve a manifold")
-        self.params = params
         self.dist = dist
         eps = atom.epsilon if isinstance(atom, AtomInit) else [one.epsilon for one in atom]
         self._eps = np.array(eps, dtype=float)
         p = dist.weights
         self.uncoupled_weight = (1.0 - self._eps) * p[0]
         self.excited_top = self._eps * p[-1]
-        self.delta_n, sin_theta, _ = _manifold_arrays(params, dist.n_max)
-        excited, ground = self._split()
+        self.delta_n, sin_theta = _manifold_arrays(params, dist.n_max)
+        # (x, y) = (eps p_n, (1 - eps) p_{n+1}), led by the preparation axis
+        excited = np.multiply.outer(self._eps, p[:-1])
+        ground = np.multiply.outer(1.0 - self._eps, p[1:])
         self.a1 = 0.5 * sin_theta**2 * (excited - ground)
         self.a0 = excited - self.a1
         self.c0 = ground + self.a1
-
-    def _split(self):
-        """(x, y) = (eps p_n, (1 - eps) p_{n+1}), led by the preparation axis."""
-        p = self.dist.weights
-        return np.multiply.outer(self._eps, p[:-1]), np.multiply.outer(1.0 - self._eps, p[1:])
-
-    @property
-    def block_weight(self) -> np.ndarray:
-        """Total weight of each manifold, ``A_n(t) + C_n(t)`` at every t."""
-        excited, ground = self._split()
-        return excited + ground
-
-    def coefficients(self, t: float):
-        """(A_n(t), B_n(t), C_n(t)) over the evolved manifolds at time ``t``.
-
-        ``A_n`` and ``C_n`` are the populations of |e,n> and |g,n+1>;
-        ``B_n`` is the coherence ``<e,n|rho|g,n+1>`` (the |e,n><g,n+1|
-        element, as :func:`oracle_evolve` returns it).
-        """
-        phase = t * self.delta_n
-        cos = np.cos(phase)
-        a = self.a0 + self.a1 * cos
-        c = self.c0 - self.a1 * cos
-        _, sin_theta, cos_theta = _manifold_arrays(self.params, self.delta_n.size)
-        excited, ground = self._split()
-        half_coherence = 0.5 * sin_theta * (excited - ground)
-        b = half_coherence * (cos_theta * (1.0 - cos) + 1j * np.sin(phase))
-        return a, b, c
 
     def populations(self, a, c):
         """(p_e, p_g, field) of the reduced states, along the last axis of ``a`` and ``c``.

@@ -41,7 +41,7 @@ def q_log(x, q):
     return out if out.ndim else float(out)
 
 
-# Bernoulli-number coefficients B_2k/(2k)! for the Euler-Maclaurin tail.
+# Bernoulli-number factors B_2k/(2k)! for the Euler-Maclaurin tail.
 _B2_OVER_2F = 1.0 / 12.0  # B_2/2!
 _B4_OVER_4F = -1.0 / 720.0  # B_4/4!
 _B6_OVER_6F = 1.0 / 30240.0  # B_6/6!

@@ -5,7 +5,9 @@ bracketing of the dropped tail (the estimate is the bracket midpoint,
 the reported halfwidth bounds the error), so these values share no code
 path with the Euler-Maclaurin evaluation they are checking.  The table
 writers format one row at a time, as the CLI once did, so they share no
-code path with its column-wise emitter.
+code path with its column-wise emitter.  ``evolved_ac`` spells out the
+closed-form manifold populations one instant at a time, for tests that
+check an evolver's arrays without the chunked walk.
 """
 
 import json
@@ -13,6 +15,12 @@ import json
 import numpy as np
 
 CHUNK = 10**6
+
+
+def evolved_ac(evolver, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(A_n(t), C_n(t)) = (a0 + a1 cos(delta_n t), c0 - a1 cos(delta_n t)) of a ``BlockEvolver``."""
+    cos = np.cos(t * evolver.delta_n)
+    return evolver.a0 + evolver.a1 * cos, evolver.c0 - evolver.a1 * cos
 
 
 def zeta_brute(s: float, x: float, n_terms: int = 10**7) -> tuple[float, float]:

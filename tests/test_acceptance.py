@@ -13,7 +13,7 @@ import pytest
 import jcentropy as jc
 from jcentropy.entropy import FieldEntropyForm
 from jcentropy.jcm import BlockEvolver, _manifold_arrays
-from oracle_utils import gamma_brute_sums
+from oracle_utils import evolved_ac, gamma_brute_sums
 
 BETA_REF = math.log(11.0)  # physical beta*omega with mean occupancy 0.1 at q -> 1
 RESONANT = jc.ModelParams.from_detuning(0.0, 2.0)
@@ -77,7 +77,7 @@ def test_criterion_3_oracle_equivalence():
             atom = jc.AtomInit(epsilon=eps)
             evolver = BlockEvolver(RESONANT, atom, dist)
             for t in times:
-                a, _, c = evolver.coefficients(t)
+                a, c = evolved_ac(evolver, t)
                 ora = jc.oracle_evolve(RESONANT, atom, dist, t, n_cut=30, warn_tol=1.0)
                 dev = max(
                     float(np.max(np.abs(a - ora.coeff_a))),
@@ -112,12 +112,15 @@ def test_criterion_4_structural_invariants_fuzz():
             dist = jc.photon_weights_gamma(gs, tail_tol=1e-3, hard_cap=300)
         evolver = BlockEvolver(params, atom, dist)
         t = rng.uniform(0.0, 20.0)
-        a, _, c = evolver.coefficients(t)
+        a, c = evolved_ac(evolver, t)
 
-        _, sin_theta, cos_theta = _manifold_arrays(params, dist.n_max)
-        dev_angle = max(dev_angle, float(np.max(np.abs(sin_theta**2 + cos_theta**2 - 1.0))))
+        # sin(theta_n) delta_n = lam sqrt(n+1), to rounding relative to its square
+        d, sin_theta = _manifold_arrays(params, dist.n_max)
+        coupling = params.lam**2 * np.arange(1, dist.n_max + 1)
+        dev_angle = max(dev_angle, float(np.max(np.abs((sin_theta * d) ** 2 / coupling - 1.0))))
+        p = dist.weights
         dev_conservation = max(dev_conservation, float(np.max(np.abs(
-            a + c - evolver.block_weight))))
+            a + c - (atom.epsilon * p[:-1] + (1.0 - atom.epsilon) * p[1:])))))
         total = (evolver.uncoupled_weight + evolver.excited_top
                  + float(np.sum(a + c)) + dist.tail_mass)
         dev_total = max(dev_total, abs(total - 1.0))

@@ -624,9 +624,24 @@ class TestSelfcheck:
         assert "tail_mass" in report
 
     def test_injected_perturbation_detected(self, capsys):
+        # the shift reaches the walk every output goes through, and the oracle
+        # comparison, not a probability guard, catches it on every config
         assert main(["selfcheck", "--inject-perturbation", "1e-6"]) == 4
-        report = capsys.readouterr().out
-        assert "[FAIL]" in report
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if "oracle-equivalence" in line]
+        assert len(lines) == 6
+        for line in lines:
+            assert line.startswith("[FAIL]")
+            max_dev = float(line.split("max_dev=")[1].split()[0])
+            assert 1e-8 < max_dev < math.inf
+
+    def test_perturbation_beyond_the_weights_fails_without_traceback(self, capsys):
+        # moving all of a weight and more leaves a negative one, which the
+        # checks report as failed
+        assert main(["selfcheck", "--inject-perturbation", "1"]) == 4
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert captured.out.count("max_dev=inf") == 6
 
 
 # ------------------------------------------------------------ table emission

@@ -41,7 +41,7 @@ from jcentropy.superstat import (
     photon_weights_gamma,
     photon_weights_gibbs,
 )
-from oracle_utils import zeta_brute
+from oracle_utils import evolved_ac, zeta_brute
 
 RESONANT = ModelParams.from_detuning(0.0, 2.0)
 # Thermal von Neumann entropy (1+nbar) ln(1+nbar) - nbar ln(nbar) at nbar=0.1,
@@ -50,9 +50,8 @@ THERMAL_S_01 = 0.3350997070841619
 
 
 def exact_entropies(evolver, t, kind=VON_NEUMANN, form=FieldEntropyForm.FULL):
-    """(atom, field) entropies at time t from the coefficients, one instant at a time."""
-    a, _, c = evolver.coefficients(t)
-    p_e, p_g, field = evolver.populations(a, c)
+    """(atom, field) entropies at time t from the closed form, one instant at a time."""
+    p_e, p_g, field = evolver.populations(*evolved_ac(evolver, t))
     if form is FieldEntropyForm.COARSE:
         field = _coarse_grained(field, evolver.dist.tail_mass)
     return entropy_of([p_e, p_g], kind), entropy_of(field, kind)
@@ -255,6 +254,8 @@ class TestEntropyTrace:
     def test_grid_validation(self):
         dist = photon_weights_gibbs(1.0, tail_tol=1e-10)
         for horizon, samples, message in (
+            (5.0, 2.5, "must be an integer, got 2.5"),
+            (5.0, np.float64(3), r"must be an integer, got (np\.float64\()?3\.0"),
             (5.0, 1, "at least two samples, got 1"),
             (5.0, 0, "at least two samples, got 0"),
             (0.0, 8, "finite and positive, got 0.0"),

@@ -32,8 +32,9 @@ record is relative and the same for any checkout.  They are:
 * the ``--help`` text of the parser and of every subcommand, at 80 columns.
 
 ``runs.txt`` lists each run with its exit code and its stderr.  Every run
-expects exit 0 except ``selfcheck --inject-perturbation``, which expects 4; the
-script exits 1 and lists on stderr the runs that ended otherwise, so two
+expects exit 0 except ``selfcheck --inject-perturbation``, which expects 4, and
+each ``--config`` rerun must write the very bytes of the table it reruns; the
+script exits 1 and lists on stderr the runs that did otherwise, so two
 checkouts that fail alike do not pass as identical.  Run the script on two
 checkouts into two empty directories; ``diff -r`` between them is then the
 whole check.
@@ -116,6 +117,14 @@ def main(argv: list[str]) -> int:
     run(["timeseries", "--config", "heavy_tail_trace/seed1/trace.csv.meta.json",
          "--out", "rerun/trace.csv"])
     run(["bloch-sweep", "--config", "sweeps/gibbs9x13.csv.meta.json", "--out", "rerun/sweep.csv"])
+    for rerun, table in (("rerun/trace.csv", "heavy_tail_trace/seed1/trace.csv"),
+                         ("rerun/sweep.csv", "sweeps/gibbs9x13.csv")):
+        try:
+            same = Path(rerun).read_bytes() == Path(table).read_bytes()
+        except OSError:  # a run that wrote no table, listed by its exit code
+            same = False
+        if not same:
+            unexpected.append(f"{rerun} differs from {table}, the table it reruns")
     run(["selfcheck"], "selfcheck.txt")
     run(["selfcheck", "--inject-perturbation", "1e-6"], "selfcheck-perturbed.txt", expect=4)
     Path("help").mkdir(exist_ok=True)
@@ -124,7 +133,7 @@ def main(argv: list[str]) -> int:
         run([command, "--help"], f"help/{command}.txt")
     Path("runs.txt").write_text("\n".join(log), encoding="utf-8")
     if unexpected:
-        print("outputs: runs that ended with an unexpected exit code:", *unexpected,
+        print("outputs: runs that ended with an unexpected exit code or table:", *unexpected,
               sep="\n  ", file=sys.stderr)
         return 1
     return 0
