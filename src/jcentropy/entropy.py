@@ -55,6 +55,11 @@ SAMPLE_ARRAYS = 8
 # 8-byte entries a Bloch sweep holds per grid point, at most: its r, theta and epsilon
 # columns with np.unique's sort and inverse, or with both averages tables (9 under tracemalloc)
 POINT_ARRAYS = 10
+# NumPy ufunc buffers a walker holds at once, at most: a call that broadcasts a
+# per-level column along the time axis copies it through one buffer of
+# np.getbufsize() entries, and the outer product that builds a phase copies both
+# of its factors
+UFUNC_BUFFERS = 2
 # chunks between exact reseeds of the cosine recurrence over chunks
 RESEED_CHUNKS = 128
 # a time step whose cube is still a finite float (the cube root of the largest
@@ -100,24 +105,24 @@ class FieldEntropyForm(enum.Enum):
 
 
 def _row_entropies(
-    p: np.ndarray, kind: EntropyKind, *, logs: np.ndarray | None = None
+    p: np.ndarray, kind: EntropyKind, *, logs: np.ndarray | None = None, axis: int = -1
 ) -> np.ndarray:
-    """Entropies of the probability lists along the last axis of ``p``.
+    """Entropies of the probability lists along ``axis`` of ``p``.
 
-    Every row must pass the checks :func:`entropy_of` documents; entries
+    Every list must pass the checks :func:`entropy_of` documents; entries
     that are not positive score 0 (the ``0 ln 0 = 0`` convention).  The
-    contiguous ``p`` is scored in place, so a caller passes rows it owns.
+    contiguous ``p`` is scored in place, so a caller passes lists it owns.
     A von Neumann score writes its logarithms to ``logs`` when given, a
     flat buffer of at least ``p.size`` entries, so that nothing of
     ``p``'s size is allocated.
     """
-    if p.shape[-1] == 0:
+    if p.shape[axis] == 0:
         raise ValueError("empty probability list")
     # written so that NaN fails both checks
     lowest = float(np.min(p))
     if not lowest >= -1e-12:
         raise ValueError(f"negative or NaN probability {lowest}")
-    totals = np.sum(p, axis=-1)
+    totals = np.sum(p, axis=axis)
     if not np.all(totals <= 1.0 + 1e-10):
         raise ValueError(f"probabilities sum to {float(np.max(totals))}, exceeding 1")
     if kind.is_von_neumann:
@@ -125,14 +130,14 @@ def _row_entropies(
             # a unit entry scores exactly 0
             np.copyto(p, 1.0, where=p <= 0.0)
         logs = np.log(p, out=None if logs is None else logs[: p.size].reshape(p.shape))
-        return -np.sum(np.multiply(p, logs, out=logs), axis=-1)
+        return -np.sum(np.multiply(p, logs, out=logs), axis=axis)
     q = kind.q
     # -p ln_q p = (p^(2-q) - p)/(q - 1), and 0^(2-q) = 0 for q < 2; without a
     # negative entry the clamp changes nothing, so the totals are the linear sums
     linear = totals
     if lowest < 0.0:
-        linear = np.sum(np.maximum(p, 0.0, out=p), axis=-1)
-    return (np.sum(np.power(p, 2.0 - q, out=p), axis=-1) - linear) / (q - 1.0)
+        linear = np.sum(np.maximum(p, 0.0, out=p), axis=axis)
+    return (np.sum(np.power(p, 2.0 - q, out=p), axis=axis) - linear) / (q - 1.0)
 
 
 def entropy_of(p, kind: EntropyKind = VON_NEUMANN) -> float:
@@ -146,9 +151,10 @@ def entropy_of(p, kind: EntropyKind = VON_NEUMANN) -> float:
     return float(_row_entropies(np.array(p, dtype=float).ravel(), kind))
 
 
-def _coarse_grained(w: np.ndarray, tail_mass: float) -> np.ndarray:
-    """(vacuum, all n >= 1 including the tail) weights along the last axis."""
-    return np.stack((w[..., 0], np.sum(w[..., 1:], axis=-1) + tail_mass), axis=-1)
+def _coarse_grained(w: np.ndarray, tail_mass: float, axis: int = -1) -> np.ndarray:
+    """(vacuum, all n >= 1 including the tail) weights along the level ``axis``."""
+    levels = np.moveaxis(w, axis, 0)
+    return np.stack((levels[0], np.sum(levels[1:], axis=0) + tail_mass), axis=axis)
 
 
 @dataclass(frozen=True)
@@ -174,15 +180,16 @@ def _available_cpus() -> int:
 def _transfers(
     times: np.ndarray, delta_n: np.ndarray, a1: np.ndarray, rows: int, first: int, stop: int, steps
 ):
-    """Yield ``(chunk, a1[:, None] * cos(outer(times[chunk], delta_n)))`` for chunks ``first..stop-1``.
+    """Yield ``(chunk, a1[:, :, None] * cos(outer(delta_n, times[chunk])))`` for chunks ``first..stop-1``.
 
     ``a1`` holds one transfer row per preparation, shape ``(k, levels)``,
-    and a yielded block has shape ``(k, samples, levels)``.  ``times`` is
-    the grid of :func:`_time_grid`, step h, cut into chunks of R =
-    ``rows`` samples (the last may be short); ``first`` is a multiple
-    of ``RESEED_CHUNKS``.  With ``steps`` equal to
-    ``(2 cos(R h delta_n), sin(R h delta_n))``, a
-    full chunk follows from the two before it by the three-term recurrence
+    and a yielded block has shape ``(k, levels, samples)``: time runs
+    innermost, so a sum over the levels adds whole planes of samples.
+    ``times`` is the grid of :func:`_time_grid`, step h, cut into chunks
+    of R = ``rows`` samples (the last may be short); ``first`` is a
+    multiple of ``RESEED_CHUNKS``.  With ``steps`` equal to the level
+    arrays ``(2 cos(R h delta_n), sin(R h delta_n))``, a full chunk
+    follows from the two before it by the three-term recurrence
     ``s_{k+1} = 2 cos(R h delta_n) s_k - s_{k-1}`` (Numerical Recipes
     5.4), which the transfer ``s = a1 cos`` obeys as the cosine does.
     Chunk k restarts the recurrence when ``k % RESEED_CHUNKS == 0``, from
@@ -198,30 +205,30 @@ def _transfers(
     A yielded block is overwritten two chunks later.
     """
     k, levels = a1.shape
-    older, old, new = (np.empty(k * rows * levels) for _ in range(3))
+    twice_cos_step, sin_step = (step[:, np.newaxis] for step in steps)
+    older, old, new = (np.empty(k * levels * rows) for _ in range(3))
     for c in range(first, stop):
         t = times[c * rows : (c + 1) * rows]
-        shape = (k, t.size, levels)
-        block = new[: k * t.size * levels].reshape(shape)
+        shape = (k, levels, t.size)
+        block = new[: k * levels * t.size].reshape(shape)
         position = c % RESEED_CHUNKS if t.size == rows else 0
         if position == 0:
             # the phase waits in the buffer the next chunk fills
-            phase = np.multiply.outer(t, delta_n, out=older[: t.size * levels].reshape(shape[1:]))
+            phase = np.multiply.outer(delta_n, t, out=older[: levels * t.size].reshape(shape[1:]))
             np.cos(phase, out=block[0])
             _spread(block, a1)
         elif position == 1:
             # a second exact cosine would disagree with the rotation by up
             # to phase * eps (1e-11 at phase 1e5), which the recurrence then
             # amplifies up to RESEED_CHUNKS-fold; the rotation agrees to an ulp
-            twice_cos_step, sin_step = steps
             rotated = np.multiply(twice_cos_step, old.reshape(shape), out=older.reshape(shape))
             rotated *= 0.5
-            # the first row holds the phase of the chunk before
+            # the first plane holds the phase of the chunk before
             np.multiply(sin_step, np.sin(block[0], out=block[0]), out=block[0])
             _spread(block, a1)
             np.subtract(rotated, block, out=block)
         else:
-            np.multiply(steps[0], old.reshape(shape), out=block)
+            np.multiply(twice_cos_step, old.reshape(shape), out=block)
             block -= older.reshape(shape)
         yield slice(c * rows, c * rows + t.size), block
         older, old, new = old, new, older
@@ -229,8 +236,9 @@ def _transfers(
 
 def _spread(block: np.ndarray, a1: np.ndarray) -> None:
     """Turn ``block[0]``, a factor shared by every preparation, into ``block[i] = block[0] * a1[i]``."""
-    np.multiply(block[0], a1[1:, np.newaxis], out=block[1:])
-    block[0] *= a1[0]
+    column = a1[..., np.newaxis]
+    np.multiply(block[0], column[1:], out=block[1:])
+    block[0] *= column[0]
 
 
 def _time_grid(
@@ -288,12 +296,14 @@ def walk_bytes(samples: int, levels: int, preparations: int = 1) -> int:
     ``POINT_ARRAYS`` per preparation given; per one of a group the
     evolver's four level arrays and the t=0 field weights, each walker's
     five scratch rows of ``k x rows x levels`` and ``SAMPLE_ARRAYS``
-    arrays of ``k x samples``; the two recurrence steps; and the time grid.
+    arrays of ``k x samples``; each walker's ``UFUNC_BUFFERS``; the two
+    recurrence steps; and the time grid.
     """
     rows = _chunk_rows(samples, levels)
     k = min(preparations, _group_size(rows, levels))
     walkers = _walkers(samples, rows)
     return 8 * (POINT_ARRAYS * preparations + 2 * levels + samples
+                + walkers * UFUNC_BUFFERS * np.getbufsize()
                 + k * (5 * levels + SAMPLE_ARRAYS * samples + walkers * 5 * rows * levels))
 
 
@@ -304,8 +314,8 @@ def _exchanges(
     kind: EntropyKind,
     form: FieldEntropyForm,
     times: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(atom, field) entropy exchanges of each preparation, shape ``(len(atoms), times.size)``.
+) -> np.ndarray:
+    """(atom, field) entropy exchanges of each preparation, shape ``(2, len(atoms), times.size)``.
 
     The one walk behind :func:`entropy_trace` and :func:`bloch_sweep`;
     ``times`` is the grid of :func:`_time_grid`.  Every preparation's row
@@ -313,12 +323,14 @@ def _exchanges(
     """
     evolver = BlockEvolver(params, atoms, dist)
     a1 = evolver.a1
+    rows = _chunk_rows(times.size, dist.weights.size)
     # A = a0 + a1 cos and C = c0 - a1 cos, so the atom populations and the
-    # field weights are their t-independent parts plus or minus a1 cos
-    pe0, pg0, w0 = evolver.populations(evolver.a0, evolver.c0)
+    # field weights are their t-independent parts plus or minus a1 cos; the
+    # parts are summed over the levels in the order the walk sums a1 cos, so
+    # that an empty sector at t = 0 is exactly 0
+    pe0, pg0, w0 = evolver.populations(evolver.a0, evolver.c0, sequential=rows > 1)
     moved = np.empty((len(atoms), times.size))
     s_field = np.empty((len(atoms), times.size))
-    rows = _chunk_rows(times.size, dist.weights.size)
     # the sine overwrites the phase, so no third level array outlives this line
     step = rows * (times[-1] / (times.size - 1)) * evolver.delta_n
     steps = 2.0 * np.cos(step), np.sin(step, out=step)
@@ -326,19 +338,19 @@ def _exchanges(
     def walk(first: int, stop: int) -> None:
         # runs on worker threads: the NumPy calls on whole rows release the GIL;
         # it calls nothing perfbench/tracing.py wraps, whose span stack is per process
-        w_rows = np.empty(len(atoms) * rows * w0.shape[-1])
-        logs = np.empty(w_rows.size) if kind.is_von_neumann else None
+        w_block = np.empty(len(atoms) * w0.shape[-1] * rows)
+        logs = np.empty(w_block.size) if kind.is_von_neumann else None
         for chunk, s in _transfers(times, evolver.delta_n, a1, rows, first, stop, steps):
-            shape = s.shape[:-1] + w0.shape[-1:]
-            w = w_rows[: math.prod(shape)].reshape(shape)
-            # row sums, not a BLAS product: threaded BLAS would spin a second core
-            moved[:, chunk] = np.sum(s, axis=-1)
-            np.add(w0[:, np.newaxis, :-1], s, out=w[..., :-1])
-            w[..., -1] = w0[:, -1:]
-            w[..., 1:] -= s
+            shape = (s.shape[0], w0.shape[-1], s.shape[-1])
+            w = w_block[: math.prod(shape)].reshape(shape)
+            # plane sums, not a BLAS product: threaded BLAS would spin a second core
+            moved[:, chunk] = np.sum(s, axis=-2)
+            np.add(w0[:, :-1, np.newaxis], s, out=w[:, :-1])
+            w[:, -1] = w0[:, -1:]
+            w[:, 1:] -= s
             if form is FieldEntropyForm.COARSE:
-                w = _coarse_grained(w, dist.tail_mass)
-            s_field[:, chunk] = _row_entropies(w, kind, logs=logs)
+                w = _coarse_grained(w, dist.tail_mass, axis=-2)
+            s_field[:, chunk] = _row_entropies(w, kind, logs=logs, axis=-2)
 
     chunks = -(-times.size // rows)
     windows = -(-chunks // RESEED_CHUNKS)
@@ -355,10 +367,12 @@ def _exchanges(
             walk(bounds[0], bounds[1])
         for future in futures:
             future.result()
-    # each two-entry row sums alike in any batch, so one call scores every sample
-    p_atom = np.stack((pe0[:, np.newaxis] + moved, pg0[:, np.newaxis] - moved), axis=-1)
-    s_atom = _row_entropies(p_atom, kind)
-    return s_atom - s_atom[:, :1], s_field - s_field[:, :1]
+    # each two-entry pair sums alike in any batch, so one call scores every sample
+    s_atom = _row_entropies(np.stack((pe0[:, np.newaxis] + moved, pg0[:, np.newaxis] - moved),
+                                     axis=-2), kind, axis=-2)
+    exchanges = np.stack((s_atom, s_field))
+    exchanges -= exchanges[..., :1]
+    return exchanges
 
 
 def entropy_trace(
@@ -387,14 +401,16 @@ def entropy_trace(
     for any number of threads.
     """
     times = _time_grid(horizon, samples, params, dist)
-    ds_atom, ds_field = _exchanges(params, (atom,), dist, kind, form, times)
+    exchanges = _exchanges(params, (atom,), dist, kind, form, times)[:, 0]
+    avg_atom, avg_field = _window_average(times, exchanges).tolist()
+    ds_atom, ds_field = exchanges
     return EntropyTrace(
         times=times,
-        ds_atom=ds_atom[0],
-        ds_field=ds_field[0],
-        ds_total=ds_atom[0] + ds_field[0],
-        avg_ds_atom=float(_window_average(times, ds_atom)[0]),
-        avg_ds_field=float(_window_average(times, ds_field)[0]),
+        ds_atom=ds_atom,
+        ds_field=ds_field,
+        ds_total=ds_atom + ds_field,
+        avg_ds_atom=avg_atom,
+        avg_ds_field=avg_field,
     )
 
 
@@ -425,7 +441,7 @@ def bloch_sweep(
     that of :class:`AtomInit`, before anything is walked.
     Each distinct weight is walked once, in ascending order, in groups
     that share the manifold arrays, each chunk's phases and cosines, and
-    one Simpson call per side; a group holds as many as keep
+    one Simpson call; a group holds as many as keep
     ``k x samples x levels`` per chunk within ``GROUP_ELEMENTS``.  Every
     row has the bits of :func:`entropy_trace` for its preparation.
     """
@@ -441,7 +457,6 @@ def bloch_sweep(
     size = _group_size(_chunk_rows(times.size, levels), levels)
     for start in range(0, distinct.size, size):
         group = tuple(map(AtomInit, distinct[start : start + size].tolist()))
-        ds_atom, ds_field = _exchanges(params, group, dist, kind, form, times)
-        averages[start : start + len(group), 0] = _window_average(times, ds_atom)
-        averages[start : start + len(group), 1] = _window_average(times, ds_field)
+        exchanges = _exchanges(params, group, dist, kind, form, times)
+        averages[start : start + len(group)] = _window_average(times, exchanges).T
     return averages[inverse]

@@ -126,7 +126,7 @@ class BlockEvolver:
         self.a0 = excited - self.a1
         self.c0 = ground + self.a1
 
-    def populations(self, a, c):
+    def populations(self, a, c, *, sequential: bool = False):
         """(p_e, p_g, field) of the reduced states, along the last axis of ``a`` and ``c``.
 
         ``a`` and ``c`` are ``A_n`` and ``C_n`` over the evolved manifolds,
@@ -136,12 +136,19 @@ class BlockEvolver:
         epsilon : (1 - epsilon) between the atomic sectors, so
         ``p_e + p_g = 1``.  ``field`` holds the photon-number weights over
         levels 0..n_max; the remaining probability is the tail mass.
+        The sums over ``a`` and ``c`` are NumPy's pairwise ones, or with
+        ``sequential`` left to right, as NumPy sums along an axis that is
+        not the innermost one.
         """
         lead = self._eps.shape + (1,) * (np.ndim(a) - 1 - self._eps.ndim)
         eps, top, uncoupled = (np.reshape(x, lead)
                                for x in (self._eps, self.excited_top, self.uncoupled_weight))
-        p_e = np.sum(a, axis=-1) + top + eps * self.dist.tail_mass
-        p_g = uncoupled + np.sum(c, axis=-1) + (1.0 - eps) * self.dist.tail_mass
+
+        def level_sum(x):
+            return np.add.accumulate(x, axis=-1)[..., -1] if sequential else np.sum(x, axis=-1)
+
+        p_e = level_sum(a) + top + eps * self.dist.tail_mass
+        p_g = uncoupled + level_sum(c) + (1.0 - eps) * self.dist.tail_mass
         field = np.empty(a.shape[:-1] + (a.shape[-1] + 1,))
         field[..., 0] = uncoupled + a[..., 0]
         np.add(a[..., 1:], c[..., :-1], out=field[..., 1:-1])

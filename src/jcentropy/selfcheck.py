@@ -1,11 +1,11 @@
 """Built-in consistency suite: closed forms against independent routes.
 
-Runs the entropy-exchange walk that every CLI output goes through against
-the brute-force oracle, the structural invariants of the manifold arrays
-that walk reads, and the special-function identities on a fixed internal
-parameter grid.  Intended as a release gate: every
-check reports its maximum deviation and the suite passes only if all
-checks do.
+Runs the entropy-exchange walk that every CLI output goes through, and its
+time averages, against the brute-force oracle, the structural invariants
+of the manifold arrays that walk reads, and the special-function
+identities on a fixed internal parameter grid.  Intended as a release
+gate: every check reports its maximum deviation and the suite passes
+only if all checks do.
 """
 
 from __future__ import annotations
@@ -92,6 +92,29 @@ def _oracle_configs():
     return configs
 
 
+def _perturbed(dist: PhotonDistribution, perturb: float) -> PhotonDistribution:
+    """``dist`` with ``perturb`` of photon weight moved from level 0 to level 1."""
+    w = dist.weights.copy()
+    w[0] -= perturb
+    w[1] += perturb
+    return PhotonDistribution(w, dist.tail_mass)
+
+
+def _oracle_exchanges(params, atom, dist, kind, times) -> np.ndarray:
+    """(atom, field) entropy changes of the oracle at each of ``times``, shape ``(2, times.size)``."""
+
+    def entropies(t):
+        # same truncation on both sides, so the tail cannot bias the comparison
+        ora = oracle_evolve(params, atom, dist, t, n_cut=dist.n_max, warn_tol=1.0)
+        return (
+            ent.entropy_of([ora.atom_excited, ora.atom_ground], kind),
+            ent.entropy_of(ora.field_weights, kind),
+        )
+
+    values = np.array([entropies(t) for t in [0.0, *times]]).T
+    return values[:, 1:] - values[:, :1]
+
+
 def _oracle_equivalence(perturb: float) -> list[CheckResult]:
     """The trace walk the CLI runs, sample by sample against the oracle's entropy changes.
 
@@ -102,36 +125,42 @@ def _oracle_equivalence(perturb: float) -> list[CheckResult]:
     for label, params, atom, dist, kind, horizon, samples, rows in _oracle_configs():
         name = f"oracle-equivalence[{label}]"
         detail = f"n_max={dist.n_max} tail_mass={dist.tail_mass:.3e}"
-        w = dist.weights.copy()
-        w[0] -= perturb
-        w[1] += perturb
         try:
-            trace = ent.entropy_trace(params, atom, PhotonDistribution(w, dist.tail_mass), kind,
+            trace = ent.entropy_trace(params, atom, _perturbed(dist, perturb), kind,
                                       horizon=horizon, samples=samples)
         except ValueError as exc:
             # a shifted weight or a faulty walk can leave no probability list at all
             results.append(_check(name, math.inf, 1e-8, detail=f"{detail}; {exc}"))
             continue
-
-        def oracle_entropies(t):
-            # same truncation on both sides, so the tail cannot bias the comparison
-            ora = oracle_evolve(params, atom, dist, t, n_cut=dist.n_max, warn_tol=1.0)
-            return (
-                ent.entropy_of([ora.atom_excited, ora.atom_ground], kind),
-                ent.entropy_of(ora.field_weights, kind),
-            )
-
-        s0_atom, s0_field = oracle_entropies(0.0)
-        dev = 0.0
-        for i in rows:
-            s_atom, s_field = oracle_entropies(trace.times[i])
-            dev = max(
-                dev,
-                abs(trace.ds_atom[i] - (s_atom - s0_atom)),
-                abs(trace.ds_field[i] - (s_field - s0_field)),
-            )
-        results.append(_check(name, dev, 1e-8, detail=detail))
+        rows = list(rows)
+        oracle = _oracle_exchanges(params, atom, dist, kind, trace.times[rows])
+        walked = np.stack((trace.ds_atom[rows], trace.ds_field[rows]))
+        results.append(_check(name, np.max(np.abs(walked - oracle)), 1e-8, detail=detail))
     return results
+
+
+def _oracle_average(perturb: float) -> CheckResult:
+    """The averages of a trace and of a one-row sweep against Simpson's rule over the oracle's samples.
+
+    ``perturb`` shifts the walk's photon weights as for :func:`_oracle_equivalence`.
+    """
+    from scipy.integrate import simpson
+
+    params = ModelParams.from_detuning(0.3, 2.0)
+    dist = photon_weights_gibbs(_BETA_OMEGA, tail_tol=1e-12).truncated(25)
+    atom, kind, horizon, samples = AtomInit(0.3), ent.VON_NEUMANN, 12.5, 100
+    detail = f"n_max={dist.n_max} samples={samples}"
+    times = np.linspace(0.0, horizon, samples)
+    expected = simpson(_oracle_exchanges(params, atom, dist, kind, times), x=times) / horizon
+    try:
+        walked = _perturbed(dist, perturb)
+        trace = ent.entropy_trace(params, atom, walked, kind, horizon=horizon, samples=samples)
+        row = ent.bloch_sweep(params, [atom.epsilon], walked, kind,
+                              horizon=horizon, samples=samples)[0]
+    except ValueError as exc:
+        return _check("oracle-average", math.inf, 1e-8, detail=f"{detail}; {exc}")
+    averages = np.array([[trace.avg_ds_atom, trace.avg_ds_field], row])
+    return _check("oracle-average", np.max(np.abs(averages - expected)), 1e-8, detail=detail)
 
 
 def _structural_fuzz() -> list[CheckResult]:
@@ -168,17 +197,21 @@ def _structural_fuzz() -> list[CheckResult]:
 
 
 def _trace_zeroes() -> list[CheckResult]:
-    params = ModelParams.from_detuning(0.0, 2.0)
+    """A trace's first samples, and a whole trace without coupling, are exchange-free."""
     dist = photon_weights_gibbs(_BETA_OMEGA, tail_tol=1e-10)
-    trace = ent.entropy_trace(params, AtomInit(epsilon=0.3), dist, horizon=10.0, samples=101)
-    dev0 = max(abs(trace.ds_atom[0]), abs(trace.ds_field[0]))
-    frozen = ModelParams.from_detuning(0.0, 0.0)
-    flat = ent.entropy_trace(frozen, AtomInit(epsilon=0.3), dist, horizon=10.0, samples=101)
-    dev_flat = max(float(np.max(np.abs(flat.ds_atom))), float(np.max(np.abs(flat.ds_field))))
-    return [
-        _check("exchange-zero-at-t0", dev0, 1e-12),
-        _check("frozen-dynamics-flat-trace", dev_flat, 1e-12),
-    ]
+    results = []
+    for name, lam, samples in (("exchange-zero-at-t0", 2.0, slice(0, 1)),
+                               ("frozen-dynamics-flat-trace", 0.0, slice(None))):
+        try:
+            trace = ent.entropy_trace(ModelParams.from_detuning(0.0, lam), AtomInit(epsilon=0.3),
+                                      dist, horizon=10.0, samples=101)
+        except ValueError as exc:
+            # a faulty walk can leave no probability list at all
+            results.append(_check(name, math.inf, 1e-12, detail=str(exc)))
+            continue
+        dev = max(np.max(np.abs(trace.ds_atom[samples])), np.max(np.abs(trace.ds_field[samples])))
+        results.append(_check(name, dev, 1e-12))
+    return results
 
 
 def run_selfcheck(perturb: float = 0.0) -> list[CheckResult]:
@@ -189,6 +222,7 @@ def run_selfcheck(perturb: float = 0.0) -> list[CheckResult]:
     """
     results = [_zeta_identities(), _manifold_identity()]
     results.extend(_oracle_equivalence(perturb))
+    results.append(_oracle_average(perturb))
     results.extend(_structural_fuzz())
     results.extend(_trace_zeroes())
     return results

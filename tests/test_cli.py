@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 
 import jcentropy
 from jcentropy import cli, ensemble
+from jcentropy import entropy as entropy_module
+from jcentropy.jcm import BlockEvolver
 from jcentropy.ensemble import load_betas
 from jcentropy.cli import _csv_text, _json_text, build_parser, main
 from oracle_utils import rowwise_csv, rowwise_json
@@ -641,7 +643,59 @@ class TestSelfcheck:
         assert main(["selfcheck", "--inject-perturbation", "1"]) == 4
         captured = capsys.readouterr()
         assert "Traceback" not in captured.out + captured.err
-        assert captured.out.count("max_dev=inf") == 6
+        # the six oracle-equivalence lines and the oracle-average line
+        assert captured.out.count("max_dev=inf") == 7
+
+    @pytest.fixture(scope="class")
+    def check_names(self):
+        """Names of the checks a passing selfcheck reports, in order."""
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(["selfcheck"]) == 0
+        return self.names(stdout.getvalue())
+
+    @staticmethod
+    def names(report):
+        return [line.split("] ", 1)[1].split(":")[0] for line in report.splitlines()
+                if line.startswith("[")]
+
+    def test_leaking_walk_exits_4_with_every_line(self, monkeypatch, capsys, check_names):
+        # field weights that gain what no atomic sector lost trip the walk's
+        # probability guard where no tail mass absorbs them; every check on
+        # the walk reports a failure, and no error escapes as a domain failure
+        class LeakyEvolver(BlockEvolver):
+            def populations(self, a, c, **kwargs):
+                p_e, p_g, field = super().populations(a, c, **kwargs)
+                field[..., 1] += 1e-5
+                return p_e, p_g, field
+
+        monkeypatch.setattr(entropy_module, "BlockEvolver", LeakyEvolver)
+        assert main(["selfcheck"]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert self.names(captured.out) == check_names
+        assert captured.out.splitlines()[-1] == "selfcheck: FAILURES detected"
+        walked = [line for line in captured.out.splitlines()
+                  if any(name in line for name in ("oracle-", "exchange-zero", "flat-trace"))]
+        assert len(walked) == 9 and all(line.startswith("[FAIL]") for line in walked)
+        assert all("max_dev=inf" in line for line in walked if "gamma-q1.5" not in line)
+
+    @pytest.mark.parametrize("mutation", ["swapped-halves", "plain-mean"])
+    def test_averaging_faults_exit_4_with_every_line(self, monkeypatch, capsys, check_names,
+                                                     mutation):
+        # the oracle-average line sees a walk that returns the field exchange
+        # as the atom's, and averages taken without Simpson's weights
+        if mutation == "swapped-halves":
+            exchanges = entropy_module._exchanges
+            monkeypatch.setattr(entropy_module, "_exchanges", lambda *args: exchanges(*args)[::-1])
+        else:
+            monkeypatch.setattr(entropy_module, "_window_average",
+                                lambda times, values: np.mean(values, axis=-1))
+        assert main(["selfcheck"]) == 4
+        report = capsys.readouterr().out
+        assert self.names(report) == check_names
+        average = [line for line in report.splitlines() if "oracle-average" in line]
+        assert len(average) == 1 and average[0].startswith("[FAIL]")
 
 
 # ------------------------------------------------------------ table emission
@@ -1176,11 +1230,11 @@ def test_allocation_beyond_memory_is_domain_error(tmp_path, capsys, argv):
      "a walk over 1000 time samples and "),
     (["bloch-sweep", "--gibbs", "--beta", "2", "--t-samples", "1000"], 2**16,
      "a walk over 1000 time samples and "),
-    # one group of the million points' walk takes 2.2 MB, the points 80 MB
+    # one group of the million points' walk takes 2.3 MB, the points 80 MB
     (["bloch-sweep", "--gibbs", "--beta", "2", "--t-samples", "2", "--T", "1",
       "--grid", "1000x1000"], 2**24,
      "a walk over 2 time samples and 10 photon levels, for 1000000 atom preparation(s), "
-     "needs an estimated 0.0765 GiB"),
+     "needs an estimated 0.0767 GiB"),
 ], ids=["timeseries", "bloch-sweep", "bloch-sweep-grid"])
 def test_walk_beyond_physical_memory_is_refused_before_it_starts(tmp_path, capsys, monkeypatch,
                                                                   argv, memory, walk):

@@ -407,6 +407,7 @@ def test_transfers_follow_the_exact_transfer(grid):
     worst = 0.0
     steps = 2.0 * np.cos(step), np.sin(step)
     for chunk, (s,) in _transfers(times, delta_n, a1[np.newaxis], rows, 0, 300, steps):
+        s = s.T  # (samples, levels), as the references are laid out
         j = chunk.start // rows % RESEED_CHUNKS
         if j == 0:
             phase = np.multiply.outer(times[chunk], delta_n)

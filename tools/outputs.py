@@ -37,7 +37,8 @@ each ``--config`` rerun must write the very bytes of the table it reruns; the
 script exits 1 and lists on stderr the runs that did otherwise, so two
 checkouts that fail alike do not pass as identical.  Run the script on two
 checkouts into two empty directories; ``diff -r`` between them is then the
-whole check.
+whole check, and ``tools/compare_outputs.py`` says by how much each differing
+file's numbers moved.
 """
 
 from __future__ import annotations
