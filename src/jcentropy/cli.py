@@ -524,8 +524,7 @@ def _add_dynamics(sub: argparse.ArgumentParser) -> None:
                      default="full", help="field entropy over the full spectrum or (vacuum, rest)")
     sub.add_argument("--T", type=float, dest="horizon",
                      help="time horizon (default 50/lambda); sqrt(delta^2 + lambda^2 "
-                          "n_max) may not exceed 1.34e154, T times it 2**52, nor the time "
-                          "step T/(samples - 1) 5.6e102")
+                          "n_max) may not exceed 1.34e154, nor T times it 2**52")
     sub.set_defaults(n_cap=10**5)  # keeps heavy-tail runs tractable; tail mass stays tracked
 
 

@@ -4,7 +4,7 @@ Two functionals are available for every probability list: the von
 Neumann entropy ``-sum p ln p`` and its q-deformed counterpart
 ``-sum p ln_q p`` (both with the ``0 ln 0 = 0`` convention).  Partial
 entropy exchange is the change of a subsystem entropy relative to t=0,
-and time averages use composite Simpson quadrature on the stored grid.
+and time averages use composite Simpson weights on the even time grid.
 
 Truncation note: a field entropy computed over a truncated weight list
 omits the (constant, non-evolving) contribution of the tail levels.
@@ -50,7 +50,8 @@ GROUP_ELEMENTS = 2**15
 # float arrays of one entry per time sample and preparation that a walk holds
 # at once, at most (under tracemalloc): the moved populations and the field
 # entropies, then the two atom populations with their logarithms, the atom
-# entropies and the two exchanges
+# entropies and the two exchanges, then the two exchanges and their product
+# with the averaging weights
 SAMPLE_ARRAYS = 8
 # 8-byte entries a Bloch sweep holds per grid point, at most: its r, theta and epsilon
 # columns with np.unique's sort and inverse, or with both averages tables (9 under tracemalloc)
@@ -62,9 +63,6 @@ POINT_ARRAYS = 10
 UFUNC_BUFFERS = 2
 # chunks between exact reseeds of the cosine recurrence over chunks
 RESEED_CHUNKS = 128
-# a time step whose cube is still a finite float (the cube root of the largest
-# float is 5.64e102)
-MAX_STEP = 5.6e102
 # adjacent floats above 2**52 lie a whole radian apart, so no cosine of such a phase resolves
 MAX_PHASE = 2.0**52
 # a Rabi frequency whose square is still a finite float (the square root of the
@@ -262,13 +260,10 @@ def _time_grid(
     if not phase <= MAX_PHASE:
         raise ValueError(f"time horizon {horizon!r} takes the largest phase to "
                          f"{phase:.3g}, beyond 2**52, where no cosine is resolvable")
-    # Simpson's rule on an even sample count weighs its last panel with the
-    # cube of a step, which leaves the float range above MAX_STEP
-    step = horizon / (samples - 1)
-    if not step <= MAX_STEP:
-        raise ValueError(f"time step {step:.3g} exceeds {MAX_STEP:.3g}, "
-                         "where the Simpson weights overflow")
-    return np.linspace(0.0, horizon, samples)
+    # near the largest float the last sample's product overflows before
+    # linspace sets it to the horizon itself
+    with np.errstate(over="ignore"):
+        return np.linspace(0.0, horizon, samples)
 
 
 def _chunk_rows(samples: int, levels: int) -> int:
@@ -297,12 +292,12 @@ def walk_bytes(samples: int, levels: int, preparations: int = 1) -> int:
     evolver's four level arrays and the t=0 field weights, each walker's
     five scratch rows of ``k x rows x levels`` and ``SAMPLE_ARRAYS``
     arrays of ``k x samples``; each walker's ``UFUNC_BUFFERS``; the two
-    recurrence steps; and the time grid.
+    recurrence steps; and the time grid with its averaging weights.
     """
     rows = _chunk_rows(samples, levels)
     k = min(preparations, _group_size(rows, levels))
     walkers = _walkers(samples, rows)
-    return 8 * (POINT_ARRAYS * preparations + 2 * levels + samples
+    return 8 * (POINT_ARRAYS * preparations + 2 * levels + 2 * samples
                 + walkers * UFUNC_BUFFERS * np.getbufsize()
                 + k * (5 * levels + SAMPLE_ARRAYS * samples + walkers * 5 * rows * levels))
 
@@ -331,8 +326,10 @@ def _exchanges(
     pe0, pg0, w0 = evolver.populations(evolver.a0, evolver.c0, sequential=rows > 1)
     moved = np.empty((len(atoms), times.size))
     s_field = np.empty((len(atoms), times.size))
-    # the sine overwrites the phase, so no third level array outlives this line
-    step = rows * (times[-1] / (times.size - 1)) * evolver.delta_n
+    # the sine overwrites the phase, so no third level array outlives this line;
+    # only a walk of two full chunks or more, where rows <= samples // 2, reads
+    # the steps, and that cap keeps rows h within any finite horizon
+    step = min(rows, times.size // 2) * (times[-1] / (times.size - 1)) * evolver.delta_n
     steps = 2.0 * np.cos(step), np.sin(step, out=step)
 
     def walk(first: int, stop: int) -> None:
@@ -390,19 +387,19 @@ def entropy_trace(
     The exchange is defined relative to the initial state, so the first
     samples are exactly zero.  The grid needs an integer count of at
     least two samples, a finite positive horizon, no Rabi frequency
-    ``delta_n`` above ``MAX_RABI``, no phase ``horizon delta_n`` above
-    ``MAX_PHASE`` and no step ``horizon / (samples - 1)`` above
-    ``MAX_STEP``.  Times are evaluated in chunks of about
+    ``delta_n`` above ``MAX_RABI`` and no phase ``horizon delta_n`` above
+    ``MAX_PHASE``.  Times are evaluated in chunks of about
     ``CHUNK_ELEMENTS`` samples x levels, whose transfers ``a1 cos`` come
     from :func:`_transfers`.  The reseed windows of ``RESEED_CHUNKS``
     chunks are dealt out as contiguous groups to one thread per available
     CPU (at most one per window), each with its own scratch rows; a chunk
     depends only on its own window, so the result is the same to the bit
-    for any number of threads.
+    for any number of threads.  The averages weigh the samples with
+    :func:`_simpson_weights`, the rule of ``scipy.integrate.simpson``.
     """
     times = _time_grid(horizon, samples, params, dist)
     exchanges = _exchanges(params, (atom,), dist, kind, form, times)[:, 0]
-    avg_atom, avg_field = _window_average(times, exchanges).tolist()
+    avg_atom, avg_field = _window_average(_simpson_weights(times.size), exchanges).tolist()
     ds_atom, ds_field = exchanges
     return EntropyTrace(
         times=times,
@@ -414,11 +411,37 @@ def entropy_trace(
     )
 
 
-def _window_average(times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Simpson time averages of ``values`` along its last axis."""
-    from scipy.integrate import simpson  # imported here to keep scipy off the CLI start-up
+def _simpson_weights(samples: int) -> np.ndarray:
+    """Weights ``c`` such that ``sum(c * y)`` is the Simpson time average of ``samples`` even steps ``y``.
 
-    return simpson(values, x=times, axis=-1) / (times[-1] - times[0])
+    The rule is that of ``scipy.integrate.simpson`` on an even grid: the
+    composite 1-4-2-...-4-1 rule for an odd count; for an even count that
+    rule on all samples but the last, plus Cartwright's last panel
+    (-1/12, 2/3, 5/12 of a step on its three samples); the trapezoid for
+    two.  Divided by the horizon ``(samples - 1) h``, the step drops out:
+    each weight is a whole number of twelfths of a step over
+    ``12 (samples - 1)``, so it holds no power of the step, overflows at no
+    horizon and is correctly rounded.
+    """
+    if samples == 2:
+        return np.array([0.5, 0.5])
+    odd = samples - 1 + samples % 2
+    twelfths = np.zeros(samples)
+    twelfths[1:odd:2] = 16.0
+    twelfths[2 : odd - 1 : 2] = 8.0
+    twelfths[[0, odd - 1]] = 4.0
+    if odd < samples:
+        twelfths[-3:] += (-1.0, 8.0, 5.0)
+    return twelfths / (12.0 * (samples - 1))
+
+
+def _window_average(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Time averages of ``values`` along its last axis, on the ``weights`` of :func:`_simpson_weights`.
+
+    A plain product and pairwise sum, not a BLAS product (threaded BLAS
+    would spin a second core), so each row's bits are those it has alone.
+    """
+    return np.sum(values * weights, axis=-1)
 
 
 def bloch_sweep(
@@ -441,7 +464,8 @@ def bloch_sweep(
     that of :class:`AtomInit`, before anything is walked.
     Each distinct weight is walked once, in ascending order, in groups
     that share the manifold arrays, each chunk's phases and cosines, and
-    one Simpson call; a group holds as many as keep
+    one weighted sum on the :func:`_simpson_weights` built once per call;
+    a group holds as many as keep
     ``k x samples x levels`` per chunk within ``GROUP_ELEMENTS``.  Every
     row has the bits of :func:`entropy_trace` for its preparation.
     """
@@ -455,8 +479,9 @@ def bloch_sweep(
     averages = np.empty((distinct.size, 2))
     levels = dist.weights.size
     size = _group_size(_chunk_rows(times.size, levels), levels)
+    weights = _simpson_weights(times.size)
     for start in range(0, distinct.size, size):
         group = tuple(map(AtomInit, distinct[start : start + size].tolist()))
         exchanges = _exchanges(params, group, dist, kind, form, times)
-        averages[start : start + len(group)] = _window_average(times, exchanges).T
+        averages[start : start + len(group)] = _window_average(weights, exchanges).T
     return averages[inverse]

@@ -369,14 +369,24 @@ def test_default_horizon_beyond_the_float_range_names_lambda(tmp_path, capsys, a
      "--t-samples", "8", "--grid", "1x2"],
 ], ids=["square-overflow", "zero-coupling", "cube-overflow", "bloch-sweep"])
 def test_time_step_beyond_simpson_range_is_refused(tmp_path, capsys, argv):
-    # these once exited 0 with a RuntimeWarning and a wrong or NaN average
+    # the averaging weights hold no power of the step, so any horizon averages
+    # without a warning, and without coupling nothing moves
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("jcentropy: time step ") and "5.6e+102" in err
-    assert err.count("\n") == 1
-    assert os.listdir(tmp_path) == []
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 0
+    assert capsys.readouterr().err == ""
+    _, *rows = (tmp_path / "x.csv").read_text().splitlines()
+    table = np.array([[float(cell) for cell in row.split(",")] for row in rows])
+    derived = json.loads((tmp_path / "x.csv.meta.json").read_text())["derived"]
+    if argv[0] == "timeseries":
+        cells = np.concatenate((table[:, 1:].ravel(), [derived["avg_dSa"], derived["avg_dSb"]]))
+    else:
+        cells = table[:, 3:].ravel()
+    assert np.all(np.isfinite(cells))
+    if argv[argv.index("--lambda") + 1] == "0":
+        assert not np.any(cells)
+    else:  # a weak coupling over a long horizon still moves the atom
+        assert np.all(table[1:, 1] != 0.0)
 
 
 @pytest.mark.parametrize("argv", [
@@ -680,6 +690,33 @@ class TestSelfcheck:
         assert len(walked) == 9 and all(line.startswith("[FAIL]") for line in walked)
         assert all("max_dev=inf" in line for line in walked if "gamma-q1.5" not in line)
 
+    @pytest.mark.parametrize("mutation", ["end-correction-dropped", "correction-on-first-panel",
+                                          "uniform-weights"])
+    def test_weight_faults_exit_4_with_every_line(self, monkeypatch, capsys, check_names,
+                                                  mutation):
+        # the oracle-average line weighs 100 samples, an even count, so it sees
+        # Cartwright's last panel left out or moved to the first, and a plain mean
+        weights = entropy_module._simpson_weights
+
+        def faulty(samples):
+            if mutation == "uniform-weights":
+                return np.full(samples, 1.0 / samples)
+            if samples % 2 == 1:
+                return weights(samples)
+            if mutation == "correction-on-first-panel":
+                return weights(samples)[::-1].copy()
+            dropped = weights(samples)
+            dropped[-3:] -= np.array([-1.0, 8.0, 5.0]) / (12.0 * (samples - 1))
+            return dropped
+
+        monkeypatch.setattr(entropy_module, "_simpson_weights", faulty)
+        assert main(["selfcheck"]) == 4
+        report = capsys.readouterr().out
+        assert self.names(report) == check_names
+        average = [line for line in report.splitlines() if "oracle-average" in line]
+        assert len(average) == 1 and average[0].startswith("[FAIL]")
+        assert sum(line.startswith("[FAIL]") for line in report.splitlines()) == 1
+
     @pytest.mark.parametrize("mutation", ["swapped-halves", "plain-mean"])
     def test_averaging_faults_exit_4_with_every_line(self, monkeypatch, capsys, check_names,
                                                      mutation):
@@ -837,6 +874,25 @@ def test_cli_start_up_leaves_scipy_solvers_unimported():
     done = subprocess.run([sys.executable, "-c", snippet], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["timeseries", "--gibbs", "--beta", "2"],
+    ["bloch-sweep", "--gibbs", "--beta", "2", "--grid", "5x7"],
+    ["timeseries", "--betas-file", os.path.join(DATA_DIR, "normal_n100.betas")],
+], ids=["gibbs-trace", "gibbs-sweep", "betas-file-trace"])
+def test_dynamics_runs_leave_scipy_unimported(tmp_path, argv):
+    # only calibrate_beta_star's root solve and selfcheck's reference rule need scipy
+    snippet = ("import sys\nfrom jcentropy.cli import main\n"
+               f"assert main({[*argv, '--out', str(tmp_path / 'x.csv')]!r}) == 0\n"
+               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(jcentropy.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", snippet], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
+    assert (tmp_path / "x.csv").exists()
 
 
 def test_outputs_agree_across_cpu_dispatch_tiers(tmp_path):

@@ -16,10 +16,10 @@ from jcentropy.entropy import (
     VON_NEUMANN,
     EntropyKind,
     MAX_PHASE,
-    MAX_STEP,
     FieldEntropyForm,
     _coarse_grained,
     _row_entropies,
+    _simpson_weights,
     _transfers,
     _window_average,
     bloch_sweep,
@@ -269,22 +269,29 @@ class TestEntropyTrace:
                 bloch_sweep(RESONANT, np.array([0.5]), dist, horizon=horizon, samples=samples)
 
     def test_steps_up_to_max_step_keep_the_averages_finite(self):
-        # on an even sample count Simpson's rule weighs the last step by its cube;
-        # a weak resonant coupling keeps every phase below MAX_PHASE, and still
-        # moves the whole transfer
-        params = ModelParams.from_detuning(0.0, 1e-90)
+        # the averaging weights hold no power of the step, so every horizon
+        # up to the largest float averages without a warning; a weak resonant
+        # coupling keeps every phase below MAX_PHASE and still moves the whole
+        # transfer, and no coupling moves nothing at all
         dist = photon_weights_gibbs(1.0, tail_tol=1e-10)
-        horizon = 3.0 * MAX_STEP
-        assert horizon / 3.0 == MAX_STEP
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            trace = entropy_trace(params, AtomInit(0.2), dist, horizon=horizon, samples=4)
-        assert math.isfinite(trace.avg_ds_atom) and math.isfinite(trace.avg_ds_field)
-        assert np.all(trace.ds_atom[1:] != 0.0)
-        horizon = np.nextafter(horizon, np.inf)
-        assert horizon / 3.0 == np.nextafter(MAX_STEP, np.inf)
-        with pytest.raises(ValueError, match="time step"):
-            entropy_trace(params, AtomInit(0.2), dist, horizon=horizon, samples=4)
+        largest = np.finfo(float).max
+        for lam, horizons in ((1e-140, (1e140, 1e154)), (0.0, (1e103, 1e300, 1e308, largest))):
+            params = ModelParams.from_detuning(0.0, lam)
+            for horizon, samples in itertools.product(horizons, (2, 3, 4, 7, 8)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    trace = entropy_trace(params, AtomInit(0.2), dist, horizon=horizon,
+                                          samples=samples)
+                    sweep = bloch_sweep(params, np.array([0.2, 0.9]), dist, horizon=horizon,
+                                        samples=samples)
+                cells = np.concatenate((trace.times, trace.ds_atom, trace.ds_field,
+                                        [trace.avg_ds_atom, trace.avg_ds_field], sweep.ravel()))
+                assert np.all(np.isfinite(cells))
+                assert trace.times[-1] == horizon
+                if lam == 0.0:
+                    assert not np.any(cells[samples:])
+                else:
+                    assert np.all(trace.ds_atom[1:] != 0.0)
 
     def test_phase_beyond_max_phase_is_refused_for_traces_and_sweeps(self):
         # 14 levels at beta=1 and lambda=1 put the largest phase at T sqrt(13)
@@ -487,7 +494,7 @@ def test_single_walker_trace_holds_eleven_level_arrays(monkeypatch):
     monkeypatch.setattr(entropy_module, "_available_cpus", lambda: 1)
     n = 10**5
     dist = PhotonDistribution(np.full(n + 1, 1.0 / (n + 1)), 0.0)
-    # a first run imports the Simpson rule, which is no part of the trace's memory
+    # a first run pays any one-time set-up, which is no part of the trace's memory
     entropy_trace(RESONANT, AtomInit(0.35), dist, tsallis(1.6), horizon=1.0, samples=3)
     tracemalloc.start()
     try:
@@ -542,12 +549,46 @@ def test_walk_bytes_bounds_the_traced_peak(monkeypatch, case):
 
 class TestTimeAverage:
     def test_constant_trace(self):
-        times = np.linspace(0, 4, 33)
-        assert _window_average(times, np.full_like(times, 0.7)) == pytest.approx(0.7, rel=1e-12)
+        weights = _simpson_weights(33)
+        assert _window_average(weights, np.full(33, 0.7)) == pytest.approx(0.7, rel=1e-12)
 
     def test_sinusoid_over_integer_periods(self):
         times = np.linspace(0, 6 * math.pi, 2001)
-        assert abs(_window_average(times, np.sin(times))) < 1e-8
+        assert abs(_window_average(_simpson_weights(times.size), np.sin(times))) < 1e-8
+
+    @pytest.mark.parametrize("samples", [*range(2, 10), 100, 1000, 1001, 2000])
+    def test_weights_follow_scipys_simpson_rule(self, samples):
+        from scipy.integrate import simpson
+
+        rng = np.random.default_rng(samples)
+        weights = _simpson_weights(samples)
+        for horizon in (1e-3, 12.5, 4e4):
+            times = np.linspace(0.0, horizon, samples)
+            rows = rng.normal(size=(4, samples)) * np.array([[1e-300], [1e-3], [1.0], [1e200]])
+            expected = simpson(rows, x=times, axis=-1) / horizon
+            scale = np.max(np.abs(rows), axis=-1)
+            assert np.all(np.abs(_window_average(weights, rows) - expected) <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("samples", [*range(2, 10), 100, 1000, 1001, 2000])
+    def test_weights_are_exact_on_low_powers_and_sum_to_one(self, samples):
+        weights = _simpson_weights(samples)
+        ulp = np.finfo(float).eps
+        assert abs(math.fsum(weights) - 1.0) <= 4 * ulp
+        assert np.all(weights > 0.0)
+        # on the unit window the averages of u^2 and u^3 are 1/3 and 1/4
+        u = np.linspace(0.0, 1.0, samples)
+        if samples >= 3:
+            assert abs(math.fsum(weights * u**2) - 1.0 / 3.0) <= 4 * ulp
+        if samples % 2 == 1:
+            assert abs(math.fsum(weights * u**3) - 0.25) <= 4 * ulp
+        # a step-free rule averages a ramp over any horizon the float range holds
+        for horizon in (1e-300, 1.0, 1e300, 1e308):
+            times = np.linspace(0.0, horizon, samples)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                average = _window_average(weights, times)
+            assert math.isfinite(average)
+            assert average == pytest.approx(horizon / 2.0, rel=1e-14)
 
     def test_doubling_grid_converges(self):
         dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-10)
@@ -686,7 +727,7 @@ class TestSweepGroups:
             finally:
                 tracemalloc.stop()
 
-        peak(2)  # imports the Simpson rule, which is no part of a sweep's memory
+        peak(2)  # pays any one-time set-up, which is no part of a sweep's memory
         small, large = peak(group), peak(92)
         assert small > buffers / 2
         assert large <= small + buffers
