@@ -42,10 +42,15 @@ __all__ = [
 # that each chunk's arrays (128 KB) stay cache-resident, large enough that the
 # per-call overhead vanishes at a few levels
 CHUNK_ELEMENTS = 2**14
+# time samples per chunk, at most: below 128 levels a chunk holds fewer than
+# CHUNK_ELEMENTS, so a few-level group holds more preparations and its later
+# chunks come from the cosine recurrence; of caps 64, 128 and 256, 128 gave the
+# fastest 8-level, 1000-sample sweep
+CHUNK_ROWS = 128
 # time samples x photon levels x preparations walked at once by a Bloch sweep
-# (256 KB per buffer): four 1000-sample traces of a few levels share a group,
-# while a trace whose chunk alone exceeds it walks by itself; twice this bought
-# 5% more speed for twice the memory of the group's buffers
+# (256 KB per buffer): 32 traces of 8 levels share a group, while a trace whose
+# chunk alone exceeds it walks by itself; twice this bought 5% more speed for
+# twice the memory of the group's buffers
 GROUP_ELEMENTS = 2**15
 # float arrays of one entry per time sample and preparation that a walk holds
 # at once, at most (under tracemalloc): the moved populations and the field
@@ -184,12 +189,13 @@ def _transfers(
     and a yielded block has shape ``(k, levels, samples)``: time runs
     innermost, so a sum over the levels adds whole planes of samples.
     ``times`` is the grid of :func:`_time_grid`, step h, cut into chunks
-    of R = ``rows`` samples (the last may be short); ``first`` is a
-    multiple of ``RESEED_CHUNKS``.  With ``steps`` equal to the level
-    arrays ``(2 cos(R h delta_n), sin(R h delta_n))``, a full chunk
-    follows from the two before it by the three-term recurrence
-    ``s_{k+1} = 2 cos(R h delta_n) s_k - s_{k-1}`` (Numerical Recipes
-    5.4), which the transfer ``s = a1 cos`` obeys as the cosine does.
+    of R = ``rows`` samples of :func:`_chunk_rows` (the last may be
+    short); ``first`` is a multiple of ``RESEED_CHUNKS``.  With ``steps``
+    equal to the level arrays ``(2 cos(R h delta_n), sin(R h delta_n))``,
+    a full chunk follows from the two before it by the three-term
+    recurrence ``s_{k+1} = 2 cos(R h delta_n) s_k - s_{k-1}`` (Numerical
+    Recipes 5.4), which the transfer ``s = a1 cos`` obeys as the cosine
+    does.
     Chunk k restarts the recurrence when ``k % RESEED_CHUNKS == 0``, from
     its exact cosine times ``a1`` and that chunk rotated by
     ``R h delta_n``, so a chunk depends only on the chunks of its own
@@ -197,10 +203,14 @@ def _transfers(
     yields the same bytes.  A rounding error amplifies by at most j at
     the j-th recurrence step, also where ``R h delta_n`` is a multiple
     of pi, so the drift stays within about ``RESEED_CHUNKS**2`` ulps of
-    ``|a1|``.  A short last chunk takes the exact cosine too.  The phase
-    and its cosine or sine are computed once per chunk for all k rows of
-    ``a1``, and each row takes the float operations it would take alone.
-    A yielded block is overwritten two chunks later.
+    ``|a1|``.  A short last chunk takes the exact cosine too.  So a walk
+    evaluates ``levels x R`` cosines and as many sines per reseed window,
+    and the cosines of a short last chunk: at 8 levels, where R is
+    ``CHUNK_ROWS``, 2.9k for 1000 samples, where one chunk of all the
+    samples would take 8000.  The phase and its cosine or sine are
+    computed once per chunk for all k rows of ``a1``, and each row takes
+    the float operations it would take alone.  A yielded block is
+    overwritten two chunks later.
     """
     k, levels = a1.shape
     twice_cos_step, sin_step = (step[:, np.newaxis] for step in steps)
@@ -267,8 +277,12 @@ def _time_grid(
 
 
 def _chunk_rows(samples: int, levels: int) -> int:
-    """Time samples per chunk: a function of the levels, never of the preparations."""
-    return min(samples, max(1, CHUNK_ELEMENTS // levels))
+    """Time samples per chunk: a function of the samples and levels, never of the preparations.
+
+    At most ``CHUNK_ROWS``, and at most ``CHUNK_ELEMENTS`` samples x levels
+    but never below one sample; so the cap binds below 128 levels only.
+    """
+    return min(samples, CHUNK_ROWS, max(1, CHUNK_ELEMENTS // levels))
 
 
 def _group_size(rows: int, levels: int) -> int:
@@ -388,9 +402,10 @@ def entropy_trace(
     samples are exactly zero.  The grid needs an integer count of at
     least two samples, a finite positive horizon, no Rabi frequency
     ``delta_n`` above ``MAX_RABI`` and no phase ``horizon delta_n`` above
-    ``MAX_PHASE``.  Times are evaluated in chunks of about
-    ``CHUNK_ELEMENTS`` samples x levels, whose transfers ``a1 cos`` come
-    from :func:`_transfers`.  The reseed windows of ``RESEED_CHUNKS``
+    ``MAX_PHASE``.  Times are evaluated in chunks of at most
+    ``CHUNK_ROWS`` samples and about ``CHUNK_ELEMENTS`` samples x levels
+    (:func:`_chunk_rows`), whose transfers ``a1 cos`` come from
+    :func:`_transfers`.  The reseed windows of ``RESEED_CHUNKS``
     chunks are dealt out as contiguous groups to one thread per available
     CPU (at most one per window), each with its own scratch rows; a chunk
     depends only on its own window, so the result is the same to the bit
@@ -463,11 +478,14 @@ def bloch_sweep(
     :func:`entropy_trace`, the column must be 1-D and each weight pass
     that of :class:`AtomInit`, before anything is walked.
     Each distinct weight is walked once, in ascending order, in groups
-    that share the manifold arrays, each chunk's phases and cosines, and
-    one weighted sum on the :func:`_simpson_weights` built once per call;
-    a group holds as many as keep
-    ``k x samples x levels`` per chunk within ``GROUP_ELEMENTS``.  Every
-    row has the bits of :func:`entropy_trace` for its preparation.
+    that share the manifold arrays, each chunk's phases and cosines, the
+    atom entropies and one weighted sum on the :func:`_simpson_weights`
+    built once per call; a group holds as many as keep ``k x rows x
+    levels`` per chunk within ``GROUP_ELEMENTS``, with the rows of
+    :func:`_chunk_rows`: 32 at 8 levels and 1000 samples, so a 5x7 grid's
+    23 distinct weights walk as one group.  The rows depend on the samples
+    and levels only, so every row has the bits of :func:`entropy_trace`
+    for its preparation.
     """
     times = _time_grid(horizon, samples, params, dist)
     epsilons = np.asarray(epsilons, dtype=float)

@@ -74,8 +74,12 @@ def _oracle_configs():
     q = 1.5
     gamma = photon_weights_gamma(GammaSuperstat(q=q, beta_star=calibrate_beta_star(q, beta)),
                                  tail_tol=1e-6).truncated(25)
+    # 4000 samples of these few levels are 32 chunks of CHUNK_ROWS, so all but the
+    # first and the last come from the rotation and the cosine recurrence; a
+    # recurrence step 1e-9 off moves some checked row by 7e-8 or more
     configs = [
-        (f"{label},eps={eps:g}", resonant, AtomInit(eps), dist, kind, 12.5, 13, range(13))
+        (f"{label},eps={eps:g}", resonant, AtomInit(eps), dist, kind, 250.0, 4000,
+         (*range(0, 4000, 13), 3999))
         for label, dist, kind in (("gibbs", gibbs, ent.VON_NEUMANN),
                                   ("gamma-q1.5", gamma, ent.tsallis(q)))
         for eps in (0.0, 1.0)
@@ -148,7 +152,10 @@ def _oracle_average(perturb: float) -> CheckResult:
 
     params = ModelParams.from_detuning(0.3, 2.0)
     dist = photon_weights_gibbs(_BETA_OMEGA, tail_tol=1e-12).truncated(25)
-    atom, kind, horizon, samples = AtomInit(0.3), ent.VON_NEUMANN, 12.5, 100
+    # an even count, so the average takes Cartwright's last panel, on a step of
+    # 1/8 that a misplaced panel moves by 8e-7; three full chunks of CHUNK_ROWS
+    # and a short one, so it averages the rotation and the recurrence too
+    atom, kind, horizon, samples = AtomInit(0.3), ent.VON_NEUMANN, 50.0, 400
     detail = f"n_max={dist.n_max} samples={samples}"
     times = np.linspace(0.0, horizon, samples)
     expected = simpson(_oracle_exchanges(params, atom, dist, kind, times), x=times) / horizon

@@ -694,7 +694,7 @@ class TestSelfcheck:
                                           "uniform-weights"])
     def test_weight_faults_exit_4_with_every_line(self, monkeypatch, capsys, check_names,
                                                   mutation):
-        # the oracle-average line weighs 100 samples, an even count, so it sees
+        # the oracle-average line weighs 400 samples, an even count, so it sees
         # Cartwright's last panel left out or moved to the first, and a plain mean
         weights = entropy_module._simpson_weights
 
@@ -716,6 +716,26 @@ class TestSelfcheck:
         average = [line for line in report.splitlines() if "oracle-average" in line]
         assert len(average) == 1 and average[0].startswith("[FAIL]")
         assert sum(line.startswith("[FAIL]") for line in report.splitlines()) == 1
+
+    def test_recurrence_step_fault_exits_4_with_every_line(self, monkeypatch, capsys,
+                                                           check_names):
+        # a recurrence step scaled by 1 + 1e-9 drifts the phase of every chunk
+        # after the first; the few-level lines walk 32 chunks and see it per sample
+        transfers = entropy_module._transfers
+
+        def scaled(times, delta_n, a1, rows, first, stop, steps):
+            step = min(rows, times.size // 2) * (times[-1] / (times.size - 1)) * delta_n
+            step *= 1.0 + 1e-9
+            yield from transfers(times, delta_n, a1, rows, first, stop,
+                                 (2.0 * np.cos(step), np.sin(step)))
+
+        monkeypatch.setattr(entropy_module, "_transfers", scaled)
+        assert main(["selfcheck"]) == 4
+        report = capsys.readouterr().out
+        assert self.names(report) == check_names
+        few_levels = [line for line in report.splitlines()
+                      if line.split("[")[-1].startswith(("gibbs,", "gamma-q1.5,"))]
+        assert len(few_levels) == 4 and all(line.startswith("[FAIL]") for line in few_levels)
 
     @pytest.mark.parametrize("mutation", ["swapped-halves", "plain-mean"])
     def test_averaging_faults_exit_4_with_every_line(self, monkeypatch, capsys, check_names,

@@ -57,7 +57,20 @@ def test_reports_each_file_by_its_largest_deviation(compare, capsys, tmp_path):
         f"max_abs={gap:.3e} max_rel={gap / 0.5000000000000004:.3e} changed_cells=2")
     assert report[str(pathlib.Path("sweeps/sweep.json"))].startswith(
         f"max_abs={2**-50:.3e} ")
-    assert report["selfcheck.txt"] == "max_abs=1.110e-16 max_rel=5.000e-01 changed_cells=1"
+    # a residual is read against the floor, not against itself
+    assert report["selfcheck.txt"] == "max_abs=1.110e-16 max_rel=1.110e-04 changed_cells=1"
+
+
+@pytest.mark.parametrize("a, b, rel", [
+    (1.110e-16, 1.388e-16, 2.78e-05),  # a rounding residual moved by an ulp
+    (3e-13, -3e-13, 0.6),  # below the floor, against the floor
+    (2e-12, 1e-12, 0.5),  # above it, against the larger value
+])
+def test_relative_deviation_has_a_floor(compare, a, b, rel):
+    gap, relative = compare._deviation(a, b)
+    assert gap == abs(a - b)
+    assert relative == pytest.approx(rel, rel=1e-3)
+    assert compare._deviation(b, a) == (gap, relative)
 
 
 @pytest.mark.parametrize("name, text", [

@@ -487,6 +487,74 @@ class TestTraceWalkers:
         assert threading.active_count() == before
 
 
+class TestFewLevelRecurrence:
+    """Walks of a few levels, whose chunks of ``CHUNK_ROWS`` samples follow the cosine recurrence."""
+
+    PARAMS = ModelParams.from_detuning(0.3, 2.0)
+    ATOM = AtomInit(0.35)
+    # 1000 samples are 7 full chunks and a short one; 40000 are 313 chunks in
+    # three reseed windows
+    GRIDS = {1000: 25.0, 40000: 250.0}
+
+    @pytest.fixture(scope="class")
+    def gibbs(self):
+        dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-8)
+        assert dist.weights.size == 8
+        return dist
+
+    @pytest.fixture(scope="class")
+    def oracle(self, gibbs):
+        """Per sample count, the oracle's (atom populations, field weights) at every sample."""
+        computed = {}
+
+        def populations(samples):
+            if samples not in computed:
+                evolutions = [oracle_evolve(self.PARAMS, self.ATOM, gibbs, t, n_cut=gibbs.n_max,
+                                            warn_tol=1.0)
+                              for t in np.linspace(0.0, self.GRIDS[samples], samples)]
+                computed[samples] = (
+                    np.array([(ev.atom_excited, ev.atom_ground) for ev in evolutions]),
+                    np.array([ev.field_weights for ev in evolutions]),
+                )
+            return computed[samples]
+
+        return populations
+
+    @staticmethod
+    def entropies(p, kind):
+        """Entropies of the probability lists along the last axis of ``p``, each term spelled out."""
+        if kind.is_von_neumann:
+            return -np.sum(p * np.log(p), axis=-1)
+        return np.sum(p - p ** (2.0 - kind.q), axis=-1) / (1.0 - kind.q)
+
+    @pytest.mark.parametrize("samples", sorted(GRIDS))
+    @pytest.mark.parametrize("kind", [VON_NEUMANN, tsallis(1.5)], ids=["vn", "tsallis1.5"])
+    def test_every_sample_matches_the_oracle(self, gibbs, oracle, samples, kind):
+        rows = entropy_module._chunk_rows(samples, gibbs.weights.size)
+        assert rows == entropy_module.CHUNK_ROWS < samples // 2
+        trace = entropy_trace(self.PARAMS, self.ATOM, gibbs, kind,
+                              horizon=self.GRIDS[samples], samples=samples)
+        for walked, weights in zip((trace.ds_atom, trace.ds_field), oracle(samples)):
+            expected = self.entropies(weights, kind)
+            assert np.max(np.abs(walked - (expected - expected[0]))) <= 1e-12
+
+    def test_long_walk_keeps_its_bits_across_walkers_and_in_a_sweep(self, monkeypatch, gibbs):
+        samples = 40000
+        assert -(-samples // entropy_module.CHUNK_ROWS) == 313
+        grid = {"horizon": self.GRIDS[samples], "samples": samples}
+        traces = []
+        for count in (1, 2):
+            monkeypatch.setattr(entropy_module, "_available_cpus", lambda: count)
+            assert entropy_module._walkers(samples, entropy_module.CHUNK_ROWS) == count
+            trace = entropy_trace(self.PARAMS, self.ATOM, gibbs, **grid)
+            traces.append(b"".join(np.asarray(x).tobytes() for x in (
+                trace.ds_atom, trace.ds_field, trace.avg_ds_atom, trace.avg_ds_field)))
+        assert traces[1] == traces[0]
+        epsilons = np.array([0.0, self.ATOM.epsilon, 1.0])
+        row = bloch_sweep(self.PARAMS, epsilons, gibbs, **grid)[1]
+        assert row.tobytes() == np.array([trace.avg_ds_atom, trace.avg_ds_field]).tobytes()
+
+
 def test_single_walker_trace_holds_eleven_level_arrays(monkeypatch):
     # the evolver's four arrays, the t=0 field weights, three transfer rows, a
     # field row and the two recurrence steps; a Tsallis score needs no log
@@ -506,14 +574,16 @@ def test_single_walker_trace_holds_eleven_level_arrays(monkeypatch):
     assert peak / (8 * n) < 11.5
 
 
-@pytest.mark.parametrize("case", ["samples", "levels", "sweep", "grid"])
+@pytest.mark.parametrize("case", ["samples", "levels", "sweep", "capped", "grid"])
 def test_walk_bytes_bounds_the_traced_peak(monkeypatch, case):
     # the estimate a run is refused on holds every array the walk keeps, and
-    # overstates it by less than half
+    # overstates it by less than half; "capped" is the 23 distinct weights of a
+    # 5x7 grid on 8 levels, one group of 128-sample chunks
     walkers, kind, count, samples = {
         "samples": (1, VON_NEUMANN, 1, 100000),
         "levels": (2, VON_NEUMANN, 1, 900),
         "sweep": (1, tsallis(1.3), 92, 1000),
+        "capped": (1, VON_NEUMANN, 23, 1000),
         "grid": (1, VON_NEUMANN, 200000, 2),
     }[case]
     monkeypatch.setattr(entropy_module, "_available_cpus", lambda: walkers)
@@ -672,8 +742,8 @@ class TestSweepGroups:
 
     @staticmethod
     def group_size(dist, samples):
-        rows = min(samples, CHUNK_ELEMENTS // dist.weights.size)
-        return GROUP_ELEMENTS // (rows * dist.weights.size)
+        levels = dist.weights.size
+        return entropy_module._group_size(entropy_module._chunk_rows(samples, levels), levels)
 
     @staticmethod
     def per_point(dist, kind, form, epsilons, horizon, samples):
@@ -700,8 +770,10 @@ class TestSweepGroups:
 
     @BATCH_KINDS
     def test_gibbs_sweep_in_several_groups(self, kind, form):
+        # 8 levels x 1000 samples put 32 preparations in a group, so the 71
+        # distinct ones need three, the last of seven
         dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-8)
-        epsilons = np.linspace(0.0, 1.0, 11)
+        epsilons = np.linspace(0.0, 1.0, 71)
         epsilons = np.concatenate((epsilons[::-1], epsilons[::3]))
         assert np.unique(epsilons).size > 2 * self.group_size(dist, 1000) > 2
         averages = bloch_sweep(RESONANT, epsilons, dist, kind, form, horizon=25.0, samples=1000)
@@ -709,12 +781,13 @@ class TestSweepGroups:
         assert averages.tobytes() == expected.tobytes()
 
     def test_peak_memory_follows_the_group_budget(self, monkeypatch):
-        # 8 levels x 1000 samples put four preparations in a group; four fill
-        # one, and 92 would need 23 times its buffers if they were walked at once
+        # 8 levels x 1000 samples put 32 preparations in a group of 128-sample
+        # chunks; 32 fill one, and 92 would need three times its buffers if
+        # they were walked at once
         monkeypatch.setattr(entropy_module, "_available_cpus", lambda: 1)
         dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-8)
         group = self.group_size(dist, 1000)
-        assert group == 4
+        assert group == 32
         # three transfer buffers, the field rows and the von Neumann logarithms
         buffers = 5 * 8 * GROUP_ELEMENTS
 

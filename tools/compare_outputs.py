@@ -15,7 +15,9 @@ A file is cut into cells as it is written: a ``.json`` file into the leaves of
 its parsed value (by key and position), any other file line by line into the
 tokens between commas, whitespace and ``=``.  A token that parses as a float
 is numeric; the relative deviation of two numbers is ``|a - b| / max(|a|,
-|b|)``, and two non-finite numbers agree only when equal (NaN agrees with
+|b|, RELATIVE_FLOOR)``, so a cell that is itself a rounding residual, such
+as a ``max_dev`` of 1e-16, reads its move against 1e-12 and not against
+itself.  Two non-finite numbers agree only when equal (NaN agrees with
 NaN).  Two files whose cells do not pair up (another line or cell count,
 another JSON key or length) or whose non-numeric cells differ are a mismatch.
 
@@ -32,6 +34,9 @@ import sys
 from pathlib import Path
 
 _SEPARATORS = re.compile(r"[,\s=]+")
+# magnitude below which a relative deviation is taken against this floor: the
+# scale of a rounding residual in a cell of order 1 to 1e4
+RELATIVE_FLOOR = 1e-12
 
 
 class Mismatch(Exception):
@@ -79,7 +84,7 @@ def _deviation(a, b) -> tuple[float, float]:
     if not (math.isfinite(a) and math.isfinite(b)):
         return math.inf, math.inf
     gap = abs(a - b)
-    return gap, gap / max(abs(a), abs(b))
+    return gap, gap / max(abs(a), abs(b), RELATIVE_FLOOR)
 
 
 def compare_files(a: Path, b: Path) -> tuple[float, float, int]:
