@@ -53,10 +53,10 @@ CHUNK_ROWS = 128
 # twice the memory of the group's buffers
 GROUP_ELEMENTS = 2**15
 # float arrays of one entry per time sample and preparation that a walk holds
-# at once, at most (under tracemalloc): the moved populations and the field
-# entropies, then the two atom populations with their logarithms, the atom
-# entropies and the two exchanges, then the two exchanges and their product
-# with the averaging weights
+# at once, at most (under tracemalloc): the moved weight and the field
+# entropies, then the two atomic sectors' weights with their logarithms, the
+# atom entropies and the two exchanges, then the two exchanges and their
+# product with the averaging weights
 SAMPLE_ARRAYS = 8
 # 8-byte entries a Bloch sweep holds per grid point, at most: its r, theta and epsilon
 # columns with np.unique's sort and inverse, or with both averages tables (9 under tracemalloc)
@@ -303,17 +303,18 @@ def walk_bytes(samples: int, levels: int, preparations: int = 1) -> int:
     ``preparations`` the number given (1 for a trace), of which a group
     of k distinct ones is walked at once.  Counted in 8-byte entries:
     ``POINT_ARRAYS`` per preparation given; per one of a group the
-    evolver's four level arrays and the t=0 field weights, each walker's
+    evolver's transfer ``a1`` and the t=0 field weights, each walker's
     five scratch rows of ``k x rows x levels`` and ``SAMPLE_ARRAYS``
-    arrays of ``k x samples``; each walker's ``UFUNC_BUFFERS``; the two
-    recurrence steps; and the time grid with its averaging weights.
+    arrays of ``k x samples``; each walker's ``UFUNC_BUFFERS``; the
+    Rabi frequencies and the two recurrence steps; and the time grid with
+    its averaging weights.
     """
     rows = _chunk_rows(samples, levels)
     k = min(preparations, _group_size(rows, levels))
     walkers = _walkers(samples, rows)
-    return 8 * (POINT_ARRAYS * preparations + 2 * levels + 2 * samples
+    return 8 * (POINT_ARRAYS * preparations + 3 * levels + 2 * samples
                 + walkers * UFUNC_BUFFERS * np.getbufsize()
-                + k * (5 * levels + SAMPLE_ARRAYS * samples + walkers * 5 * rows * levels))
+                + k * (2 * levels + SAMPLE_ARRAYS * samples + walkers * 5 * rows * levels))
 
 
 def _exchanges(
@@ -327,17 +328,21 @@ def _exchanges(
     """(atom, field) entropy exchanges of each preparation, shape ``(2, len(atoms), times.size)``.
 
     The one walk behind :func:`entropy_trace` and :func:`bloch_sweep`;
-    ``times`` is the grid of :func:`_time_grid`.  Every preparation's row
-    has the bits it has when walked alone.
+    ``times`` is the grid of :func:`_time_grid`.  The walk starts from the
+    state it is given and adds each transfer ``s = a1 cos`` less its value
+    ``a1`` at t = 0: the atom is ``(eps T + m(t) - m(0), (1 - eps) T - (m(t) -
+    m(0)))`` with ``T`` the total weight and ``m`` the walk's own level sum of
+    ``s``, so its departure is exactly 0 at t = 0 in any summation order.
+    Every preparation's row has the bits it has when walked alone.
     """
     evolver = BlockEvolver(params, atoms, dist)
     a1 = evolver.a1
     rows = _chunk_rows(times.size, dist.weights.size)
-    # A = a0 + a1 cos and C = c0 - a1 cos, so the atom populations and the
-    # field weights are their t-independent parts plus or minus a1 cos; the
-    # parts are summed over the levels in the order the walk sums a1 cos, so
-    # that an empty sector at t = 0 is exactly 0
-    pe0, pg0, w0 = evolver.populations(evolver.a0, evolver.c0, sequential=rows > 1)
+    # the t=0 field less the transfer at t=0, which a chunk adds back as s on
+    # levels 0..n_max-1 and takes from levels 1..n_max
+    w0 = np.repeat(dist.weights[np.newaxis], len(atoms), axis=0)
+    w0[:, :-1] -= a1
+    w0[:, 1:] += a1
     moved = np.empty((len(atoms), times.size))
     s_field = np.empty((len(atoms), times.size))
     # the sine overwrites the phase, so no third level array outlives this line;
@@ -378,9 +383,12 @@ def _exchanges(
             walk(bounds[0], bounds[1])
         for future in futures:
             future.result()
+    moved -= moved[:, :1]
+    eps = evolver.epsilon[:, np.newaxis]
+    total = float(np.sum(dist.weights)) + dist.tail_mass
     # each two-entry pair sums alike in any batch, so one call scores every sample
-    s_atom = _row_entropies(np.stack((pe0[:, np.newaxis] + moved, pg0[:, np.newaxis] - moved),
-                                     axis=-2), kind, axis=-2)
+    s_atom = _row_entropies(np.stack((eps * total + moved, (1.0 - eps) * total - moved), axis=-2),
+                            kind, axis=-2)
     exchanges = np.stack((s_atom, s_field))
     exchanges -= exchanges[..., :1]
     return exchanges

@@ -10,15 +10,20 @@ about an axis at the mixing angle ``sin(theta_n) = lam sqrt(n+1) / delta_n``
 (Jaynes & Cummings, Proc. IEEE 51, 89, 1963; Shore & Knight, J. Mod. Opt.
 40, 1195, 1993).
 
-The analytic route (:class:`BlockEvolver`) and the numeric route
-(:func:`oracle_evolve`, dense per-block diagonalization) are implemented
-independently so each one checks the other.
+The analytic route (:class:`BlockEvolver`) keeps only what moves: each
+manifold's Rabi frequency and the transfer ``a1`` between its two
+states, so a walk adds the departure ``a1 (cos(delta_n t) - 1)`` to the
+initial state it is given.  The numeric route (:func:`oracle_evolve`,
+dense per-block diagonalization) builds the whole state at each instant.
+The two are implemented independently so each one checks the other.
 
 Photon levels beyond the truncation of the supplied
-:class:`~jcentropy.superstat.PhotonDistribution` are carried as a
-frozen, non-evolving contribution (epsilon-split between the atomic
-sectors), so total probability is conserved exactly and the freezing
-error is bounded by the tracked tail mass.
+:class:`~jcentropy.superstat.PhotonDistribution`, the |g,0> weight and
+the |e,n_max> weight do not evolve.  The walk carries them in the initial
+state; the oracle carries them as a frozen contribution (the tail
+epsilon-split between the atomic sectors).  So total probability is
+conserved exactly and the freezing error is bounded by the tracked tail
+mass.
 """
 
 from __future__ import annotations
@@ -45,11 +50,11 @@ class CutoffWarning(UserWarning):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ModelParams:
-    """Atom frequency, cavity frequency and coupling strength."""
+    """Detuning, cavity frequency and coupling strength, as given."""
 
-    omega0: float
+    delta: float
     omega: float = 1.0
     lam: float = 1.0
 
@@ -62,13 +67,13 @@ class ModelParams:
             raise ValueError(f"lambda must be finite, got {self.lam}")
 
     @property
-    def delta(self) -> float:
-        """Detuning omega0 - omega."""
-        return self.omega0 - self.omega
+    def omega0(self) -> float:
+        """Atom frequency omega + delta, which only the oracle's Hamiltonian reads."""
+        return self.omega + self.delta
 
     @classmethod
     def from_detuning(cls, delta: float, lam: float, omega: float = 1.0) -> "ModelParams":
-        return cls(omega0=omega + delta, omega=omega, lam=lam)
+        return cls(delta=delta, omega=omega, lam=lam)
 
 
 @dataclass(frozen=True)
@@ -100,13 +105,14 @@ class BlockEvolver:
     Manifold n starts with ``x = epsilon p_n`` on |e,n> and ``y = (1 - epsilon) p_{n+1}``
     on |g,n+1>; its Rabi rotation moves ``a1 (1 - cos(delta_n t))`` from |e,n> to
     |g,n+1>, with the transfer ``a1 = sin^2(theta_n) (x - y) / 2``.  So
-    ``A_n(t) = a0 + a1 cos(delta_n t)`` and ``C_n(t) = c0 - a1 cos(delta_n t)``, and an
-    evolver holds four per-level arrays: ``delta_n``, ``a0``, ``a1`` and ``c0``.
+    ``A_n(t) = x - a1 (1 - cos(delta_n t))`` and ``C_n(t) = y + a1 (1 - cos(delta_n t))``:
+    the state departs from its initial one by ``a1 cos(delta_n t) - a1``, and an
+    evolver holds two per-level arrays, ``delta_n`` and ``a1``.
 
     ``atom`` is one :class:`AtomInit` or a sequence of k, which share ``delta_n``.
-    Its epsilons, of shape ``()`` or ``(k,)``, lead the shapes of ``a0``, ``a1``,
-    ``c0``, ``uncoupled_weight`` and ``excited_top``, and each entry has the bits
-    of the evolver of its preparation alone.
+    Its epsilons, the array ``epsilon`` of shape ``()`` or ``(k,)``, lead the
+    shape of ``a1``, and each row has the bits of the evolver of its
+    preparation alone.
     """
 
     def __init__(self, params: ModelParams, atom, dist: PhotonDistribution):
@@ -114,46 +120,13 @@ class BlockEvolver:
             raise ValueError("need at least photon levels {0, 1} to evolve a manifold")
         self.dist = dist
         eps = atom.epsilon if isinstance(atom, AtomInit) else [one.epsilon for one in atom]
-        self._eps = np.array(eps, dtype=float)
+        self.epsilon = np.array(eps, dtype=float)
         p = dist.weights
-        self.uncoupled_weight = (1.0 - self._eps) * p[0]
-        self.excited_top = self._eps * p[-1]
         self.delta_n, sin_theta = _manifold_arrays(params, dist.n_max)
-        # (x, y) = (eps p_n, (1 - eps) p_{n+1}), led by the preparation axis
-        excited = np.multiply.outer(self._eps, p[:-1])
-        ground = np.multiply.outer(1.0 - self._eps, p[1:])
-        self.a1 = 0.5 * sin_theta**2 * (excited - ground)
-        self.a0 = excited - self.a1
-        self.c0 = ground + self.a1
-
-    def populations(self, a, c, *, sequential: bool = False):
-        """(p_e, p_g, field) of the reduced states, along the last axis of ``a`` and ``c``.
-
-        ``a`` and ``c`` are ``A_n`` and ``C_n`` over the evolved manifolds,
-        led by a group's preparation axis, which the frozen weights follow.
-        The |g,0> weight, the |e,n_max> weight and the tail beyond
-        ``n_max`` stay at their t=0 values; the tail is split
-        epsilon : (1 - epsilon) between the atomic sectors, so
-        ``p_e + p_g = 1``.  ``field`` holds the photon-number weights over
-        levels 0..n_max; the remaining probability is the tail mass.
-        The sums over ``a`` and ``c`` are NumPy's pairwise ones, or with
-        ``sequential`` left to right, as NumPy sums along an axis that is
-        not the innermost one.
-        """
-        lead = self._eps.shape + (1,) * (np.ndim(a) - 1 - self._eps.ndim)
-        eps, top, uncoupled = (np.reshape(x, lead)
-                               for x in (self._eps, self.excited_top, self.uncoupled_weight))
-
-        def level_sum(x):
-            return np.add.accumulate(x, axis=-1)[..., -1] if sequential else np.sum(x, axis=-1)
-
-        p_e = level_sum(a) + top + eps * self.dist.tail_mass
-        p_g = uncoupled + level_sum(c) + (1.0 - eps) * self.dist.tail_mass
-        field = np.empty(a.shape[:-1] + (a.shape[-1] + 1,))
-        field[..., 0] = uncoupled + a[..., 0]
-        np.add(a[..., 1:], c[..., :-1], out=field[..., 1:-1])
-        field[..., -1] = c[..., -1] + top
-        return p_e, p_g, field
+        # x - y with (x, y) = (eps p_n, (1 - eps) p_{n+1}), led by the preparation axis
+        self.a1 = np.multiply.outer(self.epsilon, p[:-1])
+        self.a1 -= np.multiply.outer(1.0 - self.epsilon, p[1:])
+        self.a1 *= 0.5 * sin_theta**2
 
 
 @dataclass(frozen=True)

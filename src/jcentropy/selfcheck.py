@@ -173,8 +173,9 @@ def _oracle_average(perturb: float) -> CheckResult:
 def _structural_fuzz() -> list[CheckResult]:
     """Invariants of the arrays the walk reads, which hold at every t.
 
-    ``A_n = a0 + a1 cos`` and ``C_n = c0 - a1 cos``: the transfer cancels in
-    each manifold's weight, and both stay non-negative where ``a0`` and ``c0`` cover ``|a1|``.
+    ``A_n = (x - a1) + a1 cos`` and ``C_n = (y + a1) - a1 cos`` with ``(x, y)``
+    the initial weights: the transfer cancels in each manifold's weight, and
+    both stay non-negative where ``x - a1`` and ``y + a1`` cover ``|a1|``.
     """
     rng = np.random.default_rng(11)
     dev_cons = 0.0
@@ -185,16 +186,16 @@ def _structural_fuzz() -> list[CheckResult]:
         eps = rng.uniform()
         beta = rng.uniform(0.3, 4.0)
         dist = photon_weights_gibbs(beta, tail_tol=1e-10)
-        evolver = BlockEvolver(params, AtomInit(eps), dist)
+        a1 = BlockEvolver(params, AtomInit(eps), dist).a1
         p = dist.weights
-        block = evolver.a0 + evolver.c0
-        initial = eps * p[:-1] + (1.0 - eps) * p[1:]
-        dev_cons = max(dev_cons, float(np.max(np.abs(block - initial))))
-        total = (evolver.uncoupled_weight + evolver.excited_top + float(np.sum(block))
-                 + dist.tail_mass)
+        excited, ground = eps * p[:-1], (1.0 - eps) * p[1:]
+        fixed_a, fixed_c = excited - a1, ground + a1
+        block = fixed_a + fixed_c
+        dev_cons = max(dev_cons, float(np.max(np.abs(block - (excited + ground)))))
+        total = (1.0 - eps) * p[0] + eps * p[-1] + float(np.sum(block)) + dist.tail_mass
         dev_total = max(dev_total, abs(total - 1.0))
-        swing = np.abs(evolver.a1)
-        lowest = min(np.min(evolver.a0 - swing), np.min(evolver.c0 - swing))
+        swing = np.abs(a1)
+        lowest = min(np.min(fixed_a - swing), np.min(fixed_c - swing))
         dev_pos = max(dev_pos, -float(lowest))
     return [
         _check("block-conservation", dev_cons, 1e-10),

@@ -406,6 +406,21 @@ def test_rabi_frequency_whose_square_overflows_is_refused(tmp_path, capsys, argv
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("delta, omega", [("0.1", "1"), ("1.7e308", "1e308")])
+def test_rabi_refusal_names_the_detuning_as_given(tmp_path, capsys, delta, omega):
+    # a detuning rebuilt as (omega + delta) - omega read 0.10000000000000009,
+    # and beside a huge omega a finite one overflowed to inf and was refused
+    # as "delta must be finite"
+    lam = "2e154" if delta == "0.1" else "1"
+    argv = ["timeseries", "--gibbs", "--beta", "2", "--delta", delta, "--omega", omega,
+            "--lambda", lam, "--grid", "5", "--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"jcentropy: delta {float(delta)!r} and lambda {float(lam)!r} take ")
+    assert "Rabi frequency" in err and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
 def test_usage_error_comes_before_an_unresolvable_phase(tmp_path, capsys):
     # --T is checked with the time grid, after the entropy is resolved
     for horizon in ("1e300", "-1", "nan"):
@@ -674,10 +689,10 @@ class TestSelfcheck:
         # probability guard where no tail mass absorbs them; every check on
         # the walk reports a failure, and no error escapes as a domain failure
         class LeakyEvolver(BlockEvolver):
-            def populations(self, a, c, **kwargs):
-                p_e, p_g, field = super().populations(a, c, **kwargs)
-                field[..., 1] += 1e-5
-                return p_e, p_g, field
+            def __init__(self, params, atom, dist):
+                super().__init__(params, atom, dist)
+                # the walk reads the weights after its transfers are set
+                dist.weights[1] += 1e-5
 
         monkeypatch.setattr(entropy_module, "BlockEvolver", LeakyEvolver)
         assert main(["selfcheck"]) == 4
@@ -1306,11 +1321,11 @@ def test_allocation_beyond_memory_is_domain_error(tmp_path, capsys, argv):
      "a walk over 1000 time samples and "),
     (["bloch-sweep", "--gibbs", "--beta", "2", "--t-samples", "1000"], 2**16,
      "a walk over 1000 time samples and "),
-    # one group of the million points' walk takes 2.3 MB, the points 80 MB
+    # one group of the million points' walk takes 1.9 MB, the points 80 MB
     (["bloch-sweep", "--gibbs", "--beta", "2", "--t-samples", "2", "--T", "1",
       "--grid", "1000x1000"], 2**24,
      "a walk over 2 time samples and 10 photon levels, for 1000000 atom preparation(s), "
-     "needs an estimated 0.0767 GiB"),
+     "needs an estimated 0.0763 GiB"),
 ], ids=["timeseries", "bloch-sweep", "bloch-sweep-grid"])
 def test_walk_beyond_physical_memory_is_refused_before_it_starts(tmp_path, capsys, monkeypatch,
                                                                   argv, memory, walk):

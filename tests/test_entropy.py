@@ -41,7 +41,7 @@ from jcentropy.superstat import (
     photon_weights_gamma,
     photon_weights_gibbs,
 )
-from oracle_utils import evolved_ac, zeta_brute
+from oracle_utils import evolved_ac, populations, zeta_brute
 
 RESONANT = ModelParams.from_detuning(0.0, 2.0)
 # Thermal von Neumann entropy (1+nbar) ln(1+nbar) - nbar ln(nbar) at nbar=0.1,
@@ -51,7 +51,7 @@ THERMAL_S_01 = 0.3350997070841619
 
 def exact_entropies(evolver, t, kind=VON_NEUMANN, form=FieldEntropyForm.FULL):
     """(atom, field) entropies at time t from the closed form, one instant at a time."""
-    p_e, p_g, field = evolver.populations(*evolved_ac(evolver, t))
+    p_e, p_g, field = populations(evolver, *evolved_ac(evolver, t))
     if form is FieldEntropyForm.COARSE:
         field = _coarse_grained(field, evolver.dist.tail_mass)
     return entropy_of([p_e, p_g], kind), entropy_of(field, kind)
@@ -359,6 +359,36 @@ class TestEntropyTrace:
                 assert trace.ds_atom[i] == pytest.approx(o_atom - o0_atom, abs=1e-12)
                 assert trace.ds_field[i] == pytest.approx(o_field - o0_field, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", [VON_NEUMANN, tsallis(1.5)], ids=["vn", "tsallis1.5"])
+    @pytest.mark.parametrize("eps", [0.0, 1.0])
+    def test_one_sample_chunks_depart_from_an_exact_anchor(self, kind, eps):
+        # beyond 8192 levels a chunk holds one sample and its level sums are
+        # pairwise; the empty sector starts at exactly 0 all the same, where the
+        # 2.8e-16 by which a left-to-right sum of this a1 differs would move
+        # every Tsallis atom exchange by about 3e-8
+        dist = photon_weights_gibbs(1e-3, tail_tol=1e-8)
+        assert dist.weights.size > CHUNK_ELEMENTS // 2
+        assert entropy_module._chunk_rows(9, dist.weights.size) == 1
+        params, atom = RESONANT, AtomInit(eps)
+        trace = entropy_trace(params, atom, dist, kind, horizon=3.0, samples=9)
+        assert trace.ds_atom[0] == 0.0
+        evolver = BlockEvolver(params, atom, dist)
+        s0_atom, s0_field = exact_entropies(evolver, 0.0, kind)
+        # the dense oracle's own t=0 state is a rotation by an eigenbasis and
+        # back, so its exchanges start from the state as given
+        g0_atom = entropy_of([eps, 1.0 - eps], kind)
+        g0_field = entropy_of(dist.weights, kind)
+        for i in (1, 2, 5, 8):
+            s_atom, s_field = exact_entropies(evolver, trace.times[i], kind)
+            assert trace.ds_atom[i] == pytest.approx(s_atom - s0_atom, abs=1e-12)
+            assert trace.ds_field[i] == pytest.approx(s_field - s0_field, abs=1e-12)
+            ora = oracle_evolve(params, atom, dist, trace.times[i], n_cut=dist.n_max,
+                                warn_tol=1.0)
+            o_atom = entropy_of([ora.atom_excited, ora.atom_ground], kind)
+            assert trace.ds_atom[i] == pytest.approx(o_atom - g0_atom, abs=1e-12)
+            o_field = entropy_of(ora.field_weights, kind)
+            assert trace.ds_field[i] == pytest.approx(o_field - g0_field, abs=1e-12)
+
     @pytest.mark.parametrize("grid", ["linspace", "resonant", "two-chunks"])
     def test_chunk_recurrence_matches_state_level_entropies(self, grid):
         # ~4k levels give R = 3 samples per chunk, and 300 chunks cross two
@@ -555,10 +585,10 @@ class TestFewLevelRecurrence:
         assert row.tobytes() == np.array([trace.avg_ds_atom, trace.avg_ds_field]).tobytes()
 
 
-def test_single_walker_trace_holds_eleven_level_arrays(monkeypatch):
-    # the evolver's four arrays, the t=0 field weights, three transfer rows, a
+def test_single_walker_trace_holds_nine_level_arrays(monkeypatch):
+    # the evolver's two arrays, the t=0 field weights, three transfer rows, a
     # field row and the two recurrence steps; a Tsallis score needs no log
-    # buffer, and a step array kept beside the steps would make twelve
+    # buffer, and a step array kept beside the steps would make ten
     monkeypatch.setattr(entropy_module, "_available_cpus", lambda: 1)
     n = 10**5
     dist = PhotonDistribution(np.full(n + 1, 1.0 / (n + 1)), 0.0)
@@ -571,7 +601,7 @@ def test_single_walker_trace_holds_eleven_level_arrays(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / (8 * n) < 11.5
+    assert peak / (8 * n) < 9.5
 
 
 @pytest.mark.parametrize("case", ["samples", "levels", "sweep", "capped", "grid"])
