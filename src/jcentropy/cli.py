@@ -1,11 +1,15 @@
 """Command-line surface.
 
 Subcommands: ``calibrate``, ``weights``, ``timeseries``, ``bloch-sweep``,
-``ensemble-gen``, ``selfcheck``.  Every file-producing command writes its
-output atomically and records the fully resolved run configuration
-(including derived quantities) either embedding it (JSON format, betas
-files) or in a ``<out>.meta.json`` sidecar, so any output can be
-regenerated byte-for-byte from its own metadata.
+``ensemble-gen``, ``selfcheck``.  ``_COMMANDS`` is the one list of them:
+each name maps to its help line and to the function that adds its flags.
+A call builds the flags of the command it runs only.
+
+Every file-producing command writes its output atomically and records the
+fully resolved run configuration (including derived quantities) either
+embedding it (JSON format, betas files) or in a ``<out>.meta.json``
+sidecar, so any output can be regenerated byte-for-byte from its own
+metadata.
 
 Exit codes: 0 success, 2 usage, 3 numeric-domain failure, 4 accuracy
 failure, 5 I/O failure.
@@ -39,7 +43,6 @@ from .entropy import (
     walk_bytes,
 )
 from .jcm import AtomInit, ModelParams
-from .selfcheck import run_selfcheck
 from .specfun import AccuracyError
 from .superstat import (
     HARD_CAP,
@@ -475,6 +478,8 @@ def cmd_ensemble_gen(cfg: dict) -> int:
 
 
 def cmd_selfcheck(cfg: dict) -> int:
+    from .selfcheck import run_selfcheck  # imported here to keep its set-up off other commands
+
     results = run_selfcheck(perturb=cfg["inject_perturbation"])
     all_passed = True
     for res in results:
@@ -528,7 +533,84 @@ def _add_dynamics(sub: argparse.ArgumentParser) -> None:
     sub.set_defaults(n_cap=10**5)  # keeps heavy-tail runs tractable; tail mass stays tracked
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_calibrate(sub: argparse.ArgumentParser) -> None:
+    _add_common(sub)
+    sub.add_argument("--q", help="comma list of deformation indices, 'gibbs' allowed")
+    sub.add_argument("--grid", default="0.5:10:50",
+                     help="T* grid as 'min:max:count' (default 0.5:10:50)")
+    sub.set_defaults(func=cmd_calibrate)
+
+
+def _add_weights(sub: argparse.ArgumentParser) -> None:
+    _add_common(sub)
+    _add_model(sub)
+    sub.set_defaults(func=cmd_weights)
+
+
+def _add_timeseries(sub: argparse.ArgumentParser) -> None:
+    _add_common(sub)
+    _add_model(sub)
+    _add_dynamics(sub)
+    sub.add_argument("--epsilon", type=float, default=0.0,
+                     help="initial excited-state weight (default 0)")
+    sub.add_argument("--grid", type=int, default=2000,
+                     help="number of time samples (default 2000)")
+    sub.set_defaults(func=cmd_timeseries)
+
+
+def _add_bloch_sweep(sub: argparse.ArgumentParser) -> None:
+    _add_common(sub)
+    _add_model(sub)
+    _add_dynamics(sub)
+    sub.add_argument("--grid", default="5x7", help="(r, theta) grid as 'NRxNTHETA' (default 5x7)")
+    sub.add_argument("--t-samples", type=int, dest="t_samples", default=1000,
+                     help="time samples per point (default 1000)")
+    sub.set_defaults(func=cmd_bloch_sweep)
+
+
+def _add_ensemble_gen(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--config", help="JSON config file (flags override file values)")
+    sub.add_argument("--out", help="output betas file")
+    sub.add_argument("--shape", choices=["normal", "weibull"], default="normal",
+                     help="distribution shape")
+    sub.add_argument("--count", type=int, default=100, help="ensemble size (default 100)")
+    sub.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
+    sub.add_argument("--omega", type=float, default=1.0, help="cavity frequency (default 1.0)")
+    sub.add_argument("--mean", type=float, default=3.0,
+                     help="target mean of beta*omega (default 3)")
+    sub.add_argument("--sd", type=float, default=0.3,
+                     help="normal-shape standard deviation (default 0.3)")
+    sub.add_argument("--scale", type=float, help="weibull scale (default: mean-matched)")
+    sub.add_argument("--shape-param", type=float, dest="shape_param", default=2.0,
+                     help="weibull shape parameter (default 2)")
+    sub.set_defaults(func=cmd_ensemble_gen)
+
+
+def _add_selfcheck(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--inject-perturbation", type=float, dest="inject_perturbation",
+                     default=0.0, help=argparse.SUPPRESS)
+    sub.set_defaults(func=cmd_selfcheck)
+
+
+# the one list of subcommands: name -> (help line, adder of its flags and its func)
+_COMMANDS = {
+    "calibrate": ("physical temperature vs quasi-temperature table", _add_calibrate),
+    "weights": ("photon-number weight table", _add_weights),
+    "timeseries": ("entropy exchange time series", _add_timeseries),
+    "bloch-sweep": ("time-averaged exchange over atom preparations", _add_bloch_sweep),
+    "ensemble-gen": ("draw and store an inverse-temperature ensemble", _add_ensemble_gen),
+    "selfcheck": ("run the built-in consistency suite", _add_selfcheck),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with the flags of ``command`` only, or of all if None.
+
+    Every subcommand is named with its help line either way, so the
+    top-level help, usage and refusals read the same.  Each ``add_argument``
+    builds a help formatter, which is most of a warm command's fixed cost,
+    and a call runs one command.
+    """
     parser = argparse.ArgumentParser(
         prog="jcentropy",
         description="Entropy exchange of a two-level atom and a thermally "
@@ -536,66 +618,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"jcentropy {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    cal = subs.add_parser("calibrate", help="physical temperature vs quasi-temperature table")
-    _add_common(cal)
-    cal.add_argument("--q", help="comma list of deformation indices, 'gibbs' allowed")
-    cal.add_argument("--grid", default="0.5:10:50",
-                     help="T* grid as 'min:max:count' (default 0.5:10:50)")
-    cal.set_defaults(func=cmd_calibrate)
-
-    wts = subs.add_parser("weights", help="photon-number weight table")
-    _add_common(wts)
-    _add_model(wts)
-    wts.set_defaults(func=cmd_weights)
-
-    ts = subs.add_parser("timeseries", help="entropy exchange time series")
-    _add_common(ts)
-    _add_model(ts)
-    _add_dynamics(ts)
-    ts.add_argument("--epsilon", type=float, default=0.0,
-                    help="initial excited-state weight (default 0)")
-    ts.add_argument("--grid", type=int, default=2000, help="number of time samples (default 2000)")
-    ts.set_defaults(func=cmd_timeseries)
-
-    bs = subs.add_parser("bloch-sweep", help="time-averaged exchange over atom preparations")
-    _add_common(bs)
-    _add_model(bs)
-    _add_dynamics(bs)
-    bs.add_argument("--grid", default="5x7", help="(r, theta) grid as 'NRxNTHETA' (default 5x7)")
-    bs.add_argument("--t-samples", type=int, dest="t_samples", default=1000,
-                    help="time samples per point (default 1000)")
-    bs.set_defaults(func=cmd_bloch_sweep)
-
-    gen = subs.add_parser("ensemble-gen", help="draw and store an inverse-temperature ensemble")
-    gen.add_argument("--config", help="JSON config file (flags override file values)")
-    gen.add_argument("--out", help="output betas file")
-    gen.add_argument("--shape", choices=["normal", "weibull"], default="normal",
-                     help="distribution shape")
-    gen.add_argument("--count", type=int, default=100, help="ensemble size (default 100)")
-    gen.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
-    gen.add_argument("--omega", type=float, default=1.0, help="cavity frequency (default 1.0)")
-    gen.add_argument("--mean", type=float, default=3.0,
-                     help="target mean of beta*omega (default 3)")
-    gen.add_argument("--sd", type=float, default=0.3,
-                     help="normal-shape standard deviation (default 0.3)")
-    gen.add_argument("--scale", type=float, help="weibull scale (default: mean-matched)")
-    gen.add_argument("--shape-param", type=float, dest="shape_param", default=2.0,
-                     help="weibull shape parameter (default 2)")
-    gen.set_defaults(func=cmd_ensemble_gen)
-
-    chk = subs.add_parser("selfcheck", help="run the built-in consistency suite")
-    chk.add_argument("--inject-perturbation", type=float, dest="inject_perturbation",
-                     default=0.0, help=argparse.SUPPRESS)
-    chk.set_defaults(func=cmd_selfcheck)
-
-    for sub in subs.choices.values():
-        sub.set_defaults(parser=sub)
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        if command is None or command == name:
+            add_arguments(sub)
+            sub.set_defaults(parser=sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # the top-level parser takes no option with a value, so its first
+    # positional token names the command; argparse refuses one that does not
+    parser = build_parser(next((token for token in argv if not token.startswith("-")), None))
     args = parser.parse_args(argv)
     flags = {action.dest: action for action in args.parser._actions
              if action.dest not in ("help", "config")}

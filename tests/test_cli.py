@@ -930,6 +930,67 @@ def test_dynamics_runs_leave_scipy_unimported(tmp_path, argv):
     assert (tmp_path / "x.csv").exists()
 
 
+def test_only_the_selfcheck_command_imports_selfcheck(tmp_path):
+    # its module body sets up the fuzz tables, which no other command reads
+    argv = ["timeseries", "--gibbs", "--beta", "2", "--out", str(tmp_path / "x.csv")]
+    snippet = ("import sys, jcentropy.cli\njcentropy.cli.build_parser()\n"
+               "print('jcentropy.selfcheck' in sys.modules)\n"
+               f"assert jcentropy.cli.main({argv!r}) == 0\n"
+               "print('jcentropy.selfcheck' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(jcentropy.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", snippet], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.split() == ["False", "False"]
+    assert (tmp_path / "x.csv").exists()
+
+
+def _subparser(parser, command):
+    return parser._subparsers._group_actions[0].choices[command]
+
+
+def _action_record(action):
+    return (type(action), action.option_strings, action.dest, action.default, action.type,
+            action.choices, action.nargs, action.const, action.help, action.required)
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_parser_of_one_command_equals_its_part_of_the_full_parser(monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help text to the terminal width
+    full, partial = build_parser(), build_parser(command)
+    assert full.format_help() == partial.format_help()
+    assert full.format_usage() == partial.format_usage()
+    full_sub, sub = _subparser(full, command), _subparser(partial, command)
+    assert [_action_record(a) for a in sub._actions] == [
+        _action_record(a) for a in full_sub._actions]
+    assert sub._defaults.pop("parser") is sub
+    assert full_sub._defaults.pop("parser") is full_sub
+    assert sub._defaults == full_sub._defaults
+    assert sub.format_help() == full_sub.format_help()
+    for other in cli._COMMANDS.keys() - {command}:  # named with their help, but empty
+        assert [a.dest for a in _subparser(partial, other)._actions] == ["help"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bloch-sweep", "--gibbs", "--beta", "2", "--grid", "1x2", "--t-samples", "3"],
+    ["calibrate", "--q", "gibbs", "--grid", "1:2:2"],
+], ids=["bloch-sweep", "calibrate"])
+def test_main_adds_the_flags_of_the_command_it_runs_only(tmp_path, monkeypatch, argv):
+    added = []
+
+    def recording(name, add_arguments):
+        def add(sub):
+            added.append(name)
+            add_arguments(sub)
+        return add
+
+    for name, (help_text, add_arguments) in list(cli._COMMANDS.items()):
+        monkeypatch.setitem(cli._COMMANDS, name, (help_text, recording(name, add_arguments)))
+    assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 0
+    assert added == [argv[0]]
+
+
 def test_outputs_agree_across_cpu_dispatch_tiers(tmp_path):
     # NumPy rounds exp, log, log1p and power differently on each SIMD tier, so
     # another tier gives other bytes; it must still give the same numbers
@@ -1139,7 +1200,7 @@ def test_every_ensemble_gen_ends_in_a_documented_exit_code(argv):
 
 def _config_flags(command):
     """The flags of ``command`` that a config file may set (dest -> action), ``out`` aside."""
-    sub = build_parser().parse_args([command]).parser
+    sub = build_parser(command).parse_args([command]).parser
     return {a.dest: a for a in sub._actions if a.dest not in ("help", "config", "out")}
 
 

@@ -29,10 +29,15 @@ record is relative and the same for any checkout.  They are:
 * a ``timeseries --config <sidecar>`` rerun of the seed-1 heavy trace and a
   ``bloch-sweep --config <sidecar>`` rerun of the 9x13 sweep in ``rerun/``;
 * the stdout of ``selfcheck`` and of ``selfcheck --inject-perturbation 1e-6``;
-* the ``--help`` text of the parser and of every subcommand, at 80 columns.
+* the ``--help`` text of the parser and of every subcommand, and the top-level
+  help of ``-h timeseries``, at 80 columns;
+* four runs that argparse refuses, so their usage text lands in ``runs.txt``:
+  no arguments, ``bogus``, ``bloch-sweep --bogus`` and ``timeseries --grid``
+  without its value.
 
 ``runs.txt`` lists each run with its exit code and its stderr.  Every run
 expects exit 0 except ``selfcheck --inject-perturbation``, which expects 4, and
+the argparse refusals, which expect 2; and
 each ``--config`` rerun must write the very bytes of the table it reruns; the
 script exits 1 and lists on stderr the runs that did otherwise, so two
 checkouts that fail alike do not pass as identical.  Run the script on two
@@ -60,7 +65,7 @@ def main(argv: list[str]) -> int:
         return 2
     os.environ["COLUMNS"] = "80"  # argparse wraps its help text to the terminal width
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    from jcentropy.cli import build_parser
+    from jcentropy.cli import _COMMANDS
     from jcentropy.cli import main as cli_main
     from workloads import WORKLOADS
 
@@ -130,8 +135,11 @@ def main(argv: list[str]) -> int:
     run(["selfcheck", "--inject-perturbation", "1e-6"], "selfcheck-perturbed.txt", expect=4)
     Path("help").mkdir(exist_ok=True)
     run(["--help"], "help/jcentropy.txt")
-    for command in build_parser()._subparsers._group_actions[0].choices:
+    for command in _COMMANDS:
         run([command, "--help"], f"help/{command}.txt")
+    run(["-h", "timeseries"], "help/h-timeseries.txt")
+    for refused in ([], ["bogus"], ["bloch-sweep", "--bogus"], ["timeseries", "--grid"]):
+        run(refused, expect=2)
     Path("runs.txt").write_text("\n".join(log), encoding="utf-8")
     if unexpected:
         print("outputs: runs that ended with an unexpected exit code or table:", *unexpected,
