@@ -24,8 +24,8 @@ from .superstat import (
 )
 from .jcm import (
     AtomInit,
-    BlockEvolver,
     ModelParams,
+    manifold_transfers,
     oracle_evolve,
 )
 from .entropy import (

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jcm import AtomInit, BlockEvolver, ModelParams
+from .jcm import AtomInit, ModelParams, manifold_transfers
 from .superstat import PhotonDistribution
 
 __all__ = [
@@ -303,11 +303,11 @@ def walk_bytes(samples: int, levels: int, preparations: int = 1) -> int:
     ``preparations`` the number given (1 for a trace), of which a group
     of k distinct ones is walked at once.  Counted in 8-byte entries:
     ``POINT_ARRAYS`` per preparation given; per one of a group the
-    evolver's transfer ``a1`` and the t=0 field weights, each walker's
-    five scratch rows of ``k x rows x levels`` and ``SAMPLE_ARRAYS``
-    arrays of ``k x samples``; each walker's ``UFUNC_BUFFERS``; the
-    Rabi frequencies and the two recurrence steps; and the time grid with
-    its averaging weights.
+    transfer ``a1`` of :func:`~jcentropy.jcm.manifold_transfers` and the
+    t=0 field weights, each walker's five scratch rows of ``k x rows x
+    levels`` and ``SAMPLE_ARRAYS`` arrays of ``k x samples``; each
+    walker's ``UFUNC_BUFFERS``; the Rabi frequencies and the two
+    recurrence steps; and the time grid with its averaging weights.
     """
     rows = _chunk_rows(samples, levels)
     k = min(preparations, _group_size(rows, levels))
@@ -319,44 +319,44 @@ def walk_bytes(samples: int, levels: int, preparations: int = 1) -> int:
 
 def _exchanges(
     params: ModelParams,
-    atoms: tuple[AtomInit, ...],
+    epsilon: np.ndarray,
     dist: PhotonDistribution,
     kind: EntropyKind,
     form: FieldEntropyForm,
     times: np.ndarray,
 ) -> np.ndarray:
-    """(atom, field) entropy exchanges of each preparation, shape ``(2, len(atoms), times.size)``.
+    """(atom, field) entropy exchanges of each preparation, shape ``(2, epsilon.size, times.size)``.
 
     The one walk behind :func:`entropy_trace` and :func:`bloch_sweep`;
-    ``times`` is the grid of :func:`_time_grid`.  The walk starts from the
+    ``epsilon`` is a 1-D float column of excited-state weights and
+    ``times`` the grid of :func:`_time_grid`.  The walk starts from the
     state it is given and adds each transfer ``s = a1 cos`` less its value
     ``a1`` at t = 0: the atom is ``(eps T + m(t) - m(0), (1 - eps) T - (m(t) -
     m(0)))`` with ``T`` the total weight and ``m`` the walk's own level sum of
     ``s``, so its departure is exactly 0 at t = 0 in any summation order.
     Every preparation's row has the bits it has when walked alone.
     """
-    evolver = BlockEvolver(params, atoms, dist)
-    a1 = evolver.a1
+    delta_n, a1 = manifold_transfers(params, epsilon, dist)
     rows = _chunk_rows(times.size, dist.weights.size)
     # the t=0 field less the transfer at t=0, which a chunk adds back as s on
     # levels 0..n_max-1 and takes from levels 1..n_max
-    w0 = np.repeat(dist.weights[np.newaxis], len(atoms), axis=0)
+    w0 = np.repeat(dist.weights[np.newaxis], epsilon.size, axis=0)
     w0[:, :-1] -= a1
     w0[:, 1:] += a1
-    moved = np.empty((len(atoms), times.size))
-    s_field = np.empty((len(atoms), times.size))
+    moved = np.empty((epsilon.size, times.size))
+    s_field = np.empty((epsilon.size, times.size))
     # the sine overwrites the phase, so no third level array outlives this line;
     # only a walk of two full chunks or more, where rows <= samples // 2, reads
     # the steps, and that cap keeps rows h within any finite horizon
-    step = min(rows, times.size // 2) * (times[-1] / (times.size - 1)) * evolver.delta_n
+    step = min(rows, times.size // 2) * (times[-1] / (times.size - 1)) * delta_n
     steps = 2.0 * np.cos(step), np.sin(step, out=step)
 
     def walk(first: int, stop: int) -> None:
         # runs on worker threads: the NumPy calls on whole rows release the GIL;
         # it calls nothing perfbench/tracing.py wraps, whose span stack is per process
-        w_block = np.empty(len(atoms) * w0.shape[-1] * rows)
+        w_block = np.empty(epsilon.size * w0.shape[-1] * rows)
         logs = np.empty(w_block.size) if kind.is_von_neumann else None
-        for chunk, s in _transfers(times, evolver.delta_n, a1, rows, first, stop, steps):
+        for chunk, s in _transfers(times, delta_n, a1, rows, first, stop, steps):
             shape = (s.shape[0], w0.shape[-1], s.shape[-1])
             w = w_block[: math.prod(shape)].reshape(shape)
             # plane sums, not a BLAS product: threaded BLAS would spin a second core
@@ -384,7 +384,7 @@ def _exchanges(
         for future in futures:
             future.result()
     moved -= moved[:, :1]
-    eps = evolver.epsilon[:, np.newaxis]
+    eps = epsilon[:, np.newaxis]
     total = float(np.sum(dist.weights)) + dist.tail_mass
     # each two-entry pair sums alike in any batch, so one call scores every sample
     s_atom = _row_entropies(np.stack((eps * total + moved, (1.0 - eps) * total - moved), axis=-2),
@@ -421,7 +421,7 @@ def entropy_trace(
     :func:`_simpson_weights`, the rule of ``scipy.integrate.simpson``.
     """
     times = _time_grid(horizon, samples, params, dist)
-    exchanges = _exchanges(params, (atom,), dist, kind, form, times)[:, 0]
+    exchanges = _exchanges(params, np.array([float(atom.epsilon)]), dist, kind, form, times)[:, 0]
     avg_atom, avg_field = _window_average(_simpson_weights(times.size), exchanges).tolist()
     ds_atom, ds_field = exchanges
     return EntropyTrace(
@@ -507,7 +507,7 @@ def bloch_sweep(
     size = _group_size(_chunk_rows(times.size, levels), levels)
     weights = _simpson_weights(times.size)
     for start in range(0, distinct.size, size):
-        group = tuple(map(AtomInit, distinct[start : start + size].tolist()))
+        group = distinct[start : start + size]
         exchanges = _exchanges(params, group, dist, kind, form, times)
-        averages[start : start + len(group)] = _window_average(weights, exchanges).T
+        averages[start : start + group.size] = _window_average(weights, exchanges).T
     return averages[inverse]

@@ -10,8 +10,8 @@ about an axis at the mixing angle ``sin(theta_n) = lam sqrt(n+1) / delta_n``
 (Jaynes & Cummings, Proc. IEEE 51, 89, 1963; Shore & Knight, J. Mod. Opt.
 40, 1195, 1993).
 
-The analytic route (:class:`BlockEvolver`) keeps only what moves: each
-manifold's Rabi frequency and the transfer ``a1`` between its two
+The analytic route (:func:`manifold_transfers`) keeps only what moves:
+each manifold's Rabi frequency and the transfer ``a1`` between its two
 states, so a walk adds the departure ``a1 (cos(delta_n t) - 1)`` to the
 initial state it is given.  The numeric route (:func:`oracle_evolve`,
 dense per-block diagonalization) builds the whole state at each instant.
@@ -41,7 +41,7 @@ __all__ = [
     "AtomInit",
     "OracleEvolution",
     "CutoffWarning",
-    "BlockEvolver",
+    "manifold_transfers",
     "oracle_evolve",
 ]
 
@@ -99,34 +99,28 @@ def _manifold_arrays(params: ModelParams, count: int):
     return delta_n, sin_theta
 
 
-class BlockEvolver:
-    """Precomputed closed-form manifold evolution for one configuration.
+def manifold_transfers(params: ModelParams, epsilon, dist: PhotonDistribution):
+    """``(delta_n, a1)``: each manifold's Rabi frequency and transfer, the level arrays a walk reads.
 
     Manifold n starts with ``x = epsilon p_n`` on |e,n> and ``y = (1 - epsilon) p_{n+1}``
     on |g,n+1>; its Rabi rotation moves ``a1 (1 - cos(delta_n t))`` from |e,n> to
     |g,n+1>, with the transfer ``a1 = sin^2(theta_n) (x - y) / 2``.  So
     ``A_n(t) = x - a1 (1 - cos(delta_n t))`` and ``C_n(t) = y + a1 (1 - cos(delta_n t))``:
-    the state departs from its initial one by ``a1 cos(delta_n t) - a1``, and an
-    evolver holds two per-level arrays, ``delta_n`` and ``a1``.
+    the state departs from its initial one by ``a1 cos(delta_n t) - a1``.
 
-    ``atom`` is one :class:`AtomInit` or a sequence of k, which share ``delta_n``.
-    Its epsilons, the array ``epsilon`` of shape ``()`` or ``(k,)``, lead the
-    shape of ``a1``, and each row has the bits of the evolver of its
-    preparation alone.
+    ``epsilon`` is a float array of excited-state weights, 0-d for one
+    preparation or ``(k,)`` for k that share ``delta_n``; its shape leads
+    the shape of ``a1``, and each row has the bits of its preparation alone.
     """
-
-    def __init__(self, params: ModelParams, atom, dist: PhotonDistribution):
-        if dist.n_max < 1:
-            raise ValueError("need at least photon levels {0, 1} to evolve a manifold")
-        self.dist = dist
-        eps = atom.epsilon if isinstance(atom, AtomInit) else [one.epsilon for one in atom]
-        self.epsilon = np.array(eps, dtype=float)
-        p = dist.weights
-        self.delta_n, sin_theta = _manifold_arrays(params, dist.n_max)
-        # x - y with (x, y) = (eps p_n, (1 - eps) p_{n+1}), led by the preparation axis
-        self.a1 = np.multiply.outer(self.epsilon, p[:-1])
-        self.a1 -= np.multiply.outer(1.0 - self.epsilon, p[1:])
-        self.a1 *= 0.5 * sin_theta**2
+    if dist.n_max < 1:
+        raise ValueError("need at least photon levels {0, 1} to evolve a manifold")
+    p = dist.weights
+    delta_n, sin_theta = _manifold_arrays(params, dist.n_max)
+    # x - y with (x, y) = (eps p_n, (1 - eps) p_{n+1}), led by the preparation axis
+    a1 = np.multiply.outer(epsilon, p[:-1])
+    a1 -= np.multiply.outer(1.0 - epsilon, p[1:])
+    a1 *= 0.5 * sin_theta**2
+    return delta_n, a1
 
 
 @dataclass(frozen=True)
@@ -156,7 +150,7 @@ def oracle_evolve(
     Builds the Hamiltonian blocks on ``{|g,0>, |e,n>, |g,n+1>: n < n_cut}``
     explicitly, exponentiates each 2x2 block through its numeric
     eigendecomposition, and traces out each subsystem by direct
-    summation.  Shares no algebra with :class:`BlockEvolver` beyond the
+    summation.  Shares no algebra with :func:`manifold_transfers` beyond the
     frozen-truncation convention, which both sides must apply to be
     comparable.
     """

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import entropy as ent
-from .jcm import AtomInit, BlockEvolver, ModelParams, _manifold_arrays, oracle_evolve
+from .jcm import AtomInit, ModelParams, _manifold_arrays, manifold_transfers, oracle_evolve
 from .specfun import hurwitz_zeta
 from .superstat import (
     GammaSuperstat,
@@ -186,7 +186,7 @@ def _structural_fuzz() -> list[CheckResult]:
         eps = rng.uniform()
         beta = rng.uniform(0.3, 4.0)
         dist = photon_weights_gibbs(beta, tail_tol=1e-10)
-        a1 = BlockEvolver(params, AtomInit(eps), dist).a1
+        _, a1 = manifold_transfers(params, eps, dist)
         p = dist.weights
         excited, ground = eps * p[:-1], (1.0 - eps) * p[1:]
         fixed_a, fixed_c = excited - a1, ground + a1

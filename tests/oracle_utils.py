@@ -8,50 +8,53 @@ writers format one row at a time, as the CLI once did, so they share no
 code path with its column-wise emitter.  ``evolved_ac`` and
 ``populations`` spell out the closed-form manifold populations and the
 reduced states one instant at a time, on the frozen-truncation
-convention, for tests that check an evolver's arrays without the
-chunked walk.
+convention, for tests that check the transfers of ``manifold_transfers``
+without the chunked walk.
 """
 
 import json
 
 import numpy as np
 
+from jcentropy.jcm import manifold_transfers
+
 CHUNK = 10**6
 
 
-def fixed_parts(evolver) -> tuple[np.ndarray, np.ndarray]:
-    """(a0, c0) = (x - a1, y + a1), the t-independent parts of A_n and C_n of a ``BlockEvolver``.
+def fixed_parts(epsilon, dist, a1) -> tuple[np.ndarray, np.ndarray]:
+    """(a0, c0) = (x - a1, y + a1), the t-independent parts of A_n and C_n.
 
     ``(x, y) = (eps p_n, (1 - eps) p_{n+1})`` are the initial manifold
-    weights, led by the evolver's preparation axis.
+    weights of ``dist``, led by the shape of ``epsilon`` as ``a1`` is.
     """
-    p, eps = evolver.dist.weights, evolver.epsilon
-    excited = np.multiply.outer(eps, p[:-1])
-    ground = np.multiply.outer(1.0 - eps, p[1:])
-    return excited - evolver.a1, ground + evolver.a1
+    p, epsilon = dist.weights, np.asarray(epsilon, dtype=float)
+    excited = np.multiply.outer(epsilon, p[:-1])
+    ground = np.multiply.outer(1.0 - epsilon, p[1:])
+    return excited - a1, ground + a1
 
 
-def evolved_ac(evolver, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """(A_n(t), C_n(t)) = (a0 + a1 cos(delta_n t), c0 - a1 cos(delta_n t)) of a ``BlockEvolver``."""
-    cos = np.cos(t * evolver.delta_n)
-    a0, c0 = fixed_parts(evolver)
-    return a0 + evolver.a1 * cos, c0 - evolver.a1 * cos
+def evolved_ac(params, epsilon, dist, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(A_n(t), C_n(t)) = (a0 + a1 cos(delta_n t), c0 - a1 cos(delta_n t)), one instant at a time."""
+    delta_n, a1 = manifold_transfers(params, epsilon, dist)
+    cos = np.cos(t * delta_n)
+    a0, c0 = fixed_parts(epsilon, dist, a1)
+    return a0 + a1 * cos, c0 - a1 * cos
 
 
-def populations(evolver, a, c):
+def populations(epsilon, dist, a, c):
     """(p_e, p_g, field) of the reduced states, along the last axis of ``a`` and ``c``.
 
     ``a`` and ``c`` are ``A_n`` and ``C_n`` over the evolved manifolds of
-    a ``BlockEvolver``, led by its preparation axis, which the frozen
-    weights follow.  The |g,0> weight, the |e,n_max> weight and the tail
+    ``dist``, led by the shape of ``epsilon``, which the frozen weights
+    follow.  The |g,0> weight, the |e,n_max> weight and the tail
     beyond ``n_max`` stay at their t=0 values; the tail is split
     epsilon : (1 - epsilon) between the atomic sectors, so
     ``p_e + p_g = 1``.  ``field`` holds the photon-number weights over
     levels 0..n_max; the remaining probability is the tail mass.
     """
-    p, tail = evolver.dist.weights, evolver.dist.tail_mass
-    lead = evolver.epsilon.shape + (1,) * (np.ndim(a) - 1 - evolver.epsilon.ndim)
-    eps = np.reshape(evolver.epsilon, lead)
+    p, tail = dist.weights, dist.tail_mass
+    epsilon = np.asarray(epsilon, dtype=float)
+    eps = np.reshape(epsilon, epsilon.shape + (1,) * (np.ndim(a) - 1 - epsilon.ndim))
     top, uncoupled = eps * p[-1], (1.0 - eps) * p[0]
     p_e = np.sum(a, axis=-1) + top + eps * tail
     p_g = uncoupled + np.sum(c, axis=-1) + (1.0 - eps) * tail

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 import jcentropy
 from jcentropy import cli, ensemble
 from jcentropy import entropy as entropy_module
-from jcentropy.jcm import BlockEvolver
 from jcentropy.ensemble import load_betas
 from jcentropy.cli import _csv_text, _json_text, build_parser, main
 from oracle_utils import rowwise_csv, rowwise_json
@@ -688,13 +687,15 @@ class TestSelfcheck:
         # field weights that gain what no atomic sector lost trip the walk's
         # probability guard where no tail mass absorbs them; every check on
         # the walk reports a failure, and no error escapes as a domain failure
-        class LeakyEvolver(BlockEvolver):
-            def __init__(self, params, atom, dist):
-                super().__init__(params, atom, dist)
-                # the walk reads the weights after its transfers are set
-                dist.weights[1] += 1e-5
+        transfers = entropy_module.manifold_transfers
 
-        monkeypatch.setattr(entropy_module, "BlockEvolver", LeakyEvolver)
+        def leaky(params, epsilon, dist):
+            delta_n, a1 = transfers(params, epsilon, dist)
+            # the walk reads the weights after its transfers are set
+            dist.weights[1] += 1e-5
+            return delta_n, a1
+
+        monkeypatch.setattr(entropy_module, "manifold_transfers", leaky)
         assert main(["selfcheck"]) == 4
         captured = capsys.readouterr()
         assert captured.err == ""
@@ -704,6 +705,32 @@ class TestSelfcheck:
                   if any(name in line for name in ("oracle-", "exchange-zero", "flat-trace"))]
         assert len(walked) == 9 and all(line.startswith("[FAIL]") for line in walked)
         assert all("max_dev=inf" in line for line in walked if "gamma-q1.5" not in line)
+
+    @pytest.mark.parametrize("mutation", ["a1-negated", "delta_n-scaled", "a1-rolled"])
+    def test_transfer_faults_exit_4_with_every_line(self, monkeypatch, capsys, check_names,
+                                                    mutation):
+        # a transfer of the wrong sign, a Rabi frequency off by 1e-9 and a
+        # transfer moved up one level each reach the walk through its one seam
+        transfers = entropy_module.manifold_transfers
+
+        def faulty(params, epsilon, dist):
+            delta_n, a1 = transfers(params, epsilon, dist)
+            if mutation == "a1-negated":
+                return delta_n, -a1
+            if mutation == "delta_n-scaled":
+                return delta_n * (1.0 + 1e-9), a1
+            return delta_n, np.roll(a1, 1, axis=-1)
+
+        monkeypatch.setattr(entropy_module, "manifold_transfers", faulty)
+        assert main(["selfcheck"]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert self.names(captured.out) == check_names
+        assert captured.out.splitlines()[-1] == "selfcheck: FAILURES detected"
+        # the few-level oracle lines see each fault by a factor of 7 or more
+        few_levels = [line for line in captured.out.splitlines()
+                      if line.split("[")[-1].startswith(("gibbs,", "gamma-q1.5,"))]
+        assert len(few_levels) == 4 and all(line.startswith("[FAIL]") for line in few_levels)
 
     @pytest.mark.parametrize("mutation", ["end-correction-dropped", "correction-on-first-panel",
                                           "uniform-weights"])

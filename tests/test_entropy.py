@@ -30,8 +30,8 @@ from jcentropy.entropy import (
 )
 from jcentropy.jcm import (
     AtomInit,
-    BlockEvolver,
     ModelParams,
+    manifold_transfers,
     oracle_evolve,
 )
 from jcentropy.specfun import q_log
@@ -49,11 +49,11 @@ RESONANT = ModelParams.from_detuning(0.0, 2.0)
 THERMAL_S_01 = 0.3350997070841619
 
 
-def exact_entropies(evolver, t, kind=VON_NEUMANN, form=FieldEntropyForm.FULL):
+def exact_entropies(params, eps, dist, t, kind=VON_NEUMANN, form=FieldEntropyForm.FULL):
     """(atom, field) entropies at time t from the closed form, one instant at a time."""
-    p_e, p_g, field = populations(evolver, *evolved_ac(evolver, t))
+    p_e, p_g, field = populations(eps, dist, *evolved_ac(params, eps, dist, t))
     if form is FieldEntropyForm.COARSE:
-        field = _coarse_grained(field, evolver.dist.tail_mass)
+        field = _coarse_grained(field, dist.tail_mass)
     return entropy_of([p_e, p_g], kind), entropy_of(field, kind)
 
 
@@ -171,16 +171,15 @@ class TestEntropyOf:
 class TestAtomEntropy:
     def test_pure_state_zero(self):
         dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-12)
-        s_atom, _ = exact_entropies(BlockEvolver(RESONANT, AtomInit(1.0), dist), 0.0)
+        s_atom, _ = exact_entropies(RESONANT, 1.0, dist, 0.0)
         assert s_atom == pytest.approx(0.0, abs=1e-12)
 
     def test_maximal_mixing(self):
         dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-12)
-        evolver = BlockEvolver(RESONANT, AtomInit(0.5), dist)
-        s_atom, _ = exact_entropies(evolver, 0.0)
+        s_atom, _ = exact_entropies(RESONANT, 0.5, dist, 0.0)
         assert s_atom == pytest.approx(math.log(2.0), abs=1e-12)
         q = 1.5
-        s_atom, _ = exact_entropies(evolver, 0.0, tsallis(q))
+        s_atom, _ = exact_entropies(RESONANT, 0.5, dist, 0.0, tsallis(q))
         assert s_atom == pytest.approx(-q_log(0.5, q), abs=1e-12)
 
     def test_bounded_by_maximal_binary_entropy(self):
@@ -191,23 +190,21 @@ class TestAtomEntropy:
             bound = math.log(2.0) if q is None else -q_log(0.5, q)
             for _ in range(25):
                 params = ModelParams.from_detuning(rng.uniform(-2, 2), rng.uniform(0.5, 3))
-                evolver = BlockEvolver(params, AtomInit(rng.uniform()), dist)
-                s_atom, _ = exact_entropies(evolver, rng.uniform(0, 9), kind)
+                s_atom, _ = exact_entropies(params, rng.uniform(), dist, rng.uniform(0, 9), kind)
                 assert s_atom <= bound + 1e-12
 
 
 class TestFieldEntropy:
     def test_thermal_value_at_t0(self):
         dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-12)
-        _, s_field = exact_entropies(BlockEvolver(RESONANT, AtomInit(0.3), dist), 0.0)
+        _, s_field = exact_entropies(RESONANT, 0.3, dist, 0.0)
         assert s_field == pytest.approx(THERMAL_S_01, abs=1e-8)
 
     def test_coarse_form_at_t0_is_binary(self):
         dist = photon_weights_gibbs(2.0, tail_tol=1e-12)
-        evolver = BlockEvolver(RESONANT, AtomInit(0.7), dist)
         p0 = dist.weights[0]
         expected = entropy_of([p0, 1.0 - p0])
-        _, s_field = exact_entropies(evolver, 0.0, form=FieldEntropyForm.COARSE)
+        _, s_field = exact_entropies(RESONANT, 0.7, dist, 0.0, form=FieldEntropyForm.COARSE)
         assert s_field == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("q", [1.2, 1.4])
@@ -216,14 +213,13 @@ class TestFieldEntropy:
         beta_star = 1.2
         gs = GammaSuperstat(q=q, beta_star=beta_star, omega=1.0)
         dist = photon_weights_gamma(gs, tail_tol=1e-5, hard_cap=10**6)
-        evolver = BlockEvolver(RESONANT, AtomInit(0.0), dist)
         s, r = gs.s_index, gs.r_offset
         norm, _ = zeta_brute(s, r, n_terms=2 * 10**6)
         full, _ = zeta_brute((2.0 - q) * s, r, n_terms=2 * 10**6)
         tail, _ = zeta_brute((2.0 - q) * s, r + dist.n_max + 1.0, n_terms=2 * 10**6)
         exact = (full / norm ** (2.0 - q) - 1.0) / (q - 1.0)
         tail_correction = (tail / norm ** (2.0 - q) - dist.tail_mass) / (q - 1.0)
-        got = exact_entropies(evolver, 0.0, tsallis(q))[1] + tail_correction
+        got = exact_entropies(RESONANT, 0.0, dist, 0.0, tsallis(q))[1] + tail_correction
         assert got == pytest.approx(exact, abs=1e-8)
 
 
@@ -348,11 +344,10 @@ class TestEntropyTrace:
                 )
 
             trace = entropy_trace(params, atom, dist, kind, form, horizon=7.0, samples=29)
-            evolver = BlockEvolver(params, atom, dist)
-            s0_atom, s0_field = exact_entropies(evolver, 0.0, kind, form)
+            s0_atom, s0_field = exact_entropies(params, eps, dist, 0.0, kind, form)
             o0_atom, o0_field = oracle_entropies(0.0)
             for i in (3, 11, 28):
-                s_atom, s_field = exact_entropies(evolver, trace.times[i], kind, form)
+                s_atom, s_field = exact_entropies(params, eps, dist, trace.times[i], kind, form)
                 assert trace.ds_atom[i] == pytest.approx(s_atom - s0_atom, abs=1e-12)
                 assert trace.ds_field[i] == pytest.approx(s_field - s0_field, abs=1e-12)
                 o_atom, o_field = oracle_entropies(trace.times[i])
@@ -372,14 +367,13 @@ class TestEntropyTrace:
         params, atom = RESONANT, AtomInit(eps)
         trace = entropy_trace(params, atom, dist, kind, horizon=3.0, samples=9)
         assert trace.ds_atom[0] == 0.0
-        evolver = BlockEvolver(params, atom, dist)
-        s0_atom, s0_field = exact_entropies(evolver, 0.0, kind)
+        s0_atom, s0_field = exact_entropies(params, eps, dist, 0.0, kind)
         # the dense oracle's own t=0 state is a rotation by an eigenbasis and
         # back, so its exchanges start from the state as given
         g0_atom = entropy_of([eps, 1.0 - eps], kind)
         g0_field = entropy_of(dist.weights, kind)
         for i in (1, 2, 5, 8):
-            s_atom, s_field = exact_entropies(evolver, trace.times[i], kind)
+            s_atom, s_field = exact_entropies(params, eps, dist, trace.times[i], kind)
             assert trace.ds_atom[i] == pytest.approx(s_atom - s0_atom, abs=1e-12)
             assert trace.ds_field[i] == pytest.approx(s_field - s0_field, abs=1e-12)
             ora = oracle_evolve(params, atom, dist, trace.times[i], n_cut=dist.n_max,
@@ -404,17 +398,17 @@ class TestEntropyTrace:
             "resonant": (n - 1) * math.pi / rows,  # delta_0 = 2
             "two-chunks": 5.0,
         }[grid]
-        atom = AtomInit(0.35)
+        eps = 0.35
+        atom = AtomInit(eps)
         # drift peaks late in a reseed window, more so in one seeded at large t
         picks = range(n) if grid == "two-chunks" else [
             7, *range(120 * rows, 130 * rows), *range(240 * rows, 256 * rows), n - 1]
         for kind in (VON_NEUMANN, tsallis(1.5)):
             trace = entropy_trace(RESONANT, atom, gamma, kind, FieldEntropyForm.FULL,
                                   horizon=horizon, samples=n)
-            evolver = BlockEvolver(RESONANT, atom, gamma)
-            s0_atom, s0_field = exact_entropies(evolver, 0.0, kind)
+            s0_atom, s0_field = exact_entropies(RESONANT, eps, gamma, 0.0, kind)
             for i in picks:
-                s_atom, s_field = exact_entropies(evolver, trace.times[i], kind)
+                s_atom, s_field = exact_entropies(RESONANT, eps, gamma, trace.times[i], kind)
                 assert trace.ds_atom[i] == pytest.approx(s_atom - s0_atom, abs=1e-12)
                 assert trace.ds_field[i] == pytest.approx(s_field - s0_field, abs=1e-12)
 
@@ -431,8 +425,7 @@ def test_transfers_follow_the_exact_transfer(grid):
     gamma = photon_weights_gamma(
         GammaSuperstat(q=1.4, beta_star=3.3356918657181176), tail_tol=1e-6
     )
-    evolver = BlockEvolver(RESONANT, AtomInit(0.35), gamma)
-    delta_n, a1 = evolver.delta_n, evolver.a1
+    delta_n, a1 = manifold_transfers(RESONANT, 0.35, gamma)
     rows = CHUNK_ELEMENTS // gamma.weights.size
     n = 300 * rows
     times = {
@@ -586,8 +579,8 @@ class TestFewLevelRecurrence:
 
 
 def test_single_walker_trace_holds_nine_level_arrays(monkeypatch):
-    # the evolver's two arrays, the t=0 field weights, three transfer rows, a
-    # field row and the two recurrence steps; a Tsallis score needs no log
+    # the transfer arrays delta_n and a1, the t=0 field weights, three transfer
+    # rows, a field row and the two recurrence steps; a Tsallis score needs no log
     # buffer, and a step array kept beside the steps would make ten
     monkeypatch.setattr(entropy_module, "_available_cpus", lambda: 1)
     n = 10**5
@@ -750,16 +743,16 @@ class TestBloch:
         walked = []
         exchanges = entropy_module._exchanges
 
-        def counting(params, atoms, *args):
-            walked.extend(atoms)
-            return exchanges(params, atoms, *args)
+        def counting(params, epsilon, *args):
+            walked.extend(epsilon.tolist())
+            return exchanges(params, epsilon, *args)
 
         monkeypatch.setattr(entropy_module, "_exchanges", counting)
         dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-8)
         epsilons = np.array([1.0, 0.5, 0.0, 0.5, 1.0, 0.3, 0.0, 0.3, 0.5])
         bloch_sweep(RESONANT, epsilons, dist, horizon=25.0, samples=1000)
         # once each, in ascending order
-        assert walked == [AtomInit(eps) for eps in (0.0, 0.3, 0.5, 1.0)]
+        assert walked == [0.0, 0.3, 0.5, 1.0]
 
 
 BATCH_KINDS = pytest.mark.parametrize("kind, form", [

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from jcentropy.jcm import (
     AtomInit,
-    BlockEvolver,
     CutoffWarning,
     ModelParams,
     _manifold_arrays,
+    manifold_transfers,
     oracle_evolve,
 )
 from jcentropy.superstat import (
@@ -30,9 +30,9 @@ def make_dist(weights) -> PhotonDistribution:
     return PhotonDistribution(weights, 1.0 - float(np.sum(weights)))
 
 
-def populations_at(evolver, t):
+def populations_at(params, eps, dist, t):
     """(p_e, p_g, field weights) at time t."""
-    return populations(evolver, *evolved_ac(evolver, t))
+    return populations(eps, dist, *evolved_ac(params, eps, dist, t))
 
 
 @pytest.fixture(scope="module")
@@ -71,37 +71,42 @@ class TestManifold:
 
 
 def test_evolver_holds_two_level_arrays():
-    # delta_n and a1, and no other array of the levels' size
+    # delta_n and a1, and no other array of the levels' size outlives the call
     dist = photon_weights_gibbs(1e-3, tail_tol=1e-8)
     tracemalloc.start()
     try:
-        evolver = BlockEvolver(ModelParams.from_detuning(0.3, 2.0), AtomInit(0.4), dist)
+        delta_n, a1 = manifold_transfers(ModelParams.from_detuning(0.3, 2.0), 0.4, dist)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert 2 * 8 * dist.n_max <= held <= 2 * 8 * dist.n_max + 4096
-    assert evolver.delta_n.size == dist.n_max
+    assert delta_n.size == a1.size == dist.n_max
+
+
+def test_transfers_need_two_photon_levels():
+    with pytest.raises(ValueError, match=r"need at least photon levels \{0, 1\} to evolve"):
+        manifold_transfers(RESONANT, 0.4, make_dist([1.0]))
 
 
 @pytest.mark.parametrize("times", [(0.0, 0.7), (0.0, 0.7, 3.1)], ids=["k-samples", "3-samples"])
 def test_group_populations_over_samples_have_each_lone_evolvers_bits(times):
     # (k, samples, levels) input: the frozen weights follow the preparation
     # axis, also where k == samples would let them broadcast along the samples
-    params, eps = ModelParams.from_detuning(0.0, 1.0), (0.1, 0.9)
+    # a (k,) column against 0-d calls, one per weight
+    params, eps = ModelParams.from_detuning(0.0, 1.0), np.array([0.1, 0.9])
     dist = photon_weights_gibbs(0.5, tail_tol=1e-12).truncated(5)
-    group = BlockEvolver(params, [AtomInit(e) for e in eps], dist)
-    cos = np.cos(np.multiply.outer(times, group.delta_n))
-    a0, c0 = fixed_parts(group)
-    a = a0[:, np.newaxis] + group.a1[:, np.newaxis] * cos
-    c = c0[:, np.newaxis] - group.a1[:, np.newaxis] * cos
-    p_e, p_g, field = populations(group, a, c)
+    delta_n, a1 = manifold_transfers(params, eps, dist)
+    cos = np.cos(np.multiply.outer(times, delta_n))
+    a0, c0 = fixed_parts(eps, dist, a1)
+    a = a0[:, np.newaxis] + a1[:, np.newaxis] * cos
+    c = c0[:, np.newaxis] - a1[:, np.newaxis] * cos
+    p_e, p_g, field = populations(eps, dist, a, c)
     assert p_e.shape == p_g.shape == (len(eps), len(times))
-    for i, e in enumerate(eps):
-        lone = BlockEvolver(params, AtomInit(e), dist)
+    for i, e in enumerate(eps.tolist()):
         for j, t in enumerate(times):
-            a_t, c_t = evolved_ac(lone, t)
+            a_t, c_t = evolved_ac(params, e, dist, t)
             assert a_t.tobytes() == a[i, j].tobytes() and c_t.tobytes() == c[i, j].tobytes()
-            want = populations(lone, a_t, c_t)
+            want = populations(e, dist, a_t, c_t)
             assert (p_e[i, j], p_g[i, j]) == want[:2] and field[i, j].tobytes() == want[2].tobytes()
         assert p_e[i, 0] == pytest.approx(e, abs=1e-12)
 
@@ -111,21 +116,19 @@ class TestInitialConditions:
     @pytest.mark.parametrize("eps", [0.0, 0.3, 1.0])
     def test_t0_recovers_initial_weights(self, delta, eps, thermal_dist):
         params = ModelParams.from_detuning(delta, 2.0)
-        a, c = evolved_ac(BlockEvolver(params, AtomInit(eps), thermal_dist), 0.0)
+        a, c = evolved_ac(params, eps, thermal_dist, 0.0)
         p = thermal_dist.weights
         assert np.max(np.abs(a - eps * p[:-1])) < 1e-14
         assert np.max(np.abs(c - (1.0 - eps) * p[1:])) < 1e-14
 
     def test_t0_atom_populations(self, thermal_dist):
         for eps, expected in ((1.0, (1.0, 0.0)), (0.0, (0.0, 1.0))):
-            evolver = BlockEvolver(RESONANT, AtomInit(eps), thermal_dist)
-            p_e, p_g, _ = populations_at(evolver, 0.0)
+            p_e, p_g, _ = populations_at(RESONANT, eps, thermal_dist, 0.0)
             assert p_e == pytest.approx(expected[0], abs=1e-12)
             assert p_g == pytest.approx(expected[1], abs=1e-12)
 
     def test_t0_field_is_input(self, thermal_dist):
-        evolver = BlockEvolver(RESONANT, AtomInit(0.4), thermal_dist)
-        _, _, field = populations_at(evolver, 0.0)
+        _, _, field = populations_at(RESONANT, 0.4, thermal_dist, 0.0)
         assert np.max(np.abs(field - thermal_dist.weights)) < 1e-15
 
 
@@ -133,7 +136,7 @@ class TestClosedForms:
     def test_resonant_ground_atom_rabi(self, thermal_dist):
         # eps=0, Delta=0: A_n(t) = p_{n+1} sin^2(delta_n t / 2)
         t = 0.9
-        a, _ = evolved_ac(BlockEvolver(RESONANT, AtomInit(0.0), thermal_dist), t)
+        a, _ = evolved_ac(RESONANT, 0.0, thermal_dist, t)
         n = np.arange(thermal_dist.n_max)
         delta_n = 2.0 * np.sqrt(n + 1.0)
         expected = thermal_dist.weights[1:] * np.sin(delta_n * t / 2.0) ** 2
@@ -143,28 +146,26 @@ class TestClosedForms:
         # two retained levels, excited atom: level-1 weight grows by p_0 sin^2(delta_0 t/2)
         dist = make_dist([0.7, 0.2])
         t = math.pi / 2.0  # delta_0 = 2 -> half Rabi period
-        evolver = BlockEvolver(RESONANT, AtomInit(1.0), dist)
-        _, _, w0 = populations_at(evolver, 0.0)
-        _, _, wt = populations_at(evolver, t)
+        _, _, w0 = populations_at(RESONANT, 1.0, dist, 0.0)
+        _, _, wt = populations_at(RESONANT, 1.0, dist, t)
         assert wt[1] - w0[1] == pytest.approx(0.7 * math.sin(2.0 * t / 2.0) ** 2, abs=1e-12)
 
     def test_periodicity_per_manifold(self, thermal_dist):
         params = ModelParams.from_detuning(0.7, 1.3)
-        evolver = BlockEvolver(params, AtomInit(0.25), thermal_dist)
+        delta_n, _ = manifold_transfers(params, 0.25, thermal_dist)
         t = 1.234
-        a1, c1 = evolved_ac(evolver, t)
+        a1, c1 = evolved_ac(params, 0.25, thermal_dist, t)
         for n in range(thermal_dist.n_max):
-            period = 2.0 * math.pi / evolver.delta_n[n]
-            a2, c2 = evolved_ac(evolver, t + period)
+            period = 2.0 * math.pi / delta_n[n]
+            a2, c2 = evolved_ac(params, 0.25, thermal_dist, t + period)
             assert a2[n] == pytest.approx(a1[n], abs=1e-10)
             assert c2[n] == pytest.approx(c1[n], abs=1e-10)
 
     def test_zero_coupling_freezes_populations(self, thermal_dist):
         for delta in (1.0, 0.0):
             params = ModelParams.from_detuning(delta, 0.0)
-            evolver = BlockEvolver(params, AtomInit(0.6), thermal_dist)
-            a0, c0 = evolved_ac(evolver, 0.0)
-            a1, c1 = evolved_ac(evolver, 5.7)
+            a0, c0 = evolved_ac(params, 0.6, thermal_dist, 0.0)
+            a1, c1 = evolved_ac(params, 0.6, thermal_dist, 5.7)
             assert np.array_equal(a0, a1)
             assert np.array_equal(c0, c1)
 
@@ -175,8 +176,7 @@ class TestClosedForms:
             GammaSuperstat(q=1.4, beta_star=3.3356918657181176), tail_tol=1e-6
         )
         assert gamma.n_max == 4147
-        evolver = BlockEvolver(ModelParams.from_detuning(0.3, 2.0), AtomInit(eps), gamma)
-        a, c = evolved_ac(evolver, 0.0)
+        a, c = evolved_ac(ModelParams.from_detuning(0.3, 2.0), eps, gamma, 0.0)
         assert not np.any({"a": a, "c": c}[sector])
 
 
@@ -187,12 +187,11 @@ class TestOracle:
         dist = photon_weights_gamma(gs, tail_tol=1e-4, hard_cap=10**5).truncated(40)
         params = ModelParams.from_detuning(1.0, 2.0)
         atom = AtomInit(0.3)
-        evolver = BlockEvolver(params, atom, dist)
-        a, c = evolved_ac(evolver, 0.7)
+        a, c = evolved_ac(params, atom.epsilon, dist, 0.7)
         ora = oracle_evolve(params, atom, dist, 0.7, n_cut=dist.n_max, warn_tol=1.0)
         assert np.max(np.abs(a - ora.coeff_a)) < 1e-10
         assert np.max(np.abs(c - ora.coeff_c)) < 1e-10
-        p_e, p_g, field = populations(evolver, a, c)
+        p_e, p_g, field = populations(atom.epsilon, dist, a, c)
         assert p_e == pytest.approx(ora.atom_excited, abs=1e-10)
         assert p_g == pytest.approx(ora.atom_ground, abs=1e-10)
         assert np.max(np.abs(field - ora.field_weights)) < 1e-10
@@ -216,12 +215,11 @@ class TestOracle:
             params = ModelParams.from_detuning(rng.uniform(-3, 3), rng.uniform(0.3, 3.0))
             atom = AtomInit(rng.uniform())
             t = rng.uniform(0.0, 10.0)
-            evolver = BlockEvolver(params, atom, thermal_dist)
-            a, c = evolved_ac(evolver, t)
+            a, c = evolved_ac(params, atom.epsilon, thermal_dist, t)
             ora = oracle_evolve(params, atom, thermal_dist, t, n_cut=thermal_dist.n_max)
             assert np.max(np.abs(a - ora.coeff_a)) < 1e-10
             assert np.max(np.abs(c - ora.coeff_c)) < 1e-10
-            p_e, p_g, _ = populations(evolver, a, c)
+            p_e, p_g, _ = populations(atom.epsilon, thermal_dist, a, c)
             assert p_e == pytest.approx(ora.atom_excited, abs=1e-10)
             assert p_g == pytest.approx(ora.atom_ground, abs=1e-10)
 
@@ -272,7 +270,7 @@ def test_matches_full_space_dense_simulation():
         t = rng.uniform(0.0, 8.0)
         dist = photon_weights_gibbs(rng.uniform(0.8, 3.0), tail_tol=1e-13).truncated(14)
         params = ModelParams.from_detuning(delta, lam)
-        p_e, p_g, field = populations_at(BlockEvolver(params, AtomInit(eps), dist), t)
+        p_e, p_g, field = populations_at(params, eps, dist, t)
         ref_e, ref_g, ref_field = _full_dense_sim(delta, lam, eps, dist.weights, dist.tail_mass, t)
         assert p_e == pytest.approx(ref_e, abs=1e-12)
         assert p_g == pytest.approx(ref_g, abs=1e-12)
@@ -289,8 +287,8 @@ def test_matches_full_space_dense_simulation():
 def test_structural_invariants(delta, lam, eps, t):
     params = ModelParams.from_detuning(delta, lam)
     dist = photon_weights_gibbs(1.5, tail_tol=1e-10)
-    evolver = BlockEvolver(params, AtomInit(eps), dist)
-    a, c = evolved_ac(evolver, t)
+    _, a1 = manifold_transfers(params, eps, dist)
+    a, c = evolved_ac(params, eps, dist, t)
     # per-manifold conservation: the transfer a1 cos leaves A and enters C
     p = dist.weights
     assert np.max(np.abs(a + c - (eps * p[:-1] + (1.0 - eps) * p[1:]))) < 1e-10
@@ -298,6 +296,6 @@ def test_structural_invariants(delta, lam, eps, t):
     assert abs(total - 1.0) < 1e-10
     assert np.min(a) > -1e-12 and np.min(c) > -1e-12
     # so at every t: each side's fixed part covers the transfer's swing
-    swing = np.abs(evolver.a1)
-    a0, c0 = fixed_parts(evolver)
+    swing = np.abs(a1)
+    a0, c0 = fixed_parts(eps, dist, a1)
     assert np.min(a0 - swing) > -1e-12 and np.min(c0 - swing) > -1e-12
