@@ -20,10 +20,11 @@ The two are implemented independently so each one checks the other.
 Photon levels beyond the truncation of the supplied
 :class:`~jcentropy.superstat.PhotonDistribution`, the |g,0> weight and
 the |e,n_max> weight do not evolve.  The walk carries them in the initial
-state; the oracle carries them as a frozen contribution (the tail
-epsilon-split between the atomic sectors).  So total probability is
-conserved exactly and the freezing error is bounded by the tracked tail
-mass.
+state; the oracle first cuts the state to its ``n_cut`` by the one rule of
+:meth:`~jcentropy.superstat.PhotonDistribution.truncated`, then carries
+them as a frozen contribution (the cut state's tail epsilon-split between
+the atomic sectors).  So total probability is conserved exactly and the
+freezing error is bounded by the tracked tail mass.
 """
 
 from __future__ import annotations
@@ -65,11 +66,6 @@ class ModelParams:
             raise ValueError(f"delta must be finite, got {self.delta}")
         if not math.isfinite(self.lam):
             raise ValueError(f"lambda must be finite, got {self.lam}")
-
-    @property
-    def omega0(self) -> float:
-        """Atom frequency omega + delta, which only the oracle's Hamiltonian reads."""
-        return self.omega + self.delta
 
     @classmethod
     def from_detuning(cls, delta: float, lam: float, omega: float = 1.0) -> "ModelParams":
@@ -125,11 +121,13 @@ def manifold_transfers(params: ModelParams, epsilon, dist: PhotonDistribution):
 
 @dataclass(frozen=True)
 class OracleEvolution:
-    """Brute-force evolution output on the same truncation conventions."""
+    """Brute-force evolution output on the truncation it was asked for.
 
-    time: float
+    ``field_weights`` has ``n_cut + 1`` entries (at most ``n_max + 1``);
+    ``tail_mass`` is the tail of the cut state, so the two sum to one.
+    """
+
     coeff_a: np.ndarray
-    coeff_b: np.ndarray
     coeff_c: np.ndarray
     atom_excited: float
     atom_ground: float
@@ -147,7 +145,9 @@ def oracle_evolve(
 ) -> OracleEvolution:
     """Numerically evolve the truncated model and partial-trace the result.
 
-    Builds the Hamiltonian blocks on ``{|g,0>, |e,n>, |g,n+1>: n < n_cut}``
+    First cuts the state as ``dist.truncated(n_cut)`` does, moving the
+    weights above ``n_cut`` into the tail, then builds the Hamiltonian
+    blocks on ``{|g,0>, |e,n>, |g,n+1>: n < n_cut}`` of the cut state
     explicitly, exponentiates each 2x2 block through its numeric
     eigendecomposition, and traces out each subsystem by direct
     summation.  Shares no algebra with :func:`manifold_transfers` beyond the
@@ -156,24 +156,23 @@ def oracle_evolve(
     """
     if n_cut < 1:
         raise ValueError("n_cut must be >= 1")
-    eps = atom.epsilon
-    p = dist.weights
-    k = min(n_cut, dist.n_max)
-
-    frozen_levels = float(np.sum(p[k:]))  # head weights not covered by a manifold
-    if frozen_levels - float(p[k]) + dist.tail_mass > warn_tol:
+    dist = dist.truncated(n_cut)
+    if dist.tail_mass > warn_tol:
         warnings.warn(
-            f"photon mass {frozen_levels - float(p[k]) + dist.tail_mass:.3e} beyond "
-            f"n_cut={n_cut} exceeds warn_tol={warn_tol:g}; comparisons may be "
-            "truncation-limited",
+            f"photon mass {dist.tail_mass:.3e} beyond n_cut={n_cut} exceeds "
+            f"warn_tol={warn_tol:g}; comparisons may be truncation-limited",
             CutoffWarning,
             stacklevel=2,
         )
+    eps = atom.epsilon
+    p = dist.weights
+    k = dist.n_max
+    omega0 = params.omega + params.delta
 
     n = np.arange(k, dtype=np.float64)
     h_blocks = np.zeros((k, 2, 2))
-    h_blocks[:, 0, 0] = params.omega0 / 2.0 + n * params.omega
-    h_blocks[:, 1, 1] = -params.omega0 / 2.0 + (n + 1.0) * params.omega
+    h_blocks[:, 0, 0] = omega0 / 2.0 + n * params.omega
+    h_blocks[:, 1, 1] = -omega0 / 2.0 + (n + 1.0) * params.omega
     h_blocks[:, 0, 1] = h_blocks[:, 1, 0] = params.lam * np.sqrt(n + 1.0) / 2.0
 
     evals, evecs = np.linalg.eigh(h_blocks)
@@ -181,31 +180,24 @@ def oracle_evolve(
     u = np.einsum("kij,kj,klj->kil", evecs.astype(complex), phases, evecs.astype(complex))
     rho0 = np.zeros((k, 2, 2), dtype=complex)
     rho0[:, 0, 0] = eps * p[:k]
-    rho0[:, 1, 1] = (1.0 - eps) * p[1 : k + 1]
+    rho0[:, 1, 1] = (1.0 - eps) * p[1:]
     rho_t = u @ rho0 @ np.conj(np.swapaxes(u, 1, 2))
 
     coeff_a = rho_t[:, 0, 0].real
     coeff_c = rho_t[:, 1, 1].real
-    coeff_b = rho_t[:, 0, 1]
 
+    # frozen: |g,0>, |e,k> and the cut state's tail, split epsilon : 1 - epsilon
     uncoupled = (1.0 - eps) * p[0]
-    frozen_excited = eps * (frozen_levels + dist.tail_mass)
-    frozen_ground = (1.0 - eps) * (frozen_levels - float(p[k]) + dist.tail_mass)
+    atom_excited = float(np.sum(coeff_a)) + eps * (float(p[k]) + dist.tail_mass)
+    atom_ground = uncoupled + float(np.sum(coeff_c)) + (1.0 - eps) * dist.tail_mass
 
-    atom_excited = float(np.sum(coeff_a)) + frozen_excited
-    atom_ground = uncoupled + float(np.sum(coeff_c)) + frozen_ground
-
-    field = np.zeros(dist.n_max + 1)
+    field = np.empty(k + 1)
     field[0] = uncoupled + coeff_a[0]
     field[1:k] = coeff_a[1:] + coeff_c[:-1]
     field[k] = coeff_c[-1] + eps * p[k]
-    if k < dist.n_max:
-        field[k + 1 :] = p[k + 1 :]
 
     return OracleEvolution(
-        time=float(t),
         coeff_a=coeff_a,
-        coeff_b=coeff_b,
         coeff_c=coeff_c,
         atom_excited=atom_excited,
         atom_ground=atom_ground,

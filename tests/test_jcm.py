@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jcentropy.entropy import entropy_of, entropy_trace, tsallis
 from jcentropy.jcm import (
     AtomInit,
     CutoffWarning,
@@ -180,11 +181,16 @@ class TestClosedForms:
         assert not np.any({"a": a, "c": c}[sector])
 
 
+def spec_point_dist():
+    """The 41-level q=1.5 gamma state of the spec point."""
+    gs = GammaSuperstat(q=1.5, beta_star=2.0, omega=1.0)
+    return photon_weights_gamma(gs, tail_tol=1e-4, hard_cap=10**5).truncated(40)
+
+
 class TestOracle:
     def test_spec_point_matches_oracle(self):
         # Delta=1, lam=2, eps=0.3, q=1.5 weights, t=0.7
-        gs = GammaSuperstat(q=1.5, beta_star=2.0, omega=1.0)
-        dist = photon_weights_gamma(gs, tail_tol=1e-4, hard_cap=10**5).truncated(40)
+        dist = spec_point_dist()
         params = ModelParams.from_detuning(1.0, 2.0)
         atom = AtomInit(0.3)
         a, c = evolved_ac(params, atom.epsilon, dist, 0.7)
@@ -226,6 +232,39 @@ class TestOracle:
     def test_cutoff_warning(self, thermal_dist):
         with pytest.warns(CutoffWarning):
             oracle_evolve(RESONANT, AtomInit(0.5), thermal_dist, 1.0, n_cut=3)
+
+    @pytest.mark.parametrize("n_cut", [3, 17])
+    def test_cutoff_is_the_one_truncation(self, n_cut):
+        # n_cut cuts the state as truncated does, to the bit, and the field
+        # keeps only the levels of the cut state
+        dist = spec_point_dist()
+        params = ModelParams.from_detuning(1.0, 2.0)
+        atom = AtomInit(0.3)
+        cut = dist.truncated(n_cut)
+        ora = oracle_evolve(params, atom, dist, 0.7, n_cut=n_cut, warn_tol=1.0)
+        ref = oracle_evolve(params, atom, cut, 0.7, n_cut=n_cut, warn_tol=1.0)
+        assert ora.field_weights.size == n_cut + 1
+        for name in ("coeff_a", "coeff_c", "field_weights"):
+            assert np.array_equal(getattr(ora, name), getattr(ref, name)), name
+        for name in ("atom_excited", "atom_ground", "tail_mass"):
+            assert getattr(ora, name) == getattr(ref, name), name
+
+    @pytest.mark.parametrize("n_cut", [3, 17])
+    def test_cut_oracle_exchanges_match_the_trace_of_the_cut_state(self, n_cut):
+        dist = spec_point_dist()
+        params = ModelParams.from_detuning(1.0, 2.0)
+        atom = AtomInit(0.3)
+        kind = tsallis(1.5)
+        cut = dist.truncated(n_cut)
+        trace = entropy_trace(params, atom, cut, kind, horizon=5.0, samples=101)
+        s0_atom = entropy_of([atom.epsilon, 1.0 - atom.epsilon], kind)
+        s0_field = entropy_of(cut.weights, kind)
+        for i in (0, 37, 100):
+            ora = oracle_evolve(params, atom, dist, trace.times[i], n_cut=n_cut, warn_tol=1.0)
+            ds_atom = entropy_of([ora.atom_excited, ora.atom_ground], kind) - s0_atom
+            ds_field = entropy_of(ora.field_weights, kind) - s0_field
+            assert trace.ds_atom[i] == pytest.approx(ds_atom, abs=1e-12)
+            assert trace.ds_field[i] == pytest.approx(ds_field, abs=1e-12)
 
     def test_short_cutoff_still_conserves_probability(self, thermal_dist):
         ora = oracle_evolve(
