@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .specfun import (
     AccuracyError,
     hurwitz_zeta,
-    q_log,
 )
 from .superstat import (
     BracketError,
@@ -18,9 +17,6 @@ from .superstat import (
     photon_weights_gibbs,
     photon_weights_multilevel,
     physical_beta,
-    q_internal_energy,
-    q_partition,
-    q_trace,
 )
 from .jcm import (
     AtomInit,

@@ -90,7 +90,7 @@ class EntropyKind:
         return self.q is None
 
     def label(self) -> str:
-        return "vn" if self.q is None else f"tsallis(q={self.q:g})"
+        return "vn" if self.q is None else f"tsallis(q={self.q!r})"
 
 
 VON_NEUMANN = EntropyKind()

@@ -1,11 +1,10 @@
-"""The deformed logarithm and Hurwitz-zeta-type sums.
+"""Hurwitz-zeta-type sums.
 
-Everything downstream (photon statistics, temperature calibration,
-entropy functionals) reduces to q-deformed power laws and to sums of
-the form ``sum_n (n+x)^(-s)``.  The slowly converging sums are closed
-with an Euler-Maclaurin tail, so a 1e-10 absolute tolerance costs a few
-dozen explicit terms instead of the ~1e10 a plain truncation would need
-for exponents close to 1.
+The photon statistics and the temperature calibration of the gamma
+model reduce to sums of the form ``sum_n (n+x)^(-s)``.  The slowly
+converging sums are closed with an Euler-Maclaurin tail, so a 1e-10
+absolute tolerance costs a few dozen explicit terms instead of the ~1e10
+a plain truncation would need for exponents close to 1.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ __all__ = [
     "ABS_TOL",
     "MAX_TERMS",
     "AccuracyError",
-    "q_log",
     "hurwitz_zeta",
     "hurwitz_zeta_scaled",
 ]
@@ -27,18 +25,6 @@ MAX_TERMS = 10**7  # explicit terms a sum may take before it raises AccuracyErro
 
 class AccuracyError(ArithmeticError):
     """Raised when a series cannot reach the requested tolerance."""
-
-
-def q_log(x, q):
-    """q-deformed logarithm (x^(1-q) - 1)/(1-q) for x > 0 and q != 1."""
-    if q == 1.0:
-        raise ValueError("q_log requires q != 1; the q -> 1 limit is the natural log")
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("q_log requires strictly positive arguments")
-    q = float(q)
-    out = (np.power(x, 1.0 - q) - 1.0) / (1.0 - q)
-    return out if out.ndim else float(out)
 
 
 # Bernoulli-number factors B_2k/(2k)! for the Euler-Maclaurin tail.

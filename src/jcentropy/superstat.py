@@ -35,9 +35,6 @@ __all__ = [
     "photon_weights_gamma",
     "photon_weights_multilevel",
     "photon_weights_gibbs",
-    "q_partition",
-    "q_trace",
-    "q_internal_energy",
     "physical_beta",
     "calibrate_beta_star",
     "mean_photon_q",
@@ -286,59 +283,35 @@ def photon_weights_multilevel(
     )
 
 
-def q_partition(s: GammaSuperstat) -> float:
-    """Deformed partition function ``Tr exp_q(-beta_star H)``.
-
-    In scaled-zeta form this is exactly ``sum_n (1 + n/r)^(-s)`` with
-    s = 1/(q-1), r = 1/((q-1) beta_star omega); the q -> 1 limit is the
-    geometric series ``1/(1 - exp(-beta_star omega))``.
-    """
-    return hurwitz_zeta_scaled(s.s_index, s.r_offset)
-
-
 def _q_sums(s: GammaSuperstat) -> tuple[float, float]:
-    """``(Tr rho^q, q-weighted mean photon number)`` from one pair of Hurwitz sums."""
+    """``(Tr rho^q, escort mean photon number)`` from one pair of Hurwitz sums.
+
+    The escort mean is ``sum_n n p_n^q / sum_n p_n^q``, not the ordinary
+    ``<n> = sum_n n p_n``.
+    """
     sx, r = s.s_index, s.r_offset
     g1 = hurwitz_zeta_scaled(sx, r)
     gq = hurwitz_zeta_scaled(s.q * sx, r)
     return gq / g1**s.q, r * (g1 / gq - 1.0)
 
 
-def q_trace(s: GammaSuperstat) -> float:
-    """Trace of the q-th power of the normalized quasi-temperature state.
-
-    Equals ``zeta_H(q/(q-1), r) / zeta_H(1/(q-1), r)^q``; the scaled
-    zetas make the prefactors cancel identically.  Tends to 1 as q -> 1.
-    """
-    return _q_sums(s)[0]
-
-
 def mean_photon_q(s: GammaSuperstat) -> float:
-    """q-weighted mean photon number of the quasi-temperature state.
+    """q-average (escort) photon number ``sum_n n p_n^q / sum_n p_n^q`` of the quasi state.
 
-    Closed form ``[Phi(1, 1/(q-1), r) - r Phi(1, q/(q-1), r)] /
-    zeta_H(q/(q-1), r)`` rewritten in scaled zetas as
-    ``r (G_s/G_qs - 1)``, which stays finite-precision all the way into
-    the near-Gibbs regime.
+    This is not the ordinary mean ``sum_n n p_n``.  Closed form
+    ``[Phi(1, 1/(q-1), r) - r Phi(1, q/(q-1), r)] / zeta_H(q/(q-1), r)``
+    rewritten in scaled zetas as ``r (G_s/G_qs - 1)``, which stays
+    finite-precision all the way into the near-Gibbs regime.
     """
     return _q_sums(s)[1]
-
-
-def q_internal_energy(s: GammaSuperstat) -> float:
-    """Constrained internal energy ``omega * sum_n n p_n^q`` of the quasi state.
-
-    Identical to ``-d/d(beta_star) ln_q Z`` (checked against a finite
-    difference in the test suite).
-    """
-    trace_q, nbar_q = _q_sums(s)
-    return s.omega * nbar_q * trace_q
 
 
 def physical_beta(s: GammaSuperstat) -> float:
     """Physical inverse temperature of a gamma-fluctuation state.
 
     Implements ``beta = beta_star Tr[rho^q] / (1 - (1-q) beta_star U /
-    Tr[rho^q])``.  The internal energy U is non-negative and
+    Tr[rho^q])``, where ``U = omega sum_n n p_n^q`` is the constrained
+    internal energy ``-d/d(beta_star) ln_q Z``.  U is non-negative and
     :class:`GammaSuperstat` holds 1 < q < 2, so the denominator is at
     least 1.  As q -> 1, beta tends to beta_star.
     """

@@ -9,7 +9,8 @@ code path with its column-wise emitter.  ``evolved_ac`` and
 ``populations`` spell out the closed-form manifold populations and the
 reduced states one instant at a time, on the frozen-truncation
 convention, for tests that check the transfers of ``manifold_transfers``
-without the chunked walk.
+without the chunked walk.  ``q_log`` is the deformed logarithm that the
+Tsallis entropy is defined through.
 """
 
 import json
@@ -63,6 +64,22 @@ def populations(epsilon, dist, a, c):
     np.add(a[..., 1:], c[..., :-1], out=field[..., 1:-1])
     field[..., -1] = c[..., -1] + top
     return p_e, p_g, field
+
+
+def q_log(x, q):
+    """q-deformed logarithm (x^(1-q) - 1)/(1-q) for x > 0 and q != 1.
+
+    The reference the Tsallis entropy ``-sum_n p_n ln_q p_n`` is checked
+    against; the entropy kernel scores ``p^(2-q)`` directly instead.
+    """
+    if q == 1.0:
+        raise ValueError("q_log requires q != 1; the q -> 1 limit is the natural log")
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0.0):
+        raise ValueError("q_log requires strictly positive arguments")
+    q = float(q)
+    out = (np.power(x, 1.0 - q) - 1.0) / (1.0 - q)
+    return out if out.ndim else float(out)
 
 
 def zeta_brute(s: float, x: float, n_terms: int = 10**7) -> tuple[float, float]:

@@ -22,6 +22,12 @@ from jcentropy import cli, ensemble
 from jcentropy import entropy as entropy_module
 from jcentropy.ensemble import load_betas
 from jcentropy.cli import _csv_text, _json_text, build_parser, main
+from jcentropy.superstat import (
+    GammaSuperstat,
+    photon_weights_gamma,
+    photon_weights_gibbs,
+    photon_weights_multilevel,
+)
 from oracle_utils import rowwise_csv, rowwise_json
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -192,6 +198,14 @@ class TestTimeseries:
             assert key in derived
         assert meta["config"]["tail_tol"] == 1e-4
         assert derived["entropy"] == "tsallis(q=1.5)"
+
+    def test_sidecar_names_the_tsallis_index_that_ran(self, tmp_path):
+        # six significant digits would record 1.42188
+        out = tmp_path / "ts.csv"
+        assert main(["timeseries", "--gibbs", "--beta", "1", "--entropy", "tsallis",
+                     "--entropy-q", "1.421875", "--grid", "8", "--out", str(out)]) == 0
+        derived = json.loads((tmp_path / "ts.csv.meta.json").read_text())["derived"]
+        assert derived["entropy"] == "tsallis(q=1.421875)"
 
     def test_rerun_from_sidecar_reproduces_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -1226,6 +1240,122 @@ def test_every_ensemble_gen_ends_in_a_documented_exit_code(argv):
         count = int(argv[2].split("=")[1])
         assert len(model.betas) == count, argv
         assert all(0.0 < beta < math.inf for beta in model.betas), argv
+
+
+@st.composite
+def oracle_sized_runs(draw):
+    """argv without --out for a valid timeseries or bloch-sweep run of at most 41 levels.
+
+    omega stays in [0.5, 2]: the oracle evolves in the lab frame, where a huge
+    omega rounds the coupling away, while the walk never sees omega.  Up to
+    300 samples, so the cosine recurrence runs over several chunks.
+    """
+    command = draw(st.sampled_from(["timeseries", "bloch-sweep"]))
+    source = draw(st.sampled_from(["gamma", "gibbs", "betas-file"]))
+
+    def number(lo, hi):
+        return repr(draw(st.floats(lo, hi)))
+
+    flags = {}
+    if source == "gamma":
+        flags["--q"] = number(1.1, 1.9)
+        flags[draw(st.sampled_from(["--beta", "--beta-star"]))] = number(0.2, 5.0)
+    elif source == "gibbs":
+        flags["--gibbs"] = None
+        flags["--beta"] = number(0.2, 5.0)
+    else:
+        flags["--betas-file"] = os.path.join(DATA_DIR, "normal_n100.betas")
+    if source != "betas-file":  # the file fixes its own omega
+        flags["--omega"] = number(0.5, 2.0)
+    flags["--n-cap"] = str(draw(st.integers(1, 40)))
+    flags["--delta"] = number(-3.0, 3.0)
+    flags["--lambda"] = number(0.0, 3.0)
+    flags["--T"] = number(0.1, 40.0)
+    flags["--entropy"] = draw(st.sampled_from(["vn", "tsallis"]))
+    if flags["--entropy"] == "tsallis" and (source != "gamma" or draw(st.booleans())):
+        flags["--entropy-q"] = number(1.1, 1.9)
+    flags["--field-entropy"] = draw(st.sampled_from(["full", "coarse"]))
+    samples = str(draw(st.integers(2, 300)))
+    if command == "timeseries":
+        flags["--epsilon"] = number(0.0, 1.0)
+        flags["--grid"] = samples
+    else:
+        flags["--grid"] = f"{draw(st.integers(1, 3))}x{draw(st.integers(1, 3))}"
+        flags["--t-samples"] = samples
+    argv = [command] + [flag if value is None else f"{flag}={value}"
+                        for flag, value in flags.items()]
+    return argv, draw(st.sampled_from(["csv", "json"]))
+
+
+def _recorded_state(meta):
+    """(params, distribution, entropy kind, coarse?) rebuilt from a run's own record."""
+    cfg, derived = meta["config"], meta["derived"]
+    omega, tol, cap = cfg["omega"], cfg["tail_tol"], cfg["n_cap"]
+    if derived["source"] == "gamma":
+        model = GammaSuperstat(q=derived["q"], beta_star=derived["beta_star"], omega=omega)
+        dist = photon_weights_gamma(model, tail_tol=tol, hard_cap=cap)
+    elif derived["source"] == "gibbs":
+        dist = photon_weights_gibbs(cfg["beta"], omega, tail_tol=tol, hard_cap=cap)
+    else:
+        dist = photon_weights_multilevel(load_betas(cfg["betas_file"])[0], tail_tol=tol,
+                                         hard_cap=cap)
+    assert dist.n_max == derived["n_max"] and dist.tail_mass == derived["tail_mass"]
+    if cfg["entropy"] == "vn":
+        kind = jcentropy.VON_NEUMANN
+    else:  # the index itself, never the text of the label
+        q = cfg["entropy_q"] if cfg["entropy_q"] is not None else derived["q"]
+        kind = jcentropy.tsallis(q)
+    params = jcentropy.ModelParams(delta=cfg["delta"], omega=omega, lam=cfg["lam"])
+    return params, dist, kind, cfg["field_entropy"] == "coarse"
+
+
+def _oracle_exchanges(params, epsilon, dist, kind, coarse, times):
+    """(dS_a, dS_b) at each of ``times``, from the dense oracle, against the state as given."""
+
+    def entropies(atom, field, tail):
+        if coarse:
+            field = [field[0], math.fsum(field[1:]) + tail]
+        return (jcentropy.entropy_of(atom, kind), jcentropy.entropy_of(field, kind))
+
+    s0_atom, s0_field = entropies([epsilon, 1.0 - epsilon], dist.weights, dist.tail_mass)
+    ds = np.empty((2, len(times)))
+    for i, t in enumerate(times):
+        ora = jcentropy.oracle_evolve(params, jcentropy.AtomInit(epsilon), dist, t,
+                                      n_cut=dist.n_max, warn_tol=1.0)
+        s_atom, s_field = entropies([ora.atom_excited, ora.atom_ground], ora.field_weights,
+                                    ora.tail_mass)
+        ds[:, i] = s_atom - s0_atom, s_field - s0_field
+    return ds
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(oracle_sized_runs())
+def test_every_written_exchange_matches_the_dense_oracle(run):
+    from scipy.integrate import simpson
+
+    argv, fmt = run
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp) / f"out.{fmt}"
+        assert main([*argv, f"--format={fmt}", f"--out={out}"]) == 0, argv
+        rows, _, meta = _numeric_cells(out, fmt)
+    params, dist, kind, coarse = _recorded_state(meta)
+    cfg, derived = meta["config"], meta["derived"]
+    table = np.array(rows, dtype=float)
+    if argv[0] == "timeseries":
+        times = table[:, 0]
+        ds = _oracle_exchanges(params, cfg["epsilon"], dist, kind, coarse, times)
+        assert np.max(np.abs(table[:, 1:3] - ds.T)) <= 1e-8, argv
+        assert np.max(np.abs(table[:, 3] - ds.sum(axis=0))) <= 1e-8, argv
+        averages = [[derived["avg_dSa"], derived["avg_dSb"]]]
+        epsilons = [cfg["epsilon"]]
+    else:
+        times = np.linspace(0.0, cfg["horizon"], cfg["t_samples"])
+        averages = table[:, 3:5]
+        epsilons = table[:, 2]
+    for epsilon, written in zip(epsilons, averages):
+        ds = _oracle_exchanges(params, epsilon, dist, kind, coarse, times)
+        expected = simpson(ds, x=times, axis=-1) / cfg["horizon"]
+        assert np.max(np.abs(np.asarray(written) - expected)) <= 1e-8, argv
 
 
 def _config_flags(command):

@@ -34,14 +34,13 @@ from jcentropy.jcm import (
     manifold_transfers,
     oracle_evolve,
 )
-from jcentropy.specfun import q_log
 from jcentropy.superstat import (
     GammaSuperstat,
     PhotonDistribution,
     photon_weights_gamma,
     photon_weights_gibbs,
 )
-from oracle_utils import evolved_ac, populations, zeta_brute
+from oracle_utils import evolved_ac, populations, q_log, zeta_brute
 
 RESONANT = ModelParams.from_detuning(0.0, 2.0)
 # Thermal von Neumann entropy (1+nbar) ln(1+nbar) - nbar ln(nbar) at nbar=0.1,

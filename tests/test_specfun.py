@@ -10,9 +10,8 @@ from jcentropy.specfun import (
     AccuracyError,
     hurwitz_zeta,
     hurwitz_zeta_scaled,
-    q_log,
 )
-from oracle_utils import zeta_brute
+from oracle_utils import q_log, zeta_brute
 
 ZETA3 = 1.2020569031595943
 
