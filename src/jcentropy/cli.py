@@ -9,7 +9,16 @@ Every file-producing command writes its output atomically and records the
 fully resolved run configuration (including derived quantities) either
 embedding it (JSON format, betas files) or in a ``<out>.meta.json``
 sidecar, so any output can be regenerated byte-for-byte from its own
-metadata.
+metadata.  A table and its sidecar replace their paths only once both are
+written.
+
+Tables are written in blocks of ``BLOCK_ROWS`` rows.  A table of at least
+``2 * MIN_PART_BLOCKS`` blocks is formatted by up to one process per
+available CPU: its blocks are split into contiguous ranges of at least
+``MIN_PART_BLOCKS``, this process writes the first and a forked child each
+of the others to a file of its own, and those files are appended in order
+before the one atomic replace.  Every block is the same text from the same
+code whichever process formats it, so the bytes do not depend on the split.
 
 Exit codes: 0 success, 2 usage, 3 numeric-domain failure, 4 accuracy
 failure, 5 I/O failure.
@@ -37,6 +46,7 @@ from .entropy import (
     VON_NEUMANN,
     EntropyKind,
     FieldEntropyForm,
+    _available_cpus,
     bloch_sweep,
     entropy_trace,
     tsallis,
@@ -102,51 +112,93 @@ def _cells(column, json_cells: bool) -> list:
 # 1.3 MB, so a table of any length is written within one block's memory
 BLOCK_ROWS = 4096
 
+# blocks a forked writer takes at least: a fork, exit and wait cost about as
+# much as one block's text, so a table of fewer blocks is not split for it
+MIN_PART_BLOCKS = 8
 
-def _blocks(table: dict, json_cells: bool):
-    """The cell texts of each block of ``BLOCK_ROWS`` rows, as one list per column."""
+
+def _block_count(table: dict) -> int:
+    return -(-min(map(len, table.values())) // BLOCK_ROWS)
+
+
+def _parts(table: dict) -> list[range]:
+    """The table's blocks as contiguous ranges, one per process that formats them.
+
+    One range per available CPU, but at least ``MIN_PART_BLOCKS`` blocks
+    each, and one range where there is no ``os.fork``.
+    """
+    blocks = _block_count(table)
+    parts = max(1, min(_available_cpus(), blocks // MIN_PART_BLOCKS)) if hasattr(os, "fork") else 1
+    return [range(blocks * i // parts, blocks * (i + 1) // parts) for i in range(parts)]
+
+
+def _blocks(table: dict, json_cells: bool, blocks: range):
+    """The cell texts of each of the ``BLOCK_ROWS``-row ``blocks``, as one list per column."""
     columns = list(table.values())
-    n_rows = min(map(len, columns))
-    for start in range(0, n_rows, BLOCK_ROWS):
+    for block in blocks:
+        start = block * BLOCK_ROWS
         yield [_cells(col[start : start + BLOCK_ROWS], json_cells) for col in columns]
 
 
-def _csv_text(table: dict):
-    """Header line, then one comma-joined line per row, in text pieces of one block each."""
-    yield ",".join(table) + "\n"
-    for cells in _blocks(table, json_cells=False):
+def _csv_text(table: dict, blocks: range | None = None):
+    """Header line, then one comma-joined line per row, in text pieces of one block each.
+
+    With ``blocks``, the text of those blocks only, headed by the header
+    line if they are the first; the texts of consecutive ranges join to
+    the text of the table.
+    """
+    if blocks is None:
+        blocks = range(_block_count(table))
+    if blocks.start == 0:
+        yield ",".join(table) + "\n"
+    for cells in _blocks(table, False, blocks):
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
-def _json_text(table: dict, meta: dict):
+def _json_text(table: dict, meta: dict, blocks: range | None = None):
     """``json.dumps({"columns", "meta", "rows"}, indent=2, sort_keys=True)``, in text pieces.
 
     ``json`` renders everything but the rows; ``"rows"`` sorts last, so
     its empty list closes the text and gives way to the rows laid out as
     ``indent=2`` lays them out: a row opens four spaces in, a cell sits
-    six spaces in.  Each block of rows is one piece.
+    six spaces in.  Each block of rows is one piece.  With ``blocks``, as
+    for :func:`_csv_text`, the text of those blocks only: the head opens
+    the first range and the closing brackets end the last.
     """
-    head = json.dumps({"columns": list(table), "meta": meta, "rows": []},
-                      indent=2, sort_keys=True)
-    if not min(map(len, table.values())):
-        yield head + "\n"
-        return
+    count = _block_count(table)
+    if blocks is None:
+        blocks = range(count)
     row_break = "\n    ],\n    [\n      "
-    opening = head[: -len("[]\n}")] + "[\n    [\n      "
-    for cells in _blocks(table, json_cells=True):
+    if blocks.start == 0:
+        head = json.dumps({"columns": list(table), "meta": meta, "rows": []},
+                          indent=2, sort_keys=True)
+        if not count:
+            yield head + "\n"
+            return
+        opening = head[: -len("[]\n}")] + "[\n    [\n      "
+    else:
+        opening = row_break
+    for cells in _blocks(table, True, blocks):
         yield opening + row_break.join(map(",\n      ".join, zip(*cells)))
         opening = row_break
-    yield "\n    ]\n  ]\n}\n"
+    if blocks.stop == count:
+        yield "\n    ]\n  ]\n}\n"
 
 
 def _emit(cfg: dict, table: dict, meta: dict) -> None:
-    """Write ``table`` (column name -> column of values) to ``--out``, a block of rows at a time."""
+    """Write ``table`` (column name -> column of values) to ``--out``, a block of rows at a time.
+
+    The blocks are split into :func:`_parts`, each formatted by a process
+    of its own.  A CSV table and its sidecar replace their paths only once
+    both are written.
+    """
     out = cfg["out"]
+    parts = _parts(table)
     if cfg["format"] == "json":
-        _write_atomic(out, _json_text(table, meta))
+        _write_atomic({out: [_json_text(table, meta, blocks) for blocks in parts]})
     else:
-        _write_atomic(out, _csv_text(table))
-        _write_atomic(out + ".meta.json", (json.dumps(meta, indent=2, sort_keys=True) + "\n",))
+        _write_atomic({out: [_csv_text(table, blocks) for blocks in parts],
+                       out + ".meta.json": [(json.dumps(meta, indent=2, sort_keys=True) + "\n",)]})
 
 
 def _load_config(path: str, flags: dict) -> dict:

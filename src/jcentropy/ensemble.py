@@ -15,10 +15,13 @@ shortest-round-trip decimal form.
 
 from __future__ import annotations
 
+import errno
 import itertools
 import json
 import math
 import os
+import pickle
+import warnings
 from dataclasses import asdict, dataclass
 
 from .superstat import MultiLevelSuperstat, _check_omega
@@ -160,29 +163,130 @@ def sample_betas(spec: BetaEnsembleSpec) -> MultiLevelSuperstat:
     return MultiLevelSuperstat(betas=tuple(betas), omega=spec.omega)
 
 
-def _write_atomic(path, pieces) -> None:
-    """Write the text ``pieces``, an iterable of ``str``, to ``path`` whole or not at all.
+# bytes copied at a time when a part file is appended to its output
+COPY_BYTES = 2**16
 
-    The pieces go one at a time to a temporary file in the same directory,
-    which then replaces ``path``, so a caller that yields its text in
-    blocks never holds all of it; on failure, also one raised while the
-    pieces are produced, the temporary file is removed and ``path`` is
-    left as it was.  The kernel creates the file as ``open`` would, with
-    ``0o666`` less the umask, and refuses a temporary name that exists,
-    so no other file is ever removed.
+
+def _write_atomic(files: dict) -> None:
+    """Write each ``path -> parts`` of ``files`` whole, or leave every path as it was.
+
+    A file's text is ``parts``, a sequence of iterables of ``str``, in
+    order.  Each file is written to a temporary file in its own directory,
+    one piece at a time, so a caller that yields its text in blocks never
+    holds all of it.  The first part is written by this process; each later
+    one by a forked child (see :func:`_fork_part`) into a part file of its
+    own meanwhile, which is then appended in bounded copies.  Only once
+    every temporary file is whole and no path is a directory does each
+    replace its path.  On failure, also one raised while the pieces are
+    produced here or in a child, the child's exception is raised here, every
+    child is reaped, the temporary files are removed and the paths are left
+    as they were.  The kernel creates the file as ``open`` would, with
+    ``0o666`` less the umask, and refuses a temporary or part name that
+    exists, so no other file is ever removed.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(directory, f".jcentropy-{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    staged = []  # (temporary name, path) of each file written so far
+    try:
+        for path, parts in files.items():
+            directory = os.path.dirname(os.path.abspath(path))
+            stem = os.path.join(directory, f".jcentropy-{os.urandom(8).hex()}")
+            fd = os.open(stem + ".tmp", os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            staged.append((stem + ".tmp", path))
+            _write_parts(fd, parts, stem)
+        # checked before any path moves: os.replace would refuse a directory
+        # only after the paths before it had moved
+        for _, path in staged:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        raise
+
+
+def _write_parts(fd: int, parts, stem: str) -> None:
+    """Write ``parts`` to the new file ``fd``: the first here, each later one in a child."""
+    children = []  # [pid, report fd, part fd] of each later part, in order
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            for piece in pieces:
+            for i, pieces in enumerate(parts[1:], start=1):
+                # the name claims a file on the output's file system; the
+                # descriptors hold it, so no name outlives this call
+                name = f"{stem}.{i}.part"
+                part_fd = os.open(name, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
+                os.unlink(name)
+                children.append([0, -1, part_fd])  # pid and pipe set once forked
+                children[-1][:2] = _fork_part(part_fd, pieces)
+            for piece in parts[0]:
                 fh.write(piece)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+            fh.flush()
+            for i, child in enumerate(children, start=1):
+                pid, report, part_fd = child
+                with open(report, "rb", closefd=False) as pipe:
+                    failure = pipe.read()  # ends when the child exits
+                _, status = os.waitpid(pid, 0)
+                child[0] = 0
+                if failure:
+                    raise pickle.loads(failure)  # written by the child, from its own exception
+                if status:
+                    raise ChildProcessError(f"the writer of part {i} ended with wait status {status}")
+                offset = 0
+                while chunk := os.pread(part_fd, COPY_BYTES, offset):
+                    fh.buffer.write(chunk)
+                    offset += len(chunk)
+    finally:
+        for pid, report, part_fd in children:
+            if pid:
+                import signal  # here, as only a failed write kills a child: 1 ms off every start
+
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            if report >= 0:
+                os.close(report)
+            os.close(part_fd)
+
+
+def _fork_part(fd: int, pieces) -> tuple[int, int]:
+    """Fork a child that writes the text ``pieces`` to ``fd`` and exits.
+
+    Returns the child's pid and the read end of a pipe that carries its
+    exception, pickled, if it fails.  The child formats and writes only:
+    it runs no BLAS call, imports nothing, prints nothing, and leaves by
+    ``os._exit``, so no buffer or exit handler of this process runs twice.
+    """
+    report, w = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12+ warns on fork while other threads (the BLAS pool)
+        # exist, as the child might wait on a lock one of them held; this
+        # child takes none of their locks, as it calls no BLAS and imports nothing
+        warnings.filterwarnings("ignore", r"This process .* is multi-threaded, use of fork\(\)",
+                                DeprecationWarning)
+        try:
+            pid = os.fork()
+        except BaseException:
+            os.close(report)
+            os.close(w)
+            raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(report)
+            with open(fd, "w", encoding="utf-8", closefd=False) as fh:
+                for piece in pieces:
+                    fh.write(piece)
+            status = 0
+        except BaseException as exc:
+            try:
+                with open(w, "wb", closefd=False) as pipe:
+                    pickle.dump(exc, pipe)
+            except BaseException:  # an exception that does not pickle ends in the status
+                pass
+        finally:
+            os._exit(status)  # the child never returns into the caller's frames
+    os.close(w)
+    return pid, report
 
 
 def save_betas(
@@ -195,7 +299,7 @@ def save_betas(
         "spec": asdict(spec) if spec is not None else None,
     }
     head = "# " + json.dumps(header, sort_keys=True) + "\n"
-    _write_atomic(path, itertools.chain((head,), (repr(b) + "\n" for b in model.betas)))
+    _write_atomic({path: [itertools.chain((head,), (repr(b) + "\n" for b in model.betas))]})
 
 
 def load_betas(path) -> tuple[MultiLevelSuperstat, BetaEnsembleSpec | None]:

@@ -42,6 +42,8 @@ __all__ = [
 
 HARD_CAP = 10**7  # largest photon index materialized in a weight table
 MIN_LEVELS = 2  # keep at least {|0>, |1>} so the vacuum Rabi manifold exists
+# a log below which exp underflows to +0.0 (the least subnormal is exp(-744.44))
+UNDERFLOW_LOG = -746.0
 # largest Hurwitz offset r: the Euler-Maclaurin tail of a sum takes (n + r)^7
 MAX_OFFSET = 1e44
 
@@ -272,9 +274,15 @@ def photon_weights_multilevel(
     n = np.arange(n_max + 1, dtype=np.float64)
     weights = np.empty(n_max + 1)
     rows = max(1, 2**16 // x.size)
+    # x**n underflows to exactly +0.0 once n ln x < -745.13, and slowly near
+    # there, so it is computed only up to n ln x = UNDERFLOW_LOG (n = 0 at x = 0)
+    with np.errstate(divide="ignore"):
+        last = UNDERFLOW_LOG / np.log(x)
     for lo in range(0, n_max + 1, rows):
+        block = n[lo : lo + rows, None]
+        powers = np.power(x, block, where=block <= last, out=np.zeros((block.size, x.size)))
         # each row is reduced on its own, so the blocks sum exactly as one matrix would
-        weights[lo : lo + rows] = np.sum(x[None, :] ** n[lo : lo + rows, None], axis=1)
+        weights[lo : lo + rows] = np.sum(powers, axis=1)
     weights /= z_n
     return PhotonDistribution(
         weights=weights,

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import math
@@ -910,6 +911,99 @@ def test_failure_in_a_later_block_leaves_the_old_output(tmp_path, monkeypatch, f
     assert (tmp_path / f"t.{fmt}.meta.json").read_text() == "old sidecar\n"
 
 
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def split_writers(processes, block_rows):
+    """Blocks of ``block_rows`` rows, each table split between up to ``processes`` processes."""
+    with mock.patch.object(cli, "BLOCK_ROWS", block_rows), \
+            mock.patch.object(cli, "MIN_PART_BLOCKS", 1), \
+            mock.patch.object(cli, "_available_cpus", lambda: processes):
+        yield
+
+
+@settings(max_examples=40, deadline=None)
+@given(tables())
+def test_split_table_is_the_serial_text(table):
+    names, columns, rows = table
+    meta = {"command": "test", "config": {"x": 0.1}, "derived": {"n": len(rows)}}
+    by_name = dict(zip(names, columns))
+    sidecar = (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode()
+    # blocks of 3 rows give the drawn tables no rows, one block, a whole
+    # number of blocks and a short last block
+    with tempfile.TemporaryDirectory() as tmp, split_writers(1, 3):
+        serial = {"csv": "".join(_csv_text(by_name)).encode(),
+                  "json": "".join(_json_text(by_name, meta)).encode()}
+        for processes in (1, 2, 3, 4):
+            with split_writers(processes, 3):
+                assert len(cli._parts(by_name)) == max(1, min(processes, -(-len(rows) // 3)))
+                for fmt in ("csv", "json"):
+                    out = pathlib.Path(tmp) / f"t.{fmt}"
+                    cli._emit({"out": str(out), "format": fmt}, by_name, meta)
+                    assert out.read_bytes() == serial[fmt]
+            assert (pathlib.Path(tmp) / "t.csv.meta.json").read_bytes() == sidecar
+            assert sorted(os.listdir(tmp)) == ["t.csv", "t.csv.meta.json", "t.json"]
+            assert_no_child()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("bad_block", [0, 2], ids=["parent", "child"])
+def test_failure_in_a_part_leaves_the_old_output(tmp_path, fmt, bad_block):
+    # three blocks of two rows in two parts: this process formats block 0,
+    # a child blocks 1 and 2; one cell is one no table column may hold
+    column = [0.5, 1.5, 2.5, 3.5, 4.5]
+    column[2 * bad_block] = None
+    out = tmp_path / f"t.{fmt}"
+    out.write_text("old output\n")
+    (tmp_path / f"t.{fmt}.meta.json").write_text("old sidecar\n")
+    with split_writers(2, 2):
+        assert len(cli._parts({"x": column})) == 2
+        with pytest.raises(TypeError, match="unsupported table column"):
+            cli._emit({"out": str(out), "format": fmt}, {"x": column}, {})
+    assert sorted(os.listdir(tmp_path)) == [f"t.{fmt}", f"t.{fmt}.meta.json"]
+    assert out.read_text() == "old output\n"
+    assert (tmp_path / f"t.{fmt}.meta.json").read_text() == "old sidecar\n"
+    assert_no_child()
+
+
+@pytest.mark.parametrize("error, code", [
+    (OSError(errno.ENOSPC, "No space left on device"), 5),
+    (MemoryError("no room for the cells"), 3),
+])
+def test_failure_in_a_child_exits_as_a_serial_write(tmp_path, capsys, error, code):
+    parent, real_cells = os.getpid(), cli._cells
+
+    def cells(column, json_cells):
+        if os.getpid() != parent:
+            raise error
+        return real_cells(column, json_cells)
+
+    out = tmp_path / "w.csv"
+    out.write_text("old output\n")
+    with split_writers(2, 2), mock.patch.object(cli, "_cells", cells):
+        assert main(["weights", "--gibbs", "--beta", "1", "--out", str(out)]) == code
+    assert str(error) in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["w.csv"] and out.read_text() == "old output\n"
+    assert_no_child()
+
+
+@pytest.mark.parametrize("directory", ["w.csv", "w.csv.meta.json"])
+def test_directory_at_either_path_leaves_both_files(tmp_path, capsys, directory):
+    for name in ("w.csv", "w.csv.meta.json"):
+        (tmp_path / name).write_text(f"old {name}\n")
+    (tmp_path / directory).unlink()
+    (tmp_path / directory).mkdir()
+    assert main(["weights", "--gibbs", "--beta", "1", "--out", str(tmp_path / "w.csv")]) == 5
+    assert "Is a directory" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["w.csv", "w.csv.meta.json"]
+    for name in ("w.csv", "w.csv.meta.json"):
+        if name != directory:
+            assert (tmp_path / name).read_text() == f"old {name}\n"
+
+
 def _parse_like(csv_row, json_row):
     """The CSV cells converted to the types of the matching JSON cells."""
     return [type(j)(c) for c, j in zip(csv_row, json_row)]
@@ -1086,11 +1180,15 @@ def test_outputs_leave_the_umask_alone(tmp_path, monkeypatch):
 
 def test_temporary_name_in_use_is_left_to_its_owner(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "urandom", lambda n: bytes(n))
-    theirs = tmp_path / ".jcentropy-0000000000000000.tmp"
-    theirs.write_text("theirs")
-    with pytest.raises(FileExistsError):
-        ensemble._write_atomic(str(tmp_path / "x.csv"), ("mine\n",))
-    assert os.listdir(tmp_path) == [theirs.name] and theirs.read_text() == "theirs"
+    # the temporary file, and the part file of the first and of a later child
+    for suffix in ("tmp", "1.part", "2.part"):
+        theirs = tmp_path / f".jcentropy-0000000000000000.{suffix}"
+        theirs.write_text("theirs")
+        with pytest.raises(FileExistsError):
+            ensemble._write_atomic({str(tmp_path / "x.csv"): [("mine\n",), ("1\n",), ("2\n",)]})
+        assert os.listdir(tmp_path) == [theirs.name] and theirs.read_text() == "theirs"
+        assert_no_child()
+        theirs.unlink()
 
 
 # ------------------------------------------------------------- input fuzz

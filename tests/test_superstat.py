@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import jcentropy.superstat as superstat
+from jcentropy.ensemble import BetaEnsembleSpec, sample_betas
 from jcentropy.specfun import hurwitz_zeta_scaled
 from jcentropy.superstat import (
     HARD_CAP,
@@ -199,6 +200,21 @@ def test_multilevel_blocked_weights_equal_dense_sum(count, first):
     x = np.exp(-betas)
     n = np.arange(dist.n_max + 1, dtype=np.float64)
     dense = np.sum(x[None, :] ** n[:, None], axis=1) / float(np.sum(1.0 / (1.0 - x)))
+    assert dist.weights.tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("betas", [
+    sample_betas(BetaEnsembleSpec(shape="weibull", count=1000, seed=1)).betas,
+    tuple(np.linspace(0.05, 50.0, 300)),
+    (0.5, 800.0, 2000.0),  # exp(-beta) is 0.0 for two of them, and 0.0**0 is 1
+], ids=["weibull-1000", "beta-to-50", "zero-ratio"])
+def test_multilevel_weights_skip_only_powers_that_underflow(betas):
+    dist = photon_weights_multilevel(MultiLevelSuperstat(betas=betas))
+    x = np.exp(-np.asarray(betas))
+    n = np.arange(dist.n_max + 1, dtype=np.float64)
+    powers = x[None, :] ** n[:, None]
+    assert np.count_nonzero(powers == 0.0) > powers.size // 10
+    dense = np.sum(powers, axis=1) / float(np.sum(1.0 / (1.0 - x)))
     assert dist.weights.tobytes() == dense.tobytes()
 
 
