@@ -3,7 +3,8 @@
 Subcommands: ``calibrate``, ``weights``, ``timeseries``, ``bloch-sweep``,
 ``ensemble-gen``, ``selfcheck``.  ``_COMMANDS`` is the one list of them:
 each name maps to its help line and to the function that adds its flags.
-A call builds the flags of the command it runs only.
+A call whose first argument names a command builds the parser of that
+command only; any other call builds them all.
 
 Every file-producing command writes its output atomically and records the
 fully resolved run configuration (including derived quantities) either
@@ -656,12 +657,17 @@ _COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, with the flags of ``command`` only, or of all if None.
+    """The parser of ``command`` only, or of every subcommand if None.
 
-    Every subcommand is named with its help line either way, so the
-    top-level help, usage and refusals read the same.  Each ``add_argument``
-    builds a help formatter, which is most of a warm command's fixed cost,
-    and a call runs one command.
+    A call runs one command, and argparse's flags are most of a warm
+    command's fixed cost.  Every flag is an option, so each goes straight
+    into the subparser's options group, where it lands through the parser
+    too: the parser's ``add_argument`` would first build a help formatter
+    to check a metavar tuple, which no flag here has.  A parser of one
+    command names all of them in its usage line, so a refusal of its
+    arguments reads as the full parser's.  The full parser keeps argparse's
+    own listing: argparse names the subcommand argument by its metavar
+    where one is set, so a missing or unknown command would read otherwise.
     """
     parser = argparse.ArgumentParser(
         prog="jcentropy",
@@ -669,11 +675,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                     "fluctuating cavity mode.",
     )
     parser.add_argument("--version", action="version", version=f"jcentropy {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(dest="command", required=True,
+                                 metavar=None if command is None else "{%s}" % ",".join(_COMMANDS))
     for name, (help_text, add_arguments) in _COMMANDS.items():
-        sub = subs.add_parser(name, help=help_text)
         if command is None or command == name:
-            add_arguments(sub)
+            sub = subs.add_parser(name, help=help_text)
+            add_arguments(sub._optionals)
             sub.set_defaults(parser=sub)
     return parser
 
@@ -681,9 +688,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # the top-level parser takes no option with a value, so its first
-    # positional token names the command; argparse refuses one that does not
-    parser = build_parser(next((token for token in argv if not token.startswith("-")), None))
+    # an argv that does not open with a command (-h, --, a typo) gets the full parser
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     flags = {action.dest: action for action in args.parser._actions
              if action.dest not in ("help", "config")}

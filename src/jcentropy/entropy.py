@@ -53,11 +53,13 @@ CHUNK_ROWS = 128
 # twice the memory of the group's buffers
 GROUP_ELEMENTS = 2**15
 # float arrays of one entry per time sample and preparation that a walk holds
-# at once, at most (under tracemalloc): the moved weight and the field
-# entropies, then the two atomic sectors' weights with their logarithms, the
-# atom entropies and the two exchanges, then the two exchanges and their
-# product with the averaging weights
-SAMPLE_ARRAYS = 8
+# (under tracemalloc): its two exchanges, which hold the moved weight and the
+# field entropies until the atom entropies take the moved weight's place
+SAMPLE_ARRAYS = 2
+# 8-byte entries per time sample and preparation of a block of atom entropies,
+# at most: the two atomic weights, their two logarithms and the scoring's
+# totals, sum and negated sum with its boolean masks
+ATOM_ARRAYS = 8
 # 8-byte entries a Bloch sweep holds per grid point, at most: its r, theta and epsilon
 # columns with np.unique's sort and inverse, or with both averages tables (9 under tracemalloc)
 POINT_ARRAYS = 10
@@ -296,6 +298,11 @@ def _walkers(samples: int, rows: int) -> int:
     return min(_available_cpus(), windows)
 
 
+def _atom_span(samples: int, preparations: int) -> int:
+    """Time samples whose atom entropies are scored at once: ``2 x preparations x span`` within ``CHUNK_ELEMENTS``."""
+    return min(samples, max(1, CHUNK_ELEMENTS // (2 * preparations)))
+
+
 def walk_bytes(samples: int, levels: int, preparations: int = 1) -> int:
     """Estimated peak bytes of the walk behind :func:`entropy_trace` and :func:`bloch_sweep`.
 
@@ -305,16 +312,20 @@ def walk_bytes(samples: int, levels: int, preparations: int = 1) -> int:
     ``POINT_ARRAYS`` per preparation given; per one of a group the
     transfer ``a1`` of :func:`~jcentropy.jcm.manifold_transfers` and the
     t=0 field weights, each walker's five scratch rows of ``k x rows x
-    levels`` and ``SAMPLE_ARRAYS`` arrays of ``k x samples``; each
-    walker's ``UFUNC_BUFFERS``; the Rabi frequencies and the two
-    recurrence steps; and the time grid with its averaging weights.
+    levels``, the ``SAMPLE_ARRAYS`` exchanges of ``k x samples`` and
+    ``ATOM_ARRAYS`` per sample of a block of :func:`_atom_span` samples
+    of atom entropies; each walker's ``UFUNC_BUFFERS``; the Rabi
+    frequencies and the two recurrence steps; and four arrays of the
+    samples: the time grid, its averaging weights and the copy of a
+    trace's two exchanges that they weigh.
     """
     rows = _chunk_rows(samples, levels)
     k = min(preparations, _group_size(rows, levels))
     walkers = _walkers(samples, rows)
-    return 8 * (POINT_ARRAYS * preparations + 3 * levels + 2 * samples
+    return 8 * (POINT_ARRAYS * preparations + 3 * levels + 4 * samples
                 + walkers * UFUNC_BUFFERS * np.getbufsize()
-                + k * (2 * levels + SAMPLE_ARRAYS * samples + walkers * 5 * rows * levels))
+                + k * (2 * levels + SAMPLE_ARRAYS * samples + walkers * 5 * rows * levels
+                       + ATOM_ARRAYS * _atom_span(samples, k)))
 
 
 def _exchanges(
@@ -334,7 +345,12 @@ def _exchanges(
     ``a1`` at t = 0: the atom is ``(eps T + m(t) - m(0), (1 - eps) T - (m(t) -
     m(0)))`` with ``T`` the total weight and ``m`` the walk's own level sum of
     ``s``, so its departure is exactly 0 at t = 0 in any summation order.
-    Every preparation's row has the bits it has when walked alone.
+    Every preparation's row has the bits it has when walked alone.  The
+    returned array is the only one of the samples' length the walk
+    allocates: the walk writes the moved weight and the field entropies
+    into it, and the atom is scored from blocks of :func:`_atom_span`
+    samples in one reused buffer, its entropies written over the moved
+    weight.
     """
     delta_n, a1 = manifold_transfers(params, epsilon, dist)
     rows = _chunk_rows(times.size, dist.weights.size)
@@ -343,8 +359,10 @@ def _exchanges(
     w0 = np.repeat(dist.weights[np.newaxis], epsilon.size, axis=0)
     w0[:, :-1] -= a1
     w0[:, 1:] += a1
-    moved = np.empty((epsilon.size, times.size))
-    s_field = np.empty((epsilon.size, times.size))
+    # the walk writes the moved weight and the field entropies; the atom
+    # entropies then take the place of the moved weight
+    exchanges = np.empty((2, epsilon.size, times.size))
+    moved, s_field = exchanges
     # the sine overwrites the phase, so no third level array outlives this line;
     # only a walk of two full chunks or more, where rows <= samples // 2, reads
     # the steps, and that cap keeps rows h within any finite horizon
@@ -383,14 +401,23 @@ def _exchanges(
             walk(bounds[0], bounds[1])
         for future in futures:
             future.result()
-    moved -= moved[:, :1]
-    eps = epsilon[:, np.newaxis]
+    # the column is copied, where the overlapping operand would copy the whole array
+    moved -= moved[:, :1].copy()
     total = float(np.sum(dist.weights)) + dist.tail_mass
-    # each two-entry pair sums alike in any batch, so one call scores every sample
-    s_atom = _row_entropies(np.stack((eps * total + moved, (1.0 - eps) * total - moved), axis=-2),
-                            kind, axis=-2)
-    exchanges = np.stack((s_atom, s_field))
-    exchanges -= exchanges[..., :1]
+    excited = epsilon[:, np.newaxis] * total
+    ground = (1.0 - epsilon[:, np.newaxis]) * total
+    # each two-entry pair scores alike in any batch, so blocks of samples give the
+    # bits of one call over all of them
+    span = _atom_span(times.size, epsilon.size)
+    pairs = np.empty(2 * epsilon.size * span)
+    logs = np.empty(pairs.size) if kind.is_von_neumann else None
+    for start in range(0, times.size, span):
+        block = moved[:, start : start + span]
+        p = pairs[: 2 * block.size].reshape(epsilon.size, 2, block.shape[-1])
+        np.add(excited, block, out=p[:, 0])
+        np.subtract(ground, block, out=p[:, 1])
+        block[...] = _row_entropies(p, kind, logs=logs, axis=-2)
+    exchanges -= exchanges[..., :1].copy()
     return exchanges
 
 
@@ -422,7 +449,7 @@ def entropy_trace(
     """
     times = _time_grid(horizon, samples, params, dist)
     exchanges = _exchanges(params, np.array([float(atom.epsilon)]), dist, kind, form, times)[:, 0]
-    avg_atom, avg_field = _window_average(_simpson_weights(times.size), exchanges).tolist()
+    avg_atom, avg_field = _window_average(_simpson_weights(times.size), exchanges.copy()).tolist()
     ds_atom, ds_field = exchanges
     return EntropyTrace(
         times=times,
@@ -463,8 +490,10 @@ def _window_average(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
 
     A plain product and pairwise sum, not a BLAS product (threaded BLAS
     would spin a second core), so each row's bits are those it has alone.
+    The product is formed in ``values``, which is overwritten.
     """
-    return np.sum(values * weights, axis=-1)
+    values *= weights
+    return np.sum(values, axis=-1)
 
 
 def bloch_sweep(

@@ -84,15 +84,16 @@ def _oracle_configs():
                                   ("gamma-q1.5", gamma, ent.tsallis(q)))
         for eps in (0.0, 1.0)
     ]
-    # about 4k levels give 3 samples per chunk: 134 chunks, past one reseed of
-    # the chunk recurrence, with the rows of its largest drift (chunk 127) checked
+    # about 4k levels give 3 samples per chunk: 334 chunks, past two reseeds of
+    # the chunk recurrence, with the rows of its largest drift (chunks 127 and
+    # 255) checked; a Rabi frequency 5e-10 off moves some checked row by 1.7e-8
     q = 1.4
     heavy = photon_weights_gamma(GammaSuperstat(q=q, beta_star=calibrate_beta_star(q, beta)),
                                  tail_tol=1e-6)
     detuned = ModelParams.from_detuning(0.3, 2.0)
     for kind in (ent.VON_NEUMANN, ent.tsallis(q)):
         configs.append((f"gamma-q1.4,{kind.label()}", detuned, AtomInit(0.35), heavy, kind,
-                        40.0, 400, (5, 150, 381, 383, 386, 399)))
+                        100.0, 1000, sorted({*range(0, 1000, 13), 381, 383, 765, 767, 999})))
     return configs
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import hurwitz_zeta_scaled
+from .specfun import AccuracyError, hurwitz_zeta_scaled
 
 __all__ = [
     "GammaSuperstat",
@@ -330,6 +330,58 @@ def physical_beta(s: GammaSuperstat) -> float:
 
 
 _SCAN_DECADES = (-3.0, 3.0)  # beta_star * omega scan range, log10
+_ROOT_ITERATIONS = 100  # steps of a root solve before it raises AccuracyError
+
+
+def _brentq(f, xa: float, xb: float, fa: float, fb: float, xtol: float, rtol: float) -> float:
+    """A root of ``f`` in the bracket ``[xa, xb]``, where ``f`` takes the values ``fa`` and ``fb``.
+
+    Brent's method as ``scipy.optimize.brentq`` runs it (its ``brentq.c``),
+    so a root has the same bits: inverse quadratic or secant steps that
+    fall back to bisection, until the bracket is within ``2 delta`` with
+    ``delta = (xtol + rtol |x|)/2``.  An endpoint of residual exactly 0 is
+    returned as it is.  A NaN value of ``f`` raises :class:`ValueError`, as
+    scipy's wrapper does, and ``_ROOT_ITERATIONS`` steps without
+    convergence raise :class:`AccuracyError`.
+    """
+    xpre, xcur, fpre, fcur = float(xa), float(xb), fa, fb
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ROOT_ITERATIONS):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):  # a good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise ValueError(f"the function value at x={xcur} is NaN; the root solve cannot continue")
+    raise AccuracyError(f"root solve did not converge in {_ROOT_ITERATIONS} steps; last x={xcur}")
 
 
 def calibrate_beta_star(q: float, beta_target: float, omega: float = 1.0) -> float:
@@ -353,10 +405,8 @@ def calibrate_beta_star(q: float, beta_target: float, omega: float = 1.0) -> flo
     fa = residual(grid[0])
     for ga, gb in zip(grid, grid[1:]):
         fb = residual(gb)
-        if fa * fb <= 0.0:  # brentq returns an endpoint whose residual is exactly 0
-            from scipy.optimize import brentq  # imported here to keep scipy off the CLI start-up
-
-            root = brentq(residual, ga, gb, xtol=1e-14, rtol=8.9e-16)
+        if fa * fb <= 0.0:  # an endpoint whose residual is exactly 0 is the root
+            root = _brentq(residual, ga, gb, fa, fb, xtol=1e-14, rtol=8.9e-16)
             return math.exp(root) / omega
         fa = fb
     raise BracketError(

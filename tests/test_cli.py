@@ -19,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jcentropy
-from jcentropy import cli, ensemble
+from jcentropy import cli, ensemble, superstat
 from jcentropy import entropy as entropy_module
+from jcentropy import selfcheck as selfcheck_module
 from jcentropy.ensemble import load_betas
 from jcentropy.cli import _csv_text, _json_text, build_parser, main
 from jcentropy.superstat import (
@@ -749,6 +750,10 @@ class TestSelfcheck:
         few_levels = [line for line in captured.out.splitlines()
                       if line.split("[")[-1].startswith(("gibbs,", "gamma-q1.5,"))]
         assert len(few_levels) == 4 and all(line.startswith("[FAIL]") for line in few_levels)
+        # and the 4147-level lines see it too, the 5e-10 frequency fault by 1.7
+        many_levels = [line for line in captured.out.splitlines()
+                       if line.split("[")[-1].startswith("gamma-q1.4,")]
+        assert len(many_levels) == 2 and all(line.startswith("[FAIL]") for line in many_levels)
 
     @pytest.mark.parametrize("mutation", ["end-correction-dropped", "correction-on-first-panel",
                                           "uniform-weights"])
@@ -1053,9 +1058,12 @@ def test_cli_start_up_leaves_scipy_solvers_unimported():
     ["timeseries", "--gibbs", "--beta", "2"],
     ["bloch-sweep", "--gibbs", "--beta", "2", "--grid", "5x7"],
     ["timeseries", "--betas-file", os.path.join(DATA_DIR, "normal_n100.betas")],
-], ids=["gibbs-trace", "gibbs-sweep", "betas-file-trace"])
+    ["weights", "--q", "1.4", "--beta", "2"],
+    ["timeseries", "--q", "1.4", "--beta", "2"],
+], ids=["gibbs-trace", "gibbs-sweep", "betas-file-trace", "gamma-weights", "gamma-trace"])
 def test_dynamics_runs_leave_scipy_unimported(tmp_path, argv):
-    # only calibrate_beta_star's root solve and selfcheck's reference rule need scipy
+    # only selfcheck's reference rule needs scipy; a gamma run given --beta
+    # calibrates beta_star with the solver of superstat
     snippet = ("import sys\nfrom jcentropy.cli import main\n"
                f"assert main({[*argv, '--out', str(tmp_path / 'x.csv')]!r}) == 0\n"
                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
@@ -1097,7 +1105,6 @@ def _action_record(action):
 def test_parser_of_one_command_equals_its_part_of_the_full_parser(monkeypatch, command):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help text to the terminal width
     full, partial = build_parser(), build_parser(command)
-    assert full.format_help() == partial.format_help()
     assert full.format_usage() == partial.format_usage()
     full_sub, sub = _subparser(full, command), _subparser(partial, command)
     assert [_action_record(a) for a in sub._actions] == [
@@ -1106,8 +1113,34 @@ def test_parser_of_one_command_equals_its_part_of_the_full_parser(monkeypatch, c
     assert full_sub._defaults.pop("parser") is full_sub
     assert sub._defaults == full_sub._defaults
     assert sub.format_help() == full_sub.format_help()
-    for other in cli._COMMANDS.keys() - {command}:  # named with their help, but empty
-        assert [a.dest for a in _subparser(partial, other)._actions] == ["help"]
+    assert set(partial._subparsers._group_actions[0].choices) == {command}
+
+
+def _main_result(argv):
+    """(exit code, stdout, stderr) of ``main(argv)``, argparse's own exits included."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_one_command_parser_refuses_and_helps_as_the_full_parser(monkeypatch, command):
+    # the texts a command's own parser prints, against those of a main that builds
+    # every subcommand; a bare selfcheck runs, so its suite is stubbed
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(selfcheck_module, "run_selfcheck",
+                        lambda perturb: [selfcheck_module.CheckResult("stub", True, 0.0, 1.0)])
+    cases = [[command, "--bogus"], [command, "-h"], [command]]
+    own = [_main_result(argv) for argv in cases]
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+    assert [_main_result(argv) for argv in cases] == own
+    assert own[0][0] == 2 and "unrecognized arguments: --bogus" in own[0][2]
+    assert own[1][0] == 0 and own[1][1].startswith(f"usage: jcentropy {command} [-h]")
 
 
 @pytest.mark.parametrize("argv", [
@@ -1675,6 +1708,14 @@ def test_n_cap_defaults(tmp_path, command, extra, n_cap, n_max):
     assert meta["config"]["n_cap"] == n_cap
     if n_max:
         assert meta["derived"]["n_max"] == n_max and meta["derived"]["tail_limited"] is True
+
+
+def test_root_solve_out_of_steps_exits_4(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(superstat, "_ROOT_ITERATIONS", 1)
+    assert main(["weights", "--q", "1.4", "--beta", "2", "--out", str(tmp_path / "x.csv")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("jcentropy: accuracy failure: root solve did not converge in 1 steps")
+    assert err.count("\n") == 1 and os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("argv, code, message", [

@@ -7,6 +7,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import jcentropy.entropy as entropy_module
 from jcentropy.entropy import (
@@ -575,6 +577,26 @@ class TestFewLevelRecurrence:
         epsilons = np.array([0.0, self.ATOM.epsilon, 1.0])
         row = bloch_sweep(self.PARAMS, epsilons, gibbs, **grid)[1]
         assert row.tobytes() == np.array([trace.avg_ds_atom, trace.avg_ds_field]).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.sampled_from([1, 23]), samples=st.integers(2, 400), span=st.integers(1, 97),
+       epsilon=st.sampled_from([0.0, 1.0, 0.35]), kind=st.sampled_from([VON_NEUMANN, tsallis(1.4)]),
+       horizon=st.floats(0.5, 40.0))
+@example(k=1, samples=1000, span=128, epsilon=0.0, kind=VON_NEUMANN, horizon=25.0)
+@example(k=23, samples=1000, span=356, epsilon=1.0, kind=tsallis(1.4), horizon=25.0)
+def test_blocks_of_atom_entropies_score_as_one_call(k, samples, span, epsilon, kind, horizon):
+    # each atomic pair scores alike in any batch; at epsilon 0 and 1 a sector is
+    # empty at t = 0, which a von Neumann score sets to 1 before its logarithm
+    dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-8)
+    column = np.linspace(0.0, 1.0, k) if k > 1 else np.array([epsilon])
+    times = entropy_module._time_grid(horizon, samples, RESONANT, dist)
+    walks = []
+    for blocks in (samples, min(span, samples)):
+        with mock.patch.object(entropy_module, "_atom_span", lambda samples, k: blocks):
+            walks.append(entropy_module._exchanges(RESONANT, column, dist, kind,
+                                                   FieldEntropyForm.FULL, times))
+    assert walks[0].tobytes() == walks[1].tobytes()
 
 
 def test_single_walker_trace_holds_nine_level_arrays(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 
 import jcentropy.superstat as superstat
 from jcentropy.ensemble import BetaEnsembleSpec, sample_betas
-from jcentropy.specfun import hurwitz_zeta_scaled
+from jcentropy.specfun import AccuracyError, hurwitz_zeta_scaled
 from jcentropy.superstat import (
     HARD_CAP,
     MIN_LEVELS,
@@ -437,6 +437,39 @@ class TestCalibration:
         upper = grid.index(next(b for b in grid if b > beta_star))
         assert seen[: upper + 1] == grid[: upper + 1]  # the scan, in order
         assert max(seen) == grid[upper]  # and nothing past its first bracket
+
+    def test_root_solve_has_the_bits_of_scipys_brentq(self, monkeypatch):
+        from scipy.optimize import brentq
+
+        grid = [(float(q), float(beta)) for q in np.linspace(1.02, 1.98, 25)
+                for beta in np.geomspace(0.01, 50.0, 12)]
+        ours = [calibrate_beta_star(q, beta) for q, beta in grid]
+        monkeypatch.setattr(superstat, "_brentq", lambda f, xa, xb, fa, fb, xtol, rtol:
+                            brentq(f, xa, xb, xtol=xtol, rtol=rtol))
+        theirs = [calibrate_beta_star(q, beta) for q, beta in grid]
+        assert np.array(ours).tobytes() == np.array(theirs).tobytes()
+
+    @pytest.mark.parametrize("f, xa, xb, root", [
+        (lambda x: x - 1.0, 1.0, 2.0, 1.0),
+        (lambda x: x - 2.0, 1.0, 2.0, 2.0),
+        (lambda x: 2.0 - x, 1.0, 2.0, 2.0),
+    ])
+    def test_root_solve_returns_an_endpoint_of_zero_residual(self, f, xa, xb, root):
+        def counted(x):
+            raise AssertionError(f"evaluated at {x}")
+
+        assert superstat._brentq(counted, xa, xb, f(xa), f(xb), 1e-14, 8.9e-16) == root
+
+    def test_root_solve_refuses_a_nan_residual_and_a_bracket_of_one_sign(self):
+        with pytest.raises(ValueError, match="NaN"):
+            superstat._brentq(lambda x: math.nan, 0.0, 1.0, -1.0, 1.0, 1e-14, 8.9e-16)
+        with pytest.raises(ValueError, match="different signs"):
+            superstat._brentq(lambda x: x, 1.0, 2.0, 1.0, 2.0, 1e-14, 8.9e-16)
+
+    def test_root_solve_that_runs_out_of_steps_is_an_accuracy_error(self, monkeypatch):
+        monkeypatch.setattr(superstat, "_ROOT_ITERATIONS", 1)
+        with pytest.raises(AccuracyError, match="did not converge in 1 steps"):
+            calibrate_beta_star(1.4, 2.0)
 
     def test_scales_with_omega(self):
         beta = math.log(11.0) / 3.0

@@ -31,13 +31,16 @@ record is relative and the same for any checkout.  They are:
 * the stdout of ``selfcheck`` and of ``selfcheck --inject-perturbation 1e-6``;
 * the ``--help`` text of the parser and of every subcommand, and the top-level
   help of ``-h timeseries``, at 80 columns;
-* four runs that argparse refuses, so their usage text lands in ``runs.txt``:
-  no arguments, ``bogus``, ``bloch-sweep --bogus`` and ``timeseries --grid``
-  without its value.
+* runs that are refused, so their usage text lands in ``runs.txt``: no
+  arguments, ``bogus``, ``bloch-sweep --bogus``, ``timeseries --grid`` without
+  its value, ``-- timeseries --gibbs``, ``- timeseries``, ``-1 bloch-sweep``,
+  ``timeseries -- --gibbs`` and ``--bogus`` after each other subcommand; a
+  parser of one command prints the usage line of all of them;
+* ``--version``.
 
 ``runs.txt`` lists each run with its exit code and its stderr.  Every run
 expects exit 0 except ``selfcheck --inject-perturbation``, which expects 4, and
-the argparse refusals, which expect 2; and
+the refusals, which expect 2; and
 each ``--config`` rerun must write the very bytes of the table it reruns; the
 script exits 1 and lists on stderr the runs that did otherwise, so two
 checkouts that fail alike do not pass as identical.  Run the script on two
@@ -138,8 +141,12 @@ def main(argv: list[str]) -> int:
     for command in _COMMANDS:
         run([command, "--help"], f"help/{command}.txt")
     run(["-h", "timeseries"], "help/h-timeseries.txt")
-    for refused in ([], ["bogus"], ["bloch-sweep", "--bogus"], ["timeseries", "--grid"]):
+    for refused in ([], ["bogus"], ["bloch-sweep", "--bogus"], ["timeseries", "--grid"],
+                    ["--", "timeseries", "--gibbs"], ["-", "timeseries"], ["-1", "bloch-sweep"],
+                    ["timeseries", "--", "--gibbs"],
+                    *([command, "--bogus"] for command in _COMMANDS if command != "bloch-sweep")):
         run(refused, expect=2)
+    run(["--version"])
     Path("runs.txt").write_text("\n".join(log), encoding="utf-8")
     if unexpected:
         print("outputs: runs that ended with an unexpected exit code or table:", *unexpected,
