@@ -64,9 +64,10 @@ ATOM_ARRAYS = 8
 # columns with np.unique's sort and inverse, or with both averages tables (9 under tracemalloc)
 POINT_ARRAYS = 10
 # NumPy ufunc buffers a walker holds at once, at most: a call that broadcasts a
-# per-level column along the time axis copies it through one buffer of
-# np.getbufsize() entries, and the outer product that builds a phase copies both
-# of its factors
+# per-level column (the shared cosine step, the sine step in the walker's
+# scratch, a1, the t=0 weights) along the time axis copies it through one buffer
+# of np.getbufsize() entries, and the outer product that builds a phase copies
+# both of its factors
 UFUNC_BUFFERS = 2
 # chunks between exact reseeds of the cosine recurrence over chunks
 RESEED_CHUNKS = 128
@@ -183,7 +184,8 @@ def _available_cpus() -> int:
 
 
 def _transfers(
-    times: np.ndarray, delta_n: np.ndarray, a1: np.ndarray, rows: int, first: int, stop: int, steps
+    times: np.ndarray, delta_n: np.ndarray, a1: np.ndarray, rows: int, first: int, stop: int,
+    steps, scratch: np.ndarray,
 ):
     """Yield ``(chunk, a1[:, :, None] * cos(outer(delta_n, times[chunk])))`` for chunks ``first..stop-1``.
 
@@ -193,11 +195,12 @@ def _transfers(
     ``times`` is the grid of :func:`_time_grid`, step h, cut into chunks
     of R = ``rows`` samples of :func:`_chunk_rows` (the last may be
     short); ``first`` is a multiple of ``RESEED_CHUNKS``.  With ``steps``
-    equal to the level arrays ``(2 cos(R h delta_n), sin(R h delta_n))``,
-    a full chunk follows from the two before it by the three-term
-    recurrence ``s_{k+1} = 2 cos(R h delta_n) s_k - s_{k-1}`` (Numerical
-    Recipes 5.4), which the transfer ``s = a1 cos`` obeys as the cosine
-    does.
+    equal to ``(R h, 2 cos(R h delta_n))``, the time a full chunk spans
+    and a level array, a full chunk follows from the two before it by
+    the three-term recurrence ``s_{k+1} = 2 cos(R h delta_n) s_k -
+    s_{k-1}`` (Numerical Recipes 5.4), which the transfer ``s = a1 cos``
+    obeys as the cosine does; it is written over ``s_{k-1}``, so the walk
+    holds two transfer blocks.
     Chunk k restarts the recurrence when ``k % RESEED_CHUNKS == 0``, from
     its exact cosine times ``a1`` and that chunk rotated by
     ``R h delta_n``, so a chunk depends only on the chunks of its own
@@ -211,37 +214,45 @@ def _transfers(
     ``CHUNK_ROWS``, 2.9k for 1000 samples, where one chunk of all the
     samples would take 8000.  The phase and its cosine or sine are
     computed once per chunk for all k rows of ``a1``, and each row takes
-    the float operations it would take alone.  A yielded block is
-    overwritten two chunks later.
+    the float operations it would take alone.  ``scratch`` is a flat
+    buffer of at least ``k x levels x R`` entries that the caller holds
+    across no chunk: a recurrence step forms ``2 cos(R h delta_n) s_k``
+    there, and the rotation after a reseed its sine step ``sin(R h
+    delta_n)``.  A yielded block holds until the generator resumes.
     """
     k, levels = a1.shape
-    twice_cos_step, sin_step = (step[:, np.newaxis] for step in steps)
-    older, old, new = (np.empty(k * levels * rows) for _ in range(3))
+    span, twice_cos_step = steps
+    twice_cos_step = twice_cos_step[:, np.newaxis]
+    older, old = (np.empty(k * levels * rows) for _ in range(2))
     for c in range(first, stop):
         t = times[c * rows : (c + 1) * rows]
         shape = (k, levels, t.size)
-        block = new[: k * levels * t.size].reshape(shape)
+        block = older[: k * levels * t.size].reshape(shape)
+        product = scratch[: block.size].reshape(shape)
         position = c % RESEED_CHUNKS if t.size == rows else 0
         if position == 0:
-            # the phase waits in the buffer the next chunk fills
-            phase = np.multiply.outer(delta_n, t, out=older[: levels * t.size].reshape(shape[1:]))
+            # the chunk before is spent, so the phase waits in its buffer, which
+            # the next chunk fills
+            phase = np.multiply.outer(delta_n, t, out=old[: levels * t.size].reshape(shape[1:]))
             np.cos(phase, out=block[0])
             _spread(block, a1)
         elif position == 1:
             # a second exact cosine would disagree with the rotation by up
             # to phase * eps (1e-11 at phase 1e5), which the recurrence then
             # amplifies up to RESEED_CHUNKS-fold; the rotation agrees to an ulp
-            rotated = np.multiply(twice_cos_step, old.reshape(shape), out=older.reshape(shape))
-            rotated *= 0.5
+            sin_step = np.multiply(span, delta_n, out=scratch[:levels])
+            np.sin(sin_step, out=sin_step)
             # the first plane holds the phase of the chunk before
-            np.multiply(sin_step, np.sin(block[0], out=block[0]), out=block[0])
+            np.multiply(sin_step[:, np.newaxis], np.sin(block[0], out=block[0]), out=block[0])
             _spread(block, a1)
+            rotated = np.multiply(twice_cos_step, old.reshape(shape), out=product)
+            rotated *= 0.5
             np.subtract(rotated, block, out=block)
         else:
-            np.multiply(twice_cos_step, old.reshape(shape), out=block)
-            block -= older.reshape(shape)
+            np.multiply(twice_cos_step, old.reshape(shape), out=product)
+            np.subtract(product, block, out=block)
         yield slice(c * rows, c * rows + t.size), block
-        older, old, new = old, new, older
+        older, old = old, older
 
 
 def _spread(block: np.ndarray, a1: np.ndarray) -> None:
@@ -311,20 +322,22 @@ def walk_bytes(samples: int, levels: int, preparations: int = 1) -> int:
     of k distinct ones is walked at once.  Counted in 8-byte entries:
     ``POINT_ARRAYS`` per preparation given; per one of a group the
     transfer ``a1`` of :func:`~jcentropy.jcm.manifold_transfers` and the
-    t=0 field weights, each walker's five scratch rows of ``k x rows x
-    levels``, the ``SAMPLE_ARRAYS`` exchanges of ``k x samples`` and
-    ``ATOM_ARRAYS`` per sample of a block of :func:`_atom_span` samples
-    of atom entropies; each walker's ``UFUNC_BUFFERS``; the Rabi
-    frequencies and the two recurrence steps; and four arrays of the
-    samples: the time grid, its averaging weights and the copy of a
-    trace's two exchanges that they weigh.
+    t=0 field weights, each walker's four scratch rows of ``k x rows x
+    levels`` (two transfer rows of :func:`_transfers`, the field rows and a
+    von Neumann score's log rows), the ``SAMPLE_ARRAYS`` exchanges of ``k
+    x samples`` and ``ATOM_ARRAYS`` per sample of a block of
+    :func:`_atom_span` samples of atom entropies; each walker's
+    ``UFUNC_BUFFERS``; the Rabi frequencies and the one recurrence step
+    ``2 cos(R h delta_n)``; and four arrays of the samples: the time grid,
+    its averaging weights and the copy of a trace's two exchanges that
+    they weigh.
     """
     rows = _chunk_rows(samples, levels)
     k = min(preparations, _group_size(rows, levels))
     walkers = _walkers(samples, rows)
-    return 8 * (POINT_ARRAYS * preparations + 3 * levels + 4 * samples
+    return 8 * (POINT_ARRAYS * preparations + 2 * levels + 4 * samples
                 + walkers * UFUNC_BUFFERS * np.getbufsize()
-                + k * (2 * levels + SAMPLE_ARRAYS * samples + walkers * 5 * rows * levels
+                + k * (2 * levels + SAMPLE_ARRAYS * samples + walkers * 4 * rows * levels
                        + ATOM_ARRAYS * _atom_span(samples, k)))
 
 
@@ -363,18 +376,25 @@ def _exchanges(
     # entropies then take the place of the moved weight
     exchanges = np.empty((2, epsilon.size, times.size))
     moved, s_field = exchanges
-    # the sine overwrites the phase, so no third level array outlives this line;
     # only a walk of two full chunks or more, where rows <= samples // 2, reads
-    # the steps, and that cap keeps rows h within any finite horizon
-    step = min(rows, times.size // 2) * (times[-1] / (times.size - 1)) * delta_n
-    steps = 2.0 * np.cos(step), np.sin(step, out=step)
+    # the steps, and that cap keeps rows h within any finite horizon; each
+    # walker takes the sine step into its scratch, so one level row outlives this
+    span = min(rows, times.size // 2) * (times[-1] / (times.size - 1))
+    twice_cos_step = np.cos(span * delta_n)
+    twice_cos_step *= 2.0
 
     def walk(first: int, stop: int) -> None:
         # runs on worker threads: the NumPy calls on whole rows release the GIL;
         # it calls nothing perfbench/tracing.py wraps, whose span stack is per process
         w_block = np.empty(epsilon.size * w0.shape[-1] * rows)
         logs = np.empty(w_block.size) if kind.is_von_neumann else None
-        for chunk, s in _transfers(times, delta_n, a1, rows, first, stop, steps):
+        # the recurrence's scratch: the log rows where the score takes logarithms
+        # (a 23-preparation, 8-level von Neumann walk ran 1-2% faster with them
+        # than with the field rows), else the field rows
+        scratch = w_block if logs is None else logs
+        transfers = _transfers(times, delta_n, a1, rows, first, stop,
+                               (span, twice_cos_step), scratch)
+        for chunk, s in transfers:
             shape = (s.shape[0], w0.shape[-1], s.shape[-1])
             w = w_block[: math.prod(shape)].reshape(shape)
             # plane sums, not a BLAS product: threaded BLAS would spin a second core

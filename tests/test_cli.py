@@ -788,11 +788,11 @@ class TestSelfcheck:
         # after the first; the few-level lines walk 32 chunks and see it per sample
         transfers = entropy_module._transfers
 
-        def scaled(times, delta_n, a1, rows, first, stop, steps):
-            step = min(rows, times.size // 2) * (times[-1] / (times.size - 1)) * delta_n
-            step *= 1.0 + 1e-9
+        def scaled(times, delta_n, a1, rows, first, stop, steps, scratch):
+            # the chunk's span scales the phase step of both the cosine and the sine
+            span = steps[0] * (1.0 + 1e-9)
             yield from transfers(times, delta_n, a1, rows, first, stop,
-                                 (2.0 * np.cos(step), np.sin(step)))
+                                 (span, 2.0 * np.cos(span * delta_n)), scratch)
 
         monkeypatch.setattr(entropy_module, "_transfers", scaled)
         assert main(["selfcheck"]) == 4
@@ -801,6 +801,24 @@ class TestSelfcheck:
         few_levels = [line for line in report.splitlines()
                       if line.split("[")[-1].startswith(("gibbs,", "gamma-q1.5,"))]
         assert len(few_levels) == 4 and all(line.startswith("[FAIL]") for line in few_levels)
+
+    def test_negated_sine_step_exits_4_with_every_line(self, monkeypatch, capsys, check_names):
+        # the rotation after each reseed takes sin(R h delta_n) from the chunk's
+        # span; a negated span negates that sine step alone, so the walk runs
+        # backwards in time from the second chunk of every reseed window on
+        transfers = entropy_module._transfers
+
+        def negated(times, delta_n, a1, rows, first, stop, steps, scratch):
+            span, twice_cos_step = steps
+            yield from transfers(times, delta_n, a1, rows, first, stop,
+                                 (-span, twice_cos_step), scratch)
+
+        monkeypatch.setattr(entropy_module, "_transfers", negated)
+        assert main(["selfcheck"]) == 4
+        report = capsys.readouterr().out
+        assert self.names(report) == check_names
+        walked = [line for line in report.splitlines() if "oracle-" in line]
+        assert len(walked) == 7 and all(line.startswith("[FAIL]") for line in walked)
 
     @pytest.mark.parametrize("mutation", ["swapped-halves", "plain-mean"])
     def test_averaging_faults_exit_4_with_every_line(self, monkeypatch, capsys, check_names,
@@ -1673,11 +1691,11 @@ def test_allocation_beyond_memory_is_domain_error(tmp_path, capsys, argv):
      "a walk over 1000 time samples and "),
     (["bloch-sweep", "--gibbs", "--beta", "2", "--t-samples", "1000"], 2**16,
      "a walk over 1000 time samples and "),
-    # one group of the million points' walk takes 1.9 MB, the points 80 MB
+    # one group of the million points' walk takes 1.7 MB, the points 80 MB
     (["bloch-sweep", "--gibbs", "--beta", "2", "--t-samples", "2", "--T", "1",
       "--grid", "1000x1000"], 2**24,
      "a walk over 2 time samples and 10 photon levels, for 1000000 atom preparation(s), "
-     "needs an estimated 0.0763 GiB"),
+     "needs an estimated 0.0761 GiB"),
 ], ids=["timeseries", "bloch-sweep", "bloch-sweep-grid"])
 def test_walk_beyond_physical_memory_is_refused_before_it_starts(tmp_path, capsys, monkeypatch,
                                                                   argv, memory, walk):

@@ -15,6 +15,7 @@ from jcentropy.entropy import (
     CHUNK_ELEMENTS,
     GROUP_ELEMENTS,
     RESEED_CHUNKS,
+    UFUNC_BUFFERS,
     VON_NEUMANN,
     EntropyKind,
     MAX_PHASE,
@@ -433,11 +434,13 @@ def test_transfers_follow_the_exact_transfer(grid):
         "linspace": np.linspace(0.0, 60.0, n),
         "resonant": np.linspace(0.0, (n - 1) * math.pi / rows, n),  # delta_0 = 2
     }[grid]
-    step = rows * (times[-1] / (n - 1)) * delta_n
+    span = rows * (times[-1] / (n - 1))
+    step = span * delta_n
     bound = RESEED_CHUNKS**2 * np.finfo(float).eps * np.abs(a1)
     worst = 0.0
-    steps = 2.0 * np.cos(step), np.sin(step)
-    for chunk, (s,) in _transfers(times, delta_n, a1[np.newaxis], rows, 0, 300, steps):
+    steps = span, 2.0 * np.cos(step)
+    scratch = np.empty(delta_n.size * rows)
+    for chunk, (s,) in _transfers(times, delta_n, a1[np.newaxis], rows, 0, 300, steps, scratch):
         s = s.T  # (samples, levels), as the references are laid out
         j = chunk.start // rows % RESEED_CHUNKS
         if j == 0:
@@ -489,8 +492,8 @@ class TestTraceWalkers:
     def test_error_is_the_single_walker_one(self, monkeypatch, gamma, faulty):
         original = entropy_module._transfers
 
-        def transfers(times, delta_n, a1, rows, first, stop, steps):
-            for chunk, s in original(times, delta_n, a1, rows, first, stop, steps):
+        def transfers(times, delta_n, a1, rows, first, stop, steps, scratch):
+            for chunk, s in original(times, delta_n, a1, rows, first, stop, steps, scratch):
                 window = chunk.start // rows // RESEED_CHUNKS
                 # a wrong transfer, scaled differently per window, breaks the weights
                 yield chunk, s * (10.0 * (window + 1) if window in faulty else 1.0)
@@ -599,33 +602,40 @@ def test_blocks_of_atom_entropies_score_as_one_call(k, samples, span, epsilon, k
     assert walks[0].tobytes() == walks[1].tobytes()
 
 
-def test_single_walker_trace_holds_nine_level_arrays(monkeypatch):
-    # the transfer arrays delta_n and a1, the t=0 field weights, three transfer
-    # rows, a field row and the two recurrence steps; a Tsallis score needs no log
-    # buffer, and a step array kept beside the steps would make ten
-    monkeypatch.setattr(entropy_module, "_available_cpus", lambda: 1)
+@pytest.mark.parametrize("walkers, samples, bound", [(1, 40, 7.5), (2, 2000, 11.5)],
+                         ids=["one-walker", "two-walkers"])
+def test_tsallis_trace_holds_its_level_arrays(monkeypatch, walkers, samples, bound):
+    # the transfer arrays delta_n and a1, the t=0 field weights and the cosine
+    # step, and per walker two transfer rows and a field row: 7 level arrays on
+    # one walker, 10 on two (the heavy-tail trace's shape); a Tsallis score needs
+    # no log buffer and takes its sine step into the field row, and a third
+    # transfer row or a stored sine step would make 8 on one walker
+    monkeypatch.setattr(entropy_module, "_available_cpus", lambda: walkers)
     n = 10**5
     dist = PhotonDistribution(np.full(n + 1, 1.0 / (n + 1)), 0.0)
     # a first run pays any one-time set-up, which is no part of the trace's memory
     entropy_trace(RESONANT, AtomInit(0.35), dist, tsallis(1.6), horizon=1.0, samples=3)
+    assert entropy_module._walkers(samples, 1) == walkers
     tracemalloc.start()
     try:
         # one sample per chunk, so the recurrence runs
-        entropy_trace(RESONANT, AtomInit(0.35), dist, tsallis(1.6), horizon=5.0, samples=40)
+        entropy_trace(RESONANT, AtomInit(0.35), dist, tsallis(1.6), horizon=5.0, samples=samples)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / (8 * n) < 9.5
+    assert peak / (8 * n) < bound
 
 
-@pytest.mark.parametrize("case", ["samples", "levels", "sweep", "capped", "grid"])
+@pytest.mark.parametrize("case", ["samples", "levels", "heavy", "sweep", "capped", "grid"])
 def test_walk_bytes_bounds_the_traced_peak(monkeypatch, case):
     # the estimate a run is refused on holds every array the walk keeps, and
-    # overstates it by less than half; "capped" is the 23 distinct weights of a
-    # 5x7 grid on 8 levels, one group of 128-sample chunks
+    # overstates it by less than half; "heavy" is the heavy-tail trace's shape,
+    # 1e5 levels at one sample per chunk on two walkers, and "capped" the 23
+    # distinct weights of a 5x7 grid on 8 levels, one group of 128-sample chunks
     walkers, kind, count, samples = {
         "samples": (1, VON_NEUMANN, 1, 100000),
         "levels": (2, VON_NEUMANN, 1, 900),
+        "heavy": (2, tsallis(1.6), 1, 2000),
         "sweep": (1, tsallis(1.3), 92, 1000),
         "capped": (1, VON_NEUMANN, 23, 1000),
         "grid": (1, VON_NEUMANN, 200000, 2),
@@ -635,6 +645,8 @@ def test_walk_bytes_bounds_the_traced_peak(monkeypatch, case):
         dist = photon_weights_gamma(
             GammaSuperstat(q=1.4, beta_star=3.3356918657181176), tail_tol=1e-6
         )
+    elif case == "heavy":
+        dist = PhotonDistribution(np.full(10**5 + 1, 1.0 / (10**5 + 1)), 0.0)
     else:
         dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-8)
     grid = {"horizon": 25.0, "samples": samples}
@@ -832,8 +844,9 @@ class TestSweepGroups:
         dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-8)
         group = self.group_size(dist, 1000)
         assert group == 32
-        # three transfer buffers, the field rows and the von Neumann logarithms
-        buffers = 5 * 8 * GROUP_ELEMENTS
+        # two transfer buffers, the field rows and the von Neumann logarithms
+        buffers = 4 * 8 * GROUP_ELEMENTS
+        exchanges = 8 * 2 * group * 1000
 
         def peak(count):
             epsilons = np.linspace(0.0, 1.0, count)
@@ -847,4 +860,7 @@ class TestSweepGroups:
         peak(2)  # pays any one-time set-up, which is no part of a sweep's memory
         small, large = peak(group), peak(92)
         assert small > buffers / 2
+        # a full group holds its buffers, its exchanges and the walker's ufunc
+        # buffers, which a third transfer buffer (256 KB) would exceed
+        assert small <= buffers + exchanges + 8 * UFUNC_BUFFERS * np.getbufsize()
         assert large <= small + buffers
