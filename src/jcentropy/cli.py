@@ -389,13 +389,13 @@ def _physical_memory() -> float:
         return math.inf
 
 
-def _check_walk_memory(n_times: int, levels: int, preparations: int) -> None:
+def _check_walk_memory(n_times: int, levels: int, preparations: int, kind: EntropyKind) -> None:
     """Refuse with :class:`MemoryError` a walk whose estimated bytes exceed physical memory.
 
     A caught ``MemoryError`` covers only an allocation refused at once; one
     the OS overcommits can end the process later, with a partial run behind it.
     """
-    need = walk_bytes(n_times, levels, preparations)
+    need = walk_bytes(n_times, levels, preparations, kind)
     have = _physical_memory()
     if need > have:
         raise MemoryError(
@@ -424,7 +424,7 @@ def _resolve_dynamics(cfg: dict, n_times: int, preparations: int = 1):
     kind = _resolve_entropy(cfg, derived)
     form = FieldEntropyForm(cfg["field_entropy"])
     derived.update(entropy=kind.label(), field_entropy_form=form.value)
-    _check_walk_memory(n_times, dist.weights.size, preparations)
+    _check_walk_memory(n_times, dist.weights.size, preparations, kind)
     return dist, derived, kind, form, params
 
 

@@ -64,10 +64,10 @@ ATOM_ARRAYS = 8
 # columns with np.unique's sort and inverse, or with both averages tables (9 under tracemalloc)
 POINT_ARRAYS = 10
 # NumPy ufunc buffers a walker holds at once, at most: a call that broadcasts a
-# per-level column (the shared cosine step, the sine step in the walker's
-# scratch, a1, the t=0 weights) along the time axis copies it through one buffer
-# of np.getbufsize() entries, and the outer product that builds a phase copies
-# both of its factors
+# level-major column (the cosine step, the sine step, a1, the t=0 weights) along
+# the time axis copies it through one buffer of np.getbufsize() entries, and the
+# outer product that builds a phase copies both of its factors; a reseed copies
+# the shared cosine into a block without one and multiplies a1 in through one
 UFUNC_BUFFERS = 2
 # chunks between exact reseeds of the cosine recurrence over chunks
 RESEED_CHUNKS = 128
@@ -187,11 +187,12 @@ def _transfers(
     times: np.ndarray, delta_n: np.ndarray, a1: np.ndarray, rows: int, first: int, stop: int,
     steps, scratch: np.ndarray,
 ):
-    """Yield ``(chunk, a1[:, :, None] * cos(outer(delta_n, times[chunk])))`` for chunks ``first..stop-1``.
+    """Yield ``(chunk, a1[:, :, None] * cos(outer(delta_n, times[chunk]))[:, None])`` for chunks ``first..stop-1``.
 
-    ``a1`` holds one transfer row per preparation, shape ``(k, levels)``,
-    and a yielded block has shape ``(k, levels, samples)``: time runs
-    innermost, so a sum over the levels adds whole planes of samples.
+    ``a1`` holds the transfers level-major, one column per preparation,
+    shape ``(levels, k)``, and a yielded block has shape ``(levels, k,
+    samples)``: each level is one contiguous plane, so a sum over the
+    levels adds whole planes and a shift by one level moves whole planes.
     ``times`` is the grid of :func:`_time_grid`, step h, cut into chunks
     of R = ``rows`` samples of :func:`_chunk_rows` (the last may be
     short); ``first`` is a multiple of ``RESEED_CHUNKS``.  With ``steps``
@@ -213,38 +214,40 @@ def _transfers(
     and the cosines of a short last chunk: at 8 levels, where R is
     ``CHUNK_ROWS``, 2.9k for 1000 samples, where one chunk of all the
     samples would take 8000.  The phase and its cosine or sine are
-    computed once per chunk for all k rows of ``a1``, and each row takes
-    the float operations it would take alone.  ``scratch`` is a flat
-    buffer of at least ``k x levels x R`` entries that the caller holds
-    across no chunk: a recurrence step forms ``2 cos(R h delta_n) s_k``
-    there, and the rotation after a reseed its sine step ``sin(R h
-    delta_n)``.  A yielded block holds until the generator resumes.
+    computed once per chunk for all k columns of ``a1``, and each
+    preparation takes the float operations it would take alone.
+    ``scratch`` is a flat buffer of at least ``levels x k x R`` entries
+    that the caller holds across no chunk: the shared cosine or sine
+    factor of a reseed is formed there, and a recurrence step's ``2
+    cos(R h delta_n) s_k``.  A yielded block holds until the generator
+    resumes.
     """
-    k, levels = a1.shape
+    levels, k = a1.shape
     span, twice_cos_step = steps
-    twice_cos_step = twice_cos_step[:, np.newaxis]
-    older, old = (np.empty(k * levels * rows) for _ in range(2))
+    twice_cos_step = twice_cos_step[:, np.newaxis, np.newaxis]
+    older, old = (np.empty(levels * k * rows) for _ in range(2))
     for c in range(first, stop):
         t = times[c * rows : (c + 1) * rows]
-        shape = (k, levels, t.size)
-        block = older[: k * levels * t.size].reshape(shape)
+        shape = (levels, k, t.size)
+        block = older[: levels * k * t.size].reshape(shape)
         product = scratch[: block.size].reshape(shape)
+        factor = scratch[: levels * t.size].reshape(levels, t.size)
         position = c % RESEED_CHUNKS if t.size == rows else 0
         if position == 0:
             # the chunk before is spent, so the phase waits in its buffer, which
             # the next chunk fills
-            phase = np.multiply.outer(delta_n, t, out=old[: levels * t.size].reshape(shape[1:]))
-            np.cos(phase, out=block[0])
-            _spread(block, a1)
+            phase = np.multiply.outer(delta_n, t, out=old[: factor.size].reshape(factor.shape))
+            _spread(block, np.cos(phase, out=factor), a1)
         elif position == 1:
             # a second exact cosine would disagree with the rotation by up
             # to phase * eps (1e-11 at phase 1e5), which the recurrence then
             # amplifies up to RESEED_CHUNKS-fold; the rotation agrees to an ulp
-            sin_step = np.multiply(span, delta_n, out=scratch[:levels])
+            np.sin(older[: factor.size].reshape(factor.shape), out=factor)
+            # the phase of the chunk before is spent, so the sine step takes its place
+            sin_step = np.multiply(span, delta_n, out=older[:levels])
             np.sin(sin_step, out=sin_step)
-            # the first plane holds the phase of the chunk before
-            np.multiply(sin_step[:, np.newaxis], np.sin(block[0], out=block[0]), out=block[0])
-            _spread(block, a1)
+            factor *= sin_step[:, np.newaxis]
+            _spread(block, factor, a1)
             rotated = np.multiply(twice_cos_step, old.reshape(shape), out=product)
             rotated *= 0.5
             np.subtract(rotated, block, out=block)
@@ -255,11 +258,14 @@ def _transfers(
         older, old = old, older
 
 
-def _spread(block: np.ndarray, a1: np.ndarray) -> None:
-    """Turn ``block[0]``, a factor shared by every preparation, into ``block[i] = block[0] * a1[i]``."""
-    column = a1[..., np.newaxis]
-    np.multiply(block[0], column[1:], out=block[1:])
-    block[0] *= column[0]
+def _spread(block: np.ndarray, factor: np.ndarray, a1: np.ndarray) -> None:
+    """Write ``block[l, i] = factor[l] * a1[l, i]``: a factor shared by every preparation, times its transfer.
+
+    The copy broadcasts with no ufunc buffer, so only the product runs
+    through one.
+    """
+    np.copyto(block, factor[:, np.newaxis])
+    block *= a1[..., np.newaxis]
 
 
 def _time_grid(
@@ -299,8 +305,23 @@ def _chunk_rows(samples: int, levels: int) -> int:
 
 
 def _group_size(rows: int, levels: int) -> int:
-    """Preparations a sweep walks at once: ``k x rows x levels`` within ``GROUP_ELEMENTS``."""
+    """Preparations that ``k x rows x levels`` within ``GROUP_ELEMENTS`` admit."""
     return max(1, GROUP_ELEMENTS // (rows * levels))
+
+
+def _sweep_group(samples: int, levels: int) -> int:
+    """Preparations a sweep walks at once: those of :func:`_group_size`, or one where a chunk holds one sample.
+
+    NumPy sums the levels of a one-sample block pairwise where they are a
+    contiguous run, as in a lone preparation's ``(levels, 1, 1)`` block,
+    but plane by plane in a group's level-major ``(levels, k, 1)`` block.
+    So a walk with such a chunk (every chunk above 8192 levels, or a
+    short last one) groups nothing, and each row keeps its trace's bits.
+    """
+    rows = _chunk_rows(samples, levels)
+    if rows == 1 or samples % rows == 1:
+        return 1
+    return _group_size(rows, levels)
 
 
 def _walkers(samples: int, rows: int) -> int:
@@ -314,30 +335,33 @@ def _atom_span(samples: int, preparations: int) -> int:
     return min(samples, max(1, CHUNK_ELEMENTS // (2 * preparations)))
 
 
-def walk_bytes(samples: int, levels: int, preparations: int = 1) -> int:
+def walk_bytes(
+    samples: int, levels: int, preparations: int = 1, kind: EntropyKind = VON_NEUMANN
+) -> int:
     """Estimated peak bytes of the walk behind :func:`entropy_trace` and :func:`bloch_sweep`.
 
     ``levels`` is the length of the weight table (``n_max + 1``) and
     ``preparations`` the number given (1 for a trace), of which a group
-    of k distinct ones is walked at once.  Counted in 8-byte entries:
-    ``POINT_ARRAYS`` per preparation given; per one of a group the
-    transfer ``a1`` of :func:`~jcentropy.jcm.manifold_transfers` and the
-    t=0 field weights, each walker's four scratch rows of ``k x rows x
-    levels`` (two transfer rows of :func:`_transfers`, the field rows and a
-    von Neumann score's log rows), the ``SAMPLE_ARRAYS`` exchanges of ``k
-    x samples`` and ``ATOM_ARRAYS`` per sample of a block of
-    :func:`_atom_span` samples of atom entropies; each walker's
+    of k distinct ones is walked at once, scored with ``kind``.  Counted
+    in 8-byte entries: ``POINT_ARRAYS`` per preparation given; per one of
+    a group the transfer ``a1`` of :func:`~jcentropy.jcm.manifold_transfers`
+    and the t=0 field weights, each walker's scratch blocks of ``levels x
+    k x rows`` (two transfer blocks of :func:`_transfers` and the field
+    block, and a von Neumann score's log block), the ``SAMPLE_ARRAYS``
+    exchanges of ``k x samples`` and ``ATOM_ARRAYS`` per sample of a
+    block of :func:`_atom_span` samples of atom entropies; each walker's
     ``UFUNC_BUFFERS``; the Rabi frequencies and the one recurrence step
     ``2 cos(R h delta_n)``; and four arrays of the samples: the time grid,
     its averaging weights and the copy of a trace's two exchanges that
     they weigh.
     """
     rows = _chunk_rows(samples, levels)
-    k = min(preparations, _group_size(rows, levels))
+    k = min(preparations, _sweep_group(samples, levels))
     walkers = _walkers(samples, rows)
+    blocks = 4 if kind.is_von_neumann else 3
     return 8 * (POINT_ARRAYS * preparations + 2 * levels + 4 * samples
                 + walkers * UFUNC_BUFFERS * np.getbufsize()
-                + k * (2 * levels + SAMPLE_ARRAYS * samples + walkers * 4 * rows * levels
+                + k * (2 * levels + SAMPLE_ARRAYS * samples + walkers * blocks * rows * levels
                        + ATOM_ARRAYS * _atom_span(samples, k)))
 
 
@@ -358,20 +382,27 @@ def _exchanges(
     ``a1`` at t = 0: the atom is ``(eps T + m(t) - m(0), (1 - eps) T - (m(t) -
     m(0)))`` with ``T`` the total weight and ``m`` the walk's own level sum of
     ``s``, so its departure is exactly 0 at t = 0 in any summation order.
-    Every preparation's row has the bits it has when walked alone.  The
+    The walk's blocks are level-major, ``(levels, k, samples)``, as
+    :func:`_transfers` yields them: the field shift by one level, the
+    anchor's add and every level sum run over whole contiguous planes,
+    adding the levels in their order.  With two or more samples per chunk,
+    or one preparation, every preparation's row has the bits it has when
+    walked alone; a group whose chunk holds one sample sums its levels in
+    another order, which :func:`_sweep_group` keeps out of a sweep.  The
     returned array is the only one of the samples' length the walk
     allocates: the walk writes the moved weight and the field entropies
-    into it, and the atom is scored from blocks of :func:`_atom_span`
-    samples in one reused buffer, its entropies written over the moved
-    weight.
+    into it, and the atom is scored as ``(2, k, span)`` planes, blocks of
+    :func:`_atom_span` samples in one reused buffer, its entropies written
+    over the moved weight.
     """
     delta_n, a1 = manifold_transfers(params, epsilon, dist)
+    a1 = a1.T  # level-major, as the walk's blocks
     rows = _chunk_rows(times.size, dist.weights.size)
     # the t=0 field less the transfer at t=0, which a chunk adds back as s on
     # levels 0..n_max-1 and takes from levels 1..n_max
-    w0 = np.repeat(dist.weights[np.newaxis], epsilon.size, axis=0)
-    w0[:, :-1] -= a1
-    w0[:, 1:] += a1
+    w0 = np.repeat(dist.weights[:, np.newaxis], epsilon.size, axis=1)
+    w0[:-1] -= a1
+    w0[1:] += a1
     # the walk writes the moved weight and the field entropies; the atom
     # entropies then take the place of the moved weight
     exchanges = np.empty((2, epsilon.size, times.size))
@@ -386,7 +417,7 @@ def _exchanges(
     def walk(first: int, stop: int) -> None:
         # runs on worker threads: the NumPy calls on whole rows release the GIL;
         # it calls nothing perfbench/tracing.py wraps, whose span stack is per process
-        w_block = np.empty(epsilon.size * w0.shape[-1] * rows)
+        w_block = np.empty(w0.size * rows)
         logs = np.empty(w_block.size) if kind.is_von_neumann else None
         # the recurrence's scratch: the log rows where the score takes logarithms
         # (a 23-preparation, 8-level von Neumann walk ran 1-2% faster with them
@@ -395,16 +426,16 @@ def _exchanges(
         transfers = _transfers(times, delta_n, a1, rows, first, stop,
                                (span, twice_cos_step), scratch)
         for chunk, s in transfers:
-            shape = (s.shape[0], w0.shape[-1], s.shape[-1])
+            shape = (w0.shape[0], *s.shape[1:])
             w = w_block[: math.prod(shape)].reshape(shape)
             # plane sums, not a BLAS product: threaded BLAS would spin a second core
-            moved[:, chunk] = np.sum(s, axis=-2)
-            np.add(w0[:, :-1, np.newaxis], s, out=w[:, :-1])
-            w[:, -1] = w0[:, -1:]
-            w[:, 1:] -= s
+            moved[:, chunk] = np.sum(s, axis=0)
+            np.add(w0[:-1, :, np.newaxis], s, out=w[:-1])
+            w[-1] = w0[-1, :, np.newaxis]
+            w[1:] -= s
             if form is FieldEntropyForm.COARSE:
-                w = _coarse_grained(w, dist.tail_mass, axis=-2)
-            s_field[:, chunk] = _row_entropies(w, kind, logs=logs, axis=-2)
+                w = _coarse_grained(w, dist.tail_mass, axis=0)
+            s_field[:, chunk] = _row_entropies(w, kind, logs=logs, axis=0)
 
     chunks = -(-times.size // rows)
     windows = -(-chunks // RESEED_CHUNKS)
@@ -433,10 +464,10 @@ def _exchanges(
     logs = np.empty(pairs.size) if kind.is_von_neumann else None
     for start in range(0, times.size, span):
         block = moved[:, start : start + span]
-        p = pairs[: 2 * block.size].reshape(epsilon.size, 2, block.shape[-1])
-        np.add(excited, block, out=p[:, 0])
-        np.subtract(ground, block, out=p[:, 1])
-        block[...] = _row_entropies(p, kind, logs=logs, axis=-2)
+        p = pairs[: 2 * block.size].reshape(2, *block.shape)
+        np.add(excited, block, out=p[0])
+        np.subtract(ground, block, out=p[1])
+        block[...] = _row_entropies(p, kind, logs=logs, axis=0)
     exchanges -= exchanges[..., :1].copy()
     return exchanges
 
@@ -540,9 +571,10 @@ def bloch_sweep(
     built once per call; a group holds as many as keep ``k x rows x
     levels`` per chunk within ``GROUP_ELEMENTS``, with the rows of
     :func:`_chunk_rows`: 32 at 8 levels and 1000 samples, so a 5x7 grid's
-    23 distinct weights walk as one group.  The rows depend on the samples
-    and levels only, so every row has the bits of :func:`entropy_trace`
-    for its preparation.
+    23 distinct weights walk as one group.  Where a chunk holds one sample
+    each weight walks alone (:func:`_sweep_group`).  The rows depend on the
+    samples and levels only, so every row has the bits of
+    :func:`entropy_trace` for its preparation.
     """
     times = _time_grid(horizon, samples, params, dist)
     epsilons = np.asarray(epsilons, dtype=float)
@@ -553,7 +585,7 @@ def bloch_sweep(
         AtomInit(eps)
     averages = np.empty((distinct.size, 2))
     levels = dist.weights.size
-    size = _group_size(_chunk_rows(times.size, levels), levels)
+    size = _sweep_group(times.size, levels)
     weights = _simpson_weights(times.size)
     for start in range(0, distinct.size, size):
         group = distinct[start : start + size]

@@ -18,11 +18,13 @@ record is relative and the same for any checkout.  They are:
   in JSON, in ``weights/``: 1 000 001 rows, which the CLI writes in many row
   blocks with a short last one;
 * a five-q ``calibrate``, in CSV and in JSON, in ``calibrate/``;
-* five ``bloch-sweep`` runs in ``sweeps/``: a 3x3 gamma q=1.4 sweep over 4148
-  levels and 900 samples (several groups, three reseed windows), a Gibbs 9x13
-  sweep, a Gibbs 4x6 Tsallis coarse sweep in JSON, a Gibbs 1x1 sweep and a
-  Gibbs 300x301 sweep on 2 samples (90 300 points with repeated epsilons, in
-  some 44 groups of 2048, so the walk order over the distinct ones shows);
+* six ``bloch-sweep`` runs in ``sweeps/``: a 3x3 gamma q=1.4 sweep over 4148
+  levels and 900 samples (several groups, three reseed windows), a 5x7 gamma
+  q=1.1 Tsallis(1.1) sweep over 24 levels (groups of 10 that score the full
+  field), a Gibbs 9x13 sweep, a Gibbs 4x6 Tsallis coarse sweep in JSON, a Gibbs
+  1x1 sweep and a Gibbs 300x301 sweep on 2 samples (90 300 points with repeated
+  epsilons, in some 44 groups of 2048, so the walk order over the distinct ones
+  shows);
 * two ``timeseries`` runs of the same 4148-level q=1.4 state in ``traces/``,
   at 3 samples per chunk: ``--grid 6`` (exactly two full chunks, the second
   one rotated from the first) and ``--grid 9`` (the first recurrence step);
@@ -111,6 +113,8 @@ def main(argv: list[str]) -> int:
     Path("sweeps").mkdir(exist_ok=True)
     run(["bloch-sweep", "--q", "1.4", "--beta", BETA, "--tail-tol", "1e-6", "--n-cap", "4147",
          "--t-samples", "900", "--grid", "3x3", "--out", "sweeps/gamma3x3.csv"])
+    run(["bloch-sweep", "--q", "1.1", "--beta", BETA, "--entropy", "tsallis", "--entropy-q", "1.1",
+         "--grid", "5x7", "--out", "sweeps/gamma-q1.1-5x7.csv"])
     gibbs = ["bloch-sweep", "--gibbs", "--beta", BETA]
     run([*gibbs, "--grid", "9x13", "--out", "sweeps/gibbs9x13.csv"])
     run([*gibbs, "--grid", "4x6", "--format", "json", "--entropy", "tsallis", "--entropy-q", "1.3",
