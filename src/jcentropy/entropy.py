@@ -80,7 +80,11 @@ MAX_RABI = 1.34e154
 
 @dataclass(frozen=True)
 class EntropyKind:
-    """Entropy functional selector: q=None for von Neumann, else Tsallis index."""
+    """Entropy functional selector: q=None for von Neumann, else the q of ``-sum p ln_q p``.
+
+    On a normalized list that functional is the standard Tsallis entropy
+    ``(1 - sum p^r)/(r - 1)`` at index ``r = 2 - q``, which lies in (0, 1).
+    """
 
     q: float | None = None
 
@@ -309,21 +313,6 @@ def _group_size(rows: int, levels: int) -> int:
     return max(1, GROUP_ELEMENTS // (rows * levels))
 
 
-def _sweep_group(samples: int, levels: int) -> int:
-    """Preparations a sweep walks at once: those of :func:`_group_size`, or one where a chunk holds one sample.
-
-    NumPy sums the levels of a one-sample block pairwise where they are a
-    contiguous run, as in a lone preparation's ``(levels, 1, 1)`` block,
-    but plane by plane in a group's level-major ``(levels, k, 1)`` block.
-    So a walk with such a chunk (every chunk above 8192 levels, or a
-    short last one) groups nothing, and each row keeps its trace's bits.
-    """
-    rows = _chunk_rows(samples, levels)
-    if rows == 1 or samples % rows == 1:
-        return 1
-    return _group_size(rows, levels)
-
-
 def _walkers(samples: int, rows: int) -> int:
     """Threads that walk a trace: one per available CPU, at most one per reseed window."""
     windows = -(-samples // (rows * RESEED_CHUNKS))
@@ -342,7 +331,8 @@ def walk_bytes(
 
     ``levels`` is the length of the weight table (``n_max + 1``) and
     ``preparations`` the number given (1 for a trace), of which a group
-    of k distinct ones is walked at once, scored with ``kind``.  Counted
+    of the k distinct ones :func:`_group_size` admits is walked at once,
+    scored with ``kind``.  Counted
     in 8-byte entries: ``POINT_ARRAYS`` per preparation given; per one of
     a group the transfer ``a1`` of :func:`~jcentropy.jcm.manifold_transfers`
     and the t=0 field weights, each walker's scratch blocks of ``levels x
@@ -356,7 +346,7 @@ def walk_bytes(
     they weigh.
     """
     rows = _chunk_rows(samples, levels)
-    k = min(preparations, _sweep_group(samples, levels))
+    k = min(preparations, _group_size(rows, levels))
     walkers = _walkers(samples, rows)
     blocks = 4 if kind.is_von_neumann else 3
     return 8 * (POINT_ARRAYS * preparations + 2 * levels + 4 * samples
@@ -385,10 +375,10 @@ def _exchanges(
     The walk's blocks are level-major, ``(levels, k, samples)``, as
     :func:`_transfers` yields them: the field shift by one level, the
     anchor's add and every level sum run over whole contiguous planes,
-    adding the levels in their order.  With two or more samples per chunk,
-    or one preparation, every preparation's row has the bits it has when
-    walked alone; a group whose chunk holds one sample sums its levels in
-    another order, which :func:`_sweep_group` keeps out of a sweep.  The
+    adding the levels in their order.  A chunk of one sample is scored one
+    preparation at a time, on the strided column ``block[:, i:i+1]``, whose
+    levels NumPy sums pairwise as it sums a lone trace's.  So every
+    preparation's row has the bits it has when walked alone.  The
     returned array is the only one of the samples' length the walk
     allocates: the walk writes the moved weight and the field entropies
     into it, and the atom is scored as ``(2, k, span)`` planes, blocks of
@@ -425,17 +415,24 @@ def _exchanges(
         scratch = w_block if logs is None else logs
         transfers = _transfers(times, delta_n, a1, rows, first, stop,
                                (span, twice_cos_step), scratch)
-        for chunk, s in transfers:
-            shape = (w0.shape[0], *s.shape[1:])
-            w = w_block[: math.prod(shape)].reshape(shape)
-            # plane sums, not a BLAS product: threaded BLAS would spin a second core
-            moved[:, chunk] = np.sum(s, axis=0)
-            np.add(w0[:-1, :, np.newaxis], s, out=w[:-1])
-            w[-1] = w0[-1, :, np.newaxis]
-            w[1:] -= s
-            if form is FieldEntropyForm.COARSE:
-                w = _coarse_grained(w, dist.tail_mass, axis=0)
-            s_field[:, chunk] = _row_entropies(w, kind, logs=logs, axis=0)
+        for chunk, block in transfers:
+            # NumPy sums the levels of a one-sample block pairwise for one
+            # preparation, strided or not, but plane by plane for several; so such
+            # a block is scored one preparation at a time, as its trace scores it
+            k = block.shape[1] if block.shape[2] > 1 else 1
+            for i in range(0, block.shape[1], k):
+                part = slice(i, i + k)
+                s = block[:, part]
+                shape = (w0.shape[0], *s.shape[1:])
+                w = w_block[: math.prod(shape)].reshape(shape)
+                # plane sums, not a BLAS product: threaded BLAS would spin a second core
+                moved[part, chunk] = np.sum(s, axis=0)
+                np.add(w0[:-1, part, np.newaxis], s, out=w[:-1])
+                w[-1] = w0[-1, part, np.newaxis]
+                w[1:] -= s
+                if form is FieldEntropyForm.COARSE:
+                    w = _coarse_grained(w, dist.tail_mass, axis=0)
+                s_field[part, chunk] = _row_entropies(w, kind, logs=logs, axis=0)
 
     chunks = -(-times.size // rows)
     windows = -(-chunks // RESEED_CHUNKS)
@@ -571,10 +568,10 @@ def bloch_sweep(
     built once per call; a group holds as many as keep ``k x rows x
     levels`` per chunk within ``GROUP_ELEMENTS``, with the rows of
     :func:`_chunk_rows`: 32 at 8 levels and 1000 samples, so a 5x7 grid's
-    23 distinct weights walk as one group.  Where a chunk holds one sample
-    each weight walks alone (:func:`_sweep_group`).  The rows depend on the
-    samples and levels only, so every row has the bits of
-    :func:`entropy_trace` for its preparation.
+    23 distinct weights walk as one group, and at 12001 levels, where a
+    chunk holds one sample, 2 weights do.  The rows depend on the samples
+    and levels only, so every row has the bits of :func:`entropy_trace`
+    for its preparation.
     """
     times = _time_grid(horizon, samples, params, dist)
     epsilons = np.asarray(epsilons, dtype=float)
@@ -585,7 +582,7 @@ def bloch_sweep(
         AtomInit(eps)
     averages = np.empty((distinct.size, 2))
     levels = dist.weights.size
-    size = _sweep_group(times.size, levels)
+    size = _group_size(_chunk_rows(times.size, levels), levels)
     weights = _simpson_weights(times.size)
     for start in range(0, distinct.size, size):
         group = distinct[start : start + size]

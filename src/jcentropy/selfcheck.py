@@ -1,9 +1,10 @@
 """Built-in consistency suite: closed forms against independent routes.
 
 Runs the entropy-exchange walk that every CLI output goes through, and its
-time averages, against the brute-force oracle, the structural invariants
-of the manifold arrays that walk reads, and the special-function
-identities on a fixed internal parameter grid.  Intended as a release
+time averages, against the brute-force oracle, the rows of a grouped
+sweep against their own traces, the structural invariants of the
+manifold arrays that walk reads, and the special-function identities on
+a fixed internal parameter grid.  Intended as a release
 gate: every check reports its maximum deviation and the suite passes
 only if all checks do.
 """
@@ -223,15 +224,46 @@ def _trace_zeroes() -> list[CheckResult]:
     return results
 
 
+def _sweep_rows() -> CheckResult:
+    """Each row of a sweep against its own trace's averages, bit for bit, under both entropies.
+
+    129 samples of 37 levels walk the five weights as one group, through a
+    chunk of ``CHUNK_ROWS`` samples and a chunk of one sample, which the
+    walk scores one preparation at a time; a row that takes another
+    preparation's transfers, moved weight or field entropies differs, and
+    so does one whose last sample sums its levels plane by plane, as a
+    group's one-sample block would.
+    """
+    params = ModelParams.from_detuning(0.3, 2.0)
+    dist = photon_weights_gibbs(0.5, tail_tol=1e-8)
+    epsilons = [0.6, 0.0, 0.9, 0.25, 1.0]
+    grid = {"horizon": 10.0, "samples": 129}
+    detail = f"n_max={dist.n_max} samples={grid['samples']} preparations={len(epsilons)}"
+    devs = []
+    try:
+        for kind in (ent.VON_NEUMANN, ent.tsallis(1.3)):
+            rows = ent.bloch_sweep(params, epsilons, dist, kind, **grid)
+            for row, eps in zip(rows, epsilons):
+                trace = ent.entropy_trace(params, AtomInit(eps), dist, kind, **grid)
+                devs.append(np.abs(row - (trace.avg_ds_atom, trace.avg_ds_field)))
+    except ValueError as exc:
+        # a faulty walk can leave no probability list at all
+        return _check("sweep-rows-equal-traces", math.inf, 0.0, detail=f"{detail}; {exc}")
+    # np.max, not max, so that a NaN row fails
+    return _check("sweep-rows-equal-traces", np.max(devs), 0.0, detail=detail)
+
+
 def run_selfcheck(perturb: float = 0.0) -> list[CheckResult]:
     """Run every internal check.
 
     ``perturb`` moves that much photon weight from level 0 to level 1 of
-    what the walk gets, to prove that the oracle checks see an error.
+    what the walk gets, to prove that the oracle checks see an error; the
+    sweep check compares two walks of one state, so it walks the true one.
     """
     results = [_zeta_identities(), _manifold_identity()]
     results.extend(_oracle_equivalence(perturb))
     results.append(_oracle_average(perturb))
     results.extend(_structural_fuzz())
     results.extend(_trace_zeroes())
+    results.append(_sweep_rows())
     return results

@@ -820,6 +820,22 @@ class TestSelfcheck:
         walked = [line for line in report.splitlines() if "oracle-" in line]
         assert len(walked) == 7 and all(line.startswith("[FAIL]") for line in walked)
 
+    def test_reversed_preparations_exit_4_with_every_line(self, monkeypatch, capsys, check_names):
+        # blocks whose preparation axis is reversed hand each row of a group the
+        # transfers of another; a lone trace has one preparation and is unchanged
+        transfers = entropy_module._transfers
+
+        def reversed_preparations(*args):
+            for chunk, block in transfers(*args):
+                yield chunk, block[:, ::-1]
+
+        monkeypatch.setattr(entropy_module, "_transfers", reversed_preparations)
+        assert main(["selfcheck"]) == 4
+        report = capsys.readouterr().out
+        assert self.names(report) == check_names
+        sweep = [line for line in report.splitlines() if "sweep-rows-equal-traces" in line]
+        assert len(sweep) == 1 and sweep[0].startswith("[FAIL]")
+
     @pytest.mark.parametrize("mutation", ["swapped-halves", "plain-mean"])
     def test_averaging_faults_exit_4_with_every_line(self, monkeypatch, capsys, check_names,
                                                      mutation):

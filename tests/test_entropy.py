@@ -103,6 +103,23 @@ class TestEntropyOf:
             near = entropy_of(p, EntropyKind(q=1.0 + 1e-6))
             assert abs(near - entropy_of(p)) < 1e-4
 
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12).filter(lambda a: sum(a) > 0.01),
+           b=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12).filter(lambda b: sum(b) > 0.01),
+           q=st.floats(1.05, 1.95))
+    def test_deformed_entropy_is_tsallis_at_index_two_minus_q(self, a, b, q):
+        # -sum p ln_q p of a normalized list is the Tsallis entropy
+        # (1 - sum p^r)/(r - 1) at r = 2 - q, in (0, 1), which composes over a
+        # product with +(1 - r) = +(q - 1) times the product of the parts
+        a, b = (np.array(p) / math.fsum(p) for p in (a, b))
+        kind, index = tsallis(q), 2.0 - q
+        for p in (a, b):
+            standard = (1.0 - math.fsum(p**index)) / (index - 1.0)
+            assert entropy_of(p, kind) == pytest.approx(standard, rel=1e-10, abs=1e-12)
+        s_a, s_b = entropy_of(a, kind), entropy_of(b, kind)
+        product = entropy_of(np.outer(a, b), kind)
+        assert product == pytest.approx(s_a + s_b + (q - 1.0) * s_a * s_b, rel=1e-10, abs=1e-12)
+
     @pytest.mark.parametrize("kind", [VON_NEUMANN, tsallis(1.6)], ids=["vn", "tsallis1.6"])
     def test_row_helper_scores_zeros_and_tiny_negatives_as_zero(self, kind):
         rows = np.array([
@@ -626,14 +643,16 @@ def test_tsallis_trace_holds_its_level_arrays(monkeypatch, walkers, samples, bou
     assert peak / (8 * n) < bound
 
 
-@pytest.mark.parametrize("case", ["samples", "levels", "heavy", "sweep", "capped", "grid"])
+@pytest.mark.parametrize("case", ["samples", "levels", "heavy", "sweep", "capped", "grid",
+                                  "one-sample-group"])
 def test_walk_bytes_bounds_the_traced_peak(monkeypatch, case):
     # the estimate a run is refused on holds every array the walk keeps, and
     # overstates it by less than half; "heavy" is the heavy-tail trace's shape,
     # 1e5 levels at one sample per chunk on two walkers, whose Tsallis walk
     # holds no log rows, so its estimate overstates it by less than a tenth;
     # "capped" is the 23 distinct weights of a 5x7 grid on 8 levels, one group
-    # of 128-sample chunks
+    # of 128-sample chunks; "one-sample-group" walks 3 weights of 12001 levels,
+    # one sample per chunk, in groups of 2
     walkers, kind, count, samples = {
         "samples": (1, VON_NEUMANN, 1, 100000),
         "levels": (2, VON_NEUMANN, 1, 900),
@@ -641,6 +660,7 @@ def test_walk_bytes_bounds_the_traced_peak(monkeypatch, case):
         "sweep": (1, tsallis(1.3), 92, 1000),
         "capped": (1, VON_NEUMANN, 23, 1000),
         "grid": (1, VON_NEUMANN, 200000, 2),
+        "one-sample-group": (1, VON_NEUMANN, 3, 40),
     }[case]
     monkeypatch.setattr(entropy_module, "_available_cpus", lambda: walkers)
     if case == "levels":  # 4148 levels, three reseed windows
@@ -649,6 +669,9 @@ def test_walk_bytes_bounds_the_traced_peak(monkeypatch, case):
         )
     elif case == "heavy":
         dist = PhotonDistribution(np.full(10**5 + 1, 1.0 / (10**5 + 1)), 0.0)
+    elif case == "one-sample-group":
+        dist = PhotonDistribution(np.full(12001, 1.0 / 12001), 0.0)
+        assert entropy_module._group_size(entropy_module._chunk_rows(samples, 12001), 12001) == 2
     else:
         dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-8)
     grid = {"horizon": 25.0, "samples": samples}
@@ -788,6 +811,23 @@ class TestBloch:
         bloch_sweep(RESONANT, epsilons, dist, horizon=25.0, samples=1000)
         # once each, in ascending order
         assert walked == [0.0, 0.3, 0.5, 1.0]
+
+
+def test_a_group_ending_in_a_one_sample_chunk_is_walked_at_once(monkeypatch):
+    # 1025 samples of 8 levels are 8 chunks of 128 and one of a single sample,
+    # which is scored one preparation at a time inside the group
+    walks = []
+    exchanges = entropy_module._exchanges
+
+    def counting(params, epsilon, *args):
+        walks.append(epsilon.size)
+        return exchanges(params, epsilon, *args)
+
+    monkeypatch.setattr(entropy_module, "_exchanges", counting)
+    dist = photon_weights_gibbs(math.log(11.0), tail_tol=1e-8)
+    assert dist.weights.size == 8
+    bloch_sweep(RESONANT, np.linspace(0.0, 1.0, 23), dist, horizon=25.0, samples=1025)
+    assert walks == [23]
 
 
 BATCH_KINDS = pytest.mark.parametrize("kind, form", [

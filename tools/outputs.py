@@ -18,13 +18,14 @@ record is relative and the same for any checkout.  They are:
   in JSON, in ``weights/``: 1 000 001 rows, which the CLI writes in many row
   blocks with a short last one;
 * a five-q ``calibrate``, in CSV and in JSON, in ``calibrate/``;
-* six ``bloch-sweep`` runs in ``sweeps/``: a 3x3 gamma q=1.4 sweep over 4148
+* seven ``bloch-sweep`` runs in ``sweeps/``: a 3x3 gamma q=1.4 sweep over 4148
   levels and 900 samples (several groups, three reseed windows), a 5x7 gamma
   q=1.1 Tsallis(1.1) sweep over 24 levels (groups of 10 that score the full
   field), a Gibbs 9x13 sweep, a Gibbs 4x6 Tsallis coarse sweep in JSON, a Gibbs
-  1x1 sweep and a Gibbs 300x301 sweep on 2 samples (90 300 points with repeated
+  1x1 sweep, a Gibbs 300x301 sweep on 2 samples (90 300 points with repeated
   epsilons, in some 44 groups of 2048, so the walk order over the distinct ones
-  shows);
+  shows) and a Gibbs 5x7 sweep on 1025 samples (one group of 23 whose last
+  chunk holds a single sample);
 * two ``timeseries`` runs of the same 4148-level q=1.4 state in ``traces/``,
   at 3 samples per chunk: ``--grid 6`` (exactly two full chunks, the second
   one rotated from the first) and ``--grid 9`` (the first recurrence step);
@@ -122,6 +123,7 @@ def main(argv: list[str]) -> int:
     run([*gibbs, "--grid", "1x1", "--out", "sweeps/gibbs1x1.csv"])
     run([*gibbs, "--grid", "300x301", "--t-samples", "2", "--T", "1",
          "--out", "sweeps/gibbs300x301.csv"])
+    run([*gibbs, "--grid", "5x7", "--t-samples", "1025", "--out", "sweeps/gibbs5x7-1025.csv"])
     Path("traces").mkdir(exist_ok=True)
     for grid in ("6", "9"):
         run(["timeseries", "--q", "1.4", "--beta", BETA, "--tail-tol", "1e-6", "--n-cap", "4147",
